@@ -64,7 +64,7 @@ def main(argv=None) -> int:
     print(f"  supplied total   = {driven.supplied_total:.10f}")
     print(f"  dissipated total = {driven.dissipated_total:.10f}")
     print(f"  max |residual|   = {driven.max_abs_residual:.3e}")
-    bound = rt_bound_check(system, toolkit, x0, u)
+    bound = rt_bound_check(system, driven, x0, u)
     print(f"  sqrt(int r dt)   = {bound.lhs:.6f}")
     print(f"  |x0| + t |B| |u| = {bound.rhs:.6f}")
     print(f"  slack            = {bound.slack:.6f} ({'ok' if bound.ok else 'VIOLATED'})")

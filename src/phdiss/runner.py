@@ -77,13 +77,19 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         },
     }
 
-    traj = None
+    traj = audited = None
 
     def _traj():
         nonlocal traj
         if traj is None:
             traj = mild_solution(system, x0, u)
         return traj
+
+    def _ledger():
+        nonlocal audited
+        if audited is None:
+            audited = energy_audit(system, toolkit, _traj(), u)
+        return audited
 
     for task in cfg.tasks:
         if task == "simulate":
@@ -98,7 +104,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
                 "final_sup": float(np.max(np.abs(t.states[-1]))),
             }
         elif task == "audit":
-            ledger = energy_audit(system, toolkit, _traj(), u)
+            ledger = _ledger()
             files.append(write_ledger_csv(out / "ledger.csv", ledger))
             min_rate = float(np.min(ledger.dissipation_rate))
             checks.append(CheckResult(
@@ -112,7 +118,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
                 "max_abs_residual": ledger.max_abs_residual,
             }
         elif task == "rt_bound":
-            rep = rt_bound_check(system, toolkit, x0, u, tol=-BOUND_FLOOR)
+            rep = rt_bound_check(system, _ledger(), x0, u, tol=-BOUND_FLOOR)
             checks.append(CheckResult(
                 "rt_bound", rep.ok,
                 f"lhs {rep.lhs:.6g} vs rhs {rep.rhs:.6g}, slack {rep.slack:.3e}"))

@@ -130,15 +130,17 @@ def test_criterion_05_dissipation_bound():
         tk = build_toolkit(sys)
         for _ in range(50):
             x0, u = _sweep_draw(model, g, rng)
-            rep = rt_bound_check(sys, tk, x0, u)
+            led = energy_audit(sys, tk, mild_solution(sys, x0, u), u)
+            rep = rt_bound_check(sys, led, x0, u)
             min_slack = min(min_slack, rep.slack)
     sweep_ok = min_slack >= -1e-8
 
     g = make_uniform_grid(201)
     sys = assemble_model("transport", g)
     tk = build_toolkit(sys)
-    rep = rt_bound_check(sys, tk, np.ones(201),
-                         ControlSignal.zero(1.0, g.h))
+    x0, u = np.ones(201), ControlSignal.zero(1.0, g.h)
+    rep = rt_bound_check(sys, energy_audit(sys, tk, mild_solution(sys, x0, u), u),
+                         x0, u)
     near_ok = rep.slack < 1e-3 and abs(rep.lhs - 1.0 / np.sqrt(2.0)) <= 1e-3
     _report("5 dissipation bound", sweep_ok and near_ok,
             f"sweep min slack {min_slack:+.3e}; near-equality slack "

@@ -7,6 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+import phdiss.dissipation
+import phdiss.runner
+from phdiss import (assemble_model, build_toolkit, control_signal,
+                    energy_audit, initial_state, make_uniform_grid,
+                    mild_solution, rt_bound_check)
 from phdiss.cli import main
 from phdiss.config import ConfigError, parse_config_text
 from phdiss.reporting import fmt_float
@@ -146,3 +151,52 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert "non-closable-evidence" in proc.stdout
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Count calls to `name` made through any of the given module globals."""
+    calls = []
+    for module in modules:
+        def counted(*args, _fn=getattr(module, name), **kwargs):
+            calls.append(name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_shares_one_trajectory_and_ledger(tmp_path, monkeypatch):
+    text = """\
+model = skew_damped
+n_grid = 41
+t_final = 1.0
+x0_preset = sine:2
+u_preset = const:0.5
+tasks = {tasks}
+out_dir = {out}
+"""
+    for tasks, ledger_written in (("simulate, audit, rt_bound", True),
+                                  ("rt_bound", False)):
+        out = tmp_path / tasks.replace(", ", "_")
+        cfg = parse_config_text(text.format(tasks=tasks, out=out))
+        sims = _count_calls(monkeypatch, "mild_solution", phdiss.runner)
+        audits = _count_calls(monkeypatch, "energy_audit", phdiss.runner,
+                              phdiss.dissipation)
+        res = phdiss.runner.run_config(cfg)
+        monkeypatch.undo()
+        assert res.status == 0
+        assert len(sims) == 1 and len(audits) == 1
+        assert (out / "ledger.csv").exists() == ledger_written
+
+        grid = make_uniform_grid(cfg.n_grid)
+        system = assemble_model(cfg.model, grid, damping=cfg.damping)
+        x0 = initial_state(grid, cfg.x0_preset)
+        u = control_signal(cfg.u_preset, cfg.t_final, grid.h, m=system.m_inputs)
+        led = energy_audit(system, build_toolkit(system),
+                           mild_solution(system, x0, u), u)
+        rep = rt_bound_check(system, led, x0, u)
+        assert res.summary["rt_bound"] == {
+            "lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack,
+            "b_norm": rep.b_norm, "u_norm": rep.u_norm,
+            "x0_norm": rep.x0_norm, "t_final": rep.t_final,
+        }

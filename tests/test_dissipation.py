@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phdiss import (ControlSignal, DissipationToolkit, assemble_model,
-                    build_toolkit, dissipation_rate, energy_audit, form_r,
-                    make_uniform_grid, mild_solution, q_identity_residual,
-                    q_identity_scaled, rt_bound_check)
+from phdiss import (ControlSignal, DissipationToolkit, assemble_custom,
+                    assemble_model, build_toolkit, dissipation_rate,
+                    energy_audit, form_r, make_uniform_grid, mild_solution,
+                    q_identity_residual, q_identity_scaled, rt_bound_check)
 from phdiss.dissipation import cumulative_parabolic, cumulative_trapezoid
 from phdiss.semigroup import AlignmentError
 
@@ -183,10 +183,45 @@ def test_dissipated_monotone_on_classical_runs(model, x0_name, dt,
     assert np.all(np.diff(led.dissipated) >= -1e-12)
 
 
+def _custom_complex_system(n=21, seed=5):
+    # W A = K - C with K skew-Hermitian and C Hermitian PSD: dissipative in W
+    g = make_uniform_grid(n)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    wa = 0.5 * (z - z.conj().T) - (c @ c.conj().T / n + np.eye(n))
+    return assemble_custom(g, wa / g.weights[:, None])
+
+
+@pytest.mark.parametrize("model", MODELS + ("custom",))
+def test_audit_rate_matches_form_r(model, systems101, toolkits101):
+    # K + 1 = 251 rows against n = 101 (26 against n = 21 for custom), so
+    # the rates span full row blocks and a partial last one
+    if model == "custom":
+        sys = _custom_complex_system()
+        tk = build_toolkit(sys)
+        x0 = random_state(sys.n, 3, complex_values=True)
+        traj = mild_solution(sys, x0, t_final=0.25, dt=1e-2)
+    else:
+        sys, tk = systems101[model], toolkits101[model]
+        dt = 1e-3 if model == "heat" else sys.grid.h
+        traj = mild_solution(sys, random_state(101, 3), t_final=250 * dt, dt=dt)
+    states = traj.states
+    assert states.shape[0] > sys.n and states.shape[0] % sys.n != 0
+    rate = energy_audit(sys, tk, traj).dissipation_rate
+    ref = np.array([form_r(tk, x) for x in states])
+    np.testing.assert_allclose(rate, ref, rtol=1e-12, atol=1e-14 * ref.max())
+    if model == "transport":
+        np.testing.assert_array_equal(
+            rate, (states[:, 0] ** 2 + states[:, -1] ** 2) / 2)
+
+
 def test_rt_bound_zero_data(systems101, toolkits101):
     sys = systems101["transport"]
     u = ControlSignal.zero(0.5, sys.grid.h)
-    rep = rt_bound_check(sys, toolkits101["transport"], np.zeros(101), u)
+    x0 = np.zeros(101)
+    led = energy_audit(sys, toolkits101["transport"], mild_solution(sys, x0, u), u)
+    rep = rt_bound_check(sys, led, x0, u)
     assert rep.ok
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
 
@@ -194,7 +229,9 @@ def test_rt_bound_zero_data(systems101, toolkits101):
 def test_rt_bound_reports_norms(systems101, toolkits101):
     sys = systems101["transport"]
     u = ControlSignal.constant(1.0, 0.5, sys.grid.h)
-    rep = rt_bound_check(sys, toolkits101["transport"], np.ones(101), u)
+    x0 = np.ones(101)
+    led = energy_audit(sys, toolkits101["transport"], mild_solution(sys, x0, u), u)
+    rep = rt_bound_check(sys, led, x0, u)
     assert rep.x0_norm == pytest.approx(1.0, abs=1e-12)
     assert rep.u_norm == pytest.approx(np.sqrt(0.5), rel=1e-10)
     assert rep.b_norm == pytest.approx(1.0, rel=1e-10)
