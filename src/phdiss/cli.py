@@ -2,10 +2,11 @@
 
     phdiss run CONFIG
     phdiss verify-paper [--n-grid N] [--out DIR]
-    phdiss probe MODEL SEQUENCE [--n-max K] [--n-grid N] [--out DIR]
+    phdiss probe MODEL SEQUENCE [--n-max K] [--n-grid N] [--damping D] [--out DIR]
 
 The PHDISS_OUT environment variable overrides every output directory.
-Exit codes: 0 success, 1 a validation check failed, 2 usage or config error.
+Exit codes: 0 success, 1 a validation check failed, 2 usage or config error,
+3 numerical failure (a LAPACK routine gave up).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import os
 import sys
 from pathlib import Path
 
+from numpy.linalg import LinAlgError
+
 from .config import ConfigError, parse_config
 from .grids import GridError, make_uniform_grid
 from .linalg import NotPSDError, NotSelfAdjointError
@@ -23,7 +26,7 @@ from .probes import SEQUENCE_TAGS, closability_probe
 from .reporting import write_csv, write_probe_csv
 from .runner import run_config
 from .semigroup import AlignmentError, SignalError
-from .systems import AssemblyError, assemble_model
+from .systems import MODELS, AssemblyError, assemble_model
 from .verify import verify_paper_values
 
 _USER_ERRORS = (ConfigError, GridError, AssemblyError, SignalError,
@@ -47,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="directory for verify_paper.csv")
 
     p_probe = sub.add_parser("probe", help="closability probe for one model")
-    p_probe.add_argument("model", choices=("transport", "heat", "skew_damped"))
+    p_probe.add_argument("model", choices=tuple(MODELS))
     p_probe.add_argument("sequence", choices=SEQUENCE_TAGS)
     p_probe.add_argument("--n-max", type=int, default=8)
     p_probe.add_argument("--n-grid", type=int, default=201)
@@ -106,6 +109,9 @@ def main(argv=None) -> int:
         if args.command == "verify-paper":
             return _cmd_verify(args)
         return _cmd_probe(args)
+    except LinAlgError as exc:  # a ValueError, so it must come first
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .systems import MODELS
+
 
 class ConfigError(ValueError):
     pass
 
 
-SUPPORTED_MODELS = ("transport", "heat", "skew_damped")
 SUPPORTED_TASKS = ("simulate", "audit", "rt_bound", "q_check", "refine",
                    "probe:power", "probe:scaled_sine")
 REQUIRED_KEYS = ("model", "n_grid", "t_final", "x0_preset", "u_preset",
@@ -44,7 +45,7 @@ class ExperimentConfig:
     damping: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.model not in SUPPORTED_MODELS:
+        if self.model not in MODELS:
             raise ConfigError(f"unsupported model: {self.model!r}")
         if self.n_grid < 3:
             raise ConfigError(f"n_grid must be at least 3, got {self.n_grid}")

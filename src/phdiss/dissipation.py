@@ -10,12 +10,13 @@ For a dissipative generator A in the inner product with gram matrix W:
 * the bounded probe Q = -((A - I)^{-1} + ((A - I)^{-1})*) / 2 (adjoint
   taken in W), which satisfies ||Q^{1/2} (A - I) x||^2 = ||x||^2 + r[x].
 
-All three are assembled once per system into a DissipationToolkit.
+A DissipationToolkit holds F and builds the two square roots on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -23,7 +24,7 @@ import scipy.linalg as sla
 from .grids import values_of
 from .linalg import assemble_from_factors, gram_sqrt_factors, psd_sqrt
 from .semigroup import AlignmentError, ControlSignal, Trajectory, output_signal
-from .systems import DiscreteSystem, herm_part_wa
+from .systems import DiscreteSystem, graph_gram, herm_part_wa
 
 
 def form_matrix(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -33,11 +34,12 @@ def form_matrix(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class DissipationToolkit:
-    """Precomputed dissipation operators for one generator.
+    """Dissipation operators for one generator, W kept as its weights.
 
-    f_matrix is the form matrix (rate = x^H F x), m_matrix the rate
-    operator on the graph space with its G-square root m_sqrt, q_matrix
-    the bounded probe with its W-square root q_sqrt.
+    f_matrix is the form matrix (rate = x^H F x). The rest is built on
+    first read and kept: m_sqrt, the G-square root of the rate operator
+    M = G^{-1} F, and q_matrix, the bounded probe, with its W-square root
+    q_sqrt.
 
     g_chol and m_sqrt_hat hold the Cholesky factor G = L L^H and the
     square root in L-orthonormal coordinates; the rate is evaluated as
@@ -47,16 +49,9 @@ class DissipationToolkit:
     """
 
     a_matrix: np.ndarray
-    w_gram: np.ndarray
+    weights: np.ndarray
     g_gram: np.ndarray
     f_matrix: np.ndarray
-    m_matrix: np.ndarray
-    m_sqrt: np.ndarray
-    q_matrix: np.ndarray
-    q_sqrt: np.ndarray
-    g_chol: np.ndarray
-    m_sqrt_hat: np.ndarray
-    m_eigenvalues: np.ndarray
 
     @classmethod
     def from_matrices(cls, a_matrix: np.ndarray, weights: np.ndarray) -> "DissipationToolkit":
@@ -72,35 +67,42 @@ class DissipationToolkit:
             raise ValueError("weights length does not match the generator size")
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
-        w_gram = np.diag(w)
-        f = -herm_part_wa(a, w)
-        g = w_gram + a.conj().T @ w_gram @ a
-        g = 0.5 * (g + g.conj().T)
-        m = sla.solve(g, f, assume_a="pos")
-        # G M = F exactly, so the square-root factors come straight from F
-        # instead of re-multiplying the solve result by G.
-        l, m_eigs, s_hat = gram_sqrt_factors(f, g)
-        m_sqrt = assemble_from_factors(l, s_hat)
-        if not np.iscomplexobj(a):
-            m_sqrt = m_sqrt.real
-        n = a.shape[0]
-        res = sla.inv(a - np.eye(n))
-        res_adj = sla.solve(w_gram, res.conj().T @ w_gram)
-        q = -0.5 * (res + res_adj)
-        if not np.iscomplexobj(a):
-            q = q.real
-        q_sqrt = psd_sqrt(q, w_gram)
-        return cls(a_matrix=a, w_gram=w_gram, g_gram=g, f_matrix=f,
-                   m_matrix=m, m_sqrt=m_sqrt, q_matrix=q, q_sqrt=q_sqrt,
-                   g_chol=l, m_sqrt_hat=s_hat, m_eigenvalues=m_eigs)
+        return cls(a_matrix=a, weights=w, g_gram=graph_gram(a, w),
+                   f_matrix=form_matrix(a, w))
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.diag(self.w_gram)
+    @cached_property
+    def _m_factors(self):
+        # G M = F exactly, so the factors come straight from F; M is never formed
+        return gram_sqrt_factors(self.f_matrix, self.g_gram)
+
+    g_chol = property(lambda self: self._m_factors[0])
+    m_eigenvalues = property(lambda self: self._m_factors[1])
+    m_sqrt_hat = property(lambda self: self._m_factors[2])
+
+    @cached_property
+    def m_sqrt(self) -> np.ndarray:
+        root = assemble_from_factors(self.g_chol, self.m_sqrt_hat)
+        return root if np.iscomplexobj(self.a_matrix) else root.real
+
+    @cached_property
+    def q_matrix(self) -> np.ndarray:
+        a, w = self.a_matrix, self.weights
+        res = sla.inv(a - np.eye(a.shape[0]))
+        # W-adjoint W^{-1} res^H W, with W diagonal
+        res_adj = (res.conj().T * w) * (1.0 / w)[:, None]
+        q = -0.5 * (res + res_adj)
+        return q if np.iscomplexobj(a) else q.real
+
+    @cached_property
+    def q_sqrt(self) -> np.ndarray:
+        return psd_sqrt(self.q_matrix, np.diag(self.weights))
 
 
 def build_toolkit(system: DiscreteSystem) -> DissipationToolkit:
-    return DissipationToolkit.from_matrices(system.a_matrix, system.weights)
+    """The system's toolkit; it shares the system's A, weights and G."""
+    return DissipationToolkit(a_matrix=system.a_matrix, weights=system.weights,
+                              g_gram=system.g_gram,
+                              f_matrix=form_matrix(system.a_matrix, system.weights))
 
 
 def form_r(system: DiscreteSystem | DissipationToolkit, x, y=None) -> complex:
@@ -142,10 +144,10 @@ def q_identity_residual(toolkit: DissipationToolkit, x) -> float:
     norm before comparing.
     """
     xv = values_of(x, toolkit.f_matrix.shape[0])
-    w = toolkit.w_gram
+    w = toolkit.weights
     z = toolkit.q_sqrt @ (toolkit.a_matrix @ xv - xv)
-    lhs = float(np.real(np.conj(z) @ (w @ z)))
-    nx2 = float(np.real(np.conj(xv) @ (w @ xv)))
+    lhs = float(np.real(np.conj(z) @ (w * z)))
+    nx2 = float(np.real(np.conj(xv) @ (w * xv)))
     rhs = nx2 + form_r(toolkit, xv)
     return abs(lhs - rhs)
 
@@ -295,7 +297,7 @@ def rt_bound_check(system: DiscreteSystem, ledger: EnergyLedger,
     b_norm = float(np.linalg.norm(wb, 2)) if wb.size else 0.0
     u_norm = u.norm_l2()
     x0v = values_of(x0, system.n)
-    x0_norm = float(np.sqrt(np.real(np.conj(x0v) @ (system.w_gram @ x0v))))
+    x0_norm = float(np.sqrt(np.real(np.conj(x0v) @ (system.weights * x0v))))
     t_final = float(u.t_final)
     rhs = np.sqrt(t_final) * b_norm * u_norm + x0_norm / np.sqrt(2.0)
     slack = rhs - lhs

@@ -146,7 +146,6 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
             checks.append(CheckResult(
                 "q_identity", worst <= Q_RESIDUAL_TOL,
                 f"worst scaled residual {worst:.3e} (tol {Q_RESIDUAL_TOL:.0e})"))
-            summary["q_max_residual"] = worst
             summary["q_check"] = {"q_max_residual": worst, "samples": 100}
         elif task == "refine":
             study = refinement_study(cfg.model, REFINE_SIZES, "power",

@@ -116,13 +116,6 @@ class Trajectory:
     grid: Grid
     model_tag: str
 
-    def state(self, k: int) -> GridFunction:
-        return GridFunction(self.grid, self.states[k])
-
-    @property
-    def final_state(self) -> GridFunction:
-        return GridFunction(self.grid, self.states[-1])
-
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
@@ -169,9 +162,13 @@ def propagate_shift(x0: GridFunction, t: float) -> GridFunction:
     return GridFunction(grid, _shift_values(x0.values, k, grid.n))
 
 
-def _eigen_propagator(system: DiscreteSystem, t: float) -> np.ndarray:
-    lam, vecs = gram_eigh(system.a_matrix, system.w_gram)
-    return (vecs * np.exp(t * lam)) @ vecs.conj().T @ system.w_gram
+def _dense_propagator(system: DiscreteSystem, t: float) -> np.ndarray:
+    """e^{tA} as a dense matrix: spectral route when hinted, else expm."""
+    if system.propagator_hint != "eigen":
+        return sla.expm(t * system.a_matrix)
+    w = system.weights
+    lam, vecs = gram_eigh(system.a_matrix, np.diag(w))
+    return ((vecs * np.exp(t * lam)) @ vecs.conj().T) * w
 
 
 def propagate_matrix(system: DiscreteSystem, x0, t: float) -> GridFunction:
@@ -179,17 +176,12 @@ def propagate_matrix(system: DiscreteSystem, x0, t: float) -> GridFunction:
     if t < 0:
         raise ValueError(f"negative time {t}")
     x0v = values_of(x0, system.n)
-    if system.propagator_hint == "eigen":
-        prop = _eigen_propagator(system, t)
-    else:
-        prop = sla.expm(t * system.a_matrix)
-    return GridFunction(system.grid, prop @ x0v)
+    return GridFunction(system.grid, _dense_propagator(system, t) @ x0v)
 
 
 def _make_step(system: DiscreteSystem, dt: float):
     """One-step map v -> e^{dt A} v for the system's preferred route."""
-    hint = system.propagator_hint
-    if hint == "shift":
+    if system.propagator_hint == "shift":
         q = _shift_indices(dt, system.grid.h)
         if q < 1:
             raise AlignmentError(
@@ -198,10 +190,7 @@ def _make_step(system: DiscreteSystem, dt: float):
             )
         n = system.n
         return lambda v: _shift_values(v, q, n)
-    if hint == "eigen":
-        prop = _eigen_propagator(system, dt)
-    else:
-        prop = sla.expm(dt * system.a_matrix)
+    prop = _dense_propagator(system, dt)
     return lambda v: prop @ v
 
 
@@ -241,7 +230,7 @@ def mild_solution(system: DiscreteSystem, x0, u: ControlSignal | None = None,
 
 def output_signal(system: DiscreteSystem, traj: Trajectory) -> OutputSignal:
     """Collocated output y = B^* x, taken in the weighted inner product."""
-    wb = system.w_gram @ system.b_matrix
+    wb = system.weights[:, None] * system.b_matrix
     yvals = traj.states @ np.conj(wb)
     return OutputSignal(times=traj.times.copy(), values=yvals)
 

@@ -1,23 +1,23 @@
 """Discrete dissipative generators on the unit interval.
 
 Each model produces a DiscreteSystem holding the generator matrix A, the
-input map B, the diagonal gram matrix W of the trapezoid inner product and
-the graph gram matrix G = W + A^H W A. Assembly validates dissipativity:
+input map B and the graph gram matrix G = W + A^H W A, where W is the
+diagonal gram matrix of the trapezoid inner product, kept as the grid's
+weight vector. Assembly validates dissipativity:
 the largest eigenvalue of the symmetric part of W A must not exceed
 roundoff, so that -Re<Ax, x> >= 0 holds for every state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Grid, GridFunction, GridError, values_of
+from .grids import Grid, values_of
 
-MODEL_TAGS = ("transport", "heat", "skew_damped", "custom")
 PROPAGATOR_HINTS = ("shift", "eigen", "generic")
 
 
@@ -36,12 +36,10 @@ class DiscreteSystem:
         Generator, shape (n, n).
     b_matrix : np.ndarray
         Input map, shape (n, m). m may be 0 for autonomous runs.
-    w_gram : np.ndarray
-        Diagonal gram matrix of the trapezoid inner product.
     g_gram : np.ndarray
         Graph gram matrix W + A^H W A; positive definite.
     model_tag : str
-        One of MODEL_TAGS.
+        A key of MODELS, or "custom".
     propagator_hint : str
         Preferred propagation route, one of PROPAGATOR_HINTS.
     """
@@ -49,11 +47,9 @@ class DiscreteSystem:
     grid: Grid
     a_matrix: np.ndarray
     b_matrix: np.ndarray
-    w_gram: np.ndarray
     g_gram: np.ndarray
     model_tag: str
     propagator_hint: str = "generic"
-    params: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -65,6 +61,7 @@ class DiscreteSystem:
 
     @property
     def weights(self) -> np.ndarray:
+        """Trapezoid weights, the diagonal of W."""
         return self.grid.weights
 
 
@@ -77,6 +74,13 @@ def herm_part_wa(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def dissipativity_gap(a_matrix: np.ndarray, weights: np.ndarray) -> float:
     """Largest eigenvalue of Herm(W A). <= 0 (up to roundoff) iff dissipative."""
     return float(sla.eigvalsh(herm_part_wa(a_matrix, weights))[-1])
+
+
+def graph_gram(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """G = W + A^H W A, symmetrized so that it is Hermitian to the last bit."""
+    g = (a_matrix.conj().T * weights) @ a_matrix
+    g[np.diag_indices_from(g)] += weights
+    return 0.5 * (g + g.conj().T)
 
 
 def _input_matrix(grid: Grid, input_profile) -> np.ndarray:
@@ -94,8 +98,8 @@ def _input_matrix(grid: Grid, input_profile) -> np.ndarray:
     return b
 
 
-def _finish(grid: Grid, a: np.ndarray, b: np.ndarray, tag: str, hint: str,
-            params: dict | None = None) -> DiscreteSystem:
+def _finish(grid: Grid, a: np.ndarray, b: np.ndarray, tag: str,
+            hint: str) -> DiscreteSystem:
     w = grid.weights
     gap = dissipativity_gap(a, w)
     tol = 1e-8 * max(1.0, float(np.linalg.norm(a, 2)))
@@ -104,13 +108,9 @@ def _finish(grid: Grid, a: np.ndarray, b: np.ndarray, tag: str, hint: str,
             f"model '{tag}' is not dissipative: top eigenvalue of Herm(WA) is "
             f"{gap:.3e} (tolerance {tol:.3e})"
         )
-    w_gram = np.diag(w)
-    g_gram = w_gram + a.conj().T @ w_gram @ a
-    g_gram = 0.5 * (g_gram + g_gram.conj().T)
-    return DiscreteSystem(
-        grid=grid, a_matrix=a, b_matrix=b, w_gram=w_gram, g_gram=g_gram,
-        model_tag=tag, propagator_hint=hint, params=dict(params or {}),
-    )
+    return DiscreteSystem(grid=grid, a_matrix=a, b_matrix=b,
+                          g_gram=graph_gram(a, w), model_tag=tag,
+                          propagator_hint=hint)
 
 
 def assemble_transport(grid: Grid, input_profile=None) -> DiscreteSystem:
@@ -175,7 +175,7 @@ def assemble_skew_damped(grid: Grid, damping: float = 0.3, input_profile=None) -
     j = 0.5 * (c - (1.0 / w)[:, None] * (c.T * w[None, :]))
     a = j - damping * np.eye(n)
     return _finish(grid, a, _input_matrix(grid, input_profile), "skew_damped",
-                   "generic", params={"damping": float(damping)})
+                   "generic")
 
 
 def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None,
@@ -189,20 +189,20 @@ def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None,
     return _finish(grid, a, _input_matrix(grid, b_matrix), "custom", propagator_hint)
 
 
-_ASSEMBLERS: dict[str, Callable] = {
-    "transport": assemble_transport,
-    "heat": assemble_heat,
-    "skew_damped": assemble_skew_damped,
+# The model registry: tag -> assembler(grid, damping). Configs and the CLI
+# read their model names from here; models without damping ignore it.
+MODELS: dict[str, Callable[[Grid, float], DiscreteSystem]] = {
+    "transport": lambda grid, damping: assemble_transport(grid),
+    "heat": lambda grid, damping: assemble_heat(grid),
+    "skew_damped": lambda grid, damping: assemble_skew_damped(grid, damping=damping),
 }
 
 
 def assemble_model(model_tag: str, grid: Grid, damping: float = 0.3) -> DiscreteSystem:
     """Assemble one of the named models (custom needs assemble_custom)."""
-    if model_tag not in _ASSEMBLERS:
+    if model_tag not in MODELS:
         raise AssemblyError(f"unsupported model: {model_tag!r}")
-    if model_tag == "skew_damped":
-        return assemble_skew_damped(grid, damping=damping)
-    return _ASSEMBLERS[model_tag](grid)
+    return MODELS[model_tag](grid, damping)
 
 
 def graph_inner(system: DiscreteSystem, f, g) -> complex:

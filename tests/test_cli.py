@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import phdiss.dissipation
+import phdiss.linalg
 import phdiss.runner
+import phdiss.verify
 from phdiss import (assemble_model, build_toolkit, control_signal,
                     energy_audit, initial_state, make_uniform_grid,
                     mild_solution, rt_bound_check)
@@ -68,6 +70,18 @@ def test_run_bad_grid_is_usage_error(capsys, tmp_path):
     assert "n_grid" in capsys.readouterr().err
 
 
+def test_numerical_failure_exits_three(capsys, tmp_path, monkeypatch):
+    # LinAlgError is a ValueError, yet it is no usage error
+    def failing(system):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(phdiss.runner, "build_toolkit", failing)
+    cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path))
+    assert main(["run", cfg]) == 3
+    assert ("error: numerical failure: Matrix is not positive definite"
+            in capsys.readouterr().err)
+
+
 def test_unknown_verb_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -88,7 +102,7 @@ def test_full_run_artifacts(tmp_path, capsys):
 
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == 0
-    assert summary["q_max_residual"] <= 1e-10
+    assert summary["q_check"]["q_max_residual"] <= 1e-10
     assert abs(summary["audit"]["dissipated_total"] - 0.5) < 1e-3
     assert abs(summary["audit"]["residual"]) < 1e-3
     assert all(c["ok"] for c in summary["checks"])
@@ -200,3 +214,41 @@ out_dir = {out}
             "b_norm": rep.b_norm, "u_norm": rep.u_norm,
             "x0_norm": rep.x0_norm, "t_final": rep.t_final,
         }
+
+
+@pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
+def test_run_builds_only_the_roots_its_tasks_read(tmp_path, monkeypatch, model):
+    # the M root (gram_sqrt_factors on F) is read by no run task, the Q root
+    # (psd_sqrt, the only other gram_sqrt_factors caller) by q_check alone
+    text = f"""\
+model = {model}
+n_grid = 41
+t_final = 0.5
+x0_preset = sine:1
+u_preset = const:0.5
+tasks = {{tasks}}
+out_dir = {{out}}
+"""
+    base = "simulate, audit, rt_bound, probe:power"
+    for tasks, q_roots in ((base, 0), (base + ", q_check", 1)):
+        cfg = parse_config_text(text.format(tasks=tasks, out=tmp_path / str(q_roots)))
+        m_calls = _count_calls(monkeypatch, "gram_sqrt_factors", phdiss.dissipation)
+        q_calls = _count_calls(monkeypatch, "psd_sqrt", phdiss.dissipation)
+        res = phdiss.runner.run_config(cfg)
+        monkeypatch.undo()
+        assert res.status == 0
+        assert len(m_calls) == 0
+        assert len(q_calls) == q_roots
+
+
+def test_verify_paper_factors_m_once(monkeypatch):
+    # m_sqrt and three dissipation_rate calls share one factorization;
+    # no row reads the Q root
+    factors = _count_calls(monkeypatch, "gram_sqrt_factors",
+                           phdiss.dissipation, phdiss.linalg)
+    q_calls = _count_calls(monkeypatch, "psd_sqrt", phdiss.dissipation)
+    rates = _count_calls(monkeypatch, "dissipation_rate", phdiss.verify)
+    assert phdiss.verify.verify_paper_values().ok
+    assert len(factors) == 1
+    assert len(q_calls) == 0
+    assert len(rates) == 3

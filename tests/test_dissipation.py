@@ -8,6 +8,7 @@ from phdiss import (ControlSignal, DissipationToolkit, assemble_custom,
                     energy_audit, form_r, make_uniform_grid, mild_solution,
                     q_identity_residual, q_identity_scaled, rt_bound_check)
 from phdiss.dissipation import cumulative_parabolic, cumulative_trapezoid
+from phdiss.linalg import NotPSDError
 from phdiss.semigroup import AlignmentError
 
 from conftest import MODELS, random_state
@@ -100,6 +101,39 @@ def test_scalar_toolkit():
     assert form_r(tk, x) == pytest.approx(1.0, abs=1e-14)
     assert dissipation_rate(tk, x) == pytest.approx(1.0, abs=1e-12)
     assert q_identity_residual(tk, x) <= 1e-13
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_toolkit_shares_the_system_operators(systems101, model):
+    sys = systems101[model]
+    tk = build_toolkit(sys)
+    assert tk.a_matrix is sys.a_matrix
+    assert tk.weights is sys.weights
+    assert tk.g_gram is sys.g_gram
+    # from_matrices builds G with the same helper as assembly, bit for bit
+    rebuilt = DissipationToolkit.from_matrices(sys.a_matrix, sys.weights)
+    assert np.array_equal(rebuilt.g_gram, sys.g_gram)
+    assert np.array_equal(rebuilt.f_matrix, tk.f_matrix)
+
+
+def test_toolkit_builds_roots_on_first_read(systems101):
+    tk = build_toolkit(systems101["heat"])
+    assert set(vars(tk)) == {"a_matrix", "weights", "g_gram", "f_matrix"}
+    root = tk.m_sqrt
+    assert tk.m_sqrt is root
+    assert tk.g_chol is tk.g_chol and tk.m_sqrt_hat is tk.m_sqrt_hat
+    assert "q_sqrt" not in vars(tk) and "q_matrix" not in vars(tk)
+    assert tk.q_sqrt is tk.q_sqrt
+
+
+def test_toolkit_root_failures_surface_on_first_read():
+    # A = (1) is not dissipative: building succeeds, each root read fails
+    tk = DissipationToolkit.from_matrices(np.array([[1.0]]), np.array([1.0]))
+    assert tk.f_matrix[0, 0] == -1.0
+    with pytest.raises(NotPSDError):
+        tk.m_sqrt
+    with pytest.raises(np.linalg.LinAlgError):  # A - I is singular
+        tk.q_sqrt
 
 
 def test_toolkit_input_validation():

@@ -75,7 +75,7 @@ def test_m_sqrt_roundtrip_in_gram_norm(model, toolkits101):
     # ||S S - M|| in the gram-weighted operator norm must stay below 1e-10;
     # the heat gram matrix has condition number ~1e9, which is the point
     tk = toolkits101[model]
-    d = tk.m_sqrt @ tk.m_sqrt - tk.m_matrix
+    d = tk.m_sqrt @ tk.m_sqrt - sla.solve(tk.g_gram, tk.f_matrix, assume_a="pos")
     l = tk.g_chol
     # operator norm in the G inner product: ||L^H D L^{-H}||_2
     y = sla.solve_triangular(l, d.conj().T, lower=True).conj().T

@@ -151,7 +151,7 @@ def test_output_is_weighted_adjoint(systems101, seed, model):
     u0 = rng.standard_normal(sys.m_inputs)
     traj = mild_solution(sys, x, t_final=0.02, dt=0.02)
     y0 = output_signal(sys, traj).values[0]
-    lhs = np.conj(x) @ (sys.w_gram @ (sys.b_matrix @ u0))
+    lhs = np.conj(x) @ (sys.weights * (sys.b_matrix @ u0))
     rhs = np.conj(y0) @ u0
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
@@ -166,7 +166,7 @@ def test_output_adjoint_complex_states(grid101):
     traj = mild_solution(sys_c, x, t_final=0.02, dt=0.02)
     y0 = output_signal(sys_c, traj).values[0]
     u0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    lhs = np.conj(x) @ (sys_c.w_gram @ (sys_c.b_matrix @ u0))
+    lhs = np.conj(x) @ (sys_c.weights * (sys_c.b_matrix @ u0))
     rhs = np.conj(y0) @ u0
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
