@@ -9,134 +9,53 @@ square root, bounded resolvent probe) together with energy-balance audits
 and a numerical closability probe for the underlying form.
 """
 
-from .config import ConfigError, ExperimentConfig, parse_config, parse_config_text
+from .config import ConfigError
 from .dissipation import (
-    DissipationToolkit,
-    EnergyLedger,
-    RTBoundReport,
     build_toolkit,
-    cumulative_parabolic,
-    cumulative_trapezoid,
     dissipation_rate,
     energy_audit,
-    form_matrix,
     form_r,
     q_identity_residual,
-    q_identity_scaled,
     rt_bound_check,
 )
-from .grids import (
-    Grid,
-    GridError,
-    GridFunction,
-    inner_l2,
-    make_uniform_grid,
-    norm_l2,
-)
-from .linalg import NotPSDError, NotSelfAdjointError, gram_eigh, psd_sqrt
+from .grids import GridError, make_uniform_grid
+from .linalg import NotPSDError, NotSelfAdjointError
 from .presets import PresetError, control_signal, initial_state
-from .probes import (
-    ProbeReport,
-    StudyReport,
-    closability_probe,
-    probe_states,
-    refinement_study,
-)
-from .reporting import write_csv, write_json, write_ledger_csv, write_probe_csv
-from .runner import RunResult, run_config
-from .semigroup import (
-    AlignmentError,
-    BoundaryTraceReport,
-    ClassicalReport,
-    ControlSignal,
-    OutputSignal,
-    SignalError,
-    Trajectory,
-    boundary_trace,
-    classical_check,
-    mild_solution,
-    output_signal,
-    propagate_matrix,
-    propagate_shift,
-)
-from .systems import (
-    AssemblyError,
-    DiscreteSystem,
-    assemble_custom,
-    assemble_heat,
-    assemble_model,
-    assemble_skew_damped,
-    assemble_transport,
-    graph_inner,
-    graph_norm,
-)
-from .verify import VerifyReport, verify_paper_values
+from .probes import ProbeError, closability_probe, refinement_study
+from .reporting import write_ledger_csv, write_probe_csv
+from .semigroup import AlignmentError, SignalError, boundary_trace, mild_solution
+from .systems import AssemblyError, assemble_custom, assemble_model
 
 __version__ = "0.1.0"
 
+# The names the README and the scripts use, plus the package's exceptions;
+# everything else is imported from its submodule.
 __all__ = [
     "AlignmentError",
     "AssemblyError",
-    "BoundaryTraceReport",
-    "ClassicalReport",
     "ConfigError",
-    "ControlSignal",
-    "DiscreteSystem",
-    "DissipationToolkit",
-    "EnergyLedger",
-    "ExperimentConfig",
-    "Grid",
     "GridError",
-    "GridFunction",
     "NotPSDError",
     "NotSelfAdjointError",
-    "OutputSignal",
     "PresetError",
-    "ProbeReport",
-    "RTBoundReport",
-    "RunResult",
-    "StudyReport",
-    "Trajectory",
-    "VerifyReport",
+    "ProbeError",
+    "SignalError",
+    "__version__",
     "assemble_custom",
-    "assemble_heat",
     "assemble_model",
-    "assemble_skew_damped",
-    "assemble_transport",
     "boundary_trace",
     "build_toolkit",
-    "classical_check",
     "closability_probe",
     "control_signal",
-    "cumulative_parabolic",
-    "cumulative_trapezoid",
     "dissipation_rate",
     "energy_audit",
-    "form_matrix",
     "form_r",
-    "gram_eigh",
-    "graph_inner",
-    "graph_norm",
     "initial_state",
-    "inner_l2",
     "make_uniform_grid",
     "mild_solution",
-    "norm_l2",
-    "output_signal",
-    "parse_config",
-    "parse_config_text",
-    "probe_states",
-    "propagate_matrix",
-    "propagate_shift",
-    "psd_sqrt",
     "q_identity_residual",
-    "q_identity_scaled",
     "refinement_study",
     "rt_bound_check",
-    "run_config",
-    "verify_paper_values",
-    "write_csv",
-    "write_json",
     "write_ledger_csv",
     "write_probe_csv",
 ]

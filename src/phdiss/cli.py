@@ -6,7 +6,9 @@
 
 The PHDISS_OUT environment variable overrides every output directory.
 Exit codes: 0 success, 1 a validation check failed, 2 usage or config error,
-3 numerical failure (a LAPACK routine gave up).
+3 numerical failure (a LAPACK routine gave up, or a square root found a
+matrix that is not self-adjoint or not positive semidefinite). Any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .config import ConfigError, parse_config
 from .grids import GridError, make_uniform_grid
 from .linalg import NotPSDError, NotSelfAdjointError
 from .presets import PresetError
-from .probes import SEQUENCE_TAGS, closability_probe
+from .probes import SEQUENCE_TAGS, ProbeError, closability_probe
 from .reporting import write_csv, write_probe_csv
 from .runner import run_config
 from .semigroup import AlignmentError, SignalError
@@ -30,8 +32,8 @@ from .systems import MODELS, AssemblyError, assemble_model
 from .verify import verify_paper_values
 
 _USER_ERRORS = (ConfigError, GridError, AssemblyError, SignalError,
-                AlignmentError, PresetError, NotPSDError, NotSelfAdjointError,
-                ValueError, OSError)
+                AlignmentError, PresetError, ProbeError, OSError)
+_NUMERICAL_ERRORS = (LinAlgError, NotPSDError, NotSelfAdjointError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,7 +111,7 @@ def main(argv=None) -> int:
         if args.command == "verify-paper":
             return _cmd_verify(args)
         return _cmd_probe(args)
-    except LinAlgError as exc:  # a ValueError, so it must come first
+    except _NUMERICAL_ERRORS as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except _USER_ERRORS as exc:

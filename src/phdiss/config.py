@@ -15,6 +15,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,13 +50,13 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported model: {self.model!r}")
         if self.n_grid < 3:
             raise ConfigError(f"n_grid must be at least 3, got {self.n_grid}")
-        if self.t_final <= 0:
-            raise ConfigError(f"t_final must be positive, got {self.t_final}")
+        if not 0 < self.t_final < math.inf:
+            raise ConfigError(f"t_final must be positive and finite, got {self.t_final}")
         if self.dt != "auto":
-            if not isinstance(self.dt, float) or self.dt <= 0:
+            if not isinstance(self.dt, float) or not 0 < self.dt < math.inf:
                 raise ConfigError(f"dt must be 'auto' or a positive number, got {self.dt!r}")
-        if self.damping < 0:
-            raise ConfigError(f"damping must be nonnegative, got {self.damping}")
+        if not 0 <= self.damping < math.inf:
+            raise ConfigError(f"damping must be nonnegative and finite, got {self.damping}")
         bad = [t for t in self.tasks if t not in SUPPORTED_TASKS]
         if bad:
             raise ConfigError(f"unknown task(s): {', '.join(bad)}")

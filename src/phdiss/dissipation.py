@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import values_of
+from .grids import as_state, norm_sq
 from .linalg import assemble_from_factors, gram_sqrt_factors, psd_sqrt
 from .semigroup import AlignmentError, ControlSignal, Trajectory, output_signal
 from .systems import DiscreteSystem, graph_gram, herm_part_wa
@@ -87,7 +87,9 @@ class DissipationToolkit:
     @cached_property
     def q_matrix(self) -> np.ndarray:
         a, w = self.a_matrix, self.weights
-        res = sla.inv(a - np.eye(a.shape[0]))
+        shifted = a.copy()
+        shifted.flat[::a.shape[0] + 1] -= 1.0  # A - I
+        res = sla.inv(shifted)
         # W-adjoint W^{-1} res^H W, with W diagonal
         res_adj = (res.conj().T * w) * (1.0 / w)[:, None]
         q = -0.5 * (res + res_adj)
@@ -95,7 +97,7 @@ class DissipationToolkit:
 
     @cached_property
     def q_sqrt(self) -> np.ndarray:
-        return psd_sqrt(self.q_matrix, np.diag(self.weights))
+        return psd_sqrt(self.q_matrix, self.weights)
 
 
 def build_toolkit(system: DiscreteSystem) -> DissipationToolkit:
@@ -105,22 +107,17 @@ def build_toolkit(system: DiscreteSystem) -> DissipationToolkit:
                               f_matrix=form_matrix(system.a_matrix, system.weights))
 
 
-def form_r(system: DiscreteSystem | DissipationToolkit, x, y=None) -> complex:
+def form_r(toolkit: DissipationToolkit, x, y=None) -> complex:
     """The dissipation form r[x, y]; r[x, x] is real and nonnegative.
 
-    Accepts a system or a prebuilt toolkit. With y omitted, returns the
-    real diagonal value r[x].
+    With y omitted, returns the real diagonal value r[x].
     """
-    if isinstance(system, DissipationToolkit):
-        f = system.f_matrix
-        n = f.shape[0]
-    else:
-        f = form_matrix(system.a_matrix, system.weights)
-        n = system.n
-    xv = values_of(x, n)
+    f = toolkit.f_matrix
+    n = f.shape[0]
+    xv = as_state(x, n)
     if y is None:
         return float(np.real(np.conj(xv) @ (f @ xv)))
-    yv = values_of(y, n)
+    yv = as_state(y, n)
     return complex(np.conj(yv) @ (f @ xv))
 
 
@@ -130,7 +127,7 @@ def dissipation_rate(toolkit: DissipationToolkit, x) -> float:
     Evaluated in factored form ||m_sqrt_hat @ (L^H x)||^2 so the result
     matches form_r at round-off level even when G is badly conditioned.
     """
-    xv = values_of(x, toolkit.f_matrix.shape[0])
+    xv = as_state(x, toolkit.f_matrix.shape[0])
     u = toolkit.g_chol.conj().T @ xv
     v = toolkit.m_sqrt_hat @ u
     return float(np.real(np.conj(v) @ v))
@@ -143,18 +140,16 @@ def q_identity_residual(toolkit: DissipationToolkit, x) -> float:
     1e-10 * (1 + ||x||_A^2) for any state; callers scale by the graph
     norm before comparing.
     """
-    xv = values_of(x, toolkit.f_matrix.shape[0])
+    xv = as_state(x, toolkit.f_matrix.shape[0])
     w = toolkit.weights
     z = toolkit.q_sqrt @ (toolkit.a_matrix @ xv - xv)
-    lhs = float(np.real(np.conj(z) @ (w * z)))
-    nx2 = float(np.real(np.conj(xv) @ (w * xv)))
-    rhs = nx2 + form_r(toolkit, xv)
-    return abs(lhs - rhs)
+    rhs = norm_sq(w, xv) + form_r(toolkit, xv)
+    return abs(norm_sq(w, z) - rhs)
 
 
 def q_identity_scaled(toolkit: DissipationToolkit, x) -> float:
     """Residual of the probe identity scaled by 1 + ||x||_A^2."""
-    xv = values_of(x, toolkit.f_matrix.shape[0])
+    xv = as_state(x, toolkit.f_matrix.shape[0])
     graph_sq = float(np.real(np.conj(xv) @ (toolkit.g_gram @ xv)))
     return q_identity_residual(toolkit, xv) / (1.0 + graph_sq)
 
@@ -296,8 +291,7 @@ def rt_bound_check(system: DiscreteSystem, ledger: EnergyLedger,
     wb = np.sqrt(system.weights)[:, None] * system.b_matrix
     b_norm = float(np.linalg.norm(wb, 2)) if wb.size else 0.0
     u_norm = u.norm_l2()
-    x0v = values_of(x0, system.n)
-    x0_norm = float(np.sqrt(np.real(np.conj(x0v) @ (system.weights * x0v))))
+    x0_norm = float(np.sqrt(norm_sq(system.weights, as_state(x0, system.n))))
     t_final = float(u.t_final)
     rhs = np.sqrt(t_final) * b_norm * u_norm + x0_norm / np.sqrt(2.0)
     slack = rhs - lhs

@@ -1,21 +1,21 @@
 """Uniform grids on [0, 1] and the trapezoid-weighted L2 structure.
 
-Everything downstream measures length with the weighted inner product
-``<f, g> = sum_i w_i f_i conj(g_i)`` where ``w`` are composite-trapezoid
-weights (h/2 at the endpoints, h inside). The weights double as the
-diagonal gram matrix W used by the operator modules.
+A state is a 1-D array of nodal samples. Everything downstream measures
+length with the weighted inner product ``<f, g> = sum_i w_i f_i conj(g_i)``
+where ``w`` are composite-trapezoid weights (h/2 at the endpoints, h
+inside). The weights double as the diagonal gram matrix W used by the
+operator modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 
 class GridError(ValueError):
-    """Raised for unusable grid parameters or mismatched operands."""
+    """Raised for unusable grid parameters or states."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,51 +53,22 @@ def make_uniform_grid(n: int) -> Grid:
     return Grid(n=int(n), h=h, nodes=nodes, weights=weights)
 
 
-@dataclass(eq=False)
-class GridFunction:
-    """Nodal samples of a function on a grid."""
+def as_state(x, n: int) -> np.ndarray:
+    """The state x as an array of n finite samples.
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values)
-        if vals.shape != (self.grid.n,):
-            raise GridError(
-                f"values shape {vals.shape} does not match grid with {self.grid.n} nodes"
-            )
-        self.values = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64)
-
-    @classmethod
-    def from_callable(cls, grid: Grid, func: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        return cls(grid, np.asarray(func(grid.nodes)))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
-
-def _compatible(f: GridFunction, g: GridFunction) -> None:
-    if f.grid is g.grid:
-        return
-    if f.grid.n != g.grid.n or abs(f.grid.h - g.grid.h) > 1e-15:
-        raise GridError("grid mismatch between operands")
-
-
-def inner_l2(f: GridFunction, g: GridFunction) -> complex:
-    """Weighted inner product <f, g>, conjugate-linear in g."""
-    _compatible(f, g)
-    return complex(np.sum(f.grid.weights * f.values * np.conj(g.values)))
-
-
-def norm_l2(f: GridFunction) -> float:
-    return float(np.sqrt(np.sum(f.grid.weights * np.abs(f.values) ** 2)))
-
-
-def values_of(x, n: int | None = None) -> np.ndarray:
-    """Accept a GridFunction or a plain vector; return the sample array."""
-    vals = x.values if isinstance(x, GridFunction) else np.asarray(x)
+    Every public routine that takes a state passes it through here once.
+    Raises GridError for a wrong shape or length and for NaN or inf entries.
+    """
+    vals = np.asarray(x)
     if vals.ndim != 1:
         raise GridError(f"expected a vector of samples, got shape {vals.shape}")
-    if n is not None and vals.shape[0] != n:
+    if vals.shape[0] != n:
         raise GridError(f"expected {n} samples, got {vals.shape[0]}")
+    if not np.isfinite(vals).all():
+        raise GridError("state has non-finite entries (NaN or inf)")
     return vals
+
+
+def norm_sq(weights: np.ndarray, x: np.ndarray) -> float:
+    """Squared weighted norm ||x||^2 = Re(x^H W x), W = diag(weights)."""
+    return float(np.real(np.conj(x) @ (weights * x)))

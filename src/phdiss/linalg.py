@@ -8,6 +8,10 @@ eigh is backward stable in the scale of M itself, so nothing inherits
 the (often enormous) condition number of G. The alternative route via
 the generalized eigenproblem loses the exact algebraic identities that
 the dissipation module relies on.
+
+gram_sqrt_factors takes a dense G (the graph gram). psd_sqrt and gram_eigh
+take the diagonal gram W as its weight vector, so L = W^{1/2} and the
+change of coordinates is a row and column scaling.
 """
 
 from __future__ import annotations
@@ -35,6 +39,22 @@ def _check_hermitian(product: np.ndarray, herm_tol: float) -> np.ndarray:
     return 0.5 * (product + product.conj().T)
 
 
+def _clamped_sqrt(hat: np.ndarray, tol: float | None):
+    """Clamped eigenvalues and Hermitian square root of the Hermitian hat."""
+    eigvals, vecs = np.linalg.eigh(hat)
+    scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
+    if tol is None:
+        tol = 1e-10 * max(scale, 1.0)
+    lo = float(eigvals.min()) if eigvals.size else 0.0
+    if lo < -tol:
+        raise NotPSDError(
+            f"matrix is not positive semidefinite: eigenvalue {lo:.6e} "
+            f"below -{tol:.1e}"
+        )
+    clamped = np.clip(eigvals, 0.0, None)
+    return clamped, (vecs * np.sqrt(clamped)) @ vecs.conj().T
+
+
 def gram_sqrt_factors(product: np.ndarray, gram: np.ndarray,
                       tol: float | None = None, herm_tol: float = 1e-8):
     """Square-root factors of the G-self-adjoint M with product = G M.
@@ -52,19 +72,7 @@ def gram_sqrt_factors(product: np.ndarray, gram: np.ndarray,
     l = np.linalg.cholesky(gram)
     half = sla.solve_triangular(l, product, lower=True)
     hat = sla.solve_triangular(l, half.conj().T, lower=True).conj().T
-    hat = 0.5 * (hat + hat.conj().T)
-    eigvals, vecs = np.linalg.eigh(hat)
-    scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    if tol is None:
-        tol = 1e-10 * max(scale, 1.0)
-    lo = float(eigvals.min()) if eigvals.size else 0.0
-    if lo < -tol:
-        raise NotPSDError(
-            f"matrix is not positive semidefinite: eigenvalue {lo:.6e} "
-            f"below -{tol:.1e}"
-        )
-    clamped = np.clip(eigvals, 0.0, None)
-    s_hat = (vecs * np.sqrt(clamped)) @ vecs.conj().T
+    clamped, s_hat = _clamped_sqrt(0.5 * (hat + hat.conj().T), tol)
     return l, clamped, s_hat
 
 
@@ -73,29 +81,38 @@ def assemble_from_factors(l: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
     return sla.solve_triangular(l.conj().T, s_hat @ l.conj().T, lower=False)
 
 
-def gram_eigh(matrix: np.ndarray, gram: np.ndarray, herm_tol: float = 1e-8):
-    """Eigenpairs of a G-self-adjoint matrix.
+def _weighted_hat(matrix: np.ndarray, weights: np.ndarray, herm_tol: float):
+    """W^{1/2} M W^{-1/2} = W^{-1/2} (W M) W^{-1/2} for W = diag(weights),
+    Hermitian when M is W-self-adjoint, and sqrt(weights)."""
+    s = np.sqrt(weights)
+    wm = _check_hermitian(weights[:, None] * matrix, herm_tol)
+    return wm / np.outer(s, s), s
 
-    Returns (eigvals, vecs) with vecs G-orthonormal (vecs^H G vecs = I).
-    Raises NotSelfAdjointError if G @ matrix is not Hermitian relative to
+
+def gram_eigh(matrix: np.ndarray, weights: np.ndarray, herm_tol: float = 1e-8):
+    """Eigenpairs of a matrix self-adjoint in the inner product of W = diag(weights).
+
+    Returns (eigvals, vecs) with vecs W-orthonormal (vecs^H W vecs = I).
+    Raises NotSelfAdjointError if W @ matrix is not Hermitian relative to
     its norm.
     """
-    gm = _check_hermitian(gram @ matrix, herm_tol)
-    eigvals, vecs = sla.eigh(gm, gram)
-    return eigvals, vecs
+    hat, s = _weighted_hat(np.asarray(matrix), np.asarray(weights, dtype=float),
+                           herm_tol)
+    eigvals, vecs = np.linalg.eigh(hat)
+    return eigvals, vecs / s[:, None]
 
 
-def psd_sqrt(matrix: np.ndarray, gram: np.ndarray | None = None,
+def psd_sqrt(matrix: np.ndarray, weights: np.ndarray | None = None,
              tol: float | None = None) -> np.ndarray:
-    """Principal square root of a PSD matrix, self-adjoint w.r.t. gram.
+    """Principal square root of a PSD matrix, self-adjoint w.r.t. W = diag(weights).
 
     Parameters
     ----------
     matrix : np.ndarray
         Square matrix, self-adjoint and positive semidefinite in the inner
-        product induced by ``gram`` (identity if omitted).
-    gram : np.ndarray, optional
-        Positive-definite gram matrix.
+        product with gram matrix W (identity if weights are omitted).
+    weights : np.ndarray, optional
+        Positive diagonal of W.
     tol : float, optional
         Eigenvalues in [-tol, 0) are clamped to zero; below -tol raises
         NotPSDError. Defaults to 1e-10 times the largest eigenvalue
@@ -104,13 +121,12 @@ def psd_sqrt(matrix: np.ndarray, gram: np.ndarray | None = None,
     Returns
     -------
     np.ndarray
-        S with S @ S = matrix and S self-adjoint w.r.t. gram.
+        S with S @ S = matrix and S self-adjoint w.r.t. W.
     """
     matrix = np.asarray(matrix)
-    if gram is None:
-        gram = np.eye(matrix.shape[0])
-    l, _, s_hat = gram_sqrt_factors(gram @ matrix, gram, tol=tol)
-    root = assemble_from_factors(l, s_hat)
-    if not np.iscomplexobj(matrix) and not np.iscomplexobj(gram):
-        root = root.real
-    return root
+    w = (np.ones(matrix.shape[0]) if weights is None
+         else np.asarray(weights, dtype=float))
+    hat, s = _weighted_hat(matrix, w, 1e-8)
+    _, s_hat = _clamped_sqrt(hat, tol)
+    # back from W-orthonormal coordinates: W^{-1/2} s_hat W^{1/2}
+    return (s_hat / s[:, None]) * s

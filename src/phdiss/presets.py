@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Grid, GridFunction
+from .grids import Grid
 from .semigroup import ControlSignal
 
 
@@ -17,19 +17,19 @@ def _split(preset: str):
     return parts[0], (parts[1] if len(parts) == 2 else None)
 
 
-def initial_state(grid: Grid, preset: str) -> GridFunction:
-    """Sample a named initial profile.
+def initial_state(grid: Grid, preset: str) -> np.ndarray:
+    """Sample a named initial profile as a float64 array on the grid nodes.
 
     ``one``, ``zero``, ``sinh_bc`` (sinh(1 - w), outflow-compatible),
     ``poly:k`` for (1 - w)^k, ``sine:k`` for sin(k pi w).
     """
     base, param = _split(preset)
     if base == "one":
-        return GridFunction(grid, np.ones(grid.n))
+        return np.ones(grid.n)
     if base == "zero":
-        return GridFunction(grid, np.zeros(grid.n))
+        return np.zeros(grid.n)
     if base == "sinh_bc":
-        return GridFunction(grid, np.sinh(1.0 - grid.nodes))
+        return np.sinh(1.0 - grid.nodes)
     if base == "poly":
         try:
             k = int(param)
@@ -37,7 +37,7 @@ def initial_state(grid: Grid, preset: str) -> GridFunction:
             raise PresetError(f"invalid parameter in preset {preset!r}") from None
         if k < 1:
             raise PresetError(f"poly exponent must be >= 1, got {k}")
-        return GridFunction(grid, (1.0 - grid.nodes) ** k)
+        return (1.0 - grid.nodes) ** k
     if base == "sine":
         try:
             k = int(param)
@@ -45,7 +45,7 @@ def initial_state(grid: Grid, preset: str) -> GridFunction:
             raise PresetError(f"invalid parameter in preset {preset!r}") from None
         if k < 1:
             raise PresetError(f"sine frequency must be >= 1, got {k}")
-        return GridFunction(grid, np.sin(k * np.pi * grid.nodes))
+        return np.sin(k * np.pi * grid.nodes)
     raise PresetError(f"unknown initial-state preset {preset!r}")
 
 

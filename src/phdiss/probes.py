@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dissipation import DissipationToolkit, build_toolkit, form_r
-from .grids import Grid, make_uniform_grid
+from .grids import Grid, make_uniform_grid, norm_sq
 from .systems import DiscreteSystem, assemble_model
 
 SEQUENCE_TAGS = ("power", "scaled_sine")
@@ -31,6 +31,10 @@ SEQUENCE_TAGS = ("power", "scaled_sine")
 VERDICT_NON_CLOSABLE = "non-closable-evidence"
 VERDICT_CLOSABLE = "closable-consistent"
 VERDICT_PREMISE = "premise-not-met"
+
+
+class ProbeError(ValueError):
+    """Unusable probe or refinement-study parameters."""
 
 
 def probe_states(sequence: str, grid: Grid, n_max: int,
@@ -47,7 +51,7 @@ def probe_states(sequence: str, grid: Grid, n_max: int,
         return [(1.0 - grid.nodes) ** n for n in range(1, n_max + 1)]
     if sequence == "scaled_sine":
         return [np.sin(n * np.pi * grid.nodes) / np.sqrt(n) for n in range(1, n_max + 1)]
-    raise ValueError(f"unknown probe sequence {sequence!r}")
+    raise ProbeError(f"unknown probe sequence {sequence!r}")
 
 
 @dataclass(eq=False)
@@ -90,12 +94,11 @@ def closability_probe(system: DiscreteSystem, sequence: str, n_max: int = 8,
                       toolkit: DissipationToolkit | None = None) -> ProbeReport:
     """Run the probe sequence through the system's dissipation form."""
     if n_max < 2:
-        raise ValueError(f"need at least two probe states, got n_max={n_max}")
+        raise ProbeError(f"need at least two probe states, got n_max={n_max}")
     if toolkit is None:
         toolkit = build_toolkit(system)
     states = probe_states(sequence, system.grid, n_max, custom=custom)
-    w = system.weights
-    norms = np.array([np.sqrt(np.real(np.conj(x) @ (w * x))) for x in states])
+    norms = np.array([np.sqrt(norm_sq(system.weights, x)) for x in states])
     r_vals = np.array([form_r(toolkit, x) for x in states])
     # pairwise tail statistic: for each n the worst r[x_n - x_m] over m > n
     pair = np.zeros(n_max)
@@ -167,9 +170,9 @@ def refinement_study(model_tag: str, grid_sizes: Sequence[int], sequence: str,
     """
     sizes = tuple(int(s) for s in grid_sizes)
     if len(sizes) < 3:
-        raise ValueError("a refinement study needs at least three grid sizes")
+        raise ProbeError("a refinement study needs at least three grid sizes")
     if any(sizes[i] >= sizes[i + 1] for i in range(len(sizes) - 1)):
-        raise ValueError("grid sizes must be strictly increasing")
+        raise ProbeError("grid sizes must be strictly increasing")
     reports = []
     for size in sizes:
         system = assemble_model(model_tag, make_uniform_grid(size), damping=damping)

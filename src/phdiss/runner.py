@@ -15,7 +15,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .dissipation import (build_toolkit, energy_audit, q_identity_scaled,
                           rt_bound_check)
-from .grids import make_uniform_grid
+from .grids import make_uniform_grid, norm_sq
 from .presets import control_signal, initial_state
 from .probes import closability_probe, refinement_study
 from .reporting import write_json, write_ledger_csv, write_probe_csv
@@ -94,13 +94,10 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     for task in cfg.tasks:
         if task == "simulate":
             t = _traj()
-            w = grid.weights
-            h0 = 0.5 * float(np.real(np.conj(t.states[0]) @ (w * t.states[0])))
-            ht = 0.5 * float(np.real(np.conj(t.states[-1]) @ (w * t.states[-1])))
             summary["simulate"] = {
                 "steps": int(t.times.size - 1),
-                "h_initial": h0,
-                "h_final": ht,
+                "h_initial": 0.5 * norm_sq(grid.weights, t.states[0]),
+                "h_final": 0.5 * norm_sq(grid.weights, t.states[-1]),
                 "final_sup": float(np.max(np.abs(t.states[-1]))),
             }
         elif task == "audit":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Grid, GridFunction, values_of
+from .grids import Grid, as_state
 from .linalg import gram_eigh
 from .systems import DiscreteSystem
 
@@ -64,6 +64,8 @@ class ControlSignal:
             raise SignalError("a control needs at least two time samples")
         if self.values.shape[0] != self.times.size:
             raise SignalError("values and times disagree on the number of samples")
+        if not (np.isfinite(self.times).all() and np.isfinite(self.values).all()):
+            raise SignalError("control times and values must be finite (no NaN or inf)")
         steps = np.diff(self.times)
         if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
             raise SignalError("time samples must be uniform and increasing")
@@ -151,15 +153,14 @@ def _shift_values(vals: np.ndarray, k: int, n: int) -> np.ndarray:
     return out
 
 
-def propagate_shift(x0: GridFunction, t: float) -> GridFunction:
+def propagate_shift(grid: Grid, x0, t: float) -> np.ndarray:
     """Exact nodal shift: [S(t) x](w) = x(w + t) while w + t < 1, else 0.
 
     Requires t to be a node multiple of the grid spacing, raises
     AlignmentError otherwise. For t >= 1 the result is identically zero.
     """
-    grid = x0.grid
-    k = _shift_indices(t, grid.h)
-    return GridFunction(grid, _shift_values(x0.values, k, grid.n))
+    x0v = as_state(x0, grid.n)
+    return _shift_values(x0v, _shift_indices(t, grid.h), grid.n)
 
 
 def _dense_propagator(system: DiscreteSystem, t: float) -> np.ndarray:
@@ -167,16 +168,16 @@ def _dense_propagator(system: DiscreteSystem, t: float) -> np.ndarray:
     if system.propagator_hint != "eigen":
         return sla.expm(t * system.a_matrix)
     w = system.weights
-    lam, vecs = gram_eigh(system.a_matrix, np.diag(w))
+    lam, vecs = gram_eigh(system.a_matrix, w)
     return ((vecs * np.exp(t * lam)) @ vecs.conj().T) * w
 
 
-def propagate_matrix(system: DiscreteSystem, x0, t: float) -> GridFunction:
+def propagate_matrix(system: DiscreteSystem, x0, t: float) -> np.ndarray:
     """Dense propagation e^{tA} x0 (spectral route when hinted, else expm)."""
     if t < 0:
         raise ValueError(f"negative time {t}")
-    x0v = values_of(x0, system.n)
-    return GridFunction(system.grid, _dense_propagator(system, t) @ x0v)
+    x0v = as_state(x0, system.n)
+    return _dense_propagator(system, t) @ x0v
 
 
 def _make_step(system: DiscreteSystem, dt: float):
@@ -215,7 +216,7 @@ def mild_solution(system: DiscreteSystem, x0, u: ControlSignal | None = None,
         times = u.times
         uvals = u.values
         dt = u.dt
-    x0v = values_of(x0, system.n)
+    x0v = as_state(x0, system.n)
     bu = uvals @ system.b_matrix.T
     out_dtype = np.result_type(x0v.dtype, bu.dtype, system.a_matrix.dtype, float)
     step = _make_step(system, dt)
@@ -254,7 +255,7 @@ def classical_check(system: DiscreteSystem, x0, u: ControlSignal | None = None,
     satisfy the condition pass with residuals at discretization level,
     violations show up at order one.
     """
-    x0v = values_of(x0, system.n)
+    x0v = as_state(x0, system.n)
     scale = max(1.0, float(np.max(np.abs(x0v))))
     tag = system.model_tag
     if tag == "transport":
@@ -305,8 +306,8 @@ def boundary_trace(system: DiscreteSystem, x0, u: ControlSignal) -> BoundaryTrac
     """
     if system.model_tag != "transport":
         raise ValueError("boundary trace is defined for the transport model only")
-    x0v = values_of(x0, system.n)
-    traj = mild_solution(system, x0, u)
+    x0v = as_state(x0, system.n)
+    traj = mild_solution(system, x0v, u)
     from_traj = traj.states[:, 0]
     n, h = system.n, system.grid.h
     dt = u.dt

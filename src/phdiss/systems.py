@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Grid, values_of
+from .grids import Grid, as_state
 
 PROPAGATOR_HINTS = ("shift", "eigen", "generic")
 
@@ -79,7 +79,7 @@ def dissipativity_gap(a_matrix: np.ndarray, weights: np.ndarray) -> float:
 def graph_gram(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """G = W + A^H W A, symmetrized so that it is Hermitian to the last bit."""
     g = (a_matrix.conj().T * weights) @ a_matrix
-    g[np.diag_indices_from(g)] += weights
+    g.flat[::g.shape[0] + 1] += weights
     return 0.5 * (g + g.conj().T)
 
 
@@ -164,16 +164,17 @@ def assemble_skew_damped(grid: Grid, damping: float = 0.3, input_profile=None) -
     The generator is J - damping*I where J is exactly W-skew-adjoint, so the
     dissipation form is damping * ||x||^2 to machine precision.
     """
-    if damping < 0:
-        raise AssemblyError(f"damping must be nonnegative, got {damping}")
+    if not 0.0 <= damping < np.inf:
+        raise AssemblyError(f"damping must be finite and nonnegative, got {damping}")
     n, h = grid.n, grid.h
     c = np.zeros((n, n))
     for i in range(n):
         c[i, (i + 1) % n] += 1.0 / (2.0 * h)
         c[i, (i - 1) % n] -= 1.0 / (2.0 * h)
     w = grid.weights
-    j = 0.5 * (c - (1.0 / w)[:, None] * (c.T * w[None, :]))
-    a = j - damping * np.eye(n)
+    # J = (C - W^{-1} C^T W) / 2, then A = J - damping * I
+    a = 0.5 * (c - (1.0 / w)[:, None] * (c.T * w[None, :]))
+    a.flat[::n + 1] -= damping
     return _finish(grid, a, _input_matrix(grid, input_profile), "skew_damped",
                    "generic")
 
@@ -207,12 +208,12 @@ def assemble_model(model_tag: str, grid: Grid, damping: float = 0.3) -> Discrete
 
 def graph_inner(system: DiscreteSystem, f, g) -> complex:
     """Graph inner product <f, g> + <Af, Ag>, via the gram matrix G."""
-    fv = values_of(f, system.n)
-    gv = values_of(g, system.n)
+    fv = as_state(f, system.n)
+    gv = as_state(g, system.n)
     return complex(np.conj(gv) @ (system.g_gram @ fv))
 
 
 def graph_norm(system: DiscreteSystem, f) -> float:
-    fv = values_of(f, system.n)
+    fv = as_state(f, system.n)
     val = np.real(np.conj(fv) @ (system.g_gram @ fv))
     return float(np.sqrt(max(val, 0.0)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipation import build_toolkit, dissipation_rate, energy_audit
-from .grids import make_uniform_grid
+from .grids import make_uniform_grid, norm_sq
 from .presets import initial_state
 from .probes import probe_states
 from .reporting import fmt_float
@@ -78,24 +78,23 @@ def verify_paper_values(n_grid: int = 201) -> VerifyReport:
 
     # (b) the rate-operator square root acts as the rank-one map
     #     x -> x(0) sinh(1 - w) / sqrt(sinh 2); error measured in graph norm
-    target = sinh_state.values[0] * np.sinh(1.0 - grid.nodes) / math.sqrt(math.sinh(2.0))
-    got = toolkit.m_sqrt @ sinh_state.values
+    target = sinh_state[0] * np.sinh(1.0 - grid.nodes) / math.sqrt(math.sinh(2.0))
+    got = toolkit.m_sqrt @ sinh_state
     rel = (graph_norm(system, got - target) / graph_norm(system, target))
     rows.append(_row("rate_sqrt_rank_one_rel_err", rel, 0.0, 5e-2))
 
     # (c) rates of outflow-compatible states equal |x(0)|^2 / 2
     for preset in ("sinh_bc", "poly:2", "poly:1"):
         state = initial_state(grid, preset)
-        ref = 0.5 * float(state.values[0]) ** 2
+        ref = 0.5 * float(state[0]) ** 2
         rows.append(_row(f"rate_{preset.replace(':', '')}",
-                         dissipation_rate(toolkit, state.values), ref,
+                         dissipation_rate(toolkit, state), ref,
                          5e-2 * max(ref, 1.0)))
 
     # (d) probe norms ||(1 - w)^n|| = (2n + 1)^{-1/2}
     states = probe_states("power", grid, 8)
-    w = grid.weights
     dev = max(
-        abs(math.sqrt(float(np.sum(w * s**2))) - (2 * n + 1) ** -0.5)
+        abs(math.sqrt(norm_sq(grid.weights, s)) - (2 * n + 1) ** -0.5)
         for n, s in enumerate(states, start=1)
     )
     rows.append(_row("probe_norm_max_dev", dev, 0.0, 1e-3))

@@ -12,12 +12,11 @@ import sys
 import numpy as np
 import pytest
 
-from phdiss import (ControlSignal, assemble_model, build_toolkit,
-                    closability_probe, dissipation_rate, energy_audit,
-                    form_r, make_uniform_grid, mild_solution,
-                    q_identity_residual, rt_bound_check)
+from phdiss import (assemble_model, build_toolkit, closability_probe,
+                    dissipation_rate, energy_audit, form_r, make_uniform_grid,
+                    mild_solution, q_identity_residual, rt_bound_check)
 from phdiss.probes import VERDICT_NON_CLOSABLE, VERDICT_PREMISE
-from phdiss.semigroup import output_signal
+from phdiss.semigroup import ControlSignal, output_signal
 from phdiss.systems import graph_norm
 
 MODELS = ("transport", "heat", "skew_damped")

@@ -16,6 +16,7 @@ from phdiss import (assemble_model, build_toolkit, control_signal,
                     mild_solution, rt_bound_check)
 from phdiss.cli import main
 from phdiss.config import ConfigError, parse_config_text
+from phdiss.linalg import NotPSDError, NotSelfAdjointError
 from phdiss.reporting import fmt_float
 
 FULL_CONFIG = """\
@@ -80,6 +81,49 @@ def test_numerical_failure_exits_three(capsys, tmp_path, monkeypatch):
     assert main(["run", cfg]) == 3
     assert ("error: numerical failure: Matrix is not positive definite"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("error", [NotPSDError, NotSelfAdjointError])
+def test_root_failure_exits_three(capsys, tmp_path, monkeypatch, error):
+    def failing(system):
+        raise error("eigenvalue -1.0e+00 below -1.0e-10")
+
+    monkeypatch.setattr(phdiss.runner, "build_toolkit", failing)
+    cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path))
+    assert main(["run", cfg]) == 3
+    assert "error: numerical failure: eigenvalue" in capsys.readouterr().err
+
+
+def test_program_bug_is_not_a_usage_error(tmp_path, monkeypatch):
+    # a bare ValueError is a bug in the program, not bad input: no exit 2
+    def failing(system):
+        raise ValueError("internal inconsistency")
+
+    monkeypatch.setattr(phdiss.runner, "build_toolkit", failing)
+    cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path))
+    with pytest.raises(ValueError, match="internal inconsistency"):
+        main(["run", cfg])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transport", "power", "--n-max", "1"], "need at least two probe states"),
+    (["skew_damped", "power", "--damping", "nan"], "damping must be finite"),
+])
+def test_probe_bad_input_is_usage_error(capsys, tmp_path, argv, message):
+    assert main(["probe", *argv, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [("u_preset = zero", "u_preset = const:nan"),
+                                  ("u_preset = zero", "u_preset = const:inf"),
+                                  ("u_preset = zero", "u_preset = ramp:nan"),
+                                  ("t_final = 1.0", "t_final = nan"),
+                                  ("dt = auto", "dt = inf")])
+def test_non_finite_input_is_usage_error(capsys, tmp_path, edit):
+    cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path).replace(*edit))
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_unknown_verb_exits_two(capsys):

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phdiss import (ControlSignal, DissipationToolkit, assemble_custom,
-                    assemble_model, build_toolkit, dissipation_rate,
-                    energy_audit, form_r, make_uniform_grid, mild_solution,
-                    q_identity_residual, q_identity_scaled, rt_bound_check)
-from phdiss.dissipation import cumulative_parabolic, cumulative_trapezoid
+from phdiss import (assemble_custom, assemble_model, build_toolkit,
+                    dissipation_rate, energy_audit, form_r, make_uniform_grid,
+                    mild_solution, q_identity_residual, rt_bound_check)
+from phdiss.dissipation import (DissipationToolkit, cumulative_parabolic,
+                                cumulative_trapezoid, q_identity_scaled)
 from phdiss.linalg import NotPSDError
-from phdiss.semigroup import AlignmentError
+from phdiss.semigroup import AlignmentError, ControlSignal
 
 from conftest import MODELS, random_state
 
@@ -27,9 +27,9 @@ def test_transport_form_exact_for_all_sizes():
     # consequence: no spatial error at all for the boundary functional
     for n in (101, 201, 401):
         g = make_uniform_grid(n)
-        sys = assemble_model("transport", g)
+        tk = build_toolkit(assemble_model("transport", g))
         x = np.sinh(1.0 - g.nodes)
-        assert abs(form_r(sys, x) - 0.5 * np.sinh(1.0) ** 2) <= 1e-13
+        assert abs(form_r(tk, x) - 0.5 * np.sinh(1.0) ** 2) <= 1e-13
 
 
 def test_heat_rate_of_sine_mode():
@@ -300,6 +300,6 @@ def test_transport_rate_or_graph_functions_exact():
     # h -> 0 limit at all: the discrete form already is the trace value
     for n in (101, 201, 401):
         g = make_uniform_grid(n)
-        sys = assemble_model("transport", g)
+        tk = build_toolkit(assemble_model("transport", g))
         x = (1.0 - g.nodes) ** 3
-        assert abs(form_r(sys, x) - 0.5) <= 1e-13
+        assert abs(form_r(tk, x) - 0.5) <= 1e-13

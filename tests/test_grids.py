@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phdiss import GridFunction, inner_l2, make_uniform_grid, norm_l2
-from phdiss.grids import GridError, values_of
+from phdiss import (assemble_model, boundary_trace, build_toolkit,
+                    control_signal, dissipation_rate, energy_audit, form_r,
+                    make_uniform_grid, mild_solution, q_identity_residual,
+                    rt_bound_check)
+from phdiss.dissipation import q_identity_scaled
+from phdiss.grids import GridError, as_state, norm_sq
+from phdiss.semigroup import classical_check, propagate_matrix, propagate_shift
+from phdiss.systems import graph_inner, graph_norm
 
 
 def test_uniform_grid_basics():
@@ -30,13 +36,11 @@ def test_too_small_grid_rejected(n):
         make_uniform_grid(n)
 
 
-def test_inner_l2_is_trapezoid_rule():
-    # trapezoid is exact on linear integrands: int_0^1 w dw = 1/2
+def test_norm_sq_is_trapezoid_rule():
+    # trapezoid is exact on linear integrands: ||sqrt(w)||^2 = int_0^1 w dw = 1/2
     g = make_uniform_grid(37)
-    f = GridFunction.from_callable(g, lambda w: w)
-    one = GridFunction(g, np.ones(g.n))
-    assert inner_l2(f, one) == pytest.approx(0.5, abs=1e-14)
-    assert norm_l2(one) == pytest.approx(1.0, abs=1e-14)
+    assert norm_sq(g.weights, np.sqrt(g.nodes)) == pytest.approx(0.5, abs=1e-14)
+    assert np.sqrt(norm_sq(g.weights, np.ones(g.n))) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_norm_converges_second_order():
@@ -47,8 +51,7 @@ def test_norm_converges_second_order():
     errs = []
     for n in (51, 101, 201):
         g = make_uniform_grid(n)
-        f = GridFunction.from_callable(g, np.exp)
-        errs.append(abs(norm_l2(f) ** 2 - exact))
+        errs.append(abs(norm_sq(g.weights, np.exp(g.nodes)) - exact))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.8 < o < 2.2 for o in orders)
 
@@ -58,41 +61,78 @@ def test_norm_converges_second_order():
 def test_norm_homogeneous_and_triangle(seed, scale):
     g = make_uniform_grid(21)
     rng = np.random.default_rng(seed)
-    a = GridFunction(g, rng.standard_normal(g.n))
-    b = GridFunction(g, rng.standard_normal(g.n))
-    assert norm_l2(GridFunction(g, scale * a.values)) == pytest.approx(
-        abs(scale) * norm_l2(a), rel=1e-12, abs=1e-12)
-    assert norm_l2(GridFunction(g, a.values + b.values)) <= (
-        norm_l2(a) + norm_l2(b) + 1e-12)
+    a = rng.standard_normal(g.n)
+    b = rng.standard_normal(g.n)
 
+    def norm(x):
+        return np.sqrt(norm_sq(g.weights, x))
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_inner_conjugate_symmetry(seed):
-    g = make_uniform_grid(21)
-    rng = np.random.default_rng(seed)
-    a = GridFunction(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
-    b = GridFunction(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
-    assert inner_l2(a, b) == pytest.approx(np.conj(inner_l2(b, a)), abs=1e-13)
+    assert norm(scale * a) == pytest.approx(abs(scale) * norm(a), rel=1e-12, abs=1e-12)
+    assert norm(a + b) <= norm(a) + norm(b) + 1e-12
 
 
 def test_grid_mismatch_rejected():
-    a = GridFunction(make_uniform_grid(11), np.ones(11))
-    b = GridFunction(make_uniform_grid(21), np.ones(21))
+    # a state sampled on an 11-node grid does not fit a 21-node routine
     with pytest.raises(GridError):
-        inner_l2(a, b)
+        as_state(np.ones(11), 21)
 
 
-def test_values_of_accepts_arrays_and_gridfunctions(grid101):
+def test_as_state_returns_the_samples():
     x = np.arange(101.0)
-    assert values_of(x, 101) is not x or np.shares_memory(values_of(x, 101), x)
-    np.testing.assert_array_equal(values_of(x, 101), x)
-    gf = GridFunction(grid101, x)
-    np.testing.assert_array_equal(values_of(gf, 101), x)
+    assert as_state(x, 101) is not x or np.shares_memory(as_state(x, 101), x)
+    np.testing.assert_array_equal(as_state(x, 101), x)
+    np.testing.assert_array_equal(as_state(list(x), 101), x)
     with pytest.raises(ValueError):
-        values_of(np.ones(7), 101)
+        as_state(np.ones(7), 101)
 
 
-def test_gridfunction_shape_checked(grid101):
+def test_as_state_shape_checked():
     with pytest.raises(GridError):
-        GridFunction(grid101, np.ones(7))
+        as_state(np.ones((101, 1)), 101)
+    with pytest.raises(GridError):
+        as_state(np.ones(7), 101)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_as_state_rejects_non_finite(bad):
+    x = np.ones(11, dtype=complex if isinstance(bad, complex) else float)
+    x[4] = bad
+    with pytest.raises(GridError, match="non-finite"):
+        as_state(x, 11)
+
+
+def _state_routes(system, toolkit):
+    """Every public routine that takes a state, as state -> call."""
+    grid = system.grid
+    u = control_signal("zero", 0.1, grid.h, m=system.m_inputs)
+    ledger = energy_audit(system, toolkit, mild_solution(system, np.zeros(grid.n), u), u)
+    ok = np.zeros(grid.n)
+    return {
+        "form_r": lambda x: form_r(toolkit, x),
+        "form_r_y": lambda x: form_r(toolkit, ok, x),
+        "dissipation_rate": lambda x: dissipation_rate(toolkit, x),
+        "q_identity_residual": lambda x: q_identity_residual(toolkit, x),
+        "q_identity_scaled": lambda x: q_identity_scaled(toolkit, x),
+        "rt_bound_check": lambda x: rt_bound_check(system, ledger, x, u),
+        "mild_solution": lambda x: mild_solution(system, x, u),
+        "classical_check": lambda x: classical_check(system, x, u),
+        "boundary_trace": lambda x: boundary_trace(system, x, u),
+        "graph_inner": lambda x: graph_inner(system, x, ok),
+        "graph_norm": lambda x: graph_norm(system, x),
+        "propagate_shift": lambda x: propagate_shift(grid, x, grid.h),
+        "propagate_matrix": lambda x: propagate_matrix(system, x, 0.1),
+    }
+
+
+def test_every_state_route_rejects_nan():
+    system = assemble_model("transport", make_uniform_grid(21))
+    toolkit = build_toolkit(system)
+    x = np.sin(np.pi * system.grid.nodes)
+    x[3] = np.nan
+    for name, route in _state_routes(system, toolkit).items():
+        with pytest.raises(GridError, match="non-finite"):
+            route(x)
+        with pytest.raises(GridError):
+            route(np.ones(system.n + 1))
+    # no root was built on the way to the rejection
+    assert "_m_factors" not in vars(toolkit) and "q_sqrt" not in vars(toolkit)

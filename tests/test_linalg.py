@@ -5,13 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phdiss import assemble_model, build_toolkit, make_uniform_grid
-from phdiss.linalg import (NotPSDError, NotSelfAdjointError, gram_eigh,
+from phdiss.linalg import (NotPSDError, NotSelfAdjointError,
+                           assemble_from_factors, gram_eigh, gram_sqrt_factors,
                            psd_sqrt)
 
 
 def _random_spd(rng, n, shift=1e-3):
     r = rng.standard_normal((n, n))
     return r @ r.T + shift * np.eye(n)
+
+
+def _random_weights(rng, n):
+    # positive diagonal of a gram matrix W, spread like trapezoid weights
+    return rng.uniform(0.05, 1.0, n)
 
 
 @settings(max_examples=25, deadline=None)
@@ -28,14 +34,31 @@ def test_psd_sqrt_euclidean_roundtrip(seed, n):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
 def test_psd_sqrt_gram_roundtrip_and_self_adjointness(seed, n):
     rng = np.random.default_rng(seed)
-    g = _random_spd(rng, n)
+    w = _random_weights(rng, n)
     f = _random_spd(rng, n, shift=0.0)
-    m = np.linalg.solve(g, f)  # G-self-adjoint PSD by construction
-    s = psd_sqrt(m, g)
+    m = f / w[:, None]  # W-self-adjoint PSD by construction
+    s = psd_sqrt(m, w)
     scale = max(1.0, np.linalg.norm(m))
     np.testing.assert_allclose(s @ s, m, atol=1e-8 * scale)
-    gs = g @ s
+    gs = w[:, None] * s
     np.testing.assert_allclose(gs, gs.conj().T, atol=1e-8 * np.linalg.norm(gs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+def test_weighted_routes_match_dense_gram(seed, n):
+    # the sqrt(w) scaling agrees with the Cholesky route on the dense diag(w)
+    rng = np.random.default_rng(seed)
+    w = _random_weights(rng, n)
+    f = _random_spd(rng, n)  # eigenvalues >= 1e-3 keep the root well conditioned
+    m = f / w[:, None]
+    scale = max(1.0, np.linalg.norm(m))
+    l, _, s_hat = gram_sqrt_factors(f, np.diag(w))
+    np.testing.assert_allclose(psd_sqrt(m, w), assemble_from_factors(l, s_hat),
+                               atol=1e-10 * scale)
+    lam, _ = gram_eigh(m, w)
+    np.testing.assert_allclose(lam, sla.eigh(f, np.diag(w), eigvals_only=True),
+                               atol=1e-10 * scale)
 
 
 def test_psd_sqrt_rejects_negative():
@@ -49,12 +72,12 @@ def test_psd_sqrt_clamps_roundoff_negatives():
 
 
 def test_not_self_adjoint_rejected():
-    g = np.eye(3)
+    w = np.ones(3)
     skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(NotSelfAdjointError):
-        psd_sqrt(skew, g)
+        psd_sqrt(skew, w)
     with pytest.raises(NotSelfAdjointError):
-        gram_eigh(skew, g)
+        gram_eigh(skew, w)
 
 
 @settings(max_examples=25, deadline=None)
@@ -62,11 +85,11 @@ def test_not_self_adjoint_rejected():
 def test_gram_eigh_orthonormal_and_reconstructs(seed):
     rng = np.random.default_rng(seed)
     n = 6
-    g = _random_spd(rng, n)
+    w = _random_weights(rng, n)
     f = _random_spd(rng, n, shift=0.0)
-    m = np.linalg.solve(g, f)
-    lam, vecs = gram_eigh(m, g)
-    np.testing.assert_allclose(vecs.conj().T @ g @ vecs, np.eye(n), atol=1e-8)
+    m = f / w[:, None]
+    lam, vecs = gram_eigh(m, w)
+    np.testing.assert_allclose(vecs.conj().T @ (w[:, None] * vecs), np.eye(n), atol=1e-8)
     np.testing.assert_allclose(m @ vecs, vecs * lam, atol=1e-8 * max(1.0, lam.max()))
 
 

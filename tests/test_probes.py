@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from phdiss import (assemble_model, closability_probe, make_uniform_grid,
-                    probe_states, refinement_study)
+                    refinement_study)
 from phdiss.probes import (VERDICT_CLOSABLE, VERDICT_NON_CLOSABLE,
-                           VERDICT_PREMISE)
+                           VERDICT_PREMISE, probe_states)
 
 
 def test_probe_state_families(grid101):

@@ -4,10 +4,9 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phdiss import (ControlSignal, GridFunction, assemble_model,
-                    make_uniform_grid, mild_solution)
-from phdiss.semigroup import (AlignmentError, SignalError, boundary_trace,
-                              classical_check, output_signal,
+from phdiss import assemble_model, make_uniform_grid, mild_solution
+from phdiss.semigroup import (AlignmentError, ControlSignal, SignalError,
+                              boundary_trace, classical_check, output_signal,
                               propagate_matrix, propagate_shift)
 
 from conftest import MODELS, random_state
@@ -29,42 +28,41 @@ def _shift_oracle(vals, k, n):
 @given(st.integers(0, 2**32 - 1), st.integers(0, 25))
 def test_shift_matches_oracle(seed, k):
     g = make_uniform_grid(21)
-    x = GridFunction(g, random_state(21, seed))
-    shifted = propagate_shift(x, k * g.h)
-    np.testing.assert_array_equal(shifted.values,
-                                  _shift_oracle(x.values, k, 21))
+    x = random_state(21, seed)
+    shifted = propagate_shift(g, x, k * g.h)
+    np.testing.assert_array_equal(shifted, _shift_oracle(x, k, 21))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 12))
 def test_shift_semigroup_law(seed, j, k):
     g = make_uniform_grid(21)
-    x = GridFunction(g, random_state(21, seed))
-    via_two = propagate_shift(propagate_shift(x, j * g.h), k * g.h)
-    direct = propagate_shift(x, (j + k) * g.h)
-    np.testing.assert_array_equal(via_two.values, direct.values)
+    x = random_state(21, seed)
+    via_two = propagate_shift(g, propagate_shift(g, x, j * g.h), k * g.h)
+    direct = propagate_shift(g, x, (j + k) * g.h)
+    np.testing.assert_array_equal(via_two, direct)
 
 
 def test_shift_identity_and_extinction():
     g = make_uniform_grid(51)
-    x = GridFunction(g, np.sin(3 * np.pi * g.nodes) + 1.0)
-    np.testing.assert_array_equal(propagate_shift(x, 0.0).values, x.values)
-    assert np.all(propagate_shift(x, 1.0).values == 0.0)
-    assert np.all(propagate_shift(x, 1.5).values == 0.0)
+    x = np.sin(3 * np.pi * g.nodes) + 1.0
+    np.testing.assert_array_equal(propagate_shift(g, x, 0.0), x)
+    assert np.all(propagate_shift(g, x, 1.0) == 0.0)
+    assert np.all(propagate_shift(g, x, 1.5) == 0.0)
 
 
 def test_shift_requires_nodal_alignment():
     g = make_uniform_grid(51)
-    x = GridFunction(g, np.ones(51))
+    x = np.ones(51)
     with pytest.raises(AlignmentError):
-        propagate_shift(x, 0.5 * g.h)
+        propagate_shift(g, x, 0.5 * g.h)
 
 
 def test_heat_eigen_propagator_matches_expm():
     sys = assemble_model("heat", make_uniform_grid(41))
     x0 = random_state(41, 3)
     for t in (0.01, 0.1):
-        got = propagate_matrix(sys, x0, t).values
+        got = propagate_matrix(sys, x0, t)
         ref = sla.expm(t * sys.a_matrix) @ x0
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
@@ -77,7 +75,7 @@ def test_heat_discrete_mode_decays_exactly():
     x0 = np.sin(k * np.pi * g.nodes)
     mu = (2.0 - 2.0 * np.cos(k * np.pi * g.h)) / g.h**2
     t = 0.05
-    got = propagate_matrix(sys, x0, t).values
+    got = propagate_matrix(sys, x0, t)
     np.testing.assert_allclose(got, np.exp(-mu * t) * x0, atol=1e-12)
 
 
@@ -139,6 +137,15 @@ def test_control_signal_validation():
         ControlSignal(np.array([0.0]), np.zeros(1))
     with pytest.raises(SignalError):
         ControlSignal(np.linspace(0, 1, 11), np.zeros(7))
+
+
+@pytest.mark.parametrize("where", ["values", "times"])
+def test_mild_solution_rejects_non_finite_control(where):
+    sys = assemble_model("heat", make_uniform_grid(21))
+    times, vals = np.linspace(0.0, 0.1, 11), np.ones(11)
+    (vals if where == "values" else times)[5] = np.inf
+    with pytest.raises(SignalError, match="finite"):
+        mild_solution(sys, np.zeros(21), ControlSignal(times, vals))
 
 
 @settings(max_examples=25, deadline=None)
