@@ -141,17 +141,27 @@ def q_identity_residual(toolkit: DissipationToolkit, x) -> float:
     norm before comparing.
     """
     xv = as_state(x, toolkit.f_matrix.shape[0])
-    w = toolkit.weights
-    z = toolkit.q_sqrt @ (toolkit.a_matrix @ xv - xv)
-    rhs = norm_sq(w, xv) + form_r(toolkit, xv)
-    return abs(norm_sq(w, z) - rhs)
+    return float(_q_identity_rows(toolkit, xv[None, :])[0][0])
 
 
 def q_identity_scaled(toolkit: DissipationToolkit, x) -> float:
     """Residual of the probe identity scaled by 1 + ||x||_A^2."""
     xv = as_state(x, toolkit.f_matrix.shape[0])
-    graph_sq = float(np.real(np.conj(xv) @ (toolkit.g_gram @ xv)))
-    return q_identity_residual(toolkit, xv) / (1.0 + graph_sq)
+    return float(_q_identity_rows(toolkit, xv[None, :])[1][0])
+
+
+def _q_identity_rows(toolkit: DissipationToolkit,
+                    states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probe-identity residuals of every row x of states, absolute and
+    scaled by 1 + ||x||_A^2, from one pass of stacked products.
+
+    The rows must already have passed grids.as_state.
+    """
+    w = toolkit.weights
+    z = (states @ toolkit.a_matrix.T - states) @ toolkit.q_sqrt.T
+    rhs = _weighted_norms_sq(w, states) + _form_rates(toolkit.f_matrix, states)
+    residual = np.abs(_weighted_norms_sq(w, z) - rhs)
+    return residual, residual / (1.0 + _form_rates(toolkit.g_gram, states))
 
 
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
@@ -218,6 +228,11 @@ class EnergyLedger:
         return float(np.max(np.abs(self.residuals)))
 
 
+def _weighted_norms_sq(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Squared weighted norms Re(x_k^H W x_k) of every row x_k of states."""
+    return np.einsum("ki,i,ki->k", np.conj(states), weights, states).real
+
+
 def _form_rates(f: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Rates x_k^H F x_k for every row x_k of states.
 
@@ -244,7 +259,7 @@ def energy_audit(system: DiscreteSystem, toolkit: DissipationToolkit,
     """
     states = traj.states
     w = system.weights
-    ham = 0.5 * np.einsum("ki,i,ki->k", np.conj(states), w, states).real
+    ham = 0.5 * _weighted_norms_sq(w, states)
     rate = _form_rates(toolkit.f_matrix, states)
     dt = traj.dt
     if u is not None and u.values.size and system.m_inputs:

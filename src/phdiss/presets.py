@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grids import Grid
@@ -59,6 +61,8 @@ def control_signal(preset: str, t_final: float, dt: float, m: int = 1) -> Contro
             level = float(param)
         except (TypeError, ValueError):
             raise PresetError(f"invalid parameter in preset {preset!r}") from None
+        if not math.isfinite(level):
+            raise PresetError(f"control level must be finite, got {preset!r}")
         if base == "const":
             return ControlSignal.constant(level, t_final, dt, m=m)
         return ControlSignal.ramp(level, t_final, dt, m=m)

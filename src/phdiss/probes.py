@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dissipation import DissipationToolkit, build_toolkit, form_r
-from .grids import Grid, make_uniform_grid, norm_sq
+from .dissipation import DissipationToolkit, _form_rates, build_toolkit
+from .grids import Grid, as_state, make_uniform_grid, norm_sq
 from .systems import DiscreteSystem, assemble_model
 
 SEQUENCE_TAGS = ("power", "scaled_sine")
@@ -97,14 +97,20 @@ def closability_probe(system: DiscreteSystem, sequence: str, n_max: int = 8,
         raise ProbeError(f"need at least two probe states, got n_max={n_max}")
     if toolkit is None:
         toolkit = build_toolkit(system)
-    states = probe_states(sequence, system.grid, n_max, custom=custom)
+    states = np.array([as_state(x, system.n) for x in
+                       probe_states(sequence, system.grid, n_max, custom=custom)])
     norms = np.array([np.sqrt(norm_sq(system.weights, x)) for x in states])
-    r_vals = np.array([form_r(toolkit, x) for x in states])
-    # pairwise tail statistic: for each n the worst r[x_n - x_m] over m > n
+    r_vals = _form_rates(toolkit.f_matrix, states)
+    # pairwise tail statistic: for each n the worst r[x_n - x_m] over m > n.
+    # Every difference is formed explicitly (r_nn + r_mm - 2 Re r_nm
+    # cancels), x_n's run starting at row starts[n - 1]; writing the runs in
+    # place keeps the stack of differences the only new array.
+    starts = np.concatenate(([0], np.cumsum(np.arange(n_max - 1, 1, -1))))
+    diffs = np.empty((n_max * (n_max - 1) // 2, system.n), dtype=states.dtype)
+    for i, start in enumerate(starts):
+        np.subtract(states[i], states[i + 1:], out=diffs[start:start + n_max - 1 - i])
     pair = np.zeros(n_max)
-    for i in range(n_max - 1):
-        diffs = [form_r(toolkit, states[i] - states[j]) for j in range(i + 1, n_max)]
-        pair[i] = max(diffs)
+    pair[:-1] = np.maximum.reduceat(_form_rates(toolkit.f_matrix, diffs), starts)
     r1 = max(float(r_vals[0]), 0.0)
     eps_norm = 0.05
     eps_form = 0.05 * max(1.0, r1)

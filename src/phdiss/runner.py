@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .dissipation import (build_toolkit, energy_audit, q_identity_scaled,
+from .dissipation import (_q_identity_rows, build_toolkit, energy_audit,
                           rt_bound_check)
-from .grids import make_uniform_grid, norm_sq
+from .grids import as_state, make_uniform_grid, norm_sq
 from .presets import control_signal, initial_state
 from .probes import closability_probe, refinement_study
 from .reporting import write_json, write_ledger_csv, write_probe_csv
@@ -137,9 +137,9 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
                 "detail": rep.detail,
             }
         elif task == "q_check":
-            worst = 0.0
-            for v in _random_states(grid.n, 100, np.iscomplexobj(system.a_matrix)):
-                worst = max(worst, q_identity_scaled(toolkit, v))
+            states = np.array([as_state(v, grid.n) for v in _random_states(
+                grid.n, 100, np.iscomplexobj(system.a_matrix))])
+            worst = float(np.max(_q_identity_rows(toolkit, states)[1]))
             checks.append(CheckResult(
                 "q_identity", worst <= Q_RESIDUAL_TOL,
                 f"worst scaled residual {worst:.3e} (tol {Q_RESIDUAL_TOL:.0e})"))

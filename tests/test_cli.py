@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import phdiss.dissipation
 import phdiss.linalg
+import phdiss.probes
 import phdiss.runner
 import phdiss.verify
 from phdiss import (assemble_model, build_toolkit, control_signal,
@@ -17,6 +19,7 @@ from phdiss import (assemble_model, build_toolkit, control_signal,
 from phdiss.cli import main
 from phdiss.config import ConfigError, parse_config_text
 from phdiss.linalg import NotPSDError, NotSelfAdjointError
+from phdiss.presets import PresetError
 from phdiss.reporting import fmt_float
 
 FULL_CONFIG = """\
@@ -118,12 +121,24 @@ def test_probe_bad_input_is_usage_error(capsys, tmp_path, argv, message):
                                   ("u_preset = zero", "u_preset = const:inf"),
                                   ("u_preset = zero", "u_preset = ramp:nan"),
                                   ("t_final = 1.0", "t_final = nan"),
-                                  ("dt = auto", "dt = inf")])
+                                  ("dt = auto", "dt = inf"),
+                                  ("u_preset = zero", "u_preset = ramp:inf"),
+                                  ("u_preset = zero", "u_preset = ramp:-inf")])
 def test_non_finite_input_is_usage_error(capsys, tmp_path, edit):
     cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path).replace(*edit))
     assert main(["run", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("preset", ["ramp:inf", "ramp:-inf", "const:inf", "ramp:nan"])
+def test_non_finite_control_level_is_a_preset_error(preset):
+    # ramp:inf used to multiply inf by t = 0, a RuntimeWarning, before the
+    # control signal rejected the NaN sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PresetError, match="finite"):
+            control_signal(preset, 1.0, 0.1)
 
 
 def test_unknown_verb_exits_two(capsys):
@@ -283,6 +298,31 @@ out_dir = {{out}}
         assert res.status == 0
         assert len(m_calls) == 0
         assert len(q_calls) == q_roots
+
+
+@pytest.mark.parametrize("model", ["transport", "skew_damped"])
+def test_q_check_and_probe_stack_their_rates(tmp_path, monkeypatch, model):
+    # one q_check evaluates its 100 states, and one probe its states and all
+    # their pairwise differences, through at most two stacked rate calls
+    text = f"""\
+model = {model}
+n_grid = 41
+t_final = 0.5
+x0_preset = sine:1
+u_preset = zero
+tasks = {{task}}
+out_dir = {{out}}
+"""
+    for task in ("q_check", "probe:power"):
+        cfg = parse_config_text(text.format(task=task, out=tmp_path / task[:5]))
+        rates = _count_calls(monkeypatch, "_form_rates", phdiss.dissipation,
+                             phdiss.probes)
+        forms = _count_calls(monkeypatch, "form_r", phdiss.dissipation)
+        res = phdiss.runner.run_config(cfg)
+        monkeypatch.undo()
+        assert res.status == 0
+        assert len(rates) <= 2
+        assert len(forms) == 0
 
 
 def test_verify_paper_factors_m_once(monkeypatch):

@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 from phdiss import (assemble_custom, assemble_model, build_toolkit,
                     dissipation_rate, energy_audit, form_r, make_uniform_grid,
                     mild_solution, q_identity_residual, rt_bound_check)
-from phdiss.dissipation import (DissipationToolkit, cumulative_parabolic,
-                                cumulative_trapezoid, q_identity_scaled)
+from phdiss.dissipation import (DissipationToolkit, _q_identity_rows,
+                                cumulative_parabolic, cumulative_trapezoid,
+                                q_identity_scaled)
+from phdiss.grids import norm_sq
 from phdiss.linalg import NotPSDError
+from phdiss.runner import _random_states
 from phdiss.semigroup import AlignmentError, ControlSignal
 
 from conftest import MODELS, random_state
@@ -248,6 +251,38 @@ def test_audit_rate_matches_form_r(model, systems101, toolkits101):
     if model == "transport":
         np.testing.assert_array_equal(
             rate, (states[:, 0] ** 2 + states[:, -1] ** 2) / 2)
+
+
+def _q_scaled_loop(tk, x):
+    # the probe identity of one state, one mat-vec at a time
+    w = tk.weights
+    z = tk.q_sqrt @ (tk.a_matrix @ x - x)
+    rhs = norm_sq(w, x) + form_r(tk, x)
+    graph_sq = float(np.real(np.conj(x) @ (tk.g_gram @ x)))
+    return abs(norm_sq(w, z) - rhs) / (1.0 + graph_sq)
+
+
+@pytest.mark.parametrize("model", MODELS + ("custom",))
+def test_q_rows_match_per_state_identity(model, systems101):
+    sys = _custom_complex_system() if model == "custom" else systems101[model]
+    tk = build_toolkit(sys)
+    states = np.array(list(_random_states(sys.n, 100, model == "custom")))
+    # on the true root every residual is round-off noise, so only its size
+    # is comparable between the routes
+    stacked = _q_identity_rows(tk, states)[1]
+    assert stacked.shape == (100,)
+    assert float(np.max(stacked)) <= 1e-10
+    assert max(_q_scaled_loop(tk, x) for x in states) <= 1e-10
+    # a wrong root breaks the identity at order one, and there the stacked
+    # and per-state values must agree row by row
+    rng = np.random.default_rng(11)
+    tk.q_sqrt = rng.standard_normal((sys.n, sys.n))
+    stacked = _q_identity_rows(tk, states)[1]
+    assert float(np.min(stacked)) > 1.0
+    loop = np.array([_q_scaled_loop(tk, x) for x in states])
+    np.testing.assert_allclose(stacked, loop, rtol=1e-10)
+    single = np.array([q_identity_scaled(tk, x) for x in states])
+    np.testing.assert_allclose(stacked, single, rtol=1e-10)
 
 
 def test_rt_bound_zero_data(systems101, toolkits101):

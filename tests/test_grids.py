@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phdiss import (assemble_model, boundary_trace, build_toolkit,
-                    control_signal, dissipation_rate, energy_audit, form_r,
-                    make_uniform_grid, mild_solution, q_identity_residual,
-                    rt_bound_check)
+                    closability_probe, control_signal, dissipation_rate,
+                    energy_audit, form_r, make_uniform_grid, mild_solution,
+                    q_identity_residual, rt_bound_check)
 from phdiss.dissipation import q_identity_scaled
 from phdiss.grids import GridError, as_state, norm_sq
 from phdiss.semigroup import classical_check, propagate_matrix, propagate_shift
@@ -121,6 +121,8 @@ def _state_routes(system, toolkit):
         "graph_norm": lambda x: graph_norm(system, x),
         "propagate_shift": lambda x: propagate_shift(grid, x, grid.h),
         "propagate_matrix": lambda x: propagate_matrix(system, x, 0.1),
+        "closability_probe": lambda x: closability_probe(
+            system, "custom", 2, custom=lambda k, w: x, toolkit=toolkit),
     }
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from phdiss import (assemble_model, closability_probe, make_uniform_grid,
-                    refinement_study)
+from phdiss import (assemble_model, build_toolkit, closability_probe, form_r,
+                    make_uniform_grid, refinement_study)
 from phdiss.probes import (VERDICT_CLOSABLE, VERDICT_NON_CLOSABLE,
                            VERDICT_PREMISE, probe_states)
 
@@ -93,3 +93,33 @@ def test_heat_scaled_sine_study_stable():
     for rep in study.reports:
         ns = np.arange(1, 9)
         np.testing.assert_allclose(rep.r_values, ns * np.pi**2 / 2, rtol=0.01)
+
+
+def _offset(n, w):
+    # large common part, small differences: r_nn + r_mm - 2 Re r_nm would
+    # lose every digit of r[x_n - x_m] here
+    return 1e3 + np.cos(n * np.pi * w) / n
+
+
+@pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
+@pytest.mark.parametrize("sequence", ["power", "scaled_sine", "offset"])
+def test_stacked_probe_matches_form_r(model, sequence):
+    sys = assemble_model(model, make_uniform_grid(201))
+    tk = build_toolkit(sys)
+    n_max = 12
+    custom = _offset if sequence == "offset" else None
+    rep = closability_probe(sys, sequence, n_max, custom=custom, toolkit=tk)
+    states = probe_states(sequence, sys.grid, n_max, custom=custom)
+    r_loop = np.array([form_r(tk, x) for x in states])
+    pair_loop = np.zeros(n_max)
+    for i in range(n_max - 1):
+        pair_loop[i] = max(form_r(tk, states[i] - states[j])
+                           for j in range(i + 1, n_max))
+    if model == "transport" and custom is None:
+        # F has two nonzeros; on these sequences every route sums the same
+        # two products to the same bits
+        np.testing.assert_array_equal(rep.r_values, r_loop)
+        np.testing.assert_array_equal(rep.max_pairwise, pair_loop)
+    else:
+        np.testing.assert_allclose(rep.r_values, r_loop, rtol=1e-12)
+        np.testing.assert_allclose(rep.max_pairwise, pair_loop, rtol=1e-12)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -5,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phdiss import assemble_model, make_uniform_grid, mild_solution
+from phdiss.systems import assemble_transport
 from phdiss.semigroup import (AlignmentError, ControlSignal, SignalError,
-                              boundary_trace, classical_check, output_signal,
-                              propagate_matrix, propagate_shift)
+                              _dense_propagator, boundary_trace,
+                              classical_check, output_signal, propagate_matrix,
+                              propagate_shift)
 
 from conftest import MODELS, random_state
 
@@ -92,6 +96,27 @@ def test_mild_solution_matches_naive_stepping():
     for k in range(u.times.size - 1):
         x = p @ (x + 0.5 * dt * b @ u.values[k]) + 0.5 * dt * b @ u.values[k + 1]
         np.testing.assert_allclose(traj.states[k + 1], x, atol=1e-11)
+
+
+def test_dense_propagator_has_no_subnormals():
+    # e^{hA} of skew_damped at n = 801 holds subnormal entries far from the
+    # diagonal; zeroing them leaves every stepped state unchanged
+    sys = assemble_model("skew_damped", make_uniform_grid(801))
+    dt = sys.grid.h
+    raw = sla.expm(dt * sys.a_matrix)
+    tiny = np.finfo(float).tiny
+    assert np.count_nonzero((raw != 0) & (np.abs(raw) < tiny)) > 0
+    prop = _dense_propagator(sys, dt)
+    assert np.count_nonzero((prop != 0) & (np.abs(prop) < tiny)) == 0
+    u = ControlSignal.ramp(0.4, 20 * dt, dt)
+    x0 = np.sin(np.pi * sys.grid.nodes)
+    traj = mild_solution(sys, x0, u)
+    bu = u.values @ sys.b_matrix.T
+    states = np.zeros_like(traj.states)
+    states[0] = x0
+    for k in range(20):
+        states[k + 1] = raw @ (states[k] + 0.5 * dt * bu[k]) + 0.5 * dt * bu[k + 1]
+    np.testing.assert_array_equal(traj.states, states)
 
 
 def test_mild_solution_second_order_in_dt():
@@ -218,3 +243,50 @@ def test_boundary_trace_transport_only(systems101):
     u = ControlSignal.zero(0.1, 0.01)
     with pytest.raises(ValueError):
         boundary_trace(systems101["heat"], np.zeros(101), u)
+
+
+def _boundary_trace_loop(system, x0v, u):
+    # the closed-form route as a double loop over (t_k, s_j); returns the
+    # trace and the number of samples that took the window-edge branch
+    n, h = system.n, system.grid.h
+    dt = u.dt
+    q = int(round(dt / h))
+    bu = u.values @ system.b_matrix.T
+    kmax = u.times.size - 1
+    formula = np.zeros(kmax + 1, dtype=np.result_type(x0v, bu, float))
+    edge_hits = 0
+    for k in range(kmax + 1):
+        src = k * q
+        acc = x0v[src] if src <= n - 2 else 0.0
+        j_lo = max(0, math.ceil((k * q - (n - 1)) / q))
+        if k >= 1:
+            for j in range(j_lo, k + 1):
+                sp = (k - j) * q
+                f = bu[j, sp] if sp <= n - 2 else 0.0
+                wgt = 0.5 * dt if j in (j_lo, k) else dt
+                acc += wgt * f
+            leftover = j_lo * dt - (k * dt - 1.0)
+            if j_lo > 0 and dt * 1e-9 < leftover < dt * (1 - 1e-9):
+                sp = (k - j_lo) * q
+                f = bu[j_lo, sp] if sp <= n - 2 else 0.0
+                acc += 0.5 * leftover * f
+                edge_hits += 1
+        formula[k] = acc
+    return formula, edge_hits
+
+
+@pytest.mark.parametrize("n, q", [(101, 1), (42, 2), (41, 3), (401, 7)])
+def test_boundary_trace_matches_loop(n, q):
+    g = make_uniform_grid(n)
+    profile = np.column_stack([np.exp(-g.nodes), np.cos(3.0 * g.nodes)])
+    sys = assemble_transport(g, input_profile=profile)
+    x0 = random_state(n, n + q)
+    steps = math.ceil(1.6 * (n - 1) / q)  # past t = 1, so the window slides
+    t = np.linspace(0.0, steps * q * g.h, steps + 1)
+    u = ControlSignal(t, np.column_stack([np.sin(5.0 * t), 0.3 - t]))
+    rep = boundary_trace(sys, x0, u)
+    loop, edge_hits = _boundary_trace_loop(sys, x0, u)
+    # the window edge falls inside a cell exactly when q does not divide n - 1
+    assert (edge_hits > 0) == ((n - 1) % q != 0)
+    scale = max(1.0, float(np.max(np.abs(loop))))
+    np.testing.assert_allclose(rep.from_formula, loop, rtol=0, atol=1e-13 * scale)

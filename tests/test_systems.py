@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from phdiss import assemble_model, make_uniform_grid
 from phdiss.systems import (AssemblyError, assemble_custom, assemble_heat,
                             assemble_skew_damped, assemble_transport,
-                            dissipativity_gap, graph_norm)
+                            dissipativity_gap, graph_norm, spectral_norm)
 
 from conftest import MODELS, random_state
 
@@ -117,3 +117,17 @@ def test_graph_norm_definition(systems101, seed, model):
     w = sys.weights
     direct = np.sqrt(np.sum(w * x**2) + np.sum(w * (sys.a_matrix @ x) ** 2))
     assert graph_norm(sys, x) == pytest.approx(direct, rel=1e-10)
+
+
+@pytest.mark.parametrize("model", ["transport", "heat", "skew_damped", "custom"])
+@pytest.mark.parametrize("n", [21, 201])
+def test_spectral_norm_matches_svd(model, n):
+    g = make_uniform_grid(n)
+    if model == "custom":
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = assemble_custom(g, a - 3.0 * np.linalg.norm(a, 2) * np.identity(n)).a_matrix
+        assert np.iscomplexobj(a)
+    else:
+        a = assemble_model(model, g).a_matrix
+    assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)
