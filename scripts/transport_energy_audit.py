@@ -16,9 +16,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from phdiss import (assemble_model, build_toolkit, control_signal,
-                    energy_audit, initial_state, make_uniform_grid,
-                    mild_solution, rt_bound_check, write_ledger_csv)
+from phdiss import (assemble_model, control_signal, energy_audit,
+                    initial_state, make_uniform_grid, mild_solution,
+                    rt_bound_check, write_ledger_csv)
 
 
 def _print_ledger(ledger, stride):
@@ -41,7 +41,6 @@ def main(argv=None) -> int:
 
     grid = make_uniform_grid(args.n_grid)
     system = assemble_model("transport", grid)
-    toolkit = build_toolkit(system)
     dt = grid.h
 
     print(f"transport model, n = {grid.n}, h = {grid.h:.6g}, dt = h")
@@ -49,7 +48,7 @@ def main(argv=None) -> int:
     print("free decay of x0 = 1 (everything exits through the boundary)")
     x0 = initial_state(grid, "one")
     traj = mild_solution(system, x0, t_final=args.t_final, dt=dt)
-    ledger = energy_audit(system, toolkit, traj)
+    ledger = energy_audit(system, traj)
     _print_ledger(ledger, max(1, len(ledger.times) // 10))
     print(f"  dissipated total = {ledger.dissipated_total:.10f} (exact: 0.5)")
     print(f"  final H          = {ledger.hamiltonian[-1]:.3e}")
@@ -60,7 +59,7 @@ def main(argv=None) -> int:
     x0 = initial_state(grid, "sinh_bc")
     u = control_signal("const:0.7", args.t_final, dt)
     traj = mild_solution(system, x0, u)
-    driven = energy_audit(system, toolkit, traj, u)
+    driven = energy_audit(system, traj, u)
     print(f"  supplied total   = {driven.supplied_total:.10f}")
     print(f"  dissipated total = {driven.dissipated_total:.10f}")
     print(f"  max |residual|   = {driven.max_abs_residual:.3e}")

@@ -11,7 +11,6 @@ and a numerical closability probe for the underlying form.
 
 from .config import ConfigError
 from .dissipation import (
-    build_toolkit,
     dissipation_rate,
     energy_audit,
     form_r,
@@ -44,7 +43,6 @@ __all__ = [
     "assemble_custom",
     "assemble_model",
     "boundary_trace",
-    "build_toolkit",
     "closability_probe",
     "control_signal",
     "dissipation_rate",

@@ -10,158 +10,75 @@ For a dissipative generator A in the inner product with gram matrix W:
 * the bounded probe Q = -((A - I)^{-1} + ((A - I)^{-1})*) / 2 (adjoint
   taken in W), which satisfies ||Q^{1/2} (A - I) x||^2 = ||x||^2 + r[x].
 
-A DissipationToolkit holds F and builds the two square roots on first read.
+Every function takes the DiscreteSystem itself: it holds F, and builds the
+two square roots on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .grids import as_state, norm_sq
-from .linalg import assemble_from_factors, gram_sqrt_factors, psd_sqrt
 from .semigroup import AlignmentError, ControlSignal, Trajectory, output_signal
-from .systems import DiscreteSystem, graph_gram, herm_part_wa
+from .systems import DiscreteSystem
 
 
-def form_matrix(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """F = -Herm(W A): the matrix of the dissipation form, PSD."""
-    return -herm_part_wa(a_matrix, weights)
-
-
-@dataclass(eq=False)
-class DissipationToolkit:
-    """Dissipation operators for one generator, W kept as its weights.
-
-    f_matrix is the form matrix (rate = x^H F x). The rest is built on
-    first read and kept: m_sqrt, the G-square root of the rate operator
-    M = G^{-1} F, and q_matrix, the bounded probe, with its W-square root
-    q_sqrt.
-
-    g_chol and m_sqrt_hat hold the Cholesky factor G = L L^H and the
-    square root in L-orthonormal coordinates; the rate is evaluated as
-    ||m_sqrt_hat @ (L^H x)||^2, which is the same graph-norm quantity as
-    ||m_sqrt @ x||_G without routing the arithmetic through the large
-    entries of G. m_eigenvalues are the (ascending) eigenvalues of M.
-    """
-
-    a_matrix: np.ndarray
-    weights: np.ndarray
-    g_gram: np.ndarray
-    f_matrix: np.ndarray
-
-    @classmethod
-    def from_matrices(cls, a_matrix: np.ndarray, weights: np.ndarray) -> "DissipationToolkit":
-        """Build the toolkit from a raw generator and quadrature weights.
-
-        Works for any size >= 1, so scalar sanity examples need no grid.
-        """
-        a = np.asarray(a_matrix, dtype=complex if np.iscomplexobj(a_matrix) else float)
-        w = np.asarray(weights, dtype=float).ravel()
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"generator must be square, got shape {a.shape}")
-        if w.shape != (a.shape[0],):
-            raise ValueError("weights length does not match the generator size")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        return cls(a_matrix=a, weights=w, g_gram=graph_gram(a, w),
-                   f_matrix=form_matrix(a, w))
-
-    @cached_property
-    def _m_factors(self):
-        # G M = F exactly, so the factors come straight from F; M is never formed
-        return gram_sqrt_factors(self.f_matrix, self.g_gram)
-
-    g_chol = property(lambda self: self._m_factors[0])
-    m_eigenvalues = property(lambda self: self._m_factors[1])
-    m_sqrt_hat = property(lambda self: self._m_factors[2])
-
-    @cached_property
-    def m_sqrt(self) -> np.ndarray:
-        root = assemble_from_factors(self.g_chol, self.m_sqrt_hat)
-        return root if np.iscomplexobj(self.a_matrix) else root.real
-
-    @cached_property
-    def q_matrix(self) -> np.ndarray:
-        a, w = self.a_matrix, self.weights
-        shifted = a.copy()
-        shifted.flat[::a.shape[0] + 1] -= 1.0  # A - I
-        res = sla.inv(shifted)
-        # W-adjoint W^{-1} res^H W, with W diagonal
-        res_adj = (res.conj().T * w) * (1.0 / w)[:, None]
-        q = -0.5 * (res + res_adj)
-        return q if np.iscomplexobj(a) else q.real
-
-    @cached_property
-    def q_sqrt(self) -> np.ndarray:
-        return psd_sqrt(self.q_matrix, self.weights)
-
-
-def build_toolkit(system: DiscreteSystem) -> DissipationToolkit:
-    """The system's toolkit; it shares the system's A, weights and G."""
-    return DissipationToolkit(a_matrix=system.a_matrix, weights=system.weights,
-                              g_gram=system.g_gram,
-                              f_matrix=form_matrix(system.a_matrix, system.weights))
-
-
-def form_r(toolkit: DissipationToolkit, x, y=None) -> complex:
+def form_r(system: DiscreteSystem, x, y=None) -> complex:
     """The dissipation form r[x, y]; r[x, x] is real and nonnegative.
 
     With y omitted, returns the real diagonal value r[x].
     """
-    f = toolkit.f_matrix
-    n = f.shape[0]
-    xv = as_state(x, n)
+    f = system.f_matrix
+    xv = as_state(x, system.n)
     if y is None:
         return float(np.real(np.conj(xv) @ (f @ xv)))
-    yv = as_state(y, n)
+    yv = as_state(y, system.n)
     return complex(np.conj(yv) @ (f @ xv))
 
 
-def dissipation_rate(toolkit: DissipationToolkit, x) -> float:
+def dissipation_rate(system: DiscreteSystem, x) -> float:
     """Rate through the graph-space route: ||M^{1/2} x||_G^2.
 
     Evaluated in factored form ||m_sqrt_hat @ (L^H x)||^2 so the result
     matches form_r at round-off level even when G is badly conditioned.
     """
-    xv = as_state(x, toolkit.f_matrix.shape[0])
-    u = toolkit.g_chol.conj().T @ xv
-    v = toolkit.m_sqrt_hat @ u
+    xv = as_state(x, system.n)
+    u = system.g_chol.conj().T @ xv
+    v = system.m_sqrt_hat @ u
     return float(np.real(np.conj(v) @ v))
 
 
-def q_identity_residual(toolkit: DissipationToolkit, x) -> float:
+def q_identity_residual(system: DiscreteSystem, x) -> float:
     """|  ||Q^{1/2}(A - I)x||^2 - (||x||^2 + r[x])  |.
 
     An exact matrix identity, so the absolute residual stays below
     1e-10 * (1 + ||x||_A^2) for any state; callers scale by the graph
     norm before comparing.
     """
-    xv = as_state(x, toolkit.f_matrix.shape[0])
-    return float(_q_identity_rows(toolkit, xv[None, :])[0][0])
+    xv = as_state(x, system.n)
+    return float(_q_identity_rows(system, xv[None, :])[0][0])
 
 
-def q_identity_scaled(toolkit: DissipationToolkit, x) -> float:
+def q_identity_scaled(system: DiscreteSystem, x) -> float:
     """Residual of the probe identity scaled by 1 + ||x||_A^2."""
-    xv = as_state(x, toolkit.f_matrix.shape[0])
-    return float(_q_identity_rows(toolkit, xv[None, :])[1][0])
+    xv = as_state(x, system.n)
+    return float(_q_identity_rows(system, xv[None, :])[1][0])
 
 
-def _q_identity_rows(toolkit: DissipationToolkit,
-                    states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _q_identity_rows(system: DiscreteSystem,
+                     states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probe-identity residuals of every row x of states, absolute and
     scaled by 1 + ||x||_A^2, from one pass of stacked products.
 
     The rows must already have passed grids.as_state.
     """
-    w = toolkit.weights
-    z = (states @ toolkit.a_matrix.T - states) @ toolkit.q_sqrt.T
-    rhs = _weighted_norms_sq(w, states) + _form_rates(toolkit.f_matrix, states)
+    w = system.weights
+    z = (states @ system.a_matrix.T - states) @ system.q_sqrt.T
+    rhs = _weighted_norms_sq(w, states) + _form_rates(system.f_matrix, states)
     residual = np.abs(_weighted_norms_sq(w, z) - rhs)
-    return residual, residual / (1.0 + _form_rates(toolkit.g_gram, states))
+    return residual, residual / (1.0 + _form_rates(system.g_gram, states))
 
 
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
@@ -248,8 +165,8 @@ def _form_rates(f: np.ndarray, states: np.ndarray) -> np.ndarray:
     return rate
 
 
-def energy_audit(system: DiscreteSystem, toolkit: DissipationToolkit,
-                 traj: Trajectory, u: ControlSignal | None = None) -> EnergyLedger:
+def energy_audit(system: DiscreteSystem, traj: Trajectory,
+                 u: ControlSignal | None = None) -> EnergyLedger:
     """Audit a trajectory: energies, rates, cumulative integrals, residual.
 
     The supplied power Re<u(t), y(t)> integrates by trapezoid (exactly
@@ -260,7 +177,7 @@ def energy_audit(system: DiscreteSystem, toolkit: DissipationToolkit,
     states = traj.states
     w = system.weights
     ham = 0.5 * _weighted_norms_sq(w, states)
-    rate = _form_rates(toolkit.f_matrix, states)
+    rate = _form_rates(system.f_matrix, states)
     dt = traj.dt
     if u is not None and u.values.size and system.m_inputs:
         if (u.times.size != traj.times.size

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dissipation import DissipationToolkit, _form_rates, build_toolkit
+from .dissipation import _form_rates
 from .grids import Grid, as_state, make_uniform_grid, norm_sq
 from .systems import DiscreteSystem, assemble_model
 
@@ -90,17 +90,14 @@ def _form_cauchy(stats: np.ndarray, eps_form: float) -> bool:
 
 
 def closability_probe(system: DiscreteSystem, sequence: str, n_max: int = 8,
-                      custom: Callable | None = None,
-                      toolkit: DissipationToolkit | None = None) -> ProbeReport:
+                      custom: Callable | None = None) -> ProbeReport:
     """Run the probe sequence through the system's dissipation form."""
     if n_max < 2:
         raise ProbeError(f"need at least two probe states, got n_max={n_max}")
-    if toolkit is None:
-        toolkit = build_toolkit(system)
     states = np.array([as_state(x, system.n) for x in
                        probe_states(sequence, system.grid, n_max, custom=custom)])
     norms = np.array([np.sqrt(norm_sq(system.weights, x)) for x in states])
-    r_vals = _form_rates(toolkit.f_matrix, states)
+    r_vals = _form_rates(system.f_matrix, states)
     # pairwise tail statistic: for each n the worst r[x_n - x_m] over m > n.
     # Every difference is formed explicitly (r_nn + r_mm - 2 Re r_nm
     # cancels), x_n's run starting at row starts[n - 1]; writing the runs in
@@ -110,7 +107,7 @@ def closability_probe(system: DiscreteSystem, sequence: str, n_max: int = 8,
     for i, start in enumerate(starts):
         np.subtract(states[i], states[i + 1:], out=diffs[start:start + n_max - 1 - i])
     pair = np.zeros(n_max)
-    pair[:-1] = np.maximum.reduceat(_form_rates(toolkit.f_matrix, diffs), starts)
+    pair[:-1] = np.maximum.reduceat(_form_rates(system.f_matrix, diffs), starts)
     r1 = max(float(r_vals[0]), 0.0)
     eps_norm = 0.05
     eps_form = 0.05 * max(1.0, r1)

@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .dissipation import (_q_identity_rows, build_toolkit, energy_audit,
-                          rt_bound_check)
+from .dissipation import _q_identity_rows, energy_audit, rt_bound_check
 from .grids import as_state, make_uniform_grid, norm_sq
 from .presets import control_signal, initial_state
 from .probes import closability_probe, refinement_study
@@ -58,7 +57,6 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
     grid = make_uniform_grid(cfg.n_grid)
     system = assemble_model(cfg.model, grid, damping=cfg.damping)
-    toolkit = build_toolkit(system)
     dt = grid.h if cfg.dt == "auto" else float(cfg.dt)
     x0 = initial_state(grid, cfg.x0_preset)
     u = control_signal(cfg.u_preset, cfg.t_final, dt, m=system.m_inputs)
@@ -88,7 +86,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     def _ledger():
         nonlocal audited
         if audited is None:
-            audited = energy_audit(system, toolkit, _traj(), u)
+            audited = energy_audit(system, _traj(), u)
         return audited
 
     for task in cfg.tasks:
@@ -126,7 +124,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
             }
         elif task.startswith("probe:"):
             sequence = task.split(":", 1)[1]
-            rep = closability_probe(system, sequence, toolkit=toolkit)
+            rep = closability_probe(system, sequence)
             files.append(write_probe_csv(out / "probe.csv", rep))
             summary[task] = {
                 "verdict": rep.verdict,
@@ -139,7 +137,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         elif task == "q_check":
             states = np.array([as_state(v, grid.n) for v in _random_states(
                 grid.n, 100, np.iscomplexobj(system.a_matrix))])
-            worst = float(np.max(_q_identity_rows(toolkit, states)[1]))
+            worst = float(np.max(_q_identity_rows(system, states)[1]))
             checks.append(CheckResult(
                 "q_identity", worst <= Q_RESIDUAL_TOL,
                 f"worst scaled residual {worst:.3e} (tol {Q_RESIDUAL_TOL:.0e})"))

@@ -1,22 +1,26 @@
 """Discrete dissipative generators on the unit interval.
 
-Each model produces a DiscreteSystem holding the generator matrix A, the
-input map B and the graph gram matrix G = W + A^H W A, where W is the
-diagonal gram matrix of the trapezoid inner product, kept as the grid's
-weight vector. Assembly validates dissipativity:
-the largest eigenvalue of the symmetric part of W A must not exceed
-roundoff, so that -Re<Ax, x> >= 0 holds for every state.
+Each model produces a DiscreteSystem, the one object per generator: the
+generator matrix A, the input map B, the graph gram matrix
+G = W + A^H W A and the dissipation form matrix F = -Herm(W A), where W is
+the diagonal gram matrix of the trapezoid inner product, kept as the
+grid's weight vector. The dense square roots of the rate operator and of
+the bounded probe are built on first read. Assembly validates
+dissipativity: the largest eigenvalue of the symmetric part of W A must
+not exceed roundoff, so that -Re<Ax, x> >= 0 holds for every state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 
 from .grids import Grid, as_state
+from .linalg import assemble_from_factors, gram_sqrt_factors, psd_sqrt
 
 PROPAGATOR_HINTS = ("shift", "eigen", "generic")
 
@@ -27,7 +31,8 @@ class AssemblyError(ValueError):
 
 @dataclass(eq=False)
 class DiscreteSystem:
-    """A discretized system x' = A x + B u, y = B^* x.
+    """A discretized system x' = A x + B u, y = B^* x, with its dissipation
+    operators.
 
     Attributes
     ----------
@@ -38,16 +43,28 @@ class DiscreteSystem:
         Input map, shape (n, m). m may be 0 for autonomous runs.
     g_gram : np.ndarray
         Graph gram matrix W + A^H W A; positive definite.
+    f_matrix : np.ndarray
+        Dissipation form matrix -Herm(W A), PSD: the rate is x^H F x.
     model_tag : str
         A key of MODELS, or "custom".
     propagator_hint : str
         Preferred propagation route, one of PROPAGATOR_HINTS.
+
+    The rest is built on first read and kept: m_sqrt, the G-square root of
+    the rate operator M = G^{-1} F, and q_matrix, the bounded probe, with
+    its W-square root q_sqrt. g_chol and m_sqrt_hat hold the Cholesky
+    factor G = L L^H and the square root in L-orthonormal coordinates; the
+    rate is evaluated as ||m_sqrt_hat @ (L^H x)||^2, which is the same
+    graph-norm quantity as ||m_sqrt @ x||_G without routing the arithmetic
+    through the large entries of G. m_eigenvalues are the (ascending)
+    eigenvalues of M.
     """
 
     grid: Grid
     a_matrix: np.ndarray
     b_matrix: np.ndarray
     g_gram: np.ndarray
+    f_matrix: np.ndarray
     model_tag: str
     propagator_hint: str = "generic"
 
@@ -63,6 +80,35 @@ class DiscreteSystem:
     def weights(self) -> np.ndarray:
         """Trapezoid weights, the diagonal of W."""
         return self.grid.weights
+
+    @cached_property
+    def _m_factors(self):
+        # G M = F exactly, so the factors come straight from F; M is never formed
+        return gram_sqrt_factors(self.f_matrix, self.g_gram)
+
+    g_chol = property(lambda self: self._m_factors[0])
+    m_eigenvalues = property(lambda self: self._m_factors[1])
+    m_sqrt_hat = property(lambda self: self._m_factors[2])
+
+    @cached_property
+    def m_sqrt(self) -> np.ndarray:
+        root = assemble_from_factors(self.g_chol, self.m_sqrt_hat)
+        return root if np.iscomplexobj(self.a_matrix) else root.real
+
+    @cached_property
+    def q_matrix(self) -> np.ndarray:
+        a, w = self.a_matrix, self.weights
+        shifted = a.copy()
+        shifted.flat[::a.shape[0] + 1] -= 1.0  # A - I
+        res = sla.inv(shifted)
+        # W-adjoint W^{-1} res^H W, with W diagonal
+        res_adj = (res.conj().T * w) * (1.0 / w)[:, None]
+        q = -0.5 * (res + res_adj)
+        return q if np.iscomplexobj(a) else q.real
+
+    @cached_property
+    def q_sqrt(self) -> np.ndarray:
+        return psd_sqrt(self.q_matrix, self.weights)
 
 
 def herm_part_wa(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -119,8 +165,10 @@ def _finish(grid: Grid, a: np.ndarray, b: np.ndarray, tag: str,
             f"model '{tag}' is not dissipative: top eigenvalue of Herm(WA) is "
             f"{gap:.3e} (tolerance {tol:.3e})"
         )
-    return DiscreteSystem(grid=grid, a_matrix=a, b_matrix=b,
-                          g_gram=graph_gram(a, w), model_tag=tag,
+    g = graph_gram(a, w)
+    # F last, after G: allocating it earlier raises the peak RSS of long runs
+    return DiscreteSystem(grid=grid, a_matrix=a, b_matrix=b, g_gram=g,
+                          f_matrix=-herm_part_wa(a, w), model_tag=tag,
                           propagator_hint=hint)
 
 

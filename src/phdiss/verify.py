@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipation import build_toolkit, dissipation_rate, energy_audit
+from .dissipation import dissipation_rate, energy_audit
 from .grids import make_uniform_grid, norm_sq
 from .presets import initial_state
 from .probes import probe_states
@@ -68,7 +68,6 @@ def verify_paper_values(n_grid: int = 201) -> VerifyReport:
     """Run the battery on the transport model at one grid size."""
     grid = make_uniform_grid(n_grid)
     system = assemble_transport(grid)
-    toolkit = build_toolkit(system)
     rows: list[VerifyRow] = []
 
     # (a) graph norm of the sinh profile: ||x||^2 + ||x'||^2 = sinh(2)/2
@@ -79,7 +78,7 @@ def verify_paper_values(n_grid: int = 201) -> VerifyReport:
     # (b) the rate-operator square root acts as the rank-one map
     #     x -> x(0) sinh(1 - w) / sqrt(sinh 2); error measured in graph norm
     target = sinh_state[0] * np.sinh(1.0 - grid.nodes) / math.sqrt(math.sinh(2.0))
-    got = toolkit.m_sqrt @ sinh_state
+    got = system.m_sqrt @ sinh_state
     rel = (graph_norm(system, got - target) / graph_norm(system, target))
     rows.append(_row("rate_sqrt_rank_one_rel_err", rel, 0.0, 5e-2))
 
@@ -88,7 +87,7 @@ def verify_paper_values(n_grid: int = 201) -> VerifyReport:
         state = initial_state(grid, preset)
         ref = 0.5 * float(state[0]) ** 2
         rows.append(_row(f"rate_{preset.replace(':', '')}",
-                         dissipation_rate(toolkit, state), ref,
+                         dissipation_rate(system, state), ref,
                          5e-2 * max(ref, 1.0)))
 
     # (d) probe norms ||(1 - w)^n|| = (2n + 1)^{-1/2}
@@ -102,7 +101,7 @@ def verify_paper_values(n_grid: int = 201) -> VerifyReport:
     # (e) full-exit audit: everything dissipates, balance closes
     x0 = initial_state(grid, "one")
     u = ControlSignal.zero(1.0, grid.h)
-    ledger = energy_audit(system, toolkit, mild_solution(system, x0, u), u)
+    ledger = energy_audit(system, mild_solution(system, x0, u), u)
     rows.append(_row("full_exit_dissipated", ledger.dissipated_total, 0.5, 1e-3))
     rows.append(_row("full_exit_residual", ledger.residual, 0.0, 1e-3))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phdiss import assemble_model, build_toolkit, make_uniform_grid
+from phdiss import assemble_model, make_uniform_grid
 
 MODELS = ("transport", "heat", "skew_damped")
 
@@ -14,11 +14,6 @@ def grid101():
 @pytest.fixture(scope="session")
 def systems101(grid101):
     return {m: assemble_model(m, grid101) for m in MODELS}
-
-
-@pytest.fixture(scope="session")
-def toolkits101(systems101):
-    return {m: build_toolkit(s) for m, s in systems101.items()}
 
 
 def random_state(n: int, seed: int, complex_values: bool = False) -> np.ndarray:

@@ -12,9 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from phdiss import (assemble_model, build_toolkit, closability_probe,
-                    dissipation_rate, energy_audit, form_r, make_uniform_grid,
-                    mild_solution, q_identity_residual, rt_bound_check)
+from phdiss import (assemble_model, closability_probe, dissipation_rate,
+                    energy_audit, form_r, make_uniform_grid, mild_solution,
+                    q_identity_residual, rt_bound_check)
 from phdiss.probes import VERDICT_NON_CLOSABLE, VERDICT_PREMISE
 from phdiss.semigroup import ControlSignal, output_signal
 from phdiss.systems import graph_norm
@@ -44,15 +44,15 @@ def _sweep_draw(model, grid, rng):
     return x0, ControlSignal(t, rng.standard_normal(t.size))
 
 
-def test_criterion_01_q_identity_all_models(toolkits101):
+def test_criterion_01_q_identity_all_models(systems101):
     rng = np.random.default_rng(1)
     worst = 0.0
     for model in MODELS:
-        tk = toolkits101[model]
+        sys = systems101[model]
         for _ in range(100):
             x = rng.standard_normal(101)
-            graph_sq = float(np.real(np.conj(x) @ (tk.g_gram @ x)))
-            ratio = q_identity_residual(tk, x) / (1e-10 * (1.0 + graph_sq))
+            graph_sq = float(np.real(np.conj(x) @ (sys.g_gram @ x)))
+            ratio = q_identity_residual(sys, x) / (1e-10 * (1.0 + graph_sq))
             worst = max(worst, ratio)
     _report("1 q-identity", worst < 1.0,
             f"worst residual at {worst:.2e} of the 1e-10*(1+|x|_A^2) budget")
@@ -87,11 +87,10 @@ def test_criterion_03_rank_one_sqrt():
         for n in SIZES:
             g = make_uniform_grid(n)
             sys = assemble_model("transport", g)
-            tk = build_toolkit(sys)
             x = fn(g.nodes)
-            got = tk.m_sqrt @ x
+            got = sys.m_sqrt @ x
             ref = coeff * x[0] * np.sinh(1.0 - g.nodes)
-            gn = lambda v: float(np.sqrt(np.real(np.conj(v) @ (tk.g_gram @ v))))
+            gn = lambda v: float(np.sqrt(np.real(np.conj(v) @ (sys.g_gram @ v))))
             errs.append(gn(got - ref) / gn(got))
         worst_at_401 = max(worst_at_401, errs[-1])
         all_monotone = all_monotone and errs[0] > errs[1] > errs[2]
@@ -104,16 +103,14 @@ def test_criterion_03_rank_one_sqrt():
 def test_criterion_04_energy_balance():
     g = make_uniform_grid(201)
     sys = assemble_model("transport", g)
-    tk = build_toolkit(sys)
     traj = mild_solution(sys, np.ones(201), t_final=1.0, dt=g.h)
-    led = energy_audit(sys, tk, traj)
+    led = energy_audit(sys, traj)
     ok_t = abs(led.dissipated_total - 0.5) < 1e-3 and abs(led.residual) < 1e-3
 
     gh = make_uniform_grid(101)
     heat = assemble_model("heat", gh)
-    tkh = build_toolkit(heat)
     trajh = mild_solution(heat, np.sin(np.pi * gh.nodes), t_final=0.2, dt=1e-3)
-    ledh = energy_audit(heat, tkh, trajh)
+    ledh = energy_audit(heat, trajh)
     ok_h = abs(ledh.residual) < 1e-6
     _report("4 energy balance", ok_t and ok_h,
             f"transport dissipated {led.dissipated_total:.6f}, residual "
@@ -126,19 +123,17 @@ def test_criterion_05_dissipation_bound():
     for model in MODELS:
         g = make_uniform_grid(101)
         sys = assemble_model(model, g)
-        tk = build_toolkit(sys)
         for _ in range(50):
             x0, u = _sweep_draw(model, g, rng)
-            led = energy_audit(sys, tk, mild_solution(sys, x0, u), u)
+            led = energy_audit(sys, mild_solution(sys, x0, u), u)
             rep = rt_bound_check(sys, led, x0, u)
             min_slack = min(min_slack, rep.slack)
     sweep_ok = min_slack >= -1e-8
 
     g = make_uniform_grid(201)
     sys = assemble_model("transport", g)
-    tk = build_toolkit(sys)
     x0, u = np.ones(201), ControlSignal.zero(1.0, g.h)
-    rep = rt_bound_check(sys, energy_audit(sys, tk, mild_solution(sys, x0, u), u),
+    rep = rt_bound_check(sys, energy_audit(sys, mild_solution(sys, x0, u), u),
                          x0, u)
     near_ok = rep.slack < 1e-3 and abs(rep.lhs - 1.0 / np.sqrt(2.0)) <= 1e-3
     _report("5 dissipation bound", sweep_ok and near_ok,
@@ -164,7 +159,7 @@ def test_criterion_06_non_closability_evidence():
             f"verdicts stable={stable}")
 
 
-def test_criterion_07_closable_cases(toolkits101):
+def test_criterion_07_closable_cases(systems101):
     sys = assemble_model("heat", make_uniform_grid(401))
     rep = closability_probe(sys, "scaled_sine", 8)
     ns = np.arange(1, 9)
@@ -172,29 +167,28 @@ def test_criterion_07_closable_cases(toolkits101):
     rel = float(np.max(np.abs(rep.r_values - ref) / ref))
     heat_ok = rep.verdict == VERDICT_PREMISE and rel < 0.01
 
-    tk = toolkits101["skew_damped"]
-    w = tk.weights
+    skew = systems101["skew_damped"]
+    w = skew.weights
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(100):
         x = rng.standard_normal(101)
-        worst = max(worst, abs(form_r(tk, x) - 0.3 * float(np.sum(w * x**2))))
+        worst = max(worst, abs(form_r(skew, x) - 0.3 * float(np.sum(w * x**2))))
     skew_ok = worst < 1e-10
     _report("7 closable cases", heat_ok and skew_ok,
             f"heat verdict {rep.verdict}, r dev {rel:.2e}; "
             f"skew worst |r - 0.3|x|^2| = {worst:.2e}")
 
 
-def test_criterion_08_rate_identity(toolkits101, systems101):
+def test_criterion_08_rate_identity(systems101):
     rng = np.random.default_rng(5)
     worst = 0.0
     for model in MODELS:
-        tk = toolkits101[model]
         sys = systems101[model]
         for _ in range(100):
             x = rng.standard_normal(101)
             x = x / graph_norm(sys, x)  # identity tested on the unit graph sphere
-            worst = max(worst, abs(dissipation_rate(tk, x) - form_r(tk, x)))
+            worst = max(worst, abs(dissipation_rate(sys, x) - form_r(sys, x)))
     _report("8 rate identity", worst < 1e-10,
             f"worst |rate - r| = {worst:.2e} (tol 1e-10)")
 

@@ -12,10 +12,11 @@ import phdiss.dissipation
 import phdiss.linalg
 import phdiss.probes
 import phdiss.runner
+import phdiss.systems
 import phdiss.verify
-from phdiss import (assemble_model, build_toolkit, control_signal,
-                    energy_audit, initial_state, make_uniform_grid,
-                    mild_solution, rt_bound_check)
+from phdiss import (assemble_model, control_signal, energy_audit,
+                    initial_state, make_uniform_grid, mild_solution,
+                    rt_bound_check)
 from phdiss.cli import main
 from phdiss.config import ConfigError, parse_config_text
 from phdiss.linalg import NotPSDError, NotSelfAdjointError
@@ -76,10 +77,10 @@ def test_run_bad_grid_is_usage_error(capsys, tmp_path):
 
 def test_numerical_failure_exits_three(capsys, tmp_path, monkeypatch):
     # LinAlgError is a ValueError, yet it is no usage error
-    def failing(system):
+    def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setattr(phdiss.runner, "build_toolkit", failing)
+    monkeypatch.setattr(phdiss.runner, "assemble_model", failing)
     cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path))
     assert main(["run", cfg]) == 3
     assert ("error: numerical failure: Matrix is not positive definite"
@@ -88,10 +89,10 @@ def test_numerical_failure_exits_three(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("error", [NotPSDError, NotSelfAdjointError])
 def test_root_failure_exits_three(capsys, tmp_path, monkeypatch, error):
-    def failing(system):
+    def failing(*args, **kwargs):
         raise error("eigenvalue -1.0e+00 below -1.0e-10")
 
-    monkeypatch.setattr(phdiss.runner, "build_toolkit", failing)
+    monkeypatch.setattr(phdiss.runner, "assemble_model", failing)
     cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path))
     assert main(["run", cfg]) == 3
     assert "error: numerical failure: eigenvalue" in capsys.readouterr().err
@@ -99,10 +100,10 @@ def test_root_failure_exits_three(capsys, tmp_path, monkeypatch, error):
 
 def test_program_bug_is_not_a_usage_error(tmp_path, monkeypatch):
     # a bare ValueError is a bug in the program, not bad input: no exit 2
-    def failing(system):
+    def failing(*args, **kwargs):
         raise ValueError("internal inconsistency")
 
-    monkeypatch.setattr(phdiss.runner, "build_toolkit", failing)
+    monkeypatch.setattr(phdiss.runner, "assemble_model", failing)
     cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path))
     with pytest.raises(ValueError, match="internal inconsistency"):
         main(["run", cfg])
@@ -265,8 +266,7 @@ out_dir = {out}
         system = assemble_model(cfg.model, grid, damping=cfg.damping)
         x0 = initial_state(grid, cfg.x0_preset)
         u = control_signal(cfg.u_preset, cfg.t_final, grid.h, m=system.m_inputs)
-        led = energy_audit(system, build_toolkit(system),
-                           mild_solution(system, x0, u), u)
+        led = energy_audit(system, mild_solution(system, x0, u), u)
         rep = rt_bound_check(system, led, x0, u)
         assert res.summary["rt_bound"] == {
             "lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack,
@@ -291,8 +291,8 @@ out_dir = {{out}}
     base = "simulate, audit, rt_bound, probe:power"
     for tasks, q_roots in ((base, 0), (base + ", q_check", 1)):
         cfg = parse_config_text(text.format(tasks=tasks, out=tmp_path / str(q_roots)))
-        m_calls = _count_calls(monkeypatch, "gram_sqrt_factors", phdiss.dissipation)
-        q_calls = _count_calls(monkeypatch, "psd_sqrt", phdiss.dissipation)
+        m_calls = _count_calls(monkeypatch, "gram_sqrt_factors", phdiss.systems)
+        q_calls = _count_calls(monkeypatch, "psd_sqrt", phdiss.systems)
         res = phdiss.runner.run_config(cfg)
         monkeypatch.undo()
         assert res.status == 0
@@ -329,8 +329,8 @@ def test_verify_paper_factors_m_once(monkeypatch):
     # m_sqrt and three dissipation_rate calls share one factorization;
     # no row reads the Q root
     factors = _count_calls(monkeypatch, "gram_sqrt_factors",
-                           phdiss.dissipation, phdiss.linalg)
-    q_calls = _count_calls(monkeypatch, "psd_sqrt", phdiss.dissipation)
+                           phdiss.systems, phdiss.linalg)
+    q_calls = _count_calls(monkeypatch, "psd_sqrt", phdiss.systems)
     rates = _count_calls(monkeypatch, "dissipation_rate", phdiss.verify)
     assert phdiss.verify.verify_paper_values().ok
     assert len(factors) == 1

@@ -1,28 +1,30 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phdiss import (assemble_custom, assemble_model, build_toolkit,
-                    dissipation_rate, energy_audit, form_r, make_uniform_grid,
-                    mild_solution, q_identity_residual, rt_bound_check)
-from phdiss.dissipation import (DissipationToolkit, _q_identity_rows,
-                                cumulative_parabolic, cumulative_trapezoid,
-                                q_identity_scaled)
+from phdiss import (assemble_custom, assemble_model, dissipation_rate,
+                    energy_audit, form_r, make_uniform_grid, mild_solution,
+                    q_identity_residual, rt_bound_check)
+from phdiss.dissipation import (_q_identity_rows, cumulative_parabolic,
+                                cumulative_trapezoid, q_identity_scaled)
 from phdiss.grids import norm_sq
 from phdiss.linalg import NotPSDError
 from phdiss.runner import _random_states
 from phdiss.semigroup import AlignmentError, ControlSignal
+from phdiss.systems import DiscreteSystem, graph_gram, herm_part_wa
 
 from conftest import MODELS, random_state
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_transport_form_is_boundary_trace(toolkits101, seed):
+def test_transport_form_is_boundary_trace(systems101, seed):
     # W A + A^T W collapses exactly, so r[x] = (x(0)^2 + x(1)^2) / 2
     x = random_state(101, seed)
-    r = form_r(toolkits101["transport"], x)
+    r = form_r(systems101["transport"], x)
     assert r == pytest.approx(0.5 * (x[0] ** 2 + x[-1] ** 2), abs=1e-12)
 
 
@@ -30,122 +32,112 @@ def test_transport_form_exact_for_all_sizes():
     # consequence: no spatial error at all for the boundary functional
     for n in (101, 201, 401):
         g = make_uniform_grid(n)
-        tk = build_toolkit(assemble_model("transport", g))
+        sys = assemble_model("transport", g)
         x = np.sinh(1.0 - g.nodes)
-        assert abs(form_r(tk, x) - 0.5 * np.sinh(1.0) ** 2) <= 1e-13
+        assert abs(form_r(sys, x) - 0.5 * np.sinh(1.0) ** 2) <= 1e-13
 
 
 def test_heat_rate_of_sine_mode():
     # r[sin(pi w)] = ||(sin(pi w))'||^2 = pi^2 / 2
     sys = assemble_model("heat", make_uniform_grid(201))
-    tk = build_toolkit(sys)
     x = np.sin(np.pi * sys.grid.nodes)
     ref = np.pi**2 / 2
-    assert form_r(tk, x) == pytest.approx(ref, rel=0.01)
-    assert dissipation_rate(tk, x) == pytest.approx(ref, rel=0.01)
+    assert form_r(sys, x) == pytest.approx(ref, rel=0.01)
+    assert dissipation_rate(sys, x) == pytest.approx(ref, rel=0.01)
 
 
 def test_transport_rate_of_sinh_state():
     sys = assemble_model("transport", make_uniform_grid(201))
-    tk = build_toolkit(sys)
     x = np.sinh(1.0 - sys.grid.nodes)
-    assert dissipation_rate(tk, x) == pytest.approx(0.5 * np.sinh(1.0) ** 2,
+    assert dissipation_rate(sys, x) == pytest.approx(0.5 * np.sinh(1.0) ** 2,
                                                     rel=0.05)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS))
-def test_form_nonnegative_and_zero_at_zero(toolkits101, seed, model):
-    tk = toolkits101[model]
-    assert form_r(tk, np.zeros(101)) == 0.0
-    assert form_r(tk, random_state(101, seed)) >= -1e-10
+def test_form_nonnegative_and_zero_at_zero(systems101, seed, model):
+    sys = systems101[model]
+    assert form_r(sys, np.zeros(101)) == 0.0
+    assert form_r(sys, random_state(101, seed)) >= -1e-10
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS))
-def test_form_conjugate_symmetry(toolkits101, seed, model):
-    tk = toolkits101[model]
+def test_form_conjugate_symmetry(systems101, seed, model):
+    sys = systems101[model]
     x = random_state(101, seed, complex_values=True)
     y = random_state(101, seed + 1, complex_values=True)
     # roundoff scales with |r|, which reaches ~1e3 on the stiff model
-    assert form_r(tk, x, y) == pytest.approx(np.conj(form_r(tk, y, x)),
-                                             rel=1e-12, abs=1e-12)
+    assert form_r(sys, x, y) == pytest.approx(np.conj(form_r(sys, y, x)),
+                                              rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS))
-def test_rate_identity_raw_states(toolkits101, seed, model):
+def test_rate_identity_raw_states(systems101, seed, model):
     # relative accuracy at roundoff level even for unnormalized states
-    tk = toolkits101[model]
+    sys = systems101[model]
     x = random_state(101, seed)
-    r = form_r(tk, x)
-    assert dissipation_rate(tk, x) == pytest.approx(r, rel=1e-12, abs=1e-12)
+    r = form_r(sys, x)
+    assert dissipation_rate(sys, x) == pytest.approx(r, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS))
-def test_q_identity_scaled_residual(toolkits101, seed, model):
-    tk = toolkits101[model]
-    assert q_identity_scaled(tk, random_state(101, seed)) <= 1e-10
+def test_q_identity_scaled_residual(systems101, seed, model):
+    sys = systems101[model]
+    assert q_identity_scaled(sys, random_state(101, seed)) <= 1e-10
 
 
 def test_q_identity_heat_sine_absolute():
     sys = assemble_model("heat", make_uniform_grid(201))
-    tk = build_toolkit(sys)
     x = np.sin(3 * np.pi * sys.grid.nodes)
-    assert q_identity_residual(tk, x) < 1e-9
+    assert q_identity_residual(sys, x) < 1e-9
 
 
 def test_scalar_toolkit():
-    # A = (-1): Q = 1/2 and both identities hold exactly
-    tk = DissipationToolkit.from_matrices(np.array([[-1.0]]), np.array([1.0]))
-    assert tk.q_matrix[0, 0] == pytest.approx(0.5, abs=1e-14)
-    x = np.array([1.0])
-    assert form_r(tk, x) == pytest.approx(1.0, abs=1e-14)
-    assert dissipation_rate(tk, x) == pytest.approx(1.0, abs=1e-12)
-    assert q_identity_residual(tk, x) <= 1e-13
+    # A = -I, the scalar -1 at every node: Q = I / 2, and with ||x|| = 1
+    # both identities hold exactly
+    sys = assemble_custom(make_uniform_grid(3), -np.eye(3))
+    np.testing.assert_allclose(sys.q_matrix, 0.5 * np.eye(3), atol=1e-14)
+    x = np.ones(3)
+    assert form_r(sys, x) == pytest.approx(1.0, abs=1e-14)
+    assert dissipation_rate(sys, x) == pytest.approx(1.0, abs=1e-12)
+    assert q_identity_residual(sys, x) <= 1e-13
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_toolkit_shares_the_system_operators(systems101, model):
+def test_assembly_forms_g_and_f_once(systems101, model):
+    # G and F come from the same helpers as the dissipativity check, bit
+    # for bit, and the system is the only holder of either
     sys = systems101[model]
-    tk = build_toolkit(sys)
-    assert tk.a_matrix is sys.a_matrix
-    assert tk.weights is sys.weights
-    assert tk.g_gram is sys.g_gram
-    # from_matrices builds G with the same helper as assembly, bit for bit
-    rebuilt = DissipationToolkit.from_matrices(sys.a_matrix, sys.weights)
-    assert np.array_equal(rebuilt.g_gram, sys.g_gram)
-    assert np.array_equal(rebuilt.f_matrix, tk.f_matrix)
+    assert np.array_equal(sys.g_gram, graph_gram(sys.a_matrix, sys.weights))
+    assert np.array_equal(sys.f_matrix, -herm_part_wa(sys.a_matrix, sys.weights))
 
 
-def test_toolkit_builds_roots_on_first_read(systems101):
-    tk = build_toolkit(systems101["heat"])
-    assert set(vars(tk)) == {"a_matrix", "weights", "g_gram", "f_matrix"}
-    root = tk.m_sqrt
-    assert tk.m_sqrt is root
-    assert tk.g_chol is tk.g_chol and tk.m_sqrt_hat is tk.m_sqrt_hat
-    assert "q_sqrt" not in vars(tk) and "q_matrix" not in vars(tk)
-    assert tk.q_sqrt is tk.q_sqrt
+def test_toolkit_builds_roots_on_first_read():
+    sys = assemble_model("heat", make_uniform_grid(101))
+    assert set(vars(sys)) == {f.name for f in dataclasses.fields(sys)}
+    root = sys.m_sqrt
+    assert sys.m_sqrt is root
+    assert sys.g_chol is sys.g_chol and sys.m_sqrt_hat is sys.m_sqrt_hat
+    assert "q_sqrt" not in vars(sys) and "q_matrix" not in vars(sys)
+    assert sys.q_sqrt is sys.q_sqrt
 
 
 def test_toolkit_root_failures_surface_on_first_read():
-    # A = (1) is not dissipative: building succeeds, each root read fails
-    tk = DissipationToolkit.from_matrices(np.array([[1.0]]), np.array([1.0]))
-    assert tk.f_matrix[0, 0] == -1.0
+    # A = I is not dissipative, so assembly would refuse it; built directly,
+    # the system exists and each root read fails
+    grid = make_uniform_grid(3)
+    a, w = np.eye(3), grid.weights
+    sys = DiscreteSystem(grid=grid, a_matrix=a, b_matrix=np.ones((3, 1)),
+                         g_gram=graph_gram(a, w), f_matrix=-herm_part_wa(a, w),
+                         model_tag="custom")
+    np.testing.assert_array_equal(sys.f_matrix, -np.diag(w))
     with pytest.raises(NotPSDError):
-        tk.m_sqrt
+        sys.m_sqrt
     with pytest.raises(np.linalg.LinAlgError):  # A - I is singular
-        tk.q_sqrt
-
-
-def test_toolkit_input_validation():
-    with pytest.raises(ValueError):
-        DissipationToolkit.from_matrices(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(ValueError):
-        DissipationToolkit.from_matrices(-np.eye(2), np.ones(3))
-    with pytest.raises(ValueError):
-        DissipationToolkit.from_matrices(-np.eye(2), np.array([1.0, -1.0]))
+        sys.q_sqrt
 
 
 def test_cumulative_trapezoid_linear_exact():
@@ -178,28 +170,28 @@ def test_cumulative_edge_sizes():
                                [0.0, 0.1])
 
 
-def test_audit_zero_run_all_zero(systems101, toolkits101):
+def test_audit_zero_run_all_zero(systems101):
     sys = systems101["transport"]
     traj = mild_solution(sys, np.zeros(101), t_final=0.1, dt=sys.grid.h)
-    led = energy_audit(sys, toolkits101["transport"], traj)
+    led = energy_audit(sys, traj)
     for col in (led.hamiltonian, led.supply_rate, led.dissipation_rate,
                 led.supplied, led.dissipated, led.residuals):
         np.testing.assert_array_equal(col, 0.0)
 
 
-def test_audit_rejects_misaligned_control(systems101, toolkits101):
+def test_audit_rejects_misaligned_control(systems101):
     sys = systems101["transport"]
     traj = mild_solution(sys, np.ones(101), t_final=0.2, dt=sys.grid.h)
     wrong = ControlSignal.zero(0.2, 0.02)
     with pytest.raises(AlignmentError):
-        energy_audit(sys, toolkits101["transport"], traj, wrong)
+        energy_audit(sys, traj, wrong)
 
 
-def test_ledger_residual_telescopes(systems101, toolkits101):
+def test_ledger_residual_telescopes(systems101):
     sys = systems101["heat"]
     x0 = np.sin(np.pi * sys.grid.nodes)
     traj = mild_solution(sys, x0, t_final=0.1, dt=1e-3)
-    led = energy_audit(sys, toolkits101["heat"], traj)
+    led = energy_audit(sys, traj)
     recon = led.hamiltonian - led.hamiltonian[0] - led.supplied + led.dissipated
     np.testing.assert_allclose(led.residuals, recon, atol=1e-15)
     assert led.residual == led.residuals[-1]
@@ -211,12 +203,12 @@ def test_ledger_residual_telescopes(systems101, toolkits101):
     ("skew_damped", "sine", 2e-3),
 ])
 def test_dissipated_monotone_on_classical_runs(model, x0_name, dt,
-                                               systems101, toolkits101):
+                                               systems101):
     sys = systems101[model]
     g = sys.grid
     x0 = np.sinh(1.0 - g.nodes) if x0_name == "sinh" else np.sin(np.pi * g.nodes)
     traj = mild_solution(sys, x0, t_final=0.2, dt=dt or g.h)
-    led = energy_audit(sys, toolkits101[model], traj)
+    led = energy_audit(sys, traj)
     assert np.all(np.diff(led.dissipated) >= -1e-12)
 
 
@@ -231,75 +223,75 @@ def _custom_complex_system(n=21, seed=5):
 
 
 @pytest.mark.parametrize("model", MODELS + ("custom",))
-def test_audit_rate_matches_form_r(model, systems101, toolkits101):
+def test_audit_rate_matches_form_r(model, systems101):
     # K + 1 = 251 rows against n = 101 (26 against n = 21 for custom), so
     # the rates span full row blocks and a partial last one
     if model == "custom":
         sys = _custom_complex_system()
-        tk = build_toolkit(sys)
         x0 = random_state(sys.n, 3, complex_values=True)
         traj = mild_solution(sys, x0, t_final=0.25, dt=1e-2)
     else:
-        sys, tk = systems101[model], toolkits101[model]
+        sys = systems101[model]
         dt = 1e-3 if model == "heat" else sys.grid.h
         traj = mild_solution(sys, random_state(101, 3), t_final=250 * dt, dt=dt)
     states = traj.states
     assert states.shape[0] > sys.n and states.shape[0] % sys.n != 0
-    rate = energy_audit(sys, tk, traj).dissipation_rate
-    ref = np.array([form_r(tk, x) for x in states])
+    rate = energy_audit(sys, traj).dissipation_rate
+    ref = np.array([form_r(sys, x) for x in states])
     np.testing.assert_allclose(rate, ref, rtol=1e-12, atol=1e-14 * ref.max())
     if model == "transport":
         np.testing.assert_array_equal(
             rate, (states[:, 0] ** 2 + states[:, -1] ** 2) / 2)
 
 
-def _q_scaled_loop(tk, x):
+def _q_scaled_loop(sys, x):
     # the probe identity of one state, one mat-vec at a time
-    w = tk.weights
-    z = tk.q_sqrt @ (tk.a_matrix @ x - x)
-    rhs = norm_sq(w, x) + form_r(tk, x)
-    graph_sq = float(np.real(np.conj(x) @ (tk.g_gram @ x)))
+    w = sys.weights
+    z = sys.q_sqrt @ (sys.a_matrix @ x - x)
+    rhs = norm_sq(w, x) + form_r(sys, x)
+    graph_sq = float(np.real(np.conj(x) @ (sys.g_gram @ x)))
     return abs(norm_sq(w, z) - rhs) / (1.0 + graph_sq)
 
 
 @pytest.mark.parametrize("model", MODELS + ("custom",))
-def test_q_rows_match_per_state_identity(model, systems101):
-    sys = _custom_complex_system() if model == "custom" else systems101[model]
-    tk = build_toolkit(sys)
+def test_q_rows_match_per_state_identity(model):
+    # a fresh system: the test replaces its probe root below
+    sys = (_custom_complex_system() if model == "custom"
+           else assemble_model(model, make_uniform_grid(101)))
     states = np.array(list(_random_states(sys.n, 100, model == "custom")))
     # on the true root every residual is round-off noise, so only its size
     # is comparable between the routes
-    stacked = _q_identity_rows(tk, states)[1]
+    stacked = _q_identity_rows(sys, states)[1]
     assert stacked.shape == (100,)
     assert float(np.max(stacked)) <= 1e-10
-    assert max(_q_scaled_loop(tk, x) for x in states) <= 1e-10
+    assert max(_q_scaled_loop(sys, x) for x in states) <= 1e-10
     # a wrong root breaks the identity at order one, and there the stacked
     # and per-state values must agree row by row
     rng = np.random.default_rng(11)
-    tk.q_sqrt = rng.standard_normal((sys.n, sys.n))
-    stacked = _q_identity_rows(tk, states)[1]
+    sys.q_sqrt = rng.standard_normal((sys.n, sys.n))
+    stacked = _q_identity_rows(sys, states)[1]
     assert float(np.min(stacked)) > 1.0
-    loop = np.array([_q_scaled_loop(tk, x) for x in states])
+    loop = np.array([_q_scaled_loop(sys, x) for x in states])
     np.testing.assert_allclose(stacked, loop, rtol=1e-10)
-    single = np.array([q_identity_scaled(tk, x) for x in states])
+    single = np.array([q_identity_scaled(sys, x) for x in states])
     np.testing.assert_allclose(stacked, single, rtol=1e-10)
 
 
-def test_rt_bound_zero_data(systems101, toolkits101):
+def test_rt_bound_zero_data(systems101):
     sys = systems101["transport"]
     u = ControlSignal.zero(0.5, sys.grid.h)
     x0 = np.zeros(101)
-    led = energy_audit(sys, toolkits101["transport"], mild_solution(sys, x0, u), u)
+    led = energy_audit(sys, mild_solution(sys, x0, u), u)
     rep = rt_bound_check(sys, led, x0, u)
     assert rep.ok
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
 
 
-def test_rt_bound_reports_norms(systems101, toolkits101):
+def test_rt_bound_reports_norms(systems101):
     sys = systems101["transport"]
     u = ControlSignal.constant(1.0, 0.5, sys.grid.h)
     x0 = np.ones(101)
-    led = energy_audit(sys, toolkits101["transport"], mild_solution(sys, x0, u), u)
+    led = energy_audit(sys, mild_solution(sys, x0, u), u)
     rep = rt_bound_check(sys, led, x0, u)
     assert rep.x0_norm == pytest.approx(1.0, abs=1e-12)
     assert rep.u_norm == pytest.approx(np.sqrt(0.5), rel=1e-10)
@@ -312,22 +304,20 @@ def test_residual_second_order_envelope():
     # the heat eigen propagator shows the scaling cleanly, the exact shift
     # adds an O(h^2) spatial floor that stays under the dt^2 envelope
     sys = assemble_model("heat", make_uniform_grid(101))
-    tk = build_toolkit(sys)
     x0 = np.sin(np.pi * sys.grid.nodes)
     res = []
     for dt in (4e-3, 2e-3, 1e-3):
         traj = mild_solution(sys, x0, t_final=0.2, dt=dt)
-        res.append(abs(energy_audit(sys, tk, traj).residual))
+        res.append(abs(energy_audit(sys, traj).residual))
     orders = [np.log2(res[i] / res[i + 1]) for i in range(2)]
     assert all(o >= 1.9 for o in orders)
 
     sys_t = assemble_model("transport", make_uniform_grid(1001))
-    tk_t = build_toolkit(sys_t)
     x0_t = np.sinh(1.0 - sys_t.grid.nodes)
     for q in (4, 2, 1):
         dt = q * sys_t.grid.h
         traj = mild_solution(sys_t, x0_t, t_final=0.5, dt=dt)
-        assert abs(energy_audit(sys_t, tk_t, traj).residual) <= 0.5 * dt**2
+        assert abs(energy_audit(sys_t, traj).residual) <= 0.5 * dt**2
 
 
 def test_transport_rate_or_graph_functions_exact():
@@ -335,6 +325,6 @@ def test_transport_rate_or_graph_functions_exact():
     # h -> 0 limit at all: the discrete form already is the trace value
     for n in (101, 201, 401):
         g = make_uniform_grid(n)
-        tk = build_toolkit(assemble_model("transport", g))
+        sys = assemble_model("transport", g)
         x = (1.0 - g.nodes) ** 3
-        assert abs(form_r(tk, x) - 0.5) <= 1e-13
+        assert abs(form_r(sys, x) - 0.5) <= 1e-13

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phdiss import (assemble_model, boundary_trace, build_toolkit,
-                    closability_probe, control_signal, dissipation_rate,
-                    energy_audit, form_r, make_uniform_grid, mild_solution,
-                    q_identity_residual, rt_bound_check)
+from phdiss import (assemble_model, boundary_trace, closability_probe,
+                    control_signal, dissipation_rate, energy_audit, form_r,
+                    make_uniform_grid, mild_solution, q_identity_residual,
+                    rt_bound_check)
 from phdiss.dissipation import q_identity_scaled
 from phdiss.grids import GridError, as_state, norm_sq
 from phdiss.semigroup import classical_check, propagate_matrix, propagate_shift
@@ -101,18 +101,18 @@ def test_as_state_rejects_non_finite(bad):
         as_state(x, 11)
 
 
-def _state_routes(system, toolkit):
+def _state_routes(system):
     """Every public routine that takes a state, as state -> call."""
     grid = system.grid
     u = control_signal("zero", 0.1, grid.h, m=system.m_inputs)
-    ledger = energy_audit(system, toolkit, mild_solution(system, np.zeros(grid.n), u), u)
+    ledger = energy_audit(system, mild_solution(system, np.zeros(grid.n), u), u)
     ok = np.zeros(grid.n)
     return {
-        "form_r": lambda x: form_r(toolkit, x),
-        "form_r_y": lambda x: form_r(toolkit, ok, x),
-        "dissipation_rate": lambda x: dissipation_rate(toolkit, x),
-        "q_identity_residual": lambda x: q_identity_residual(toolkit, x),
-        "q_identity_scaled": lambda x: q_identity_scaled(toolkit, x),
+        "form_r": lambda x: form_r(system, x),
+        "form_r_y": lambda x: form_r(system, ok, x),
+        "dissipation_rate": lambda x: dissipation_rate(system, x),
+        "q_identity_residual": lambda x: q_identity_residual(system, x),
+        "q_identity_scaled": lambda x: q_identity_scaled(system, x),
         "rt_bound_check": lambda x: rt_bound_check(system, ledger, x, u),
         "mild_solution": lambda x: mild_solution(system, x, u),
         "classical_check": lambda x: classical_check(system, x, u),
@@ -122,19 +122,18 @@ def _state_routes(system, toolkit):
         "propagate_shift": lambda x: propagate_shift(grid, x, grid.h),
         "propagate_matrix": lambda x: propagate_matrix(system, x, 0.1),
         "closability_probe": lambda x: closability_probe(
-            system, "custom", 2, custom=lambda k, w: x, toolkit=toolkit),
+            system, "custom", 2, custom=lambda k, w: x),
     }
 
 
 def test_every_state_route_rejects_nan():
     system = assemble_model("transport", make_uniform_grid(21))
-    toolkit = build_toolkit(system)
     x = np.sin(np.pi * system.grid.nodes)
     x[3] = np.nan
-    for name, route in _state_routes(system, toolkit).items():
+    for name, route in _state_routes(system).items():
         with pytest.raises(GridError, match="non-finite"):
             route(x)
         with pytest.raises(GridError):
             route(np.ones(system.n + 1))
     # no root was built on the way to the rejection
-    assert "_m_factors" not in vars(toolkit) and "q_sqrt" not in vars(toolkit)
+    assert "_m_factors" not in vars(system) and "q_sqrt" not in vars(system)

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phdiss import assemble_model, build_toolkit, make_uniform_grid
+from phdiss import assemble_model, make_uniform_grid
 from phdiss.linalg import (NotPSDError, NotSelfAdjointError,
                            assemble_from_factors, gram_eigh, gram_sqrt_factors,
                            psd_sqrt)
@@ -94,12 +94,12 @@ def test_gram_eigh_orthonormal_and_reconstructs(seed):
 
 
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
-def test_m_sqrt_roundtrip_in_gram_norm(model, toolkits101):
+def test_m_sqrt_roundtrip_in_gram_norm(model, systems101):
     # ||S S - M|| in the gram-weighted operator norm must stay below 1e-10;
     # the heat gram matrix has condition number ~1e9, which is the point
-    tk = toolkits101[model]
-    d = tk.m_sqrt @ tk.m_sqrt - sla.solve(tk.g_gram, tk.f_matrix, assume_a="pos")
-    l = tk.g_chol
+    sys = systems101[model]
+    d = sys.m_sqrt @ sys.m_sqrt - sla.solve(sys.g_gram, sys.f_matrix, assume_a="pos")
+    l = sys.g_chol
     # operator norm in the G inner product: ||L^H D L^{-H}||_2
     y = sla.solve_triangular(l, d.conj().T, lower=True).conj().T
     dhat = l.conj().T @ y
@@ -107,16 +107,15 @@ def test_m_sqrt_roundtrip_in_gram_norm(model, toolkits101):
 
 
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
-def test_m_sqrt_gram_self_adjoint_psd(model, toolkits101):
-    tk = toolkits101[model]
-    gs = tk.g_gram @ tk.m_sqrt
+def test_m_sqrt_gram_self_adjoint_psd(model, systems101):
+    sys = systems101[model]
+    gs = sys.g_gram @ sys.m_sqrt
     assert np.linalg.norm(gs - gs.conj().T, 2) <= 1e-10 * np.linalg.norm(gs, 2)
-    assert tk.m_eigenvalues.min() >= -1e-12
+    assert sys.m_eigenvalues.min() >= -1e-12
 
 
 def test_heat_m_eigenvalues_bounded_half():
     # the rate operator is bounded by 1/2 on the graph space
     sys = assemble_model("heat", make_uniform_grid(201))
-    tk = build_toolkit(sys)
-    assert tk.m_eigenvalues.max() <= 0.5 + 1e-6
-    assert tk.m_eigenvalues.min() >= -1e-12
+    assert sys.m_eigenvalues.max() <= 0.5 + 1e-6
+    assert sys.m_eigenvalues.min() >= -1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phdiss import (assemble_model, build_toolkit, closability_probe, form_r,
+from phdiss import (assemble_model, closability_probe, form_r,
                     make_uniform_grid, refinement_study)
 from phdiss.probes import (VERDICT_CLOSABLE, VERDICT_NON_CLOSABLE,
                            VERDICT_PREMISE, probe_states)
@@ -105,15 +105,14 @@ def _offset(n, w):
 @pytest.mark.parametrize("sequence", ["power", "scaled_sine", "offset"])
 def test_stacked_probe_matches_form_r(model, sequence):
     sys = assemble_model(model, make_uniform_grid(201))
-    tk = build_toolkit(sys)
     n_max = 12
     custom = _offset if sequence == "offset" else None
-    rep = closability_probe(sys, sequence, n_max, custom=custom, toolkit=tk)
+    rep = closability_probe(sys, sequence, n_max, custom=custom)
     states = probe_states(sequence, sys.grid, n_max, custom=custom)
-    r_loop = np.array([form_r(tk, x) for x in states])
+    r_loop = np.array([form_r(sys, x) for x in states])
     pair_loop = np.zeros(n_max)
     for i in range(n_max - 1):
-        pair_loop[i] = max(form_r(tk, states[i] - states[j])
+        pair_loop[i] = max(form_r(sys, states[i] - states[j])
                            for j in range(i + 1, n_max))
     if model == "transport" and custom is None:
         # F has two nonzeros; on these sequences every route sums the same

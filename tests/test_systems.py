@@ -71,12 +71,12 @@ def test_skew_part_exactly_skew():
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_skew_damped_rate_is_damping_times_norm(systems101, toolkits101, seed):
+def test_skew_damped_rate_is_damping_times_norm(systems101, seed):
     from phdiss import form_r
     sys = systems101["skew_damped"]
     x = random_state(sys.n, seed)
     nx2 = float(np.real(np.conj(x) @ (sys.weights * x)))
-    assert form_r(toolkits101["skew_damped"], x) == pytest.approx(
+    assert form_r(sys, x) == pytest.approx(
         0.3 * nx2, abs=1e-10 * max(1.0, nx2))
 
 
