@@ -76,8 +76,8 @@ def _q_identity_rows(system: DiscreteSystem,
     """
     w = system.weights
     z = (states @ system.a_matrix.T - states) @ system.q_sqrt.T
-    rhs = _weighted_norms_sq(w, states) + _form_rates(system.f_matrix, states)
-    residual = np.abs(_weighted_norms_sq(w, z) - rhs)
+    rhs = norm_sq(w, states) + _form_rates(system.f_matrix, states)
+    residual = np.abs(norm_sq(w, z) - rhs)
     return residual, residual / (1.0 + _form_rates(system.g_gram, states))
 
 
@@ -145,11 +145,6 @@ class EnergyLedger:
         return float(np.max(np.abs(self.residuals)))
 
 
-def _weighted_norms_sq(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Squared weighted norms Re(x_k^H W x_k) of every row x_k of states."""
-    return np.einsum("ki,i,ki->k", np.conj(states), weights, states).real
-
-
 def _form_rates(f: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Rates x_k^H F x_k for every row x_k of states.
 
@@ -175,8 +170,7 @@ def energy_audit(system: DiscreteSystem, traj: Trajectory,
     level for smooth classical runs.
     """
     states = traj.states
-    w = system.weights
-    ham = 0.5 * _weighted_norms_sq(w, states)
+    ham = 0.5 * norm_sq(system.weights, states)
     rate = _form_rates(system.f_matrix, states)
     dt = traj.dt
     if u is not None and u.values.size and system.m_inputs:

@@ -69,6 +69,7 @@ def as_state(x, n: int) -> np.ndarray:
     return vals
 
 
-def norm_sq(weights: np.ndarray, x: np.ndarray) -> float:
-    """Squared weighted norm ||x||^2 = Re(x^H W x), W = diag(weights)."""
-    return float(np.real(np.conj(x) @ (weights * x)))
+def norm_sq(weights: np.ndarray, x: np.ndarray):
+    """Squared weighted norm ||x||^2 = Re(x^H W x), W = diag(weights), of
+    one state, or of every row of a stack of states."""
+    return np.einsum("...i,i,...i->...", np.conj(x), weights, x).real

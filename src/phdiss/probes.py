@@ -96,7 +96,7 @@ def closability_probe(system: DiscreteSystem, sequence: str, n_max: int = 8,
         raise ProbeError(f"need at least two probe states, got n_max={n_max}")
     states = np.array([as_state(x, system.n) for x in
                        probe_states(sequence, system.grid, n_max, custom=custom)])
-    norms = np.array([np.sqrt(norm_sq(system.weights, x)) for x in states])
+    norms = np.sqrt(norm_sq(system.weights, states))
     r_vals = _form_rates(system.f_matrix, states)
     # pairwise tail statistic: for each n the worst r[x_n - x_m] over m > n.
     # Every difference is formed explicitly (r_nn + r_mm - 2 Re r_nm

@@ -43,6 +43,21 @@ def test_norm_sq_is_trapezoid_rule():
     assert np.sqrt(norm_sq(g.weights, np.ones(g.n))) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_norm_sq_of_a_stack_is_the_norm_of_each_row(complex_values):
+    # one kernel for one state and for a stack of rows, bit for bit
+    g = make_uniform_grid(41)
+    rng = np.random.default_rng(2)
+    rows = rng.standard_normal((7, g.n))
+    if complex_values:
+        rows = rows + 1j * rng.standard_normal((7, g.n))
+    stacked = norm_sq(g.weights, rows)
+    assert stacked.shape == (7,)
+    np.testing.assert_array_equal(stacked, [norm_sq(g.weights, x) for x in rows])
+    ref = np.real(np.sum(g.weights * np.abs(rows) ** 2, axis=1))
+    np.testing.assert_allclose(stacked, ref, rtol=1e-14)
+
+
 def test_norm_converges_second_order():
     # ||exp(w)||^2 = (e^2 - 1) / 2; trapezoid error is O(h^2).  Needs a
     # non-periodic integrand: on periodic ones trapezoid is spectrally exact
