@@ -163,13 +163,13 @@ def propagate_shift(grid: Grid, x0, t: float) -> np.ndarray:
 
 
 def _dense_propagator(system: DiscreteSystem, t: float) -> np.ndarray:
-    """e^{tA} as a dense matrix: spectral route when hinted, else expm.
+    """e^{tA} as a dense matrix: spectral route for "eigen" models, else expm.
 
     Entries below the smallest normal float are set to zero: subnormal
     operands slow every later mat-vec several times over, while their
     products fall far below the rounding unit of the sums they join.
     """
-    if system.propagator_hint != "eigen":
+    if system.model.step != "eigen":
         prop = sla.expm(t * system.a_matrix)
     else:
         w = system.weights
@@ -188,8 +188,8 @@ def propagate_matrix(system: DiscreteSystem, x0, t: float) -> np.ndarray:
 
 
 def _make_step(system: DiscreteSystem, dt: float):
-    """One-step map v -> e^{dt A} v for the system's preferred route."""
-    if system.propagator_hint == "shift":
+    """One-step map v -> e^{dt A} v by the step route of the system's model."""
+    if system.model.step == "shift":
         q = _shift_indices(dt, system.grid.h)
         if q < 1:
             raise AlignmentError(
@@ -264,19 +264,8 @@ def classical_check(system: DiscreteSystem, x0, u: ControlSignal | None = None,
     """
     x0v = as_state(x0, system.n)
     scale = max(1.0, float(np.max(np.abs(x0v))))
-    tag = system.model_tag
-    if tag == "transport":
-        residual = float(abs(x0v[-1]))
-        note = "outflow value x(1)"
-    elif tag == "heat":
-        residual = float(max(abs(x0v[0]), abs(x0v[-1])))
-        note = "endpoint values x(0), x(1)"
-    elif tag == "skew_damped":
-        residual = float(abs(x0v[0] - x0v[-1]))
-        note = "periodic match x(0) = x(1)"
-    else:
-        residual = 0.0
-        note = "custom model, no boundary condition checked"
+    residual = float(system.model.boundary(x0v))
+    note = system.model.boundary_note
     boundary_ok = residual <= rel_threshold * scale
     if u is None:
         control_smooth = True

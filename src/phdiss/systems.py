@@ -22,8 +22,6 @@ import scipy.linalg as sla
 from .grids import Grid, as_state
 from .linalg import assemble_from_factors, gram_sqrt_factors, psd_sqrt
 
-PROPAGATOR_HINTS = ("shift", "eigen", "generic")
-
 
 class AssemblyError(ValueError):
     """Raised when a model cannot be assembled or fails validation."""
@@ -46,9 +44,8 @@ class DiscreteSystem:
     f_matrix : np.ndarray
         Dissipation form matrix -Herm(W A), PSD: the rate is x^H F x.
     model_tag : str
-        A key of MODELS, or "custom".
-    propagator_hint : str
-        Preferred propagation route, one of PROPAGATOR_HINTS.
+        A key of MODELS, or "custom"; it selects the registry row, read as
+        the model property, that says how the system steps.
 
     The rest is built on first read and kept: m_sqrt, the G-square root of
     the rate operator M = G^{-1} F, and q_matrix, the bounded probe, with
@@ -66,7 +63,6 @@ class DiscreteSystem:
     g_gram: np.ndarray
     f_matrix: np.ndarray
     model_tag: str
-    propagator_hint: str = "generic"
 
     @property
     def n(self) -> int:
@@ -80,6 +76,11 @@ class DiscreteSystem:
     def weights(self) -> np.ndarray:
         """Trapezoid weights, the diagonal of W."""
         return self.grid.weights
+
+    @property
+    def model(self) -> Model:
+        """The registry row of model_tag; CUSTOM for a custom system."""
+        return MODELS.get(self.model_tag, CUSTOM)
 
     @cached_property
     def _m_factors(self):
@@ -155,8 +156,7 @@ def _input_matrix(grid: Grid, input_profile) -> np.ndarray:
     return b
 
 
-def _finish(grid: Grid, a: np.ndarray, b: np.ndarray, tag: str,
-            hint: str) -> DiscreteSystem:
+def _finish(grid: Grid, a: np.ndarray, b: np.ndarray, tag: str) -> DiscreteSystem:
     w = grid.weights
     gap = dissipativity_gap(a, w)
     tol = 1e-8 * max(1.0, spectral_norm(a))
@@ -168,8 +168,7 @@ def _finish(grid: Grid, a: np.ndarray, b: np.ndarray, tag: str,
     g = graph_gram(a, w)
     # F last, after G: allocating it earlier raises the peak RSS of long runs
     return DiscreteSystem(grid=grid, a_matrix=a, b_matrix=b, g_gram=g,
-                          f_matrix=-herm_part_wa(a, w), model_tag=tag,
-                          propagator_hint=hint)
+                          f_matrix=-herm_part_wa(a, w), model_tag=tag)
 
 
 def assemble_transport(grid: Grid, input_profile=None) -> DiscreteSystem:
@@ -191,7 +190,7 @@ def assemble_transport(grid: Grid, input_profile=None) -> DiscreteSystem:
         a[i, i + 1] = 1.0 / (2.0 * h)
     a[-1, -2], a[-1, -1] = -1.0 / h, 1.0 / h
     a[-1, -1] -= 2.0 / h  # penalty enforcing x(1) = 0
-    return _finish(grid, a, _input_matrix(grid, input_profile), "transport", "shift")
+    return _finish(grid, a, _input_matrix(grid, input_profile), "transport")
 
 
 def assemble_heat(grid: Grid, input_profile=None) -> DiscreteSystem:
@@ -214,7 +213,7 @@ def assemble_heat(grid: Grid, input_profile=None) -> DiscreteSystem:
     a[-2, -1] = 0.0
     a[0, 0] = -2.0 / h**2
     a[-1, -1] = -2.0 / h**2
-    return _finish(grid, a, _input_matrix(grid, input_profile), "heat", "eigen")
+    return _finish(grid, a, _input_matrix(grid, input_profile), "heat")
 
 
 def assemble_skew_damped(grid: Grid, damping: float = 0.3, input_profile=None) -> DiscreteSystem:
@@ -234,35 +233,54 @@ def assemble_skew_damped(grid: Grid, damping: float = 0.3, input_profile=None) -
     # J = (C - W^{-1} C^T W) / 2, then A = J - damping * I
     a = 0.5 * (c - (1.0 / w)[:, None] * (c.T * w[None, :]))
     a.flat[::n + 1] -= damping
-    return _finish(grid, a, _input_matrix(grid, input_profile), "skew_damped",
-                   "generic")
+    return _finish(grid, a, _input_matrix(grid, input_profile), "skew_damped")
 
 
-def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None,
-                    propagator_hint: str = "generic") -> DiscreteSystem:
-    """Wrap a user matrix; validation (dissipativity, shapes) still applies."""
+def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None) -> DiscreteSystem:
+    """Wrap a user matrix; validation (dissipativity, shapes) still applies.
+
+    A custom system steps with expm and checks no boundary condition.
+    """
     a = np.asarray(a_matrix, dtype=complex if np.iscomplexobj(a_matrix) else float)
     if a.shape != (grid.n, grid.n):
         raise AssemblyError(f"generator shape {a.shape} does not match grid size {grid.n}")
-    if propagator_hint not in PROPAGATOR_HINTS:
-        raise AssemblyError(f"unknown propagator hint {propagator_hint!r}")
-    return _finish(grid, a, _input_matrix(grid, b_matrix), "custom", propagator_hint)
+    return _finish(grid, a, _input_matrix(grid, b_matrix), "custom")
 
 
-# The model registry: tag -> assembler(grid, damping). Configs and the CLI
-# read their model names from here; models without damping ignore it.
-MODELS: dict[str, Callable[[Grid, float], DiscreteSystem]] = {
-    "transport": lambda grid, damping: assemble_transport(grid),
-    "heat": lambda grid, damping: assemble_heat(grid),
-    "skew_damped": lambda grid, damping: assemble_skew_damped(grid, damping=damping),
+@dataclass(frozen=True)
+class Model:
+    """One row of the model registry.
+
+    assemble(grid, damping) builds the system; models without damping
+    ignore it. step is how e^{dt A} is applied: "shift" (the exact nodal
+    shift, transport only), "eigen" (W-eigenpairs, for a W-self-adjoint A)
+    or "expm". boundary(x) is the residual of the boundary condition that
+    classical data meets, described by boundary_note.
+    """
+
+    assemble: Callable[[Grid, float], DiscreteSystem] | None
+    step: str = "expm"
+    boundary: Callable[[np.ndarray], float] = lambda x: 0.0
+    boundary_note: str = "custom model, no boundary condition checked"
+
+
+# The model registry. Configs and the CLI read their model names from here.
+MODELS: dict[str, Model] = {
+    "transport": Model(lambda grid, damping: assemble_transport(grid), "shift",
+                       lambda x: abs(x[-1]), "outflow value x(1)"),
+    "heat": Model(lambda grid, damping: assemble_heat(grid), "eigen",
+                  lambda x: max(abs(x[0]), abs(x[-1])), "endpoint values x(0), x(1)"),
+    "skew_damped": Model(lambda grid, damping: assemble_skew_damped(grid, damping=damping),
+                         "expm", lambda x: abs(x[0] - x[-1]), "periodic match x(0) = x(1)"),
 }
+CUSTOM = Model(assemble=None)
 
 
 def assemble_model(model_tag: str, grid: Grid, damping: float = 0.3) -> DiscreteSystem:
     """Assemble one of the named models (custom needs assemble_custom)."""
     if model_tag not in MODELS:
         raise AssemblyError(f"unsupported model: {model_tag!r}")
-    return MODELS[model_tag](grid, damping)
+    return MODELS[model_tag].assemble(grid, damping)
 
 
 def graph_inner(system: DiscreteSystem, f, g) -> complex:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phdiss import assemble_model, make_uniform_grid, mild_solution
-from phdiss.systems import assemble_transport
+from phdiss.systems import assemble_custom, assemble_transport
 from phdiss.semigroup import (AlignmentError, ControlSignal, SignalError,
                               _dense_propagator, boundary_trace,
                               classical_check, output_signal, propagate_matrix,
@@ -81,6 +81,21 @@ def test_heat_discrete_mode_decays_exactly():
     t = 0.05
     got = propagate_matrix(sys, x0, t)
     np.testing.assert_allclose(got, np.exp(-mu * t) * x0, atol=1e-12)
+
+
+def test_custom_heat_steps_like_heat():
+    # a custom system steps with expm whatever its generator; on heat's A
+    # that must reproduce the eigen route of the heat model
+    g = make_uniform_grid(41)
+    heat = assemble_model("heat", g)
+    custom = assemble_custom(g, heat.a_matrix)
+    assert (heat.model.step, custom.model.step) == ("eigen", "expm")
+    x0 = np.sin(np.pi * g.nodes) + 0.3 * np.sin(4 * np.pi * g.nodes)
+    u = ControlSignal.ramp(0.5, 0.1, 1e-3)
+    got = mild_solution(custom, x0, u).states
+    ref = mild_solution(heat, x0, u).states
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    assert classical_check(custom, np.ones(g.n)).boundary_residual == 0.0
 
 
 def test_mild_solution_matches_naive_stepping():
@@ -189,7 +204,6 @@ def test_output_is_weighted_adjoint(systems101, seed, model):
 
 
 def test_output_adjoint_complex_states(grid101):
-    from phdiss.systems import assemble_custom
     rng = np.random.default_rng(11)
     n = grid101.n
     sys_c = assemble_custom(grid101, -np.eye(n),
