@@ -61,12 +61,6 @@ def q_identity_residual(system: DiscreteSystem, x) -> float:
     return float(_q_identity_rows(system, xv[None, :])[0][0])
 
 
-def q_identity_scaled(system: DiscreteSystem, x) -> float:
-    """Residual of the probe identity scaled by 1 + ||x||_A^2."""
-    xv = as_state(x, system.n)
-    return float(_q_identity_rows(system, xv[None, :])[1][0])
-
-
 def _q_identity_rows(system: DiscreteSystem,
                      states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probe-identity residuals of every row x of states, absolute and

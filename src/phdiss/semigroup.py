@@ -142,24 +142,14 @@ def _shift_indices(t: float, h: float) -> int:
 
 
 def _shift_values(vals: np.ndarray, k: int, n: int) -> np.ndarray:
-    # a node keeps propagating only while its source index stays <= n-2;
-    # the last node is the outflow condition and never moves inward
+    # the exact nodal shift [S(k h) x](w) = x(w + k h) while w + k h < 1,
+    # else 0, for k >= 1: a node keeps propagating only while its source
+    # index stays <= n-2; the last node is the outflow condition and never
+    # moves inward
     out = np.zeros_like(vals)
-    if k == 0:
-        out[:] = vals
-    elif k <= n - 2:
+    if k <= n - 2:
         out[: n - 1 - k] = vals[k : n - 1]
     return out
-
-
-def propagate_shift(grid: Grid, x0, t: float) -> np.ndarray:
-    """Exact nodal shift: [S(t) x](w) = x(w + t) while w + t < 1, else 0.
-
-    Requires t to be a node multiple of the grid spacing, raises
-    AlignmentError otherwise. For t >= 1 the result is identically zero.
-    """
-    x0v = as_state(x0, grid.n)
-    return _shift_values(x0v, _shift_indices(t, grid.h), grid.n)
 
 
 def _dense_propagator(system: DiscreteSystem, t: float) -> np.ndarray:
@@ -177,14 +167,6 @@ def _dense_propagator(system: DiscreteSystem, t: float) -> np.ndarray:
         prop = ((vecs * np.exp(t * lam)) @ vecs.conj().T) * w
     prop[np.abs(prop) < np.finfo(float).tiny] = 0.0
     return prop
-
-
-def propagate_matrix(system: DiscreteSystem, x0, t: float) -> np.ndarray:
-    """Dense propagation e^{tA} x0 (spectral route when hinted, else expm)."""
-    if t < 0:
-        raise ValueError(f"negative time {t}")
-    x0v = as_state(x0, system.n)
-    return _dense_propagator(system, t) @ x0v
 
 
 def _make_step(system: DiscreteSystem, dt: float):

@@ -283,13 +283,6 @@ def assemble_model(model_tag: str, grid: Grid, damping: float = 0.3) -> Discrete
     return MODELS[model_tag].assemble(grid, damping)
 
 
-def graph_inner(system: DiscreteSystem, f, g) -> complex:
-    """Graph inner product <f, g> + <Af, Ag>, via the gram matrix G."""
-    fv = as_state(f, system.n)
-    gv = as_state(g, system.n)
-    return complex(np.conj(gv) @ (system.g_gram @ fv))
-
-
 def graph_norm(system: DiscreteSystem, f) -> float:
     fv = as_state(f, system.n)
     val = np.real(np.conj(fv) @ (system.g_gram @ fv))

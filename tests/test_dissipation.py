@@ -9,7 +9,7 @@ from phdiss import (assemble_custom, assemble_model, dissipation_rate,
                     energy_audit, form_r, make_uniform_grid, mild_solution,
                     q_identity_residual, rt_bound_check)
 from phdiss.dissipation import (_q_identity_rows, cumulative_parabolic,
-                                cumulative_trapezoid, q_identity_scaled)
+                                cumulative_trapezoid)
 from phdiss.grids import norm_sq
 from phdiss.linalg import NotPSDError
 from phdiss.runner import _random_states
@@ -86,7 +86,8 @@ def test_rate_identity_raw_states(systems101, seed, model):
 @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS))
 def test_q_identity_scaled_residual(systems101, seed, model):
     sys = systems101[model]
-    assert q_identity_scaled(sys, random_state(101, seed)) <= 1e-10
+    x = random_state(101, seed)
+    assert _q_identity_rows(sys, x[None, :])[1][0] <= 1e-10
 
 
 def test_q_identity_heat_sine_absolute():
@@ -273,7 +274,7 @@ def test_q_rows_match_per_state_identity(model):
     assert float(np.min(stacked)) > 1.0
     loop = np.array([_q_scaled_loop(sys, x) for x in states])
     np.testing.assert_allclose(stacked, loop, rtol=1e-10)
-    single = np.array([q_identity_scaled(sys, x) for x in states])
+    single = np.array([_q_identity_rows(sys, x[None, :])[1][0] for x in states])
     np.testing.assert_allclose(stacked, single, rtol=1e-10)
 
 

@@ -7,10 +7,9 @@ from phdiss import (assemble_model, boundary_trace, closability_probe,
                     control_signal, dissipation_rate, energy_audit, form_r,
                     make_uniform_grid, mild_solution, q_identity_residual,
                     rt_bound_check)
-from phdiss.dissipation import q_identity_scaled
 from phdiss.grids import GridError, as_state, norm_sq
-from phdiss.semigroup import classical_check, propagate_matrix, propagate_shift
-from phdiss.systems import graph_inner, graph_norm
+from phdiss.semigroup import classical_check
+from phdiss.systems import graph_norm
 
 
 def test_uniform_grid_basics():
@@ -127,15 +126,11 @@ def _state_routes(system):
         "form_r_y": lambda x: form_r(system, ok, x),
         "dissipation_rate": lambda x: dissipation_rate(system, x),
         "q_identity_residual": lambda x: q_identity_residual(system, x),
-        "q_identity_scaled": lambda x: q_identity_scaled(system, x),
         "rt_bound_check": lambda x: rt_bound_check(system, ledger, x, u),
         "mild_solution": lambda x: mild_solution(system, x, u),
         "classical_check": lambda x: classical_check(system, x, u),
         "boundary_trace": lambda x: boundary_trace(system, x, u),
-        "graph_inner": lambda x: graph_inner(system, x, ok),
         "graph_norm": lambda x: graph_norm(system, x),
-        "propagate_shift": lambda x: propagate_shift(grid, x, grid.h),
-        "propagate_matrix": lambda x: propagate_matrix(system, x, 0.1),
         "closability_probe": lambda x: closability_probe(
             system, "custom", 2, custom=lambda k, w: x),
     }

@@ -10,8 +10,7 @@ from phdiss import assemble_model, make_uniform_grid, mild_solution
 from phdiss.systems import assemble_custom, assemble_transport
 from phdiss.semigroup import (AlignmentError, ControlSignal, SignalError,
                               _dense_propagator, boundary_trace,
-                              classical_check, output_signal, propagate_matrix,
-                              propagate_shift)
+                              classical_check, output_signal)
 
 from conftest import MODELS, random_state
 
@@ -28,45 +27,64 @@ def _shift_oracle(vals, k, n):
     return out
 
 
+def _shift(system, x, k):
+    """S(k h) x on the transport model: one free step of dt = k h; S(0) is
+    the first row of the run."""
+    dt = max(k, 1) * system.grid.h
+    traj = mild_solution(system, x, t_final=dt, dt=dt)
+    return traj.states[-1] if k else traj.states[0]
+
+
+def _free_step(system, x0, t):
+    # e^{tA} x0 as one free step of dt = t
+    return mild_solution(system, x0, t_final=t, dt=t).states[-1]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 25))
 def test_shift_matches_oracle(seed, k):
-    g = make_uniform_grid(21)
+    sys = assemble_transport(make_uniform_grid(21))
     x = random_state(21, seed)
-    shifted = propagate_shift(g, x, k * g.h)
-    np.testing.assert_array_equal(shifted, _shift_oracle(x, k, 21))
+    np.testing.assert_array_equal(_shift(sys, x, k), _shift_oracle(x, k, 21))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 12))
 def test_shift_semigroup_law(seed, j, k):
-    g = make_uniform_grid(21)
+    sys = assemble_transport(make_uniform_grid(21))
     x = random_state(21, seed)
-    via_two = propagate_shift(g, propagate_shift(g, x, j * g.h), k * g.h)
-    direct = propagate_shift(g, x, (j + k) * g.h)
+    via_two = _shift(sys, _shift(sys, x, j), k)
+    direct = _shift(sys, x, j + k)
     np.testing.assert_array_equal(via_two, direct)
+    # and j + k steps of dt = h land on the same state
+    traj = mild_solution(sys, x, t_final=25 * sys.grid.h, dt=sys.grid.h)
+    np.testing.assert_array_equal(traj.states[j + k], direct)
 
 
 def test_shift_identity_and_extinction():
     g = make_uniform_grid(51)
+    sys = assemble_transport(g)
     x = np.sin(3 * np.pi * g.nodes) + 1.0
-    np.testing.assert_array_equal(propagate_shift(g, x, 0.0), x)
-    assert np.all(propagate_shift(g, x, 1.0) == 0.0)
-    assert np.all(propagate_shift(g, x, 1.5) == 0.0)
+    np.testing.assert_array_equal(_shift(sys, x, 0), x)
+    assert np.all(_free_step(sys, x, 1.0) == 0.0)
+    assert np.all(_free_step(sys, x, 1.5) == 0.0)
 
 
 def test_shift_requires_nodal_alignment():
     g = make_uniform_grid(51)
+    sys = assemble_transport(g)
     x = np.ones(51)
     with pytest.raises(AlignmentError):
-        propagate_shift(g, x, 0.5 * g.h)
+        _free_step(sys, x, 0.5 * g.h)
+    with pytest.raises(AlignmentError):
+        _free_step(sys, x, 1.5 * g.h)
 
 
 def test_heat_eigen_propagator_matches_expm():
     sys = assemble_model("heat", make_uniform_grid(41))
     x0 = random_state(41, 3)
     for t in (0.01, 0.1):
-        got = propagate_matrix(sys, x0, t)
+        got = _free_step(sys, x0, t)
         ref = sla.expm(t * sys.a_matrix) @ x0
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
@@ -79,7 +97,7 @@ def test_heat_discrete_mode_decays_exactly():
     x0 = np.sin(k * np.pi * g.nodes)
     mu = (2.0 - 2.0 * np.cos(k * np.pi * g.h)) / g.h**2
     t = 0.05
-    got = propagate_matrix(sys, x0, t)
+    got = _free_step(sys, x0, t)
     np.testing.assert_allclose(got, np.exp(-mu * t) * x0, atol=1e-12)
 
 
