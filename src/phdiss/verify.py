@@ -82,13 +82,14 @@ def verify_paper_values(n_grid: int = 201) -> VerifyReport:
     rel = (graph_norm(system, got - target) / graph_norm(system, target))
     rows.append(_row("rate_sqrt_rank_one_rel_err", rel, 0.0, 5e-2))
 
-    # (c) rates of outflow-compatible states equal |x(0)|^2 / 2
+    # (c) rates of outflow-compatible states equal |x(0)|^2 / 2 on every
+    #     grid, so the tolerance is round-off: a 1% drift fails
     for preset in ("sinh_bc", "poly:2", "poly:1"):
         state = initial_state(grid, preset)
         ref = 0.5 * float(state[0]) ** 2
         rows.append(_row(f"rate_{preset.replace(':', '')}",
                          dissipation_rate(system, state), ref,
-                         5e-2 * max(ref, 1.0)))
+                         1e-12 * max(ref, 1.0)))
 
     # (d) probe norms ||(1 - w)^n|| = (2n + 1)^{-1/2}
     states = probe_states("power", grid, 8)

@@ -207,6 +207,21 @@ def test_verify_paper_passes(tmp_path, capsys):
     assert all(r[4] == "pass" for r in rows[1:])
 
 
+def test_verify_paper_fails_on_a_one_percent_rate_drift(tmp_path, capsys,
+                                                        monkeypatch):
+    # the rate rows reproduce their references at round-off, so a rate
+    # that drifts by 1% must fail the battery and exit 1
+    rate = phdiss.verify.dissipation_rate
+    monkeypatch.setattr(phdiss.verify, "dissipation_rate",
+                        lambda system, x: 1.01 * rate(system, x))
+    report = phdiss.verify.verify_paper_values()
+    assert not report.ok
+    assert {r.name for r in report.rows if not r.ok} == {
+        "rate_sinh_bc", "rate_poly2", "rate_poly1"}
+    assert main(["verify-paper", "--out", str(tmp_path)]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+
+
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("PHDISS_OUT", str(target))
