@@ -237,11 +237,11 @@ def classical_check(system: DiscreteSystem, x0, u: ControlSignal | None = None,
                     rel_threshold: float = 0.01) -> ClassicalReport:
     """Coarse gate for classical (vs merely mild) initial data.
 
-    Checks the model's boundary condition on the sampled state and the
-    smoothness of the control via its preset tag. The boundary check is an
-    O(1)-violation detector: states sampled from smooth functions that
-    satisfy the condition pass with residuals at discretization level,
-    violations show up at order one.
+    Checks the boundary rule of the system's registry row on the sampled
+    state and the smoothness of the control via its preset tag. The
+    boundary check is an O(1)-violation detector: states sampled from
+    smooth functions that satisfy the condition pass with residuals at
+    discretization level, violations show up at order one.
     """
     x0v = as_state(x0, system.n)
     scale = max(1.0, float(np.max(np.abs(x0v))))

@@ -1,13 +1,11 @@
 """Discrete dissipative generators on the unit interval.
 
 Each model produces a DiscreteSystem, the one object per generator: the
-generator matrix A, the input map B, the graph gram matrix
-G = W + A^H W A and the dissipation form matrix F = -Herm(W A), where W is
-the diagonal gram matrix of the trapezoid inner product, kept as the
-grid's weight vector. The dense square roots of the rate operator and of
-the bounded probe are built on first read. Assembly validates
-dissipativity: the largest eigenvalue of the symmetric part of W A must
-not exceed roundoff, so that -Re<Ax, x> >= 0 holds for every state.
+generator A, the input map B, the graph gram G = W + A^H W A and the
+dissipation form matrix F = -Herm(W A), where W is the diagonal trapezoid
+gram matrix, kept as the grid's weight vector; the dense square roots are
+built on first read. Assembly validates dissipativity: the largest
+eigenvalue of Herm(W A) must not exceed roundoff, so -Re<Ax, x> >= 0.
 """
 
 from __future__ import annotations
@@ -44,8 +42,7 @@ class DiscreteSystem:
     f_matrix : np.ndarray
         Dissipation form matrix -Herm(W A), PSD: the rate is x^H F x.
     model_tag : str
-        A key of MODELS, or "custom"; it selects the registry row, read as
-        the model property, that says how the system steps.
+        A key of MODELS, or "custom"; the model property is its registry row.
 
     The rest is built on first read and kept: m_sqrt, the G-square root of
     the rate operator M = G^{-1} F, and q_matrix, the bounded probe, with
