@@ -129,7 +129,8 @@ class OutputSignal:
 
 
 def _shift_indices(t: float, h: float) -> int:
-    # t is a step dt, which every caller has checked to be positive
+    if t < -1e-12:
+        raise AlignmentError(f"negative time {t}")
     ratio = t / h
     k = int(round(ratio))
     if abs(ratio - k) > 1e-9 * max(1.0, abs(ratio)):
