@@ -59,11 +59,11 @@ def main(argv=None) -> int:
     x0 = initial_state(grid, "sinh_bc")
     u = control_signal("const:0.7", args.t_final, dt)
     traj = mild_solution(system, x0, u)
-    driven = energy_audit(system, traj, u)
+    driven = energy_audit(system, traj)
     print(f"  supplied total   = {driven.supplied_total:.10f}")
     print(f"  dissipated total = {driven.dissipated_total:.10f}")
     print(f"  max |residual|   = {driven.max_abs_residual:.3e}")
-    bound = rt_bound_check(system, driven, x0, u)
+    bound = rt_bound_check(system, driven)
     print(f"  sqrt(int r dt)   = {bound.lhs:.6f}")
     print(f"  |x0| + t |B| |u| = {bound.rhs:.6f}")
     print(f"  slack            = {bound.slack:.6f} ({'ok' if bound.ok else 'VIOLATED'})")

@@ -11,7 +11,9 @@ For a dissipative generator A in the inner product with gram matrix W:
   taken in W), which satisfies ||Q^{1/2} (A - I) x||^2 = ||x||^2 + r[x].
 
 Every function takes the DiscreteSystem itself: it holds F, and builds the
-two square roots on first read.
+two square roots on first read. The energy audit reads the control from
+the Trajectory of the run, and the dissipation bound reads the control
+and the initial energy from that run's ledger.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import as_state, norm_sq
-from .semigroup import AlignmentError, ControlSignal, Trajectory, output_signal
+from .semigroup import ControlSignal, Trajectory, output_signal
 from .systems import DiscreteSystem
 
 
@@ -108,9 +110,10 @@ def cumulative_parabolic(values: np.ndarray, dt: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class EnergyLedger:
-    """Time series of the energy balance H(t) - H(0) = supplied - dissipated."""
+    """Time series of the energy balance H(t) - H(0) = supplied - dissipated,
+    on the clock of the control that drove the audited run."""
 
-    times: np.ndarray
+    control: ControlSignal
     hamiltonian: np.ndarray
     supply_rate: np.ndarray
     dissipation_rate: np.ndarray
@@ -121,6 +124,10 @@ class EnergyLedger:
     def __post_init__(self) -> None:
         self.residuals = (self.hamiltonian - self.hamiltonian[0]
                           - self.supplied + self.dissipated)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.control.times
 
     @property
     def residual(self) -> float:
@@ -154,34 +161,22 @@ def _form_rates(f: np.ndarray, states: np.ndarray) -> np.ndarray:
     return rate
 
 
-def energy_audit(system: DiscreteSystem, traj: Trajectory,
-                 u: ControlSignal | None = None) -> EnergyLedger:
+def energy_audit(system: DiscreteSystem, traj: Trajectory) -> EnergyLedger:
     """Audit a trajectory: energies, rates, cumulative integrals, residual.
 
-    The supplied power Re<u(t), y(t)> integrates by trapezoid (exactly
-    matched to the stepping); the dissipated energy integrates the rate
-    x^H F x by the parabolic rule, which keeps the residual at quadrature
-    level for smooth classical runs.
+    The supplied power Re<u(t), y(t)> of the run's own control
+    integrates by trapezoid (exactly matched to the stepping); the
+    dissipated energy integrates the rate x^H F x by the parabolic rule,
+    which keeps the residual at quadrature level for smooth classical runs.
     """
-    states = traj.states
+    states, u = traj.states, traj.control
     ham = 0.5 * norm_sq(system.weights, states)
     rate = _form_rates(system.f_matrix, states)
-    dt = traj.dt
-    if u is not None and u.values.size and system.m_inputs:
-        if (u.times.size != traj.times.size
-                or abs(u.dt - dt) > 1e-9 * max(dt, u.dt)):
-            raise AlignmentError(
-                "control clock does not match the trajectory clock "
-                f"({u.times.size} samples at dt={u.dt} vs "
-                f"{traj.times.size} at dt={dt})"
-            )
-        y = output_signal(system, traj).values
-        supply = np.sum(np.real(u.values * np.conj(y)), axis=1)
-    else:
-        supply = np.zeros(states.shape[0])
-    supplied = cumulative_trapezoid(supply, dt)
-    dissipated = cumulative_parabolic(rate, dt)
-    return EnergyLedger(times=traj.times.copy(), hamiltonian=ham,
+    y = output_signal(system, traj)
+    supply = np.sum(np.real(u.values * np.conj(y)), axis=1)
+    supplied = cumulative_trapezoid(supply, u.dt)
+    dissipated = cumulative_parabolic(rate, u.dt)
+    return EnergyLedger(control=u, hamiltonian=ham,
                         supply_rate=supply, dissipation_rate=rate,
                         supplied=supplied, dissipated=dissipated)
 
@@ -200,21 +195,22 @@ class RTBoundReport:
     x0_norm: float
 
 
-def rt_bound_check(system: DiscreteSystem, ledger: EnergyLedger,
-                   x0, u: ControlSignal, tol: float = 1e-8) -> RTBoundReport:
-    """Check the integral dissipation bound on the audited run from x0 under u.
+def rt_bound_check(system: DiscreteSystem, ledger: EnergyLedger) -> RTBoundReport:
+    """Check the integral dissipation bound on the run that ledger audits.
 
-    ledger is energy_audit of that run; its dissipated total is the
-    left-hand side.
+    ledger is energy_audit of that run: its dissipated total is the
+    left-hand side, its control is u, and ||x0|| = sqrt(2 H(0)). The bound
+    holds when the slack is at least -1e-8.
     """
+    u = ledger.control
     lhs = float(np.sqrt(max(ledger.dissipated_total, 0.0)))
     wb = np.sqrt(system.weights)[:, None] * system.b_matrix
     b_norm = float(np.linalg.norm(wb, 2)) if wb.size else 0.0
     u_norm = u.norm_l2()
-    x0_norm = float(np.sqrt(norm_sq(system.weights, as_state(x0, system.n))))
+    x0_norm = float(np.sqrt(2.0 * ledger.hamiltonian[0]))
     t_final = float(u.t_final)
     rhs = np.sqrt(t_final) * b_norm * u_norm + x0_norm / np.sqrt(2.0)
     slack = rhs - lhs
     return RTBoundReport(t_final=t_final, lhs=lhs, rhs=float(rhs),
-                         slack=float(slack), ok=bool(slack >= -tol),
+                         slack=float(slack), ok=bool(slack >= -1e-8),
                          b_norm=b_norm, u_norm=u_norm, x0_norm=x0_norm)

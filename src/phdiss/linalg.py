@@ -28,10 +28,10 @@ class NotPSDError(ValueError):
     """An eigenvalue is negative beyond the clamping tolerance."""
 
 
-def _check_hermitian(product: np.ndarray, herm_tol: float) -> np.ndarray:
+def _check_hermitian(product: np.ndarray) -> np.ndarray:
     skew = product - product.conj().T
     scale = max(float(np.linalg.norm(product, "fro")), 1e-300)
-    if float(np.linalg.norm(skew, "fro")) > herm_tol * scale:
+    if float(np.linalg.norm(skew, "fro")) > 1e-8 * scale:
         raise NotSelfAdjointError(
             "matrix is not self-adjoint in the given inner product "
             f"(relative asymmetry {np.linalg.norm(skew, 'fro') / scale:.3e})"
@@ -39,12 +39,11 @@ def _check_hermitian(product: np.ndarray, herm_tol: float) -> np.ndarray:
     return 0.5 * (product + product.conj().T)
 
 
-def _clamped_sqrt(hat: np.ndarray, tol: float | None):
+def _clamped_sqrt(hat: np.ndarray):
     """Clamped eigenvalues and Hermitian square root of the Hermitian hat."""
     eigvals, vecs = np.linalg.eigh(hat)
     scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    if tol is None:
-        tol = 1e-10 * max(scale, 1.0)
+    tol = 1e-10 * max(scale, 1.0)
     lo = float(eigvals.min()) if eigvals.size else 0.0
     if lo < -tol:
         raise NotPSDError(
@@ -55,8 +54,7 @@ def _clamped_sqrt(hat: np.ndarray, tol: float | None):
     return clamped, (vecs * np.sqrt(clamped)) @ vecs.conj().T
 
 
-def gram_sqrt_factors(product: np.ndarray, gram: np.ndarray,
-                      tol: float | None = None, herm_tol: float = 1e-8):
+def gram_sqrt_factors(product: np.ndarray, gram: np.ndarray):
     """Square-root factors of the G-self-adjoint M with product = G M.
 
     Returns (l, eigvals, s_hat) where gram = l l^H, eigvals are the
@@ -66,13 +64,13 @@ def gram_sqrt_factors(product: np.ndarray, gram: np.ndarray,
     without round-trip losses.
 
     Eigenvalues in [-tol, 0) are clamped to zero, below -tol raises
-    NotPSDError; tol defaults to 1e-10 times the largest magnitude.
+    NotPSDError, where tol = 1e-10 * max(largest magnitude, 1).
     """
-    product = _check_hermitian(np.asarray(product), herm_tol)
+    product = _check_hermitian(np.asarray(product))
     l = np.linalg.cholesky(gram)
     half = sla.solve_triangular(l, product, lower=True)
     hat = sla.solve_triangular(l, half.conj().T, lower=True).conj().T
-    clamped, s_hat = _clamped_sqrt(0.5 * (hat + hat.conj().T), tol)
+    clamped, s_hat = _clamped_sqrt(0.5 * (hat + hat.conj().T))
     return l, clamped, s_hat
 
 
@@ -81,52 +79,46 @@ def assemble_from_factors(l: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
     return sla.solve_triangular(l.conj().T, s_hat @ l.conj().T, lower=False)
 
 
-def _weighted_hat(matrix: np.ndarray, weights: np.ndarray, herm_tol: float):
+def _weighted_hat(matrix: np.ndarray, weights: np.ndarray):
     """W^{1/2} M W^{-1/2} = W^{-1/2} (W M) W^{-1/2} for W = diag(weights),
     Hermitian when M is W-self-adjoint, and sqrt(weights)."""
     s = np.sqrt(weights)
-    wm = _check_hermitian(weights[:, None] * matrix, herm_tol)
+    wm = _check_hermitian(weights[:, None] * matrix)
     return wm / np.outer(s, s), s
 
 
-def gram_eigh(matrix: np.ndarray, weights: np.ndarray, herm_tol: float = 1e-8):
+def gram_eigh(matrix: np.ndarray, weights: np.ndarray):
     """Eigenpairs of a matrix self-adjoint in the inner product of W = diag(weights).
 
     Returns (eigvals, vecs) with vecs W-orthonormal (vecs^H W vecs = I).
-    Raises NotSelfAdjointError if W @ matrix is not Hermitian relative to
-    its norm.
+    Raises NotSelfAdjointError if W @ matrix is not Hermitian to a relative
+    asymmetry of 1e-8.
     """
-    hat, s = _weighted_hat(np.asarray(matrix), np.asarray(weights, dtype=float),
-                           herm_tol)
+    hat, s = _weighted_hat(np.asarray(matrix), np.asarray(weights, dtype=float))
     eigvals, vecs = np.linalg.eigh(hat)
     return eigvals, vecs / s[:, None]
 
 
-def psd_sqrt(matrix: np.ndarray, weights: np.ndarray | None = None,
-             tol: float | None = None) -> np.ndarray:
+def psd_sqrt(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD matrix, self-adjoint w.r.t. W = diag(weights).
+
+    Eigenvalues in [-tol, 0) are clamped to zero, below -tol raises
+    NotPSDError, where tol = 1e-10 * max(largest magnitude, 1).
 
     Parameters
     ----------
     matrix : np.ndarray
         Square matrix, self-adjoint and positive semidefinite in the inner
-        product with gram matrix W (identity if weights are omitted).
-    weights : np.ndarray, optional
+        product with gram matrix W.
+    weights : np.ndarray
         Positive diagonal of W.
-    tol : float, optional
-        Eigenvalues in [-tol, 0) are clamped to zero; below -tol raises
-        NotPSDError. Defaults to 1e-10 times the largest eigenvalue
-        magnitude.
 
     Returns
     -------
     np.ndarray
         S with S @ S = matrix and S self-adjoint w.r.t. W.
     """
-    matrix = np.asarray(matrix)
-    w = (np.ones(matrix.shape[0]) if weights is None
-         else np.asarray(weights, dtype=float))
-    hat, s = _weighted_hat(matrix, w, 1e-8)
-    _, s_hat = _clamped_sqrt(hat, tol)
+    hat, s = _weighted_hat(np.asarray(matrix), np.asarray(weights, dtype=float))
+    _, s_hat = _clamped_sqrt(hat)
     # back from W-orthonormal coordinates: W^{-1/2} s_hat W^{1/2}
     return (s_hat / s[:, None]) * s

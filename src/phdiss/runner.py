@@ -22,7 +22,6 @@ from .semigroup import classical_check, mild_solution
 from .systems import assemble_model
 
 RATE_FLOOR = -1e-10      # rate non-negativity margin
-BOUND_FLOOR = -1e-8      # dissipation bound slack margin
 Q_RESIDUAL_TOL = 1e-10   # scaled probe-identity residual
 REFINE_SIZES = (101, 201, 401)
 
@@ -86,7 +85,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     def _ledger():
         nonlocal audited
         if audited is None:
-            audited = energy_audit(system, _traj(), u)
+            audited = energy_audit(system, _traj())
         return audited
 
     for task in cfg.tasks:
@@ -113,7 +112,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
                 "max_abs_residual": ledger.max_abs_residual,
             }
         elif task == "rt_bound":
-            rep = rt_bound_check(system, _ledger(), x0, u, tol=-BOUND_FLOOR)
+            rep = rt_bound_check(system, _ledger())
             checks.append(CheckResult(
                 "rt_bound", rep.ok,
                 f"lhs {rep.lhs:.6g} vs rhs {rep.rhs:.6g}, slack {rep.slack:.3e}"))

@@ -1,6 +1,9 @@
 """Propagation of states: exact shift, spectral and dense propagators,
 mild solutions with sampled controls, outputs, and trace diagnostics.
 
+A run is one Trajectory: its states and the control that drove them,
+whose clock is the run's clock. A free run carries the zero control.
+
 Time stepping uses
     x_{k+1} = P x_k + (dt/2) (P B u_k + B u_{k+1}),    P = e^{dt A},
 which telescopes to the trapezoid discretization of the convolution
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Grid, as_state
+from .grids import as_state
 from .linalg import gram_eigh
 from .systems import DiscreteSystem
 
@@ -28,11 +31,8 @@ class SignalError(ValueError):
     """Bad control-signal construction."""
 
 
-# preset families whose signals are C1 in time
-_SMOOTH_PRESET_BASES = ("zero", "const", "ramp")
-
-
-def _num_steps(t_final: float, dt: float) -> int:
+def _clock(t_final: float, dt: float) -> np.ndarray:
+    """The sample times 0, dt, ..., t_final of a uniform clock."""
     if dt <= 0:
         raise SignalError(f"dt must be positive, got {dt}")
     if t_final <= 0:
@@ -42,16 +42,20 @@ def _num_steps(t_final: float, dt: float) -> int:
         raise SignalError(
             f"t_final={t_final} is not an integer multiple of dt={dt}"
         )
-    return steps
+    return np.linspace(0.0, t_final, steps + 1)
 
 
 @dataclass(eq=False)
 class ControlSignal:
-    """Uniformly sampled control u(t_k), shape (K+1, m)."""
+    """Uniformly sampled control u(t_k), shape (K+1, m).
+
+    smooth marks a signal known to be C1 in time; the zero, constant and
+    ramp constructors set it, a signal built from raw samples does not.
+    """
 
     times: np.ndarray
     values: np.ndarray
-    preset_tag: str = "custom"
+    smooth: bool = False
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -90,42 +94,35 @@ class ControlSignal:
 
     @classmethod
     def zero(cls, t_final: float, dt: float, m: int = 1) -> "ControlSignal":
-        k = _num_steps(t_final, dt)
-        times = np.linspace(0.0, t_final, k + 1)
-        return cls(times, np.zeros((k + 1, m)), preset_tag="zero")
+        times = _clock(t_final, dt)
+        return cls(times, np.zeros((times.size, m)), smooth=True)
 
     @classmethod
     def constant(cls, level: float, t_final: float, dt: float, m: int = 1) -> "ControlSignal":
-        k = _num_steps(t_final, dt)
-        times = np.linspace(0.0, t_final, k + 1)
-        return cls(times, np.full((k + 1, m), float(level)), preset_tag=f"const:{level:g}")
+        times = _clock(t_final, dt)
+        return cls(times, np.full((times.size, m), float(level)), smooth=True)
 
     @classmethod
     def ramp(cls, slope: float, t_final: float, dt: float, m: int = 1) -> "ControlSignal":
-        k = _num_steps(t_final, dt)
-        times = np.linspace(0.0, t_final, k + 1)
+        times = _clock(t_final, dt)
         vals = float(slope) * np.repeat(times[:, None], m, axis=1)
-        return cls(times, vals, preset_tag=f"ramp:{slope:g}")
+        return cls(times, vals, smooth=True)
 
 
 @dataclass(eq=False)
 class Trajectory:
-    """States x(t_k) along a run, rows are time samples."""
+    """One run: states x(t_k) as rows, and the control that drove them."""
 
-    times: np.ndarray
     states: np.ndarray
-    grid: Grid
-    model_tag: str
+    control: ControlSignal
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.control.times
 
     @property
     def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-@dataclass(eq=False)
-class OutputSignal:
-    times: np.ndarray
-    values: np.ndarray
+        return self.control.dt
 
 
 def _shift_indices(t: float, h: float) -> int:
@@ -189,40 +186,34 @@ def mild_solution(system: DiscreteSystem, x0, u: ControlSignal | None = None,
     """Propagate x0 under the control u (or freely until t_final).
 
     The control's clock defines the output sampling. A missing control
-    needs explicit t_final and dt and runs the autonomous dynamics.
+    needs explicit t_final and dt and runs under the zero control on that
+    clock, which the returned trajectory carries like any other.
     """
     if u is None:
         if t_final is None or dt is None:
             raise SignalError("either a control signal or (t_final, dt) is required")
-        steps = _num_steps(t_final, dt)
-        times = np.linspace(0.0, t_final, steps + 1)
-        uvals = np.zeros((steps + 1, system.m_inputs))
-    else:
-        if u.m_inputs != system.m_inputs:
-            raise SignalError(
-                f"control has {u.m_inputs} channels, system expects {system.m_inputs}"
-            )
-        times = u.times
-        uvals = u.values
-        dt = u.dt
+        u = ControlSignal.zero(t_final, dt, system.m_inputs)
+    elif u.m_inputs != system.m_inputs:
+        raise SignalError(
+            f"control has {u.m_inputs} channels, system expects {system.m_inputs}"
+        )
     x0v = as_state(x0, system.n)
-    bu = uvals @ system.b_matrix.T
+    bu = u.values @ system.b_matrix.T
     out_dtype = np.result_type(x0v.dtype, bu.dtype, system.a_matrix.dtype, float)
-    step = _make_step(system, dt)
-    states = np.zeros((times.size, system.n), dtype=out_dtype)
+    step = _make_step(system, u.dt)
+    states = np.zeros((u.times.size, system.n), dtype=out_dtype)
     states[0] = x0v
-    half = 0.5 * dt
-    for k in range(times.size - 1):
+    half = 0.5 * u.dt
+    for k in range(u.times.size - 1):
         states[k + 1] = step(states[k] + half * bu[k]) + half * bu[k + 1]
-    return Trajectory(times=times.copy(), states=states, grid=system.grid,
-                      model_tag=system.model_tag)
+    return Trajectory(states=states, control=u)
 
 
-def output_signal(system: DiscreteSystem, traj: Trajectory) -> OutputSignal:
-    """Collocated output y = B^* x, taken in the weighted inner product."""
+def output_signal(system: DiscreteSystem, traj: Trajectory) -> np.ndarray:
+    """Collocated output y = B^* x, taken in the weighted inner product,
+    as a (K+1) x m array with one row per time sample."""
     wb = system.weights[:, None] * system.b_matrix
-    yvals = traj.states @ np.conj(wb)
-    return OutputSignal(times=traj.times.copy(), values=yvals)
+    return traj.states @ np.conj(wb)
 
 
 @dataclass(eq=False)
@@ -234,29 +225,26 @@ class ClassicalReport:
     detail: str
 
 
-def classical_check(system: DiscreteSystem, x0, u: ControlSignal | None = None,
-                    rel_threshold: float = 0.01) -> ClassicalReport:
+def classical_check(system: DiscreteSystem, x0,
+                    u: ControlSignal | None = None) -> ClassicalReport:
     """Coarse gate for classical (vs merely mild) initial data.
 
     Checks the boundary rule of the system's registry row on the sampled
-    state and the smoothness of the control via its preset tag. The
-    boundary check is an O(1)-violation detector: states sampled from
-    smooth functions that satisfy the condition pass with residuals at
-    discretization level, violations show up at order one.
+    state and the smoothness flag of the control. The boundary check is an
+    O(1)-violation detector with threshold 0.01 * max(1, max |x0|): states
+    sampled from smooth functions that satisfy the condition pass with
+    residuals at discretization level, violations show up at order one.
     """
     x0v = as_state(x0, system.n)
-    scale = max(1.0, float(np.max(np.abs(x0v))))
+    threshold = 0.01 * max(1.0, float(np.max(np.abs(x0v))))
     residual = float(system.model.boundary(x0v))
     note = system.model.boundary_note
-    boundary_ok = residual <= rel_threshold * scale
-    if u is None:
-        control_smooth = True
-    else:
-        control_smooth = u.preset_tag.split(":")[0] in _SMOOTH_PRESET_BASES
+    boundary_ok = residual <= threshold
+    control_smooth = u is None or u.smooth
     classical = boundary_ok and control_smooth
     detail = (
         f"{note}: residual {residual:.3e} against threshold "
-        f"{rel_threshold * scale:.3e}; control "
+        f"{threshold:.3e}; control "
         + ("smooth" if control_smooth else "not verifiably smooth")
     )
     return ClassicalReport(classical=classical, boundary_ok=boundary_ok,

@@ -15,7 +15,7 @@ from .grids import make_uniform_grid, norm_sq
 from .presets import initial_state
 from .probes import probe_states
 from .reporting import fmt_float
-from .semigroup import ControlSignal, mild_solution
+from .semigroup import mild_solution
 from .systems import assemble_transport, graph_norm
 
 
@@ -101,8 +101,7 @@ def verify_paper_values(n_grid: int = 201) -> VerifyReport:
 
     # (e) full-exit audit: everything dissipates, balance closes
     x0 = initial_state(grid, "one")
-    u = ControlSignal.zero(1.0, grid.h)
-    ledger = energy_audit(system, mild_solution(system, x0, u), u)
+    ledger = energy_audit(system, mild_solution(system, x0, t_final=1.0, dt=grid.h))
     rows.append(_row("full_exit_dissipated", ledger.dissipated_total, 0.5, 1e-3))
     rows.append(_row("full_exit_residual", ledger.residual, 0.0, 1e-3))
 

@@ -125,16 +125,15 @@ def test_criterion_05_dissipation_bound():
         sys = assemble_model(model, g)
         for _ in range(50):
             x0, u = _sweep_draw(model, g, rng)
-            led = energy_audit(sys, mild_solution(sys, x0, u), u)
-            rep = rt_bound_check(sys, led, x0, u)
+            led = energy_audit(sys, mild_solution(sys, x0, u))
+            rep = rt_bound_check(sys, led)
             min_slack = min(min_slack, rep.slack)
     sweep_ok = min_slack >= -1e-8
 
     g = make_uniform_grid(201)
     sys = assemble_model("transport", g)
     x0, u = np.ones(201), ControlSignal.zero(1.0, g.h)
-    rep = rt_bound_check(sys, energy_audit(sys, mild_solution(sys, x0, u), u),
-                         x0, u)
+    rep = rt_bound_check(sys, energy_audit(sys, mild_solution(sys, x0, u)))
     near_ok = rep.slack < 1e-3 and abs(rep.lhs - 1.0 / np.sqrt(2.0)) <= 1e-3
     _report("5 dissipation bound", sweep_ok and near_ok,
             f"sweep min slack {min_slack:+.3e}; near-equality slack "
@@ -202,7 +201,7 @@ def test_criterion_09_output_adjoint(systems101):
             x = rng.standard_normal(sys.n)
             u0 = rng.standard_normal(sys.m_inputs)
             traj = mild_solution(sys, x, t_final=0.02, dt=0.02)
-            y0 = output_signal(sys, traj).values[0]
+            y0 = output_signal(sys, traj)[0]
             lhs = np.conj(x) @ (sys.weights * (sys.b_matrix @ u0))
             rhs = np.conj(y0) @ u0
             worst = max(worst, abs(lhs - rhs))

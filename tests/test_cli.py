@@ -22,6 +22,7 @@ from phdiss.config import ConfigError, parse_config_text
 from phdiss.linalg import NotPSDError, NotSelfAdjointError
 from phdiss.presets import PresetError
 from phdiss.reporting import fmt_float
+from phdiss.semigroup import output_signal
 
 FULL_CONFIG = """\
 # transport exit audit
@@ -281,13 +282,48 @@ out_dir = {out}
         system = assemble_model(cfg.model, grid, damping=cfg.damping)
         x0 = initial_state(grid, cfg.x0_preset)
         u = control_signal(cfg.u_preset, cfg.t_final, grid.h, m=system.m_inputs)
-        led = energy_audit(system, mild_solution(system, x0, u), u)
-        rep = rt_bound_check(system, led, x0, u)
+        led = energy_audit(system, mild_solution(system, x0, u))
+        rep = rt_bound_check(system, led)
         assert res.summary["rt_bound"] == {
             "lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack,
             "b_norm": rep.b_norm, "u_norm": rep.u_norm,
             "x0_norm": rep.x0_norm, "t_final": rep.t_final,
         }
+
+
+def test_audit_and_bound_read_the_control_of_the_run(tmp_path):
+    # a driven run audited without passing its control again: the supply
+    # is Re<u, y> of the control that drove it, and the bound agrees with
+    # the runner's rt_bound block
+    cfg = parse_config_text(f"""\
+model = skew_damped
+n_grid = 101
+t_final = 0.5
+x0_preset = sine:1
+u_preset = ramp:0.8
+tasks = audit, rt_bound
+out_dir = {tmp_path}
+""")
+    res = phdiss.runner.run_config(cfg)
+    assert res.status == 0
+    grid = make_uniform_grid(cfg.n_grid)
+    system = assemble_model(cfg.model, grid, damping=cfg.damping)
+    x0 = initial_state(grid, cfg.x0_preset)
+    u = control_signal(cfg.u_preset, cfg.t_final, grid.h, m=system.m_inputs)
+    traj = mild_solution(system, x0, u)
+    led = energy_audit(system, traj)
+    y = output_signal(system, traj)
+    np.testing.assert_array_equal(led.supply_rate,
+                                  np.sum(np.real(u.values * np.conj(y)), axis=1))
+    assert led.supplied_total == pytest.approx(0.06195634323214575, rel=1e-12)
+    # the value of the audit that was handed the same control explicitly
+    assert abs(led.residual) == pytest.approx(5.304035626679804e-07, rel=1e-9)
+    rep = rt_bound_check(system, led)
+    assert res.summary["rt_bound"] == {
+        "lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack,
+        "b_norm": rep.b_norm, "u_norm": rep.u_norm,
+        "x0_norm": rep.x0_norm, "t_final": rep.t_final,
+    }
 
 
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])

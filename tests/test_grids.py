@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phdiss import (assemble_model, boundary_trace, closability_probe,
-                    control_signal, dissipation_rate, energy_audit, form_r,
-                    make_uniform_grid, mild_solution, q_identity_residual,
-                    rt_bound_check)
+                    control_signal, dissipation_rate, form_r,
+                    make_uniform_grid, mild_solution, q_identity_residual)
 from phdiss.grids import GridError, as_state, norm_sq
 from phdiss.semigroup import classical_check
 from phdiss.systems import graph_norm
@@ -119,14 +118,12 @@ def _state_routes(system):
     """Every public routine that takes a state, as state -> call."""
     grid = system.grid
     u = control_signal("zero", 0.1, grid.h, m=system.m_inputs)
-    ledger = energy_audit(system, mild_solution(system, np.zeros(grid.n), u), u)
     ok = np.zeros(grid.n)
     return {
         "form_r": lambda x: form_r(system, x),
         "form_r_y": lambda x: form_r(system, ok, x),
         "dissipation_rate": lambda x: dissipation_rate(system, x),
         "q_identity_residual": lambda x: q_identity_residual(system, x),
-        "rt_bound_check": lambda x: rt_bound_check(system, ledger, x, u),
         "mild_solution": lambda x: mild_solution(system, x, u),
         "classical_check": lambda x: classical_check(system, x, u),
         "boundary_trace": lambda x: boundary_trace(system, x, u),

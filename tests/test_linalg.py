@@ -25,7 +25,7 @@ def _random_weights(rng, n):
 def test_psd_sqrt_euclidean_roundtrip(seed, n):
     rng = np.random.default_rng(seed)
     m = _random_spd(rng, n, shift=0.0)
-    s = psd_sqrt(m)
+    s = psd_sqrt(m, np.ones(n))
     np.testing.assert_allclose(s @ s, m, atol=1e-10 * max(1.0, np.linalg.norm(m)))
     np.testing.assert_allclose(s, s.T, atol=1e-10)
 
@@ -63,11 +63,11 @@ def test_weighted_routes_match_dense_gram(seed, n):
 
 def test_psd_sqrt_rejects_negative():
     with pytest.raises(NotPSDError):
-        psd_sqrt(np.diag([1.0, -0.5]))
+        psd_sqrt(np.diag([1.0, -0.5]), np.ones(2))
 
 
 def test_psd_sqrt_clamps_roundoff_negatives():
-    s = psd_sqrt(np.diag([1.0, -1e-14]))
+    s = psd_sqrt(np.diag([1.0, -1e-14]), np.ones(2))
     np.testing.assert_allclose(s, np.diag([1.0, 0.0]), atol=1e-7)
 
 

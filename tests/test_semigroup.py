@@ -206,6 +206,17 @@ def test_mild_solution_rejects_non_finite_control(where):
         mild_solution(sys, np.zeros(21), ControlSignal(times, vals))
 
 
+def test_free_run_carries_the_zero_control(systems101):
+    sys = systems101["heat"]
+    traj = mild_solution(sys, np.sin(np.pi * sys.grid.nodes), t_final=0.2, dt=1e-3)
+    u = traj.control
+    assert u.smooth
+    assert u.values.shape == (201, sys.m_inputs)
+    np.testing.assert_array_equal(u.values, 0.0)
+    np.testing.assert_array_equal(traj.times, np.linspace(0.0, 0.2, 201))
+    assert traj.dt == u.dt
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS))
 def test_output_is_weighted_adjoint(systems101, seed, model):
@@ -215,7 +226,7 @@ def test_output_is_weighted_adjoint(systems101, seed, model):
     x = rng.standard_normal(sys.n)
     u0 = rng.standard_normal(sys.m_inputs)
     traj = mild_solution(sys, x, t_final=0.02, dt=0.02)
-    y0 = output_signal(sys, traj).values[0]
+    y0 = output_signal(sys, traj)[0]
     lhs = np.conj(x) @ (sys.weights * (sys.b_matrix @ u0))
     rhs = np.conj(y0) @ u0
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
@@ -228,7 +239,7 @@ def test_output_adjoint_complex_states(grid101):
                             b_matrix=rng.standard_normal((n, 2)))
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     traj = mild_solution(sys_c, x, t_final=0.02, dt=0.02)
-    y0 = output_signal(sys_c, traj).values[0]
+    y0 = output_signal(sys_c, traj)[0]
     u0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     lhs = np.conj(x) @ (sys_c.weights * (sys_c.b_matrix @ u0))
     rhs = np.conj(y0) @ u0
