@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from phdiss import refinement_study, write_probe_csv
+from phdiss.systems import DEFAULT_DAMPING
 
 DEFAULT_CASES = (("transport", "power"), ("heat", "scaled_sine"))
 
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[101, 201, 401])
     parser.add_argument("--n-max", type=int, default=8)
-    parser.add_argument("--damping", type=float, default=0.3)
+    parser.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
     parser.add_argument("--model", default=None,
                         help="run a single model instead of the default pair")
     parser.add_argument("--sequence", default=None)

@@ -47,7 +47,8 @@ def main(argv=None) -> int:
     print()
     print("free decay of x0 = 1 (everything exits through the boundary)")
     x0 = initial_state(grid, "one")
-    traj = mild_solution(system, x0, t_final=args.t_final, dt=dt)
+    free = control_signal("zero", args.t_final, dt, m=system.m_inputs)
+    traj = mild_solution(system, x0, free)
     ledger = energy_audit(system, traj)
     _print_ledger(ledger, max(1, len(ledger.times) // 10))
     print(f"  dissipated total = {ledger.dissipated_total:.10f} (exact: 0.5)")

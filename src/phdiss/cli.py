@@ -28,7 +28,7 @@ from .probes import SEQUENCE_TAGS, ProbeError, closability_probe
 from .reporting import write_csv, write_probe_csv
 from .runner import run_config
 from .semigroup import AlignmentError, SignalError
-from .systems import MODELS, AssemblyError, assemble_model
+from .systems import DEFAULT_DAMPING, MODELS, AssemblyError, assemble_model
 from .verify import verify_paper_values
 
 _USER_ERRORS = (ConfigError, GridError, AssemblyError, SignalError,
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("sequence", choices=SEQUENCE_TAGS)
     p_probe.add_argument("--n-max", type=int, default=8)
     p_probe.add_argument("--n-grid", type=int, default=201)
-    p_probe.add_argument("--damping", type=float, default=0.3)
+    p_probe.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
     p_probe.add_argument("--out", default=None, help="directory for probe.csv")
     return parser
 

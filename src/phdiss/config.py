@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .systems import MODELS
+from .probes import SEQUENCE_TAGS
+from .systems import DEFAULT_DAMPING, MODELS
 
 
 class ConfigError(ValueError):
@@ -27,7 +28,7 @@ class ConfigError(ValueError):
 
 
 SUPPORTED_TASKS = ("simulate", "audit", "rt_bound", "q_check", "refine",
-                   "probe:power", "probe:scaled_sine")
+                   *(f"probe:{tag}" for tag in SEQUENCE_TAGS))
 REQUIRED_KEYS = ("model", "n_grid", "t_final", "x0_preset", "u_preset",
                  "tasks", "out_dir")
 OPTIONAL_KEYS = ("dt", "damping")
@@ -43,7 +44,7 @@ class ExperimentConfig:
     tasks: tuple[str, ...]
     out_dir: str
     dt: float | str = "auto"
-    damping: float = 0.3
+    damping: float = DEFAULT_DAMPING
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -83,14 +84,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"missing key: {key}")
 
-    def _num(key: str, cast, cond=lambda v: True):
+    def _num(key: str, cast):
         try:
-            val = cast(raw[key])
+            return cast(raw[key])
         except ValueError:
             raise ConfigError(f"invalid value for {key}: {raw[key]!r}") from None
-        if not cond(val):
-            raise ConfigError(f"invalid value for {key}: {raw[key]!r}")
-        return val
 
     dt: float | str = "auto"
     if raw.get("dt", "auto") != "auto":
@@ -105,7 +103,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         tasks=tasks,
         out_dir=raw["out_dir"],
         dt=dt,
-        damping=_num("damping", float) if "damping" in raw else 0.3,
+        damping=_num("damping", float) if "damping" in raw else DEFAULT_DAMPING,
     )
 
 

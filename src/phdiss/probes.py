@@ -24,7 +24,7 @@ import numpy as np
 
 from .dissipation import _form_rates
 from .grids import Grid, as_state, make_uniform_grid, norm_sq
-from .systems import DiscreteSystem, assemble_model
+from .systems import DEFAULT_DAMPING, DiscreteSystem, assemble_model
 
 SEQUENCE_TAGS = ("power", "scaled_sine")
 
@@ -165,7 +165,7 @@ class StudyReport:
 
 
 def refinement_study(model_tag: str, grid_sizes: Sequence[int], sequence: str,
-                     n_max: int = 8, damping: float = 0.3) -> StudyReport:
+                     n_max: int = 8, damping: float = DEFAULT_DAMPING) -> StudyReport:
     """Rerun the probe across grids; report verdict stability and orders.
 
     Orders are estimated per probe index for the norm and the form value;

@@ -181,19 +181,13 @@ def _make_step(system: DiscreteSystem, dt: float):
     return lambda v: prop @ v
 
 
-def mild_solution(system: DiscreteSystem, x0, u: ControlSignal | None = None,
-                  t_final: float | None = None, dt: float | None = None) -> Trajectory:
-    """Propagate x0 under the control u (or freely until t_final).
+def mild_solution(system: DiscreteSystem, x0, u: ControlSignal) -> Trajectory:
+    """Propagate x0 under the control u, whose clock is the run's clock.
 
-    The control's clock defines the output sampling. A missing control
-    needs explicit t_final and dt and runs under the zero control on that
-    clock, which the returned trajectory carries like any other.
+    A free run passes the zero control on the clock it wants; the returned
+    trajectory carries it like any other.
     """
-    if u is None:
-        if t_final is None or dt is None:
-            raise SignalError("either a control signal or (t_final, dt) is required")
-        u = ControlSignal.zero(t_final, dt, system.m_inputs)
-    elif u.m_inputs != system.m_inputs:
+    if u.m_inputs != system.m_inputs:
         raise SignalError(
             f"control has {u.m_inputs} channels, system expects {system.m_inputs}"
         )

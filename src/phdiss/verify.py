@@ -12,7 +12,7 @@ import numpy as np
 
 from .dissipation import dissipation_rate, energy_audit
 from .grids import make_uniform_grid, norm_sq
-from .presets import initial_state
+from .presets import control_signal, initial_state
 from .probes import probe_states
 from .reporting import fmt_float
 from .semigroup import mild_solution
@@ -101,7 +101,8 @@ def verify_paper_values(n_grid: int = 201) -> VerifyReport:
 
     # (e) full-exit audit: everything dissipates, balance closes
     x0 = initial_state(grid, "one")
-    ledger = energy_audit(system, mild_solution(system, x0, t_final=1.0, dt=grid.h))
+    free = control_signal("zero", 1.0, grid.h, m=system.m_inputs)
+    ledger = energy_audit(system, mild_solution(system, x0, free))
     rows.append(_row("full_exit_dissipated", ledger.dissipated_total, 0.5, 1e-3))
     rows.append(_row("full_exit_residual", ledger.residual, 0.0, 1e-3))
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from phdiss import assemble_model, make_uniform_grid
+from phdiss import (assemble_model, control_signal, make_uniform_grid,
+                    mild_solution)
 
 MODELS = ("transport", "heat", "skew_damped")
 
@@ -22,3 +23,8 @@ def random_state(n: int, seed: int, complex_values: bool = False) -> np.ndarray:
     if complex_values:
         v = v + 1j * rng.standard_normal(n)
     return v
+
+
+def free_run(system, x0, t_final: float, dt: float):
+    """The uncontrolled run of x0: mild_solution under the zero control."""
+    return mild_solution(system, x0, control_signal("zero", t_final, dt, m=system.m_inputs))

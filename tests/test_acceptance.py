@@ -19,6 +19,8 @@ from phdiss.probes import VERDICT_NON_CLOSABLE, VERDICT_PREMISE
 from phdiss.semigroup import ControlSignal, output_signal
 from phdiss.systems import graph_norm
 
+from conftest import free_run
+
 MODELS = ("transport", "heat", "skew_damped")
 SIZES = (101, 201, 401)
 
@@ -103,13 +105,13 @@ def test_criterion_03_rank_one_sqrt():
 def test_criterion_04_energy_balance():
     g = make_uniform_grid(201)
     sys = assemble_model("transport", g)
-    traj = mild_solution(sys, np.ones(201), t_final=1.0, dt=g.h)
+    traj = free_run(sys, np.ones(201), 1.0, g.h)
     led = energy_audit(sys, traj)
     ok_t = abs(led.dissipated_total - 0.5) < 1e-3 and abs(led.residual) < 1e-3
 
     gh = make_uniform_grid(101)
     heat = assemble_model("heat", gh)
-    trajh = mild_solution(heat, np.sin(np.pi * gh.nodes), t_final=0.2, dt=1e-3)
+    trajh = free_run(heat, np.sin(np.pi * gh.nodes), 0.2, 1e-3)
     ledh = energy_audit(heat, trajh)
     ok_h = abs(ledh.residual) < 1e-6
     _report("4 energy balance", ok_t and ok_h,
@@ -200,7 +202,7 @@ def test_criterion_09_output_adjoint(systems101):
         for _ in range(50):
             x = rng.standard_normal(sys.n)
             u0 = rng.standard_normal(sys.m_inputs)
-            traj = mild_solution(sys, x, t_final=0.02, dt=0.02)
+            traj = free_run(sys, x, 0.02, 0.02)
             y0 = output_signal(sys, traj)[0]
             lhs = np.conj(x) @ (sys.weights * (sys.b_matrix @ u0))
             rhs = np.conj(y0) @ u0

@@ -16,7 +16,7 @@ from phdiss.runner import _random_states
 from phdiss.semigroup import ControlSignal
 from phdiss.systems import DiscreteSystem, graph_gram, herm_part_wa
 
-from conftest import MODELS, random_state
+from conftest import MODELS, free_run, random_state
 
 
 @settings(max_examples=25, deadline=None)
@@ -109,8 +109,8 @@ def test_scalar_toolkit():
 
 @pytest.mark.parametrize("model", MODELS)
 def test_assembly_forms_g_and_f_once(systems101, model):
-    # G and F come from the same helpers as the dissipativity check, bit
-    # for bit, and the system is the only holder of either
+    # G and F come from the module's helpers, bit for bit, and the system
+    # is the only holder of either
     sys = systems101[model]
     assert np.array_equal(sys.g_gram, graph_gram(sys.a_matrix, sys.weights))
     assert np.array_equal(sys.f_matrix, -herm_part_wa(sys.a_matrix, sys.weights))
@@ -173,7 +173,7 @@ def test_cumulative_edge_sizes():
 
 def test_audit_zero_run_all_zero(systems101):
     sys = systems101["transport"]
-    traj = mild_solution(sys, np.zeros(101), t_final=0.1, dt=sys.grid.h)
+    traj = free_run(sys, np.zeros(101), 0.1, sys.grid.h)
     led = energy_audit(sys, traj)
     for col in (led.hamiltonian, led.supply_rate, led.dissipation_rate,
                 led.supplied, led.dissipated, led.residuals):
@@ -183,7 +183,7 @@ def test_audit_zero_run_all_zero(systems101):
 def test_ledger_residual_telescopes(systems101):
     sys = systems101["heat"]
     x0 = np.sin(np.pi * sys.grid.nodes)
-    traj = mild_solution(sys, x0, t_final=0.1, dt=1e-3)
+    traj = free_run(sys, x0, 0.1, 1e-3)
     led = energy_audit(sys, traj)
     recon = led.hamiltonian - led.hamiltonian[0] - led.supplied + led.dissipated
     np.testing.assert_allclose(led.residuals, recon, atol=1e-15)
@@ -200,7 +200,7 @@ def test_dissipated_monotone_on_classical_runs(model, x0_name, dt,
     sys = systems101[model]
     g = sys.grid
     x0 = np.sinh(1.0 - g.nodes) if x0_name == "sinh" else np.sin(np.pi * g.nodes)
-    traj = mild_solution(sys, x0, t_final=0.2, dt=dt or g.h)
+    traj = free_run(sys, x0, 0.2, dt or g.h)
     led = energy_audit(sys, traj)
     assert np.all(np.diff(led.dissipated) >= -1e-12)
 
@@ -222,11 +222,11 @@ def test_audit_rate_matches_form_r(model, systems101):
     if model == "custom":
         sys = _custom_complex_system()
         x0 = random_state(sys.n, 3, complex_values=True)
-        traj = mild_solution(sys, x0, t_final=0.25, dt=1e-2)
+        traj = free_run(sys, x0, 0.25, 1e-2)
     else:
         sys = systems101[model]
         dt = 1e-3 if model == "heat" else sys.grid.h
-        traj = mild_solution(sys, random_state(101, 3), t_final=250 * dt, dt=dt)
+        traj = free_run(sys, random_state(101, 3), 250 * dt, dt)
     states = traj.states
     assert states.shape[0] > sys.n and states.shape[0] % sys.n != 0
     rate = energy_audit(sys, traj).dissipation_rate
@@ -300,7 +300,7 @@ def test_residual_second_order_envelope():
     x0 = np.sin(np.pi * sys.grid.nodes)
     res = []
     for dt in (4e-3, 2e-3, 1e-3):
-        traj = mild_solution(sys, x0, t_final=0.2, dt=dt)
+        traj = free_run(sys, x0, 0.2, dt)
         res.append(abs(energy_audit(sys, traj).residual))
     orders = [np.log2(res[i] / res[i + 1]) for i in range(2)]
     assert all(o >= 1.9 for o in orders)
@@ -309,7 +309,7 @@ def test_residual_second_order_envelope():
     x0_t = np.sinh(1.0 - sys_t.grid.nodes)
     for q in (4, 2, 1):
         dt = q * sys_t.grid.h
-        traj = mild_solution(sys_t, x0_t, t_final=0.5, dt=dt)
+        traj = free_run(sys_t, x0_t, 0.5, dt)
         assert abs(energy_audit(sys_t, traj).residual) <= 0.5 * dt**2
 
 

@@ -12,7 +12,7 @@ from phdiss.semigroup import (AlignmentError, ControlSignal, SignalError,
                               _dense_propagator, boundary_trace,
                               classical_check, output_signal)
 
-from conftest import MODELS, random_state
+from conftest import MODELS, free_run, random_state
 
 
 def _shift_oracle(vals, k, n):
@@ -31,13 +31,13 @@ def _shift(system, x, k):
     """S(k h) x on the transport model: one free step of dt = k h; S(0) is
     the first row of the run."""
     dt = max(k, 1) * system.grid.h
-    traj = mild_solution(system, x, t_final=dt, dt=dt)
+    traj = free_run(system, x, dt, dt)
     return traj.states[-1] if k else traj.states[0]
 
 
 def _free_step(system, x0, t):
     # e^{tA} x0 as one free step of dt = t
-    return mild_solution(system, x0, t_final=t, dt=t).states[-1]
+    return free_run(system, x0, t, t).states[-1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -57,7 +57,7 @@ def test_shift_semigroup_law(seed, j, k):
     direct = _shift(sys, x, j + k)
     np.testing.assert_array_equal(via_two, direct)
     # and j + k steps of dt = h land on the same state
-    traj = mild_solution(sys, x, t_final=25 * sys.grid.h, dt=sys.grid.h)
+    traj = free_run(sys, x, 25 * sys.grid.h, sys.grid.h)
     np.testing.assert_array_equal(traj.states[j + k], direct)
 
 
@@ -174,7 +174,7 @@ def test_mild_solution_second_order_in_dt():
 def test_free_dynamics_contract(systems101, seed, model):
     sys = systems101[model]
     x0 = random_state(sys.n, seed)
-    traj = mild_solution(sys, x0, t_final=0.1, dt=0.02)
+    traj = free_run(sys, x0, 0.1, 0.02)
     w = sys.weights
     norms = np.sqrt(np.einsum("ki,i,ki->k", traj.states, w, traj.states))
     assert np.all(np.diff(norms) <= 1e-12 * max(1.0, norms[0]))
@@ -182,10 +182,19 @@ def test_free_dynamics_contract(systems101, seed, model):
 
 def test_mild_solution_needs_clock():
     sys = assemble_model("heat", make_uniform_grid(21))
-    with pytest.raises(SignalError):
+    with pytest.raises(TypeError):
         mild_solution(sys, np.zeros(21))
     with pytest.raises(SignalError):
-        mild_solution(sys, np.zeros(21), t_final=1.0, dt=0.3)  # not a divisor
+        free_run(sys, np.zeros(21), 1.0, 0.3)  # not a divisor
+
+
+def test_mild_solution_refuses_a_second_clock():
+    # the control is the only clock: t_final and dt next to it are refused,
+    # not silently ignored
+    sys = assemble_model("heat", make_uniform_grid(21))
+    u = ControlSignal.constant(1.0, 0.1, 0.01)
+    with pytest.raises(TypeError):
+        mild_solution(sys, np.zeros(21), u, t_final=5.0, dt=0.5)
 
 
 def test_control_signal_validation():
@@ -208,7 +217,7 @@ def test_mild_solution_rejects_non_finite_control(where):
 
 def test_free_run_carries_the_zero_control(systems101):
     sys = systems101["heat"]
-    traj = mild_solution(sys, np.sin(np.pi * sys.grid.nodes), t_final=0.2, dt=1e-3)
+    traj = free_run(sys, np.sin(np.pi * sys.grid.nodes), 0.2, 1e-3)
     u = traj.control
     assert u.smooth
     assert u.values.shape == (201, sys.m_inputs)
@@ -225,7 +234,7 @@ def test_output_is_weighted_adjoint(systems101, seed, model):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(sys.n)
     u0 = rng.standard_normal(sys.m_inputs)
-    traj = mild_solution(sys, x, t_final=0.02, dt=0.02)
+    traj = free_run(sys, x, 0.02, 0.02)
     y0 = output_signal(sys, traj)[0]
     lhs = np.conj(x) @ (sys.weights * (sys.b_matrix @ u0))
     rhs = np.conj(y0) @ u0
@@ -238,7 +247,7 @@ def test_output_adjoint_complex_states(grid101):
     sys_c = assemble_custom(grid101, -np.eye(n),
                             b_matrix=rng.standard_normal((n, 2)))
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    traj = mild_solution(sys_c, x, t_final=0.02, dt=0.02)
+    traj = free_run(sys_c, x, 0.02, 0.02)
     y0 = output_signal(sys_c, traj)[0]
     u0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     lhs = np.conj(x) @ (sys_c.weights * (sys_c.b_matrix @ u0))

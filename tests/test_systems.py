@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phdiss import assemble_model, make_uniform_grid
+import scipy.linalg as sla
+
+from phdiss import assemble_model, make_uniform_grid, systems
 from phdiss.systems import (AssemblyError, assemble_custom, assemble_heat,
                             assemble_skew_damped, assemble_transport,
-                            dissipativity_gap, graph_norm, spectral_norm)
+                            dissipativity_gap, graph_norm)
 
 from conftest import MODELS, random_state
 
@@ -27,7 +29,10 @@ def test_transport_boundary_collapse():
 def test_transport_is_dissipative_exactly():
     g = make_uniform_grid(101)
     sys = assemble_transport(g)
-    assert abs(dissipativity_gap(sys.a_matrix, g.weights)) <= 1e-12
+    gap, f_norm = dissipativity_gap(sys.f_matrix)
+    assert abs(gap) <= 1e-12
+    # F = diag(1/2, 0, ..., 0, 1/2)
+    assert f_norm == pytest.approx(0.5, rel=1e-12)
 
 
 def test_heat_matrix_symmetric_negative():
@@ -86,6 +91,16 @@ def test_custom_rejects_non_dissipative():
         assemble_custom(g, np.eye(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_custom_rejects_non_finite_generator(bad):
+    # refused before any product or eigensolve touches it
+    g = make_uniform_grid(5)
+    a = -np.eye(5)
+    a[1, 2] = bad
+    with pytest.raises(AssemblyError, match="non-finite"):
+        assemble_custom(g, a)
+
+
 def test_custom_accepts_dissipative():
     g = make_uniform_grid(5)
     sys = assemble_custom(g, -np.eye(5))
@@ -119,15 +134,30 @@ def test_graph_norm_definition(systems101, seed, model):
     assert graph_norm(sys, x) == pytest.approx(direct, rel=1e-10)
 
 
-@pytest.mark.parametrize("model", ["transport", "heat", "skew_damped", "custom"])
-@pytest.mark.parametrize("n", [21, 201])
-def test_spectral_norm_matches_svd(model, n):
+@pytest.mark.parametrize("n, shift", [(401, 12.0), (801, 15.0)])
+def test_custom_rejects_shifted_heat(n, shift):
+    # heat + shift * I is anti-dissipative on its smooth modes (r[sin pi w]
+    # < 0) by a gap of about 5e-3; the tolerance scales with ||F||_2, not
+    # with ||A||_2 ~ 1/h^2, so fine grids do not let it through
     g = make_uniform_grid(n)
-    if model == "custom":
-        rng = np.random.default_rng(n)
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = assemble_custom(g, a - 3.0 * np.linalg.norm(a, 2) * np.identity(n)).a_matrix
-        assert np.iscomplexobj(a)
-    else:
-        a = assemble_model(model, g).a_matrix
-    assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)
+    a = assemble_heat(g).a_matrix + shift * np.identity(n)
+    with pytest.raises(AssemblyError, match="not dissipative"):
+        assemble_custom(g, a)
+
+
+@pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
+def test_assembly_makes_one_eigensolve(monkeypatch, model):
+    # the gate reads the stored F: one Hermitian part, one eigensolve
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(sla, "eigvalsh", counting("eigvalsh", sla.eigvalsh))
+    monkeypatch.setattr(systems, "herm_part_wa",
+                        counting("herm_part_wa", systems.herm_part_wa))
+    assemble_model(model, make_uniform_grid(41))
+    assert sorted(calls) == ["eigvalsh", "herm_part_wa"]
