@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .grids import Grid
-from .semigroup import ControlSignal
+from .semigroup import ControlSignal, SignalError
 
 
 class PresetError(ValueError):
@@ -52,18 +52,29 @@ def initial_state(grid: Grid, preset: str) -> np.ndarray:
 
 
 def control_signal(preset: str, t_final: float, dt: float, m: int = 1) -> ControlSignal:
-    """Build a named control: ``zero``, ``const:c`` or ``ramp:c``."""
+    """Build a named control on the clock 0, dt, ..., t_final: ``zero``,
+    ``const:c`` (u = c) or ``ramp:c`` (u = c t), each in all m channels.
+
+    This is the one builder of named controls; it marks them smooth.
+    """
     base, param = _split(preset)
-    if base == "zero":
-        return ControlSignal.zero(t_final, dt, m=m)
-    if base in ("const", "ramp"):
+    if base not in ("zero", "const", "ramp"):
+        raise PresetError(f"unknown control preset {preset!r}")
+    level = 0.0
+    if base != "zero":
         try:
             level = float(param)
         except (TypeError, ValueError):
             raise PresetError(f"invalid parameter in preset {preset!r}") from None
         if not math.isfinite(level):
             raise PresetError(f"control level must be finite, got {preset!r}")
-        if base == "const":
-            return ControlSignal.constant(level, t_final, dt, m=m)
-        return ControlSignal.ramp(level, t_final, dt, m=m)
-    raise PresetError(f"unknown control preset {preset!r}")
+    if not (0 < t_final < math.inf and 0 < dt < math.inf):
+        raise SignalError(
+            f"t_final and dt must be positive and finite, got {t_final} and {dt}")
+    steps = round(t_final / dt)
+    if steps < 1 or abs(steps * dt - t_final) > 1e-9 * max(dt, t_final):
+        raise SignalError(f"t_final={t_final} is not an integer multiple of dt={dt}")
+    values = np.full((steps + 1, m), level)
+    if base == "ramp":
+        values *= np.linspace(0.0, t_final, steps + 1)[:, None]
+    return ControlSignal(t_final, values, smooth=True)

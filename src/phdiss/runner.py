@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .dissipation import _q_identity_rows, energy_audit, rt_bound_check
-from .grids import as_state, make_uniform_grid, norm_sq
+from .grids import make_uniform_grid, norm_sq
 from .presets import control_signal, initial_state
 from .probes import closability_probe, refinement_study
 from .reporting import write_json, write_ledger_csv, write_probe_csv
@@ -40,15 +40,6 @@ class RunResult:
     summary: dict
     out_dir: Path
     files: list[Path]
-
-
-def _random_states(n: int, count: int, complex_values: bool, seed: int = 20250819):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        v = rng.standard_normal(n)
-        if complex_values:
-            v = v + 1j * rng.standard_normal(n)
-        yield v
 
 
 def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
@@ -134,8 +125,12 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
                 "detail": rep.detail,
             }
         elif task == "q_check":
-            states = np.array([as_state(v, grid.n) for v in _random_states(
-                grid.n, 100, np.iscomplexobj(system.a_matrix))])
+            rng = np.random.default_rng(20250819)
+            if np.iscomplexobj(system.a_matrix):
+                draw = rng.standard_normal((100, 2, grid.n))
+                states = draw[:, 0] + 1j * draw[:, 1]
+            else:
+                states = rng.standard_normal((100, grid.n))
             worst = float(np.max(_q_identity_rows(system, states)[1]))
             checks.append(CheckResult(
                 "q_identity", worst <= Q_RESIDUAL_TOL,

@@ -31,55 +31,40 @@ class SignalError(ValueError):
     """Bad control-signal construction."""
 
 
-def _clock(t_final: float, dt: float) -> np.ndarray:
-    """The sample times 0, dt, ..., t_final of a uniform clock."""
-    if dt <= 0:
-        raise SignalError(f"dt must be positive, got {dt}")
-    if t_final <= 0:
-        raise SignalError(f"t_final must be positive, got {t_final}")
-    steps = round(t_final / dt)
-    if steps < 1 or abs(steps * dt - t_final) > 1e-9 * max(dt, t_final):
-        raise SignalError(
-            f"t_final={t_final} is not an integer multiple of dt={dt}"
-        )
-    return np.linspace(0.0, t_final, steps + 1)
-
-
 @dataclass(eq=False)
 class ControlSignal:
-    """Uniformly sampled control u(t_k), shape (K+1, m).
+    """Control samples u(k T / K), k = 0..K, on the horizon [0, T]: the
+    values have shape (K+1, m), and the clock starts at 0 and is uniform
+    by construction.
 
-    smooth marks a signal known to be C1 in time; the zero, constant and
-    ramp constructors set it, a signal built from raw samples does not.
+    smooth marks a signal known to be C1 in time; presets.control_signal,
+    the builder of named controls, sets it, raw samples do not.
     """
 
-    times: np.ndarray
+    t_final: float
     values: np.ndarray
     smooth: bool = False
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
+        self.t_final = float(self.t_final)
         vals = np.asarray(self.values)
         if vals.ndim == 1:
             vals = vals.reshape(-1, 1)
         self.values = vals
-        if self.times.ndim != 1 or self.times.size < 2:
+        if vals.shape[0] < 2:
             raise SignalError("a control needs at least two time samples")
-        if self.values.shape[0] != self.times.size:
-            raise SignalError("values and times disagree on the number of samples")
-        if not (np.isfinite(self.times).all() and np.isfinite(self.values).all()):
-            raise SignalError("control times and values must be finite (no NaN or inf)")
-        steps = np.diff(self.times)
-        if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
-            raise SignalError("time samples must be uniform and increasing")
+        if not 0.0 < self.t_final < np.inf:
+            raise SignalError(f"t_final must be positive and finite, got {self.t_final}")
+        if not np.isfinite(vals).all():
+            raise SignalError("control values must be finite (no NaN or inf)")
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_final, self.values.shape[0])
 
     @property
     def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def t_final(self) -> float:
-        return float(self.times[-1])
+        return self.t_final / (self.values.shape[0] - 1)
 
     @property
     def m_inputs(self) -> int:
@@ -91,22 +76,6 @@ class ControlSignal:
         w = np.full(sq.size, self.dt)
         w[0] = w[-1] = self.dt / 2
         return float(np.sqrt(np.sum(w * sq)))
-
-    @classmethod
-    def zero(cls, t_final: float, dt: float, m: int = 1) -> "ControlSignal":
-        times = _clock(t_final, dt)
-        return cls(times, np.zeros((times.size, m)), smooth=True)
-
-    @classmethod
-    def constant(cls, level: float, t_final: float, dt: float, m: int = 1) -> "ControlSignal":
-        times = _clock(t_final, dt)
-        return cls(times, np.full((times.size, m), float(level)), smooth=True)
-
-    @classmethod
-    def ramp(cls, slope: float, t_final: float, dt: float, m: int = 1) -> "ControlSignal":
-        times = _clock(t_final, dt)
-        vals = float(slope) * np.repeat(times[:, None], m, axis=1)
-        return cls(times, vals, smooth=True)
 
 
 @dataclass(eq=False)
@@ -195,10 +164,10 @@ def mild_solution(system: DiscreteSystem, x0, u: ControlSignal) -> Trajectory:
     bu = u.values @ system.b_matrix.T
     out_dtype = np.result_type(x0v.dtype, bu.dtype, system.a_matrix.dtype, float)
     step = _make_step(system, u.dt)
-    states = np.zeros((u.times.size, system.n), dtype=out_dtype)
+    states = np.zeros((u.values.shape[0], system.n), dtype=out_dtype)
     states[0] = x0v
     half = 0.5 * u.dt
-    for k in range(u.times.size - 1):
+    for k in range(u.values.shape[0] - 1):
         states[k + 1] = step(states[k] + half * bu[k]) + half * bu[k + 1]
     return Trajectory(states=states, control=u)
 
@@ -277,11 +246,11 @@ def boundary_trace(system: DiscreteSystem, x0, u: ControlSignal) -> BoundaryTrac
     k = np.arange(kmax + 1)
     # (B u(t_j))(t_k - t_j) = u_j . prof[k - j]: B sampled at s = d q, zero
     # from the outflow node on
-    prof = np.zeros(((n - 1) // q + 1, system.m_inputs))
+    prof = np.zeros(((n - 1) // q + 1, system.m_inputs), dtype=system.b_matrix.dtype)
     prof[: (n - 2) // q + 1] = system.b_matrix[: n - 1 : q]
     # the window s in (max(t-1, 0), t] runs over j = j_lo..k; every
     # anti-diagonal sum over it at full weight dt is one convolution
-    formula = np.zeros(kmax + 1, dtype=np.result_type(uvals, x0v, float))
+    formula = np.zeros(kmax + 1, dtype=np.result_type(uvals, x0v, prof))
     for i in range(system.m_inputs):
         formula += np.convolve(uvals[:, i], prof[:, i])[: kmax + 1]
     j_lo = np.maximum(0, -((n - 1 - k * q) // q))
@@ -301,5 +270,5 @@ def boundary_trace(system: DiscreteSystem, x0, u: ControlSignal) -> BoundaryTrac
     head = x0v[: n - 1 : q][: kmax + 1]
     formula[: head.size] += head
     gap = float(np.max(np.abs(formula - from_traj)))
-    return BoundaryTraceReport(times=u.times.copy(), from_trajectory=from_traj,
+    return BoundaryTraceReport(times=u.times, from_trajectory=from_traj,
                                from_formula=formula, max_discrepancy=gap)

@@ -140,13 +140,16 @@ def _input_matrix(grid: Grid, input_profile) -> np.ndarray:
     if input_profile is None:
         return np.ones((grid.n, 1))
     if callable(input_profile):
-        col = np.asarray(input_profile(grid.nodes), dtype=float)
-        return col.reshape(grid.n, 1)
-    b = np.asarray(input_profile, dtype=float)
+        input_profile = np.reshape(input_profile(grid.nodes), (grid.n, 1))
+    # a complex map stays complex, as a complex generator does
+    b = np.asarray(input_profile,
+                   dtype=complex if np.iscomplexobj(input_profile) else float)
     if b.ndim == 1:
         b = b.reshape(-1, 1)
-    if b.shape[0] != grid.n:
-        raise AssemblyError(f"input map has {b.shape[0]} rows, grid has {grid.n} nodes")
+    if b.ndim != 2 or b.shape[0] != grid.n:
+        raise AssemblyError(f"input map has shape {b.shape}, grid has {grid.n} nodes")
+    if not np.isfinite(b).all():
+        raise AssemblyError("input map has non-finite entries (NaN or inf)")
     return b
 
 

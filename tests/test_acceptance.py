@@ -12,9 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from phdiss import (assemble_model, closability_probe, dissipation_rate,
-                    energy_audit, form_r, make_uniform_grid, mild_solution,
-                    q_identity_residual, rt_bound_check)
+from phdiss import (assemble_model, closability_probe, control_signal,
+                    dissipation_rate, energy_audit, form_r, make_uniform_grid,
+                    mild_solution, q_identity_residual, rt_bound_check)
 from phdiss.probes import VERDICT_NON_CLOSABLE, VERDICT_PREMISE
 from phdiss.semigroup import ControlSignal, output_signal
 from phdiss.systems import graph_norm
@@ -39,11 +39,10 @@ def _sweep_draw(model, grid, rng):
         t = np.linspace(0.0, t_final, round(t_final / dt) + 1)
         c = rng.standard_normal(3)
         u = c[0] + c[1] * np.cos(np.pi * t / t_final) + c[2] * np.sin(np.pi * t / t_final)
-        return x0, ControlSignal(t, u)
+        return x0, ControlSignal(t_final, u)
     x0 = rng.standard_normal(grid.n)
     dt = grid.h if model == "transport" else 5e-3
-    t = np.linspace(0.0, 0.5, round(0.5 / dt) + 1)
-    return x0, ControlSignal(t, rng.standard_normal(t.size))
+    return x0, ControlSignal(0.5, rng.standard_normal(round(0.5 / dt) + 1))
 
 
 def test_criterion_01_q_identity_all_models(systems101):
@@ -134,7 +133,7 @@ def test_criterion_05_dissipation_bound():
 
     g = make_uniform_grid(201)
     sys = assemble_model("transport", g)
-    x0, u = np.ones(201), ControlSignal.zero(1.0, g.h)
+    x0, u = np.ones(201), control_signal("zero", 1.0, g.h)
     rep = rt_bound_check(sys, energy_audit(sys, mild_solution(sys, x0, u)))
     near_ok = rep.slack < 1e-3 and abs(rep.lhs - 1.0 / np.sqrt(2.0)) <= 1e-3
     _report("5 dissipation bound", sweep_ok and near_ok,

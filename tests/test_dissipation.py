@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phdiss import (assemble_custom, assemble_model, dissipation_rate,
-                    energy_audit, form_r, make_uniform_grid, mild_solution,
-                    q_identity_residual, rt_bound_check)
+from phdiss import (assemble_custom, assemble_model, control_signal,
+                    dissipation_rate, energy_audit, form_r, make_uniform_grid,
+                    mild_solution, q_identity_residual, rt_bound_check)
 from phdiss.dissipation import (_q_identity_rows, cumulative_parabolic,
                                 cumulative_trapezoid)
 from phdiss.grids import norm_sq
 from phdiss.linalg import NotPSDError
-from phdiss.runner import _random_states
-from phdiss.semigroup import ControlSignal
-from phdiss.systems import DiscreteSystem, graph_gram, herm_part_wa
+from phdiss.systems import (DiscreteSystem, assemble_heat, assemble_skew_damped,
+                            assemble_transport, graph_gram, herm_part_wa)
 
 from conftest import MODELS, free_run, random_state
 
@@ -251,7 +250,14 @@ def test_q_rows_match_per_state_identity(model):
     # a fresh system: the test replaces its probe root below
     sys = (_custom_complex_system() if model == "custom"
            else assemble_model(model, make_uniform_grid(101)))
-    states = np.array(list(_random_states(sys.n, 100, model == "custom")))
+    # the draw of the runner's q_check task: 100 rows, real + 1j * imag
+    # for a complex generator
+    rng = np.random.default_rng(20250819)
+    if model == "custom":
+        draw = rng.standard_normal((100, 2, sys.n))
+        states = draw[:, 0] + 1j * draw[:, 1]
+    else:
+        states = rng.standard_normal((100, sys.n))
     # on the true root every residual is round-off noise, so only its size
     # is comparable between the routes
     stacked = _q_identity_rows(sys, states)[1]
@@ -270,9 +276,34 @@ def test_q_rows_match_per_state_identity(model):
     np.testing.assert_allclose(stacked, single, rtol=1e-10)
 
 
+@pytest.mark.parametrize("assemble", [assemble_transport, assemble_heat,
+                                      assemble_skew_damped])
+def test_complex_input_map_audits_like_real(assemble):
+    # from x0 = 0 the states under i b are i times those under b, and the
+    # output (i B)^* x is unchanged: the same supply, rates and bound
+    g = make_uniform_grid(41)
+    b = np.cos(2.0 * g.nodes) + g.nodes
+    u = control_signal("ramp:1.5", 0.5, g.h)
+    x0 = np.zeros(g.n)
+    ledgers = []
+    for profile in (b, 1j * b):
+        sys = assemble(g, input_profile=profile)
+        ledgers.append(energy_audit(sys, mild_solution(sys, x0, u)))
+    real, cplx = ledgers
+    assert real.supplied_total > 0.0
+    assert cplx.supplied_total == pytest.approx(real.supplied_total, rel=1e-12)
+    assert cplx.dissipated_total == pytest.approx(real.dissipated_total, rel=1e-12)
+    np.testing.assert_allclose(cplx.dissipation_rate, real.dissipation_rate,
+                               rtol=1e-12, atol=1e-15)
+    bound = [rt_bound_check(assemble(g, input_profile=p), led)
+             for p, led in ((b, real), (1j * b, cplx))]
+    assert bound[1].b_norm == pytest.approx(bound[0].b_norm, rel=1e-12)
+    assert bound[1].rhs == pytest.approx(bound[0].rhs, rel=1e-12)
+
+
 def test_rt_bound_zero_data(systems101):
     sys = systems101["transport"]
-    u = ControlSignal.zero(0.5, sys.grid.h)
+    u = control_signal("zero", 0.5, sys.grid.h)
     x0 = np.zeros(101)
     led = energy_audit(sys, mild_solution(sys, x0, u))
     rep = rt_bound_check(sys, led)
@@ -282,7 +313,7 @@ def test_rt_bound_zero_data(systems101):
 
 def test_rt_bound_reports_norms(systems101):
     sys = systems101["transport"]
-    u = ControlSignal.constant(1.0, 0.5, sys.grid.h)
+    u = control_signal("const:1.0", 0.5, sys.grid.h)
     x0 = np.ones(101)
     led = energy_audit(sys, mild_solution(sys, x0, u))
     rep = rt_bound_check(sys, led)

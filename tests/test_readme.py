@@ -1,4 +1,6 @@
-"""The README Quickstart runs as printed and prints what its comments say."""
+"""The README Quickstart runs as printed and prints what its comments say,
+and the README's `run` config parses with the keys, presets and tasks it
+documents."""
 
 import contextlib
 import io
@@ -6,6 +8,11 @@ import re
 from pathlib import Path
 
 import pytest
+
+from phdiss import control_signal, initial_state, make_uniform_grid
+from phdiss.config import (OPTIONAL_KEYS, REQUIRED_KEYS, SUPPORTED_TASKS,
+                           parse_config_text)
+from phdiss.systems import DEFAULT_DAMPING, MODELS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,3 +45,59 @@ def test_readme_quickstart_runs_and_prints_the_documented_values():
     assert rhs == pytest.approx(1.1509560166514825, rel=1e-12)
     assert lhs <= rhs
     assert lines[6:] == [""]
+
+
+def _section(title: str) -> str:
+    return README.read_text().split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
+def _run_config_block() -> str:
+    blocks = re.findall(r"```\n(.*?)```", _section("Command line"), re.DOTALL)
+    found = [b for b in blocks if "model =" in b]
+    assert len(found) == 1, "expected one key = value config block"
+    return found[0]
+
+
+def _documented_choices(block: str) -> dict[str, list[str]]:
+    # "key = value   # a | b | c" lists the values the key accepts
+    choices = {}
+    for line in block.splitlines():
+        setting, _, comment = line.partition("#")
+        if "=" in setting and "|" in comment:
+            key = setting.split("=", 1)[0].strip()
+            choices[key] = [c.strip() for c in comment.split("|")]
+    return choices
+
+
+def test_readme_run_config_parses_as_documented():
+    block = _run_config_block()
+    cfg = parse_config_text(block)
+    assert (cfg.model, cfg.n_grid, cfg.t_final, cfg.dt) == ("transport", 201, 1.0, "auto")
+    assert cfg.damping == DEFAULT_DAMPING
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines()
+            if "=" in line.split("#", 1)[0]}
+    assert keys == set(REQUIRED_KEYS + OPTIONAL_KEYS)
+
+
+def test_readme_run_config_choices_match_the_parser():
+    block = _run_config_block()
+    choices = _documented_choices(block)
+    assert set(choices) == {"model", "x0_preset", "u_preset"}
+    assert choices["model"] == list(MODELS)
+    grid = make_uniform_grid(11)
+    for key, values in choices.items():
+        for value in values:
+            # k and c stand for a number in the documented presets
+            value = value.replace(":k", ":2").replace(":c", ":0.5")
+            current = re.search(rf"^{key} = (\S+)", block, re.MULTILINE).group(1)
+            cfg = parse_config_text(block.replace(f"{key} = {current}", f"{key} = {value}"))
+            if key == "x0_preset":
+                assert initial_state(grid, cfg.x0_preset).shape == (grid.n,)
+            elif key == "u_preset":
+                assert control_signal(cfg.u_preset, 1.0, 0.1).smooth
+
+
+def test_readme_documents_every_task():
+    tasks = _section("Command line").split("Tasks:", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`([a-z_]+(?::[a-z_]+)?)`", tasks))
+    assert documented == set(SUPPORTED_TASKS)

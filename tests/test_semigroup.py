@@ -6,7 +6,8 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phdiss import assemble_model, make_uniform_grid, mild_solution
+from phdiss import (assemble_model, control_signal, energy_audit,
+                    make_uniform_grid, mild_solution, rt_bound_check)
 from phdiss.systems import assemble_custom, assemble_transport
 from phdiss.semigroup import (AlignmentError, ControlSignal, SignalError,
                               _dense_propagator, boundary_trace,
@@ -109,7 +110,7 @@ def test_custom_heat_steps_like_heat():
     custom = assemble_custom(g, heat.a_matrix)
     assert (heat.model.step, custom.model.step) == ("eigen", "expm")
     x0 = np.sin(np.pi * g.nodes) + 0.3 * np.sin(4 * np.pi * g.nodes)
-    u = ControlSignal.ramp(0.5, 0.1, 1e-3)
+    u = control_signal("ramp:0.5", 0.1, 1e-3)
     got = mild_solution(custom, x0, u).states
     ref = mild_solution(heat, x0, u).states
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
@@ -120,7 +121,7 @@ def test_mild_solution_matches_naive_stepping():
     # independent loop with expm and the trapezoid input rule
     sys = assemble_model("heat", make_uniform_grid(21))
     dt, t_final = 0.01, 0.1
-    u = ControlSignal.ramp(2.0, t_final, dt)
+    u = control_signal("ramp:2.0", t_final, dt)
     x0 = np.sin(np.pi * sys.grid.nodes)
     traj = mild_solution(sys, x0, u)
     p = sla.expm(dt * sys.a_matrix)
@@ -141,7 +142,7 @@ def test_dense_propagator_has_no_subnormals():
     assert np.count_nonzero((raw != 0) & (np.abs(raw) < tiny)) > 0
     prop = _dense_propagator(sys, dt)
     assert np.count_nonzero((prop != 0) & (np.abs(prop) < tiny)) == 0
-    u = ControlSignal.ramp(0.4, 20 * dt, dt)
+    u = control_signal("ramp:0.4", 20 * dt, dt)
     x0 = np.sin(np.pi * sys.grid.nodes)
     traj = mild_solution(sys, x0, u)
     bu = u.values @ sys.b_matrix.T
@@ -161,7 +162,7 @@ def test_mild_solution_second_order_in_dt():
     t_final = 0.1
 
     def final_state(dt):
-        u = ControlSignal.constant(1.0, t_final, dt)
+        u = control_signal("const:1.0", t_final, dt)
         return mild_solution(sys, x0, u).states[-1]
 
     d1 = np.linalg.norm(final_state(4e-3) - final_state(2e-3))
@@ -192,27 +193,45 @@ def test_mild_solution_refuses_a_second_clock():
     # the control is the only clock: t_final and dt next to it are refused,
     # not silently ignored
     sys = assemble_model("heat", make_uniform_grid(21))
-    u = ControlSignal.constant(1.0, 0.1, 0.01)
+    u = control_signal("const:1.0", 0.1, 0.01)
     with pytest.raises(TypeError):
         mild_solution(sys, np.zeros(21), u, t_final=5.0, dt=0.5)
 
 
 def test_control_signal_validation():
     with pytest.raises(SignalError):
-        ControlSignal(np.array([0.0, 0.1, 0.3]), np.zeros(3))
-    with pytest.raises(SignalError):
-        ControlSignal(np.array([0.0]), np.zeros(1))
-    with pytest.raises(SignalError):
-        ControlSignal(np.linspace(0, 1, 11), np.zeros(7))
+        ControlSignal(1.0, np.zeros(1))
 
 
-@pytest.mark.parametrize("where", ["values", "times"])
+@pytest.mark.parametrize("where", ["values", "t_final"])
 def test_mild_solution_rejects_non_finite_control(where):
     sys = assemble_model("heat", make_uniform_grid(21))
-    times, vals = np.linspace(0.0, 0.1, 11), np.ones(11)
-    (vals if where == "values" else times)[5] = np.inf
+    t_final, vals = 0.1, np.ones(11)
+    if where == "values":
+        vals[5] = np.inf
+    else:
+        t_final = np.inf
     with pytest.raises(SignalError, match="finite"):
-        mild_solution(sys, np.zeros(21), ControlSignal(times, vals))
+        mild_solution(sys, np.zeros(21), ControlSignal(t_final, vals))
+
+
+@pytest.mark.parametrize("t_final, dt", [(np.nan, 0.1), (np.inf, 0.1),
+                                         (1.0, np.nan), (1.0, np.inf)])
+def test_named_control_refuses_non_finite_clock(t_final, dt):
+    with pytest.raises(SignalError, match="finite"):
+        control_signal("zero", t_final, dt)
+
+
+def test_raw_samples_run_on_zero_to_t_final():
+    # the clock of raw samples starts at 0 and ends at t_final: the horizon
+    # the dissipation bound reads is the one the samples span
+    sys = assemble_model("heat", make_uniform_grid(41))
+    rng = np.random.default_rng(5)
+    u = ControlSignal(0.5, rng.standard_normal(21))
+    traj = mild_solution(sys, np.sin(np.pi * sys.grid.nodes), u)
+    np.testing.assert_array_equal(traj.times, np.linspace(0.0, 0.5, 21))
+    assert traj.dt == 0.5 / 20
+    assert rt_bound_check(sys, energy_audit(sys, traj)).t_final == 0.5
 
 
 def test_free_run_carries_the_zero_control(systems101):
@@ -275,10 +294,10 @@ def test_classical_gate_flags_rough_control():
     sys = assemble_model("transport", g)
     x0 = np.sinh(1.0 - g.nodes)
     t = np.linspace(0.0, 0.5, 26)
-    jagged = ControlSignal(t, np.sign(np.sin(37.0 * t)))
+    jagged = ControlSignal(0.5, np.sign(np.sin(37.0 * t)))
     rep = classical_check(sys, x0, jagged)
     assert not rep.control_smooth
-    smooth = ControlSignal.ramp(1.0, 0.5, 0.02)
+    smooth = control_signal("ramp:1.0", 0.5, 0.02)
     assert classical_check(sys, x0, smooth).control_smooth
 
 
@@ -286,13 +305,26 @@ def test_boundary_trace_two_routes_agree():
     g = make_uniform_grid(101)
     sys = assemble_model("transport", g)
     x0 = np.sinh(1.0 - g.nodes)
-    u = ControlSignal.constant(0.7, 1.5, g.h)
+    u = control_signal("const:0.7", 1.5, g.h)
     rep = boundary_trace(sys, x0, u)
     assert rep.max_discrepancy <= 1e-12
 
 
+def test_boundary_trace_complex_input_map():
+    # from x0 = 0 the trace under i b is i times the trace under b
+    g = make_uniform_grid(41)
+    b = np.exp(-g.nodes)
+    u = control_signal("const:0.7", 1.5, g.h)
+    real = boundary_trace(assemble_transport(g, input_profile=b), np.zeros(g.n), u)
+    cplx = boundary_trace(assemble_transport(g, input_profile=1j * b), np.zeros(g.n), u)
+    assert cplx.max_discrepancy <= 1e-12
+    assert np.max(np.abs(real.from_formula)) > 0.1
+    np.testing.assert_allclose(cplx.from_formula, 1j * real.from_formula,
+                               rtol=0, atol=1e-14)
+
+
 def test_boundary_trace_transport_only(systems101):
-    u = ControlSignal.zero(0.1, 0.01)
+    u = control_signal("zero", 0.1, 0.01)
     with pytest.raises(ValueError):
         boundary_trace(systems101["heat"], np.zeros(101), u)
 
@@ -335,7 +367,7 @@ def test_boundary_trace_matches_loop(n, q):
     x0 = random_state(n, n + q)
     steps = math.ceil(1.6 * (n - 1) / q)  # past t = 1, so the window slides
     t = np.linspace(0.0, steps * q * g.h, steps + 1)
-    u = ControlSignal(t, np.column_stack([np.sin(5.0 * t), 0.3 - t]))
+    u = ControlSignal(t[-1], np.column_stack([np.sin(5.0 * t), 0.3 - t]))
     rep = boundary_trace(sys, x0, u)
     loop, edge_hits = _boundary_trace_loop(sys, x0, u)
     # the window edge falls inside a cell exactly when q does not divide n - 1

@@ -118,6 +118,28 @@ def test_input_profile_shape_checked(grid101):
         assemble_transport(grid101, input_profile=np.ones(7))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("form", ["array", "callable"])
+def test_input_map_rejects_non_finite(bad, form):
+    # refused at assembly, before any product reads the map
+    g = make_uniform_grid(5)
+    col = np.ones(5)
+    col[2] = bad
+    profile = col if form == "array" else (lambda w: col)
+    with pytest.raises(AssemblyError, match="non-finite"):
+        assemble_custom(g, -np.eye(5), b_matrix=profile)
+    with pytest.raises(AssemblyError, match="non-finite"):
+        assemble_transport(g, input_profile=profile)
+
+
+def test_complex_input_map_stays_complex():
+    g = make_uniform_grid(5)
+    sys = assemble_custom(g, -np.eye(5) + 0j, b_matrix=1j * np.ones((5, 1)))
+    np.testing.assert_array_equal(sys.b_matrix, 1j * np.ones((5, 1)))
+    heat = assemble_heat(g, input_profile=lambda w: np.exp(1j * w))
+    np.testing.assert_array_equal(heat.b_matrix[:, 0], np.exp(1j * g.nodes))
+
+
 def test_default_input_is_constant_window(systems101):
     for sys in systems101.values():
         assert sys.b_matrix.shape == (sys.n, 1)
