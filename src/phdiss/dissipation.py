@@ -6,7 +6,8 @@ For a dissipative generator A in the inner product with gram matrix W:
 * the sesquilinear dissipation form r[x, y] = -(<Ax, y> + <x, Ay>) / 2,
   whose diagonal r[x] = -Re<Ax, x> >= 0 is the instantaneous rate;
 * the rate operator M = G^{-1} F on the graph space, F = -Herm(W A),
-  G = W + A^H W A, with rate = ||M^{1/2} x||_G^2 = x^H F x exactly;
+  G = W + A^H W A, with rate = ||M^{1/2} x||_G^2 = x^H F x exactly; G is
+  formed only to build M^{1/2}, and x^H G x = ||x||^2 + ||Ax||^2 elsewhere;
 * the bounded probe Q = -((A - I)^{-1} + ((A - I)^{-1})*) / 2 (adjoint
   taken in W), which satisfies ||Q^{1/2} (A - I) x||^2 = ||x||^2 + r[x].
 
@@ -66,15 +67,16 @@ def q_identity_residual(system: DiscreteSystem, x) -> float:
 def _q_identity_rows(system: DiscreteSystem,
                      states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probe-identity residuals of every row x of states, absolute and
-    scaled by 1 + ||x||_A^2, from one pass of stacked products.
+    scaled by 1 + ||x||^2 + ||Ax||^2, from one pass of stacked products.
 
     The rows must already have passed grids.as_state.
     """
     w = system.weights
-    z = (states @ system.a_matrix.T - states) @ system.q_sqrt.T
-    rhs = norm_sq(w, states) + _form_rates(system.f_matrix, states)
-    residual = np.abs(norm_sq(w, z) - rhs)
-    return residual, residual / (1.0 + _form_rates(system.g_gram, states))
+    ax = states @ system.a_matrix.T
+    z = (ax - states) @ system.q_sqrt.T
+    x_sq = norm_sq(w, states)
+    residual = np.abs(norm_sq(w, z) - (x_sq + _form_rates(system.f_matrix, states)))
+    return residual, residual / (1.0 + x_sq + norm_sq(w, ax))
 
 
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:

@@ -9,7 +9,8 @@ the (often enormous) condition number of G. The alternative route via
 the generalized eigenproblem loses the exact algebraic identities that
 the dissipation module relies on.
 
-gram_sqrt_factors takes a dense G (the graph gram). psd_sqrt and gram_eigh
+gram_sqrt_factors takes a dense G (the graph gram, which its caller forms
+for this one call and keeps only as the factor L). psd_sqrt and gram_eigh
 take the diagonal gram W as its weight vector, so L = W^{1/2} and the
 change of coordinates is a row and column scaling.
 """

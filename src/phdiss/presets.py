@@ -10,6 +10,11 @@ from .grids import Grid
 from .semigroup import ControlSignal, SignalError
 
 
+# The most steps a named control may take: its (steps + 1) x m samples are
+# allocated at once, and 10^7 steps of one channel already take 80 MB.
+MAX_STEPS = 10**7
+
+
 class PresetError(ValueError):
     pass
 
@@ -55,7 +60,8 @@ def control_signal(preset: str, t_final: float, dt: float, m: int = 1) -> Contro
     """Build a named control on the clock 0, dt, ..., t_final: ``zero``,
     ``const:c`` (u = c) or ``ramp:c`` (u = c t), each in all m channels.
 
-    This is the one builder of named controls; it marks them smooth.
+    This is the one builder of named controls; it marks them smooth. It
+    refuses more than MAX_STEPS steps before allocating any sample.
     """
     base, param = _split(preset)
     if base not in ("zero", "const", "ramp"):
@@ -71,7 +77,11 @@ def control_signal(preset: str, t_final: float, dt: float, m: int = 1) -> Contro
     if not (0 < t_final < math.inf and 0 < dt < math.inf):
         raise SignalError(
             f"t_final and dt must be positive and finite, got {t_final} and {dt}")
-    steps = round(t_final / dt)
+    ratio = t_final / dt  # inf when it overflows, so refused here too
+    if not ratio <= MAX_STEPS:
+        raise SignalError(f"t_final / dt = {ratio:.3g} steps exceeds the cap of "
+                          f"{MAX_STEPS} steps (presets.MAX_STEPS)")
+    steps = round(ratio)
     if steps < 1 or abs(steps * dt - t_final) > 1e-9 * max(dt, t_final):
         raise SignalError(f"t_final={t_final} is not an integer multiple of dt={dt}")
     values = np.full((steps + 1, m), level)

@@ -50,6 +50,8 @@ class ControlSignal:
         vals = np.asarray(self.values)
         if vals.ndim == 1:
             vals = vals.reshape(-1, 1)
+        if vals.ndim != 2:
+            raise SignalError(f"control values must be 1-D or 2-D, got shape {vals.shape}")
         self.values = vals
         if vals.shape[0] < 2:
             raise SignalError("a control needs at least two time samples")

@@ -1,12 +1,12 @@
 """Discrete dissipative generators on the unit interval.
 
 Each model produces a DiscreteSystem, the one object per generator: the
-generator A, the input map B, the graph gram G = W + A^H W A and the
-dissipation form matrix F = -Herm(W A), where W is the diagonal trapezoid
-gram matrix, kept as the grid's weight vector; the dense square roots are
-built on first read. Assembly validates dissipativity on the stored F: its
-smallest eigenvalue must not fall below -1e-8 * max(1, ||F||_2), so
--Re<Ax, x> >= 0 up to roundoff.
+generator A, the input map B and the dissipation form matrix F = -Herm(W A),
+where W is the trapezoid gram matrix, kept as the grid's weight vector. The
+graph norm is taken from A; G = W + A^H W A is formed only for the M root.
+Assembly validates dissipativity on the stored F: its smallest eigenvalue
+must not fall below -1e-8 * max(1, ||F||_2), so -Re<Ax, x> >= 0 up to
+roundoff.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Grid, as_state
+from .grids import Grid, as_state, norm_sq
 from .linalg import assemble_from_factors, gram_sqrt_factors, psd_sqrt
 
 
@@ -43,27 +43,24 @@ class DiscreteSystem:
         Generator, shape (n, n).
     b_matrix : np.ndarray
         Input map, shape (n, m). m may be 0 for autonomous runs.
-    g_gram : np.ndarray
-        Graph gram matrix W + A^H W A; positive definite.
     f_matrix : np.ndarray
         Dissipation form matrix -Herm(W A), PSD: the rate is x^H F x.
     model_tag : str
         A key of MODELS, or "custom"; the model property is its registry row.
 
     The rest is built on first read and kept: m_sqrt, the G-square root of
-    the rate operator M = G^{-1} F, and q_matrix, the bounded probe, with
-    its W-square root q_sqrt. g_chol and m_sqrt_hat hold the Cholesky
-    factor G = L L^H and the square root in L-orthonormal coordinates; the
-    rate is evaluated as ||m_sqrt_hat @ (L^H x)||^2, which is the same
-    graph-norm quantity as ||m_sqrt @ x||_G without routing the arithmetic
-    through the large entries of G. m_eigenvalues are the (ascending)
-    eigenvalues of M.
+    the rate operator M = G^{-1} F, and q_sqrt, the W-square root of the
+    bounded probe Q; neither G nor Q is kept. g_chol and m_sqrt_hat hold
+    the Cholesky factor G = L L^H and the square root in L-orthonormal
+    coordinates; the rate is evaluated as ||m_sqrt_hat @ (L^H x)||^2, the
+    same graph-norm quantity as ||m_sqrt @ x||_G without routing the
+    arithmetic through the large entries of G. m_eigenvalues are the
+    (ascending) eigenvalues of M.
     """
 
     grid: Grid
     a_matrix: np.ndarray
     b_matrix: np.ndarray
-    g_gram: np.ndarray
     f_matrix: np.ndarray
     model_tag: str
 
@@ -88,7 +85,7 @@ class DiscreteSystem:
     @cached_property
     def _m_factors(self):
         # G M = F exactly, so the factors come straight from F; M is never formed
-        return gram_sqrt_factors(self.f_matrix, self.g_gram)
+        return gram_sqrt_factors(self.f_matrix, graph_gram(self.a_matrix, self.weights))
 
     g_chol = property(lambda self: self._m_factors[0])
     m_eigenvalues = property(lambda self: self._m_factors[1])
@@ -100,19 +97,19 @@ class DiscreteSystem:
         return root if np.iscomplexobj(self.a_matrix) else root.real
 
     @cached_property
-    def q_matrix(self) -> np.ndarray:
-        a, w = self.a_matrix, self.weights
-        shifted = a.copy()
-        shifted.flat[::a.shape[0] + 1] -= 1.0  # A - I
-        res = sla.inv(shifted)
-        # W-adjoint W^{-1} res^H W, with W diagonal
-        res_adj = (res.conj().T * w) * (1.0 / w)[:, None]
-        q = -0.5 * (res + res_adj)
-        return q if np.iscomplexobj(a) else q.real
-
-    @cached_property
     def q_sqrt(self) -> np.ndarray:
-        return psd_sqrt(self.q_matrix, self.weights)
+        return psd_sqrt(_probe_matrix(self.a_matrix, self.weights), self.weights)
+
+
+def _probe_matrix(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # Q = -((A - I)^{-1} + W-adjoint) / 2; its temporaries die before psd_sqrt
+    shifted = a.copy()
+    shifted.flat[::a.shape[0] + 1] -= 1.0  # A - I
+    res = sla.inv(shifted)
+    # W-adjoint W^{-1} res^H W, with W diagonal
+    res_adj = (res.conj().T * w) * (1.0 / w)[:, None]
+    q = -0.5 * (res + res_adj)
+    return q if np.iscomplexobj(a) else q.real
 
 
 def herm_part_wa(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -154,10 +151,7 @@ def _input_matrix(grid: Grid, input_profile) -> np.ndarray:
 
 
 def _finish(grid: Grid, a: np.ndarray, b: np.ndarray, tag: str) -> DiscreteSystem:
-    w = grid.weights
-    g = graph_gram(a, w)
-    # F after G: allocating it earlier raises the peak RSS of long runs
-    f = -herm_part_wa(a, w)
+    f = -herm_part_wa(a, grid.weights)
     gap, f_norm = dissipativity_gap(f)
     tol = 1e-8 * max(1.0, f_norm)
     if gap > tol:
@@ -165,8 +159,8 @@ def _finish(grid: Grid, a: np.ndarray, b: np.ndarray, tag: str) -> DiscreteSyste
             f"model '{tag}' is not dissipative: smallest eigenvalue of "
             f"F = -Herm(WA) is {-gap:.3e} (tolerance {tol:.3e})"
         )
-    return DiscreteSystem(grid=grid, a_matrix=a, b_matrix=b, g_gram=g,
-                          f_matrix=f, model_tag=tag)
+    return DiscreteSystem(grid=grid, a_matrix=a, b_matrix=b, f_matrix=f,
+                          model_tag=tag)
 
 
 def assemble_transport(grid: Grid, input_profile=None) -> DiscreteSystem:
@@ -285,6 +279,5 @@ def assemble_model(model_tag: str, grid: Grid, damping: float = DEFAULT_DAMPING)
 
 
 def graph_norm(system: DiscreteSystem, f) -> float:
-    fv = as_state(f, system.n)
-    val = np.real(np.conj(fv) @ (system.g_gram @ fv))
-    return float(np.sqrt(max(val, 0.0)))
+    fv, w = as_state(f, system.n), system.weights
+    return float(np.sqrt(norm_sq(w, fv) + norm_sq(w, system.a_matrix @ fv)))

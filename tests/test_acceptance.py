@@ -17,7 +17,7 @@ from phdiss import (assemble_model, closability_probe, control_signal,
                     mild_solution, q_identity_residual, rt_bound_check)
 from phdiss.probes import VERDICT_NON_CLOSABLE, VERDICT_PREMISE
 from phdiss.semigroup import ControlSignal, output_signal
-from phdiss.systems import graph_norm
+from phdiss.systems import graph_gram, graph_norm
 
 from conftest import free_run
 
@@ -50,9 +50,10 @@ def test_criterion_01_q_identity_all_models(systems101):
     worst = 0.0
     for model in MODELS:
         sys = systems101[model]
+        g = graph_gram(sys.a_matrix, sys.weights)
         for _ in range(100):
             x = rng.standard_normal(101)
-            graph_sq = float(np.real(np.conj(x) @ (sys.g_gram @ x)))
+            graph_sq = float(np.real(np.conj(x) @ (g @ x)))
             ratio = q_identity_residual(sys, x) / (1e-10 * (1.0 + graph_sq))
             worst = max(worst, ratio)
     _report("1 q-identity", worst < 1.0,
@@ -91,7 +92,8 @@ def test_criterion_03_rank_one_sqrt():
             x = fn(g.nodes)
             got = sys.m_sqrt @ x
             ref = coeff * x[0] * np.sinh(1.0 - g.nodes)
-            gn = lambda v: float(np.sqrt(np.real(np.conj(v) @ (sys.g_gram @ v))))
+            gram = graph_gram(sys.a_matrix, sys.weights)
+            gn = lambda v: float(np.sqrt(np.real(np.conj(v) @ (gram @ v))))
             errs.append(gn(got - ref) / gn(got))
         worst_at_401 = max(worst_at_401, errs[-1])
         all_monotone = all_monotone and errs[0] > errs[1] > errs[2]

@@ -76,6 +76,16 @@ def test_run_bad_grid_is_usage_error(capsys, tmp_path):
     assert "n_grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_final, dt", [("1e6", "1e-6"), ("1e300", "1e-300")])
+def test_oversized_control_is_usage_error(capsys, tmp_path, t_final, dt):
+    # 10^12 steps, or a step count that overflows: refused before any sample
+    # is allocated, not a MemoryError or OverflowError traceback
+    cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path).replace(
+        "t_final = 1.0", f"t_final = {t_final}").replace("dt = auto", f"dt = {dt}"))
+    assert main(["run", cfg]) == 2
+    assert "MAX_STEPS" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_three(capsys, tmp_path, monkeypatch):
     # LinAlgError is a ValueError, yet it is no usage error
     def failing(*args, **kwargs):
@@ -328,8 +338,8 @@ out_dir = {tmp_path}
 
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
 def test_run_builds_only_the_roots_its_tasks_read(tmp_path, monkeypatch, model):
-    # the M root (gram_sqrt_factors on F) is read by no run task, the Q root
-    # (psd_sqrt, the only other gram_sqrt_factors caller) by q_check alone
+    # the M root (gram_sqrt_factors on F and G) is read by no run task, so
+    # no task forms G; the Q root (psd_sqrt) is read by q_check alone
     text = f"""\
 model = {model}
 n_grid = 41
@@ -343,18 +353,21 @@ out_dir = {{out}}
     for tasks, q_roots in ((base, 0), (base + ", q_check", 1)):
         cfg = parse_config_text(text.format(tasks=tasks, out=tmp_path / str(q_roots)))
         m_calls = _count_calls(monkeypatch, "gram_sqrt_factors", phdiss.systems)
+        g_calls = _count_calls(monkeypatch, "graph_gram", phdiss.systems)
         q_calls = _count_calls(monkeypatch, "psd_sqrt", phdiss.systems)
         res = phdiss.runner.run_config(cfg)
         monkeypatch.undo()
         assert res.status == 0
         assert len(m_calls) == 0
+        assert len(g_calls) == 0
         assert len(q_calls) == q_roots
 
 
 @pytest.mark.parametrize("model", ["transport", "skew_damped"])
 def test_q_check_and_probe_stack_their_rates(tmp_path, monkeypatch, model):
-    # one q_check evaluates its 100 states, and one probe its states and all
-    # their pairwise differences, through at most two stacked rate calls
+    # one q_check evaluates its 100 states through one stacked rate call,
+    # its graph norms from the product with A; one probe rates its states
+    # and all their pairwise differences through two
     text = f"""\
 model = {model}
 n_grid = 41
@@ -372,18 +385,20 @@ out_dir = {{out}}
         res = phdiss.runner.run_config(cfg)
         monkeypatch.undo()
         assert res.status == 0
-        assert len(rates) <= 2
+        assert len(rates) == (1 if task == "q_check" else 2)
         assert len(forms) == 0
 
 
 def test_verify_paper_factors_m_once(monkeypatch):
-    # m_sqrt and three dissipation_rate calls share one factorization;
-    # no row reads the Q root
+    # m_sqrt and three dissipation_rate calls share one factorization of
+    # one G; no row reads the Q root
     factors = _count_calls(monkeypatch, "gram_sqrt_factors",
                            phdiss.systems, phdiss.linalg)
+    grams = _count_calls(monkeypatch, "graph_gram", phdiss.systems)
     q_calls = _count_calls(monkeypatch, "psd_sqrt", phdiss.systems)
     rates = _count_calls(monkeypatch, "dissipation_rate", phdiss.verify)
     assert phdiss.verify.verify_paper_values().ok
     assert len(factors) == 1
+    assert len(grams) == 1
     assert len(q_calls) == 0
     assert len(rates) == 3

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phdiss.systems
 from phdiss import (assemble_custom, assemble_model, control_signal,
                     dissipation_rate, energy_audit, form_r, make_uniform_grid,
                     mild_solution, q_identity_residual, rt_bound_check)
@@ -99,7 +100,7 @@ def test_scalar_toolkit():
     # A = -I, the scalar -1 at every node: Q = I / 2, and with ||x|| = 1
     # both identities hold exactly
     sys = assemble_custom(make_uniform_grid(3), -np.eye(3))
-    np.testing.assert_allclose(sys.q_matrix, 0.5 * np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(sys.q_sqrt, np.eye(3) / np.sqrt(2.0), atol=1e-14)
     x = np.ones(3)
     assert form_r(sys, x) == pytest.approx(1.0, abs=1e-14)
     assert dissipation_rate(sys, x) == pytest.approx(1.0, abs=1e-12)
@@ -107,12 +108,13 @@ def test_scalar_toolkit():
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_assembly_forms_g_and_f_once(systems101, model):
-    # G and F come from the module's helpers, bit for bit, and the system
-    # is the only holder of either
+def test_assembly_forms_g_and_f_once(systems101, model, monkeypatch):
+    # F comes from the module's helper, bit for bit, and the system is its
+    # only holder; G is not formed at assembly at all
     sys = systems101[model]
-    assert np.array_equal(sys.g_gram, graph_gram(sys.a_matrix, sys.weights))
     assert np.array_equal(sys.f_matrix, -herm_part_wa(sys.a_matrix, sys.weights))
+    monkeypatch.setattr(phdiss.systems, "graph_gram", None)  # any call fails
+    assert assemble_model(model, sys.grid).f_matrix.shape == (sys.n, sys.n)
 
 
 def test_toolkit_builds_roots_on_first_read():
@@ -121,8 +123,11 @@ def test_toolkit_builds_roots_on_first_read():
     root = sys.m_sqrt
     assert sys.m_sqrt is root
     assert sys.g_chol is sys.g_chol and sys.m_sqrt_hat is sys.m_sqrt_hat
-    assert "q_sqrt" not in vars(sys) and "q_matrix" not in vars(sys)
+    assert "q_sqrt" not in vars(sys)
     assert sys.q_sqrt is sys.q_sqrt
+    # the system keeps the roots, not the G and Q they were taken from
+    assert not {"g_gram", "q_matrix"} & set(vars(sys))
+    assert not hasattr(sys, "g_gram") and not hasattr(sys, "q_matrix")
 
 
 def test_toolkit_root_failures_surface_on_first_read():
@@ -131,8 +136,7 @@ def test_toolkit_root_failures_surface_on_first_read():
     grid = make_uniform_grid(3)
     a, w = np.eye(3), grid.weights
     sys = DiscreteSystem(grid=grid, a_matrix=a, b_matrix=np.ones((3, 1)),
-                         g_gram=graph_gram(a, w), f_matrix=-herm_part_wa(a, w),
-                         model_tag="custom")
+                         f_matrix=-herm_part_wa(a, w), model_tag="custom")
     np.testing.assert_array_equal(sys.f_matrix, -np.diag(w))
     with pytest.raises(NotPSDError):
         sys.m_sqrt
@@ -241,7 +245,7 @@ def _q_scaled_loop(sys, x):
     w = sys.weights
     z = sys.q_sqrt @ (sys.a_matrix @ x - x)
     rhs = norm_sq(w, x) + form_r(sys, x)
-    graph_sq = float(np.real(np.conj(x) @ (sys.g_gram @ x)))
+    graph_sq = float(np.real(np.conj(x) @ (graph_gram(sys.a_matrix, w) @ x)))
     return abs(norm_sq(w, z) - rhs) / (1.0 + graph_sq)
 
 

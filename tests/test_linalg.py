@@ -8,6 +8,7 @@ from phdiss import assemble_model, make_uniform_grid
 from phdiss.linalg import (NotPSDError, NotSelfAdjointError,
                            assemble_from_factors, gram_eigh, gram_sqrt_factors,
                            psd_sqrt)
+from phdiss.systems import graph_gram
 
 
 def _random_spd(rng, n, shift=1e-3):
@@ -98,7 +99,8 @@ def test_m_sqrt_roundtrip_in_gram_norm(model, systems101):
     # ||S S - M|| in the gram-weighted operator norm must stay below 1e-10;
     # the heat gram matrix has condition number ~1e9, which is the point
     sys = systems101[model]
-    d = sys.m_sqrt @ sys.m_sqrt - sla.solve(sys.g_gram, sys.f_matrix, assume_a="pos")
+    g = graph_gram(sys.a_matrix, sys.weights)
+    d = sys.m_sqrt @ sys.m_sqrt - sla.solve(g, sys.f_matrix, assume_a="pos")
     l = sys.g_chol
     # operator norm in the G inner product: ||L^H D L^{-H}||_2
     y = sla.solve_triangular(l, d.conj().T, lower=True).conj().T
@@ -109,7 +111,7 @@ def test_m_sqrt_roundtrip_in_gram_norm(model, systems101):
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
 def test_m_sqrt_gram_self_adjoint_psd(model, systems101):
     sys = systems101[model]
-    gs = sys.g_gram @ sys.m_sqrt
+    gs = graph_gram(sys.a_matrix, sys.weights) @ sys.m_sqrt
     assert np.linalg.norm(gs - gs.conj().T, 2) <= 1e-10 * np.linalg.norm(gs, 2)
     assert sys.m_eigenvalues.min() >= -1e-12
 

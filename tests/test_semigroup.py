@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phdiss.presets
 from phdiss import (assemble_model, control_signal, energy_audit,
                     make_uniform_grid, mild_solution, rt_bound_check)
 from phdiss.systems import assemble_custom, assemble_transport
@@ -201,6 +203,30 @@ def test_mild_solution_refuses_a_second_clock():
 def test_control_signal_validation():
     with pytest.raises(SignalError):
         ControlSignal(1.0, np.zeros(1))
+    # a 3-D stack would pass as one channel and fail deep in the stepping
+    with pytest.raises(SignalError, match="1-D or 2-D"):
+        ControlSignal(0.5, np.ones((6, 1, 1)))
+
+
+@pytest.mark.parametrize("t_final, dt", [(1e6, 1e-6), (1e300, 1e-300)])
+def test_named_control_refuses_too_many_steps(t_final, dt):
+    # 10^12 steps would ask for terabytes, and 1e300 / 1e-300 overflows to
+    # inf: both are refused before any sample is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(SignalError, match="MAX_STEPS"):
+            control_signal("zero", t_final, dt)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_named_control_step_cap_is_the_module_constant(monkeypatch):
+    # exercised on a small cap, so no test allocates near the real one
+    monkeypatch.setattr(phdiss.presets, "MAX_STEPS", 100)
+    assert control_signal("zero", 1.0, 0.01).values.shape == (101, 1)
+    with pytest.raises(SignalError, match="MAX_STEPS"):
+        control_signal("zero", 1.0, 0.005)
 
 
 @pytest.mark.parametrize("where", ["values", "t_final"])
