@@ -6,15 +6,15 @@ For a dissipative generator A in the inner product with gram matrix W:
 * the sesquilinear dissipation form r[x, y] = -(<Ax, y> + <x, Ay>) / 2,
   whose diagonal r[x] = -Re<Ax, x> >= 0 is the instantaneous rate;
 * the rate operator M = G^{-1} F on the graph space, F = -Herm(W A),
-  G = W + A^H W A, with rate = ||M^{1/2} x||_G^2 = x^H F x exactly; G is
-  formed only to build M^{1/2}, and x^H G x = ||x||^2 + ||Ax||^2 elsewhere;
+  G = W + A^H W A, with rate = ||M^{1/2} x||_G^2 = x^H F x exactly;
 * the bounded probe Q = -((A - I)^{-1} + ((A - I)^{-1})*) / 2 (adjoint
   taken in W), which satisfies ||Q^{1/2} (A - I) x||^2 = ||x||^2 + r[x].
 
-Every function takes the DiscreteSystem itself: it holds F, and builds the
-two square roots on first read. The energy audit reads the control from
-the Trajectory of the run, and the dissipation bound reads the control
-and the initial energy from that run's ledger.
+Every function takes the DiscreteSystem itself: it holds F, and builds
+each square root on first read, as the Hermitian core its docstring
+describes. The energy audit reads the control from the Trajectory of the
+run, and the dissipation bound reads the control and the initial energy
+from that run's ledger.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def form_r(system: DiscreteSystem, x, y=None) -> complex:
 def dissipation_rate(system: DiscreteSystem, x) -> float:
     """Rate through the graph-space route: ||M^{1/2} x||_G^2.
 
-    Evaluated in factored form ||m_sqrt_hat @ (L^H x)||^2 so the result
+    Evaluated on the core, ||m_sqrt_hat @ (L^H x)||^2, so the result
     matches form_r at round-off level even when G is badly conditioned.
     """
     xv = as_state(x, system.n)
@@ -73,9 +73,11 @@ def _q_identity_rows(system: DiscreteSystem,
     """
     w = system.weights
     ax = states @ system.a_matrix.T
-    z = (ax - states) @ system.q_sqrt.T
+    # ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||, an unweighted norm
+    z = ((ax - states) * np.sqrt(w)) @ system.q_sqrt_hat.T
     x_sq = norm_sq(w, states)
-    residual = np.abs(norm_sq(w, z) - (x_sq + _form_rates(system.f_matrix, states)))
+    z_sq = np.einsum("ij,ij->i", z.conj(), z).real
+    residual = np.abs(z_sq - (x_sq + _form_rates(system.f_matrix, states)))
     return residual, residual / (1.0 + x_sq + norm_sq(w, ax))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grids import Grid, as_state, norm_sq
-from .linalg import assemble_from_factors, gram_sqrt_factors, psd_sqrt
+from .linalg import gram_sqrt_factors, psd_sqrt
 
 
 # The damping of skew_damped wherever none is given: the assembler, configs,
@@ -48,14 +48,12 @@ class DiscreteSystem:
     model_tag : str
         A key of MODELS, or "custom"; the model property is its registry row.
 
-    The rest is built on first read and kept: m_sqrt, the G-square root of
-    the rate operator M = G^{-1} F, and q_sqrt, the W-square root of the
-    bounded probe Q; neither G nor Q is kept. g_chol and m_sqrt_hat hold
-    the Cholesky factor G = L L^H and the square root in L-orthonormal
-    coordinates; the rate is evaluated as ||m_sqrt_hat @ (L^H x)||^2, the
-    same graph-norm quantity as ||m_sqrt @ x||_G without routing the
-    arithmetic through the large entries of G. m_eigenvalues are the
-    (ascending) eigenvalues of M.
+    The two dissipation roots are built on first read and kept, each only
+    as its Hermitian core in orthonormal coordinates (G and Q are dropped).
+    For M = G^{-1} F, with G = L L^H the graph gram, g_chol is L and
+    m_sqrt_hat = (L^{-1} F L^{-H})^{1/2}: ||M^{1/2} x||_G = ||m_sqrt_hat L^H x||
+    and M^{1/2} x = L^{-H} m_sqrt_hat L^H x. For the bounded probe Q,
+    q_sqrt_hat = (W^{1/2} Q W^{-1/2})^{1/2}: ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||.
     """
 
     grid: Grid
@@ -88,28 +86,20 @@ class DiscreteSystem:
         return gram_sqrt_factors(self.f_matrix, graph_gram(self.a_matrix, self.weights))
 
     g_chol = property(lambda self: self._m_factors[0])
-    m_eigenvalues = property(lambda self: self._m_factors[1])
-    m_sqrt_hat = property(lambda self: self._m_factors[2])
+    m_sqrt_hat = property(lambda self: self._m_factors[1])
 
     @cached_property
-    def m_sqrt(self) -> np.ndarray:
-        root = assemble_from_factors(self.g_chol, self.m_sqrt_hat)
-        return root if np.iscomplexobj(self.a_matrix) else root.real
-
-    @cached_property
-    def q_sqrt(self) -> np.ndarray:
-        return psd_sqrt(_probe_matrix(self.a_matrix, self.weights), self.weights)
+    def q_sqrt_hat(self) -> np.ndarray:
+        return psd_sqrt(_probe_hat(self.a_matrix, self.weights))
 
 
-def _probe_matrix(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # Q = -((A - I)^{-1} + W-adjoint) / 2; its temporaries die before psd_sqrt
-    shifted = a.copy()
-    shifted.flat[::a.shape[0] + 1] -= 1.0  # A - I
+def _probe_hat(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # W^{1/2} Q W^{-1/2} = -Herm((W^{1/2} A W^{-1/2} - I)^{-1}), Hermitian by
+    # construction; its temporaries die before psd_sqrt
+    shifted = np.sqrt(w)[:, None] * a / np.sqrt(w)
+    shifted.flat[::a.shape[0] + 1] -= 1.0
     res = sla.inv(shifted)
-    # W-adjoint W^{-1} res^H W, with W diagonal
-    res_adj = (res.conj().T * w) * (1.0 / w)[:, None]
-    q = -0.5 * (res + res_adj)
-    return q if np.iscomplexobj(a) else q.real
+    return -0.5 * (res + res.conj().T)
 
 
 def herm_part_wa(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from phdiss import (assemble_model, control_signal, make_uniform_grid,
-                    mild_solution)
+from phdiss import (assemble_custom, assemble_model, control_signal,
+                    make_uniform_grid, mild_solution)
 
 MODELS = ("transport", "heat", "skew_damped")
 
@@ -28,3 +29,20 @@ def random_state(n: int, seed: int, complex_values: bool = False) -> np.ndarray:
 def free_run(system, x0, t_final: float, dt: float):
     """The uncontrolled run of x0: mild_solution under the zero control."""
     return mild_solution(system, x0, control_signal("zero", t_final, dt, m=system.m_inputs))
+
+
+def custom_complex_system(n: int = 21, seed: int = 5):
+    """A complex, non-normal custom system on n nodes, dissipative in W."""
+    # W A = K - C with K skew-Hermitian and C Hermitian PSD
+    g = make_uniform_grid(n)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    wa = 0.5 * (z - z.conj().T) - (c @ c.conj().T / n + np.eye(n))
+    return assemble_custom(g, wa / g.weights[:, None])
+
+
+def apply_m_sqrt(system, x: np.ndarray) -> np.ndarray:
+    """M^{1/2} x = L^{-H} s_hat L^H x from the system's core."""
+    lh = system.g_chol.conj().T
+    return sla.solve_triangular(lh, system.m_sqrt_hat @ (lh @ x), lower=False)

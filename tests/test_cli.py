@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -218,6 +219,23 @@ def test_verify_paper_passes(tmp_path, capsys):
     assert all(r[4] == "pass" for r in rows[1:])
 
 
+@pytest.mark.parametrize("n_grid", [41, 101, 201, 401])
+def test_verify_paper_tolerances_follow_the_grid(n_grid):
+    # every row passes, and its tolerance stays below 1% of what the row
+    # measures, so a 1% drift of any quantity fails on every grid
+    measured = {"sinh_graph_norm_sq": math.sinh(2.0) / 2.0,
+                "rate_sqrt_rank_one_rel_err": 1.0,  # a relative error
+                "rate_sinh_bc": 0.5 * math.sinh(1.0) ** 2,
+                "rate_poly2": 0.5, "rate_poly1": 0.5,
+                "probe_norm_max_dev": 17 ** -0.5,
+                "full_exit_dissipated": 0.5, "full_exit_residual": 0.5}
+    report = phdiss.verify.verify_paper_values(n_grid)
+    assert [r.name for r in report.rows] == list(measured)
+    for r in report.rows:
+        assert r.ok, r
+        assert r.tol < 0.01 * measured[r.name], r
+
+
 def test_verify_paper_fails_on_a_one_percent_rate_drift(tmp_path, capsys,
                                                         monkeypatch):
     # the rate rows reproduce their references at round-off, so a rate
@@ -338,8 +356,8 @@ out_dir = {tmp_path}
 
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
 def test_run_builds_only_the_roots_its_tasks_read(tmp_path, monkeypatch, model):
-    # the M root (gram_sqrt_factors on F and G) is read by no run task, so
-    # no task forms G; the Q root (psd_sqrt) is read by q_check alone
+    # the M core (gram_sqrt_factors on F and G) is read by no run task, so
+    # no task forms G; the Q core (psd_sqrt) is read by q_check alone
     text = f"""\
 model = {model}
 n_grid = 41
@@ -390,15 +408,17 @@ out_dir = {{out}}
 
 
 def test_verify_paper_factors_m_once(monkeypatch):
-    # m_sqrt and three dissipation_rate calls share one factorization of
-    # one G; no row reads the Q root
+    # the rank-one row and three dissipation_rate calls share one
+    # factorization of one G and one M core; no row reads the Q core
     factors = _count_calls(monkeypatch, "gram_sqrt_factors",
                            phdiss.systems, phdiss.linalg)
     grams = _count_calls(monkeypatch, "graph_gram", phdiss.systems)
-    q_calls = _count_calls(monkeypatch, "psd_sqrt", phdiss.systems)
+    m_cores = _count_calls(monkeypatch, "psd_sqrt", phdiss.linalg)
+    q_cores = _count_calls(monkeypatch, "psd_sqrt", phdiss.systems)
     rates = _count_calls(monkeypatch, "dissipation_rate", phdiss.verify)
     assert phdiss.verify.verify_paper_values().ok
     assert len(factors) == 1
     assert len(grams) == 1
-    assert len(q_calls) == 0
+    assert len(m_cores) == 1
+    assert len(q_cores) == 0
     assert len(rates) == 3

@@ -16,7 +16,7 @@ from phdiss.linalg import NotPSDError
 from phdiss.systems import (DiscreteSystem, assemble_heat, assemble_skew_damped,
                             assemble_transport, graph_gram, herm_part_wa)
 
-from conftest import MODELS, free_run, random_state
+from conftest import MODELS, custom_complex_system, free_run, random_state
 
 
 @settings(max_examples=25, deadline=None)
@@ -100,7 +100,8 @@ def test_scalar_toolkit():
     # A = -I, the scalar -1 at every node: Q = I / 2, and with ||x|| = 1
     # both identities hold exactly
     sys = assemble_custom(make_uniform_grid(3), -np.eye(3))
-    np.testing.assert_allclose(sys.q_sqrt, np.eye(3) / np.sqrt(2.0), atol=1e-14)
+    # W^{1/2} Q W^{-1/2} = Q = I / 2 as well
+    np.testing.assert_allclose(sys.q_sqrt_hat, np.eye(3) / np.sqrt(2.0), atol=1e-14)
     x = np.ones(3)
     assert form_r(sys, x) == pytest.approx(1.0, abs=1e-14)
     assert dissipation_rate(sys, x) == pytest.approx(1.0, abs=1e-12)
@@ -120,11 +121,10 @@ def test_assembly_forms_g_and_f_once(systems101, model, monkeypatch):
 def test_toolkit_builds_roots_on_first_read():
     sys = assemble_model("heat", make_uniform_grid(101))
     assert set(vars(sys)) == {f.name for f in dataclasses.fields(sys)}
-    root = sys.m_sqrt
-    assert sys.m_sqrt is root
-    assert sys.g_chol is sys.g_chol and sys.m_sqrt_hat is sys.m_sqrt_hat
-    assert "q_sqrt" not in vars(sys)
-    assert sys.q_sqrt is sys.q_sqrt
+    core = sys.m_sqrt_hat
+    assert sys.m_sqrt_hat is core and sys.g_chol is sys.g_chol
+    assert "q_sqrt_hat" not in vars(sys)
+    assert sys.q_sqrt_hat is sys.q_sqrt_hat
     # the system keeps the roots, not the G and Q they were taken from
     assert not {"g_gram", "q_matrix"} & set(vars(sys))
     assert not hasattr(sys, "g_gram") and not hasattr(sys, "q_matrix")
@@ -139,9 +139,9 @@ def test_toolkit_root_failures_surface_on_first_read():
                          f_matrix=-herm_part_wa(a, w), model_tag="custom")
     np.testing.assert_array_equal(sys.f_matrix, -np.diag(w))
     with pytest.raises(NotPSDError):
-        sys.m_sqrt
+        sys.m_sqrt_hat
     with pytest.raises(np.linalg.LinAlgError):  # A - I is singular
-        sys.q_sqrt
+        sys.q_sqrt_hat
 
 
 def test_cumulative_trapezoid_linear_exact():
@@ -208,22 +208,12 @@ def test_dissipated_monotone_on_classical_runs(model, x0_name, dt,
     assert np.all(np.diff(led.dissipated) >= -1e-12)
 
 
-def _custom_complex_system(n=21, seed=5):
-    # W A = K - C with K skew-Hermitian and C Hermitian PSD: dissipative in W
-    g = make_uniform_grid(n)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    wa = 0.5 * (z - z.conj().T) - (c @ c.conj().T / n + np.eye(n))
-    return assemble_custom(g, wa / g.weights[:, None])
-
-
 @pytest.mark.parametrize("model", MODELS + ("custom",))
 def test_audit_rate_matches_form_r(model, systems101):
     # K + 1 = 251 rows against n = 101 (26 against n = 21 for custom), so
     # the rates span full row blocks and a partial last one
     if model == "custom":
-        sys = _custom_complex_system()
+        sys = custom_complex_system()
         x0 = random_state(sys.n, 3, complex_values=True)
         traj = free_run(sys, x0, 0.25, 1e-2)
     else:
@@ -243,16 +233,17 @@ def test_audit_rate_matches_form_r(model, systems101):
 def _q_scaled_loop(sys, x):
     # the probe identity of one state, one mat-vec at a time
     w = sys.weights
-    z = sys.q_sqrt @ (sys.a_matrix @ x - x)
+    # ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||
+    z = sys.q_sqrt_hat @ (np.sqrt(w) * (sys.a_matrix @ x - x))
     rhs = norm_sq(w, x) + form_r(sys, x)
     graph_sq = float(np.real(np.conj(x) @ (graph_gram(sys.a_matrix, w) @ x)))
-    return abs(norm_sq(w, z) - rhs) / (1.0 + graph_sq)
+    return abs(norm_sq(np.ones(sys.n), z) - rhs) / (1.0 + graph_sq)
 
 
 @pytest.mark.parametrize("model", MODELS + ("custom",))
 def test_q_rows_match_per_state_identity(model):
     # a fresh system: the test replaces its probe root below
-    sys = (_custom_complex_system() if model == "custom"
+    sys = (custom_complex_system() if model == "custom"
            else assemble_model(model, make_uniform_grid(101)))
     # the draw of the runner's q_check task: 100 rows, real + 1j * imag
     # for a complex generator
@@ -271,7 +262,7 @@ def test_q_rows_match_per_state_identity(model):
     # a wrong root breaks the identity at order one, and there the stacked
     # and per-state values must agree row by row
     rng = np.random.default_rng(11)
-    sys.q_sqrt = rng.standard_normal((sys.n, sys.n))
+    sys.q_sqrt_hat = rng.standard_normal((sys.n, sys.n))
     stacked = _q_identity_rows(sys, states)[1]
     assert float(np.min(stacked)) > 1.0
     loop = np.array([_q_scaled_loop(sys, x) for x in states])

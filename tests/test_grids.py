@@ -143,4 +143,4 @@ def test_every_state_route_rejects_nan():
         with pytest.raises(GridError):
             route(np.ones(system.n + 1))
     # no root was built on the way to the rejection
-    assert "_m_factors" not in vars(system) and "q_sqrt" not in vars(system)
+    assert "_m_factors" not in vars(system) and "q_sqrt_hat" not in vars(system)
