@@ -1,4 +1,4 @@
-"""Square roots and eigen-decompositions in a weighted inner product.
+"""Square roots in a weighted inner product, and the sine transform.
 
 A matrix M that is self-adjoint for the inner product induced by a
 positive-definite gram matrix G satisfies (G M)^H = G M. Factoring
@@ -13,14 +13,18 @@ A square root is kept in those coordinates only, as its Hermitian core
 s_hat = psd_sqrt(L^{-1} (G M) L^{-H}); no root is mapped back to the
 original coordinates. gram_sqrt_factors takes a dense G (the graph gram,
 which its caller forms for this one call and keeps only as the factor L).
-gram_eigh takes the diagonal gram W as its weight vector, so L = W^{1/2}
-and the change of coordinates is a row and column scaling.
+
+sine_transform is the orthonormal DST-I, the eigenbasis of the Dirichlet
+second difference: heat steps and takes its probe root in that basis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
+
+# rows per numpy.fft.rfft call in sine_transform
+_SINE_BLOCK = 64
 
 
 class NotSelfAdjointError(ValueError):
@@ -74,15 +78,33 @@ def gram_sqrt_factors(product: np.ndarray, gram: np.ndarray):
     return l, psd_sqrt(0.5 * (hat + hat.conj().T))
 
 
-def gram_eigh(matrix: np.ndarray, weights: np.ndarray):
-    """Eigenpairs of a matrix self-adjoint in the inner product of W = diag(weights).
+def sine_transform(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal DST-I along the last axis of the vector or row stack x,
+    of length N: (S x)_j = sqrt(2 / (N + 1)) sum_k x_k sin(pi j k / (N + 1)),
+    j, k = 1..N.
 
-    Returns (eigvals, vecs) with vecs W-orthonormal (vecs^H W vecs = I).
-    Raises NotSelfAdjointError if W @ matrix is not Hermitian to a relative
-    asymmetry of 1e-8.
+    S is real, symmetric and orthogonal, so it is its own inverse. It is
+    read off numpy.fft.rfft of the odd extension (0, x, 0, -reversed x),
+    whose transform is -2i times the unscaled sine sums; a complex x is
+    transformed in its real and imaginary parts. The result goes to out,
+    which may be x itself. Rows go through in blocks of at most
+    _SINE_BLOCK, so the work arrays stay small however many there are.
     """
-    w = np.asarray(weights, dtype=float)
-    s = np.sqrt(w)
-    wm = _check_hermitian(w[:, None] * np.asarray(matrix))
-    eigvals, vecs = np.linalg.eigh(wm / np.outer(s, s))
-    return eigvals, vecs / s[:, None]
+    x = np.asarray(x)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(x, float))
+    if np.iscomplexobj(x):
+        sine_transform(x.real, out.real)
+        sine_transform(x.imag, out.imag)
+        return out
+    rows, dest = np.atleast_2d(x), np.atleast_2d(out)
+    n = rows.shape[1]
+    odd = np.zeros((min(rows.shape[0], _SINE_BLOCK), 2 * n + 2))
+    for start in range(0, rows.shape[0], _SINE_BLOCK):
+        block = rows[start:start + _SINE_BLOCK]
+        k = block.shape[0]
+        odd[:k, 1:n + 1] = block
+        np.negative(block[:, ::-1], out=odd[:k, n + 2:])
+        dest[start:start + k] = np.fft.rfft(odd[:k])[:, 1:n + 1].imag
+    dest *= -np.sqrt(0.5 / (n + 1))
+    return out

@@ -1,4 +1,4 @@
-"""Propagation of states: exact shift, spectral and dense propagators,
+"""Propagation of states: exact shift, sine-basis and dense propagators,
 mild solutions with sampled controls, outputs, and trace diagnostics.
 
 A run is one Trajectory: its states and the control that drove them,
@@ -8,7 +8,9 @@ Time stepping uses
     x_{k+1} = P x_k + (dt/2) (P B u_k + B u_{k+1}),    P = e^{dt A},
 which telescopes to the trapezoid discretization of the convolution
 integral in the mild-solution formula. The residual of the energy balance
-along a classical trajectory is then O(dt^2).
+along a classical trajectory is then O(dt^2). Each step route runs this
+recursion in its own basis: the nodal one for "shift" and "expm", heat's
+sine basis for "sine", where P is diagonal.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grids import as_state
-from .linalg import gram_eigh
-from .systems import DiscreteSystem
+from .systems import DiscreteSystem, sine_basis, sine_spectrum
 
 
 class AlignmentError(ValueError):
@@ -121,24 +122,22 @@ def _shift_values(vals: np.ndarray, k: int, n: int) -> np.ndarray:
 
 
 def _dense_propagator(system: DiscreteSystem, t: float) -> np.ndarray:
-    """e^{tA} as a dense matrix: spectral route for "eigen" models, else expm.
+    """e^{tA} as a dense matrix, by expm.
 
     Entries below the smallest normal float are set to zero: subnormal
     operands slow every later mat-vec several times over, while their
     products fall far below the rounding unit of the sums they join.
     """
-    if system.model.step != "eigen":
-        prop = sla.expm(t * system.a_matrix)
-    else:
-        w = system.weights
-        lam, vecs = gram_eigh(system.a_matrix, w)
-        prop = ((vecs * np.exp(t * lam)) @ vecs.conj().T) * w
+    prop = sla.expm(t * system.a_matrix)
     prop[np.abs(prop) < np.finfo(float).tiny] = 0.0
     return prop
 
 
 def _make_step(system: DiscreteSystem, dt: float):
-    """One-step map v -> e^{dt A} v by the step route of the system's model."""
+    """(basis, step) for the step route of the system's model: step is
+    v -> e^{dt A} v in the coordinates basis(x), and basis, applied in
+    place along the last axis, is its own inverse; None stands for the
+    nodal basis."""
     if system.model.step == "shift":
         q = _shift_indices(dt, system.grid.h)
         if q < 1:
@@ -147,30 +146,44 @@ def _make_step(system: DiscreteSystem, dt: float):
                 "choose dt = h * (positive integer)"
             )
         n = system.n
-        return lambda v: _shift_values(v, q, n)
+        return None, lambda v: _shift_values(v, q, n)
+    if system.model.step == "sine":
+        p = np.exp(dt * sine_spectrum(system.grid))
+        return sine_basis, lambda v: p * v
     prop = _dense_propagator(system, dt)
-    return lambda v: prop @ v
+    return None, lambda v: prop @ v
 
 
 def mild_solution(system: DiscreteSystem, x0, u: ControlSignal) -> Trajectory:
     """Propagate x0 under the control u, whose clock is the run's clock.
 
     A free run passes the zero control on the clock it wants; the returned
-    trajectory carries it like any other.
+    trajectory carries it like any other. The steps run in the basis of the
+    model's step route: x0 and B are mapped in once, and the states back
+    in place.
     """
     if u.m_inputs != system.m_inputs:
         raise SignalError(
             f"control has {u.m_inputs} channels, system expects {system.m_inputs}"
         )
-    x0v = as_state(x0, system.n)
-    bu = u.values @ system.b_matrix.T
-    out_dtype = np.result_type(x0v.dtype, bu.dtype, system.a_matrix.dtype, float)
-    step = _make_step(system, u.dt)
-    states = np.zeros((u.values.shape[0], system.n), dtype=out_dtype)
+    n = system.n
+    x0v = as_state(x0, n)
+    b = system.b_matrix
+    out_dtype = np.result_type(x0v.dtype, u.values.dtype, b.dtype,
+                               system.a_matrix.dtype, float)
+    basis, step = _make_step(system, u.dt)
+    states = np.zeros((u.values.shape[0], n), dtype=out_dtype)
     states[0] = x0v
+    if basis is not None:
+        basis(states[0])
+        b = basis(b.T.copy()).T
+    bu = u.values @ b.T
     half = 0.5 * u.dt
     for k in range(u.values.shape[0] - 1):
         states[k + 1] = step(states[k] + half * bu[k]) + half * bu[k + 1]
+    if basis is not None:
+        basis(states)
+        states[0] = x0v  # not its round trip through the basis
     return Trajectory(states=states, control=u)
 
 

@@ -6,7 +6,8 @@ where W is the trapezoid gram matrix, kept as the grid's weight vector. The
 graph norm is taken from A; G = W + A^H W A is formed only for the M root.
 Assembly validates dissipativity on the stored F: its smallest eigenvalue
 must not fall below -1e-8 * max(1, ||F||_2), so -Re<Ax, x> >= 0 up to
-roundoff.
+roundoff. The eigenvalues are read from F's band: the named models have a
+diagonal or tridiagonal F, and only a dense custom F takes a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -19,12 +20,21 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grids import Grid, as_state, norm_sq
-from .linalg import gram_sqrt_factors, psd_sqrt
+from .linalg import gram_sqrt_factors, psd_sqrt, sine_transform
 
 
 # The damping of skew_damped wherever none is given: the assembler, configs,
 # the CLI, refinement studies and the scripts all read this one value.
 DEFAULT_DAMPING = 0.3
+
+# The most memory, in MB, that one dense n x n float64 operator may take.
+# A system holds A and F and builds its roots from several more, so the
+# assemblers refuse a grid past it (n > 2000) before allocating any of them.
+MAX_OPERATOR_MB = 32
+
+# The widest band of F whose eigenvalues come from the banded eigensolver;
+# its work grows like n^2 kd against n^3 for the dense one.
+MAX_BAND = 16
 
 
 class AssemblyError(ValueError):
@@ -53,7 +63,8 @@ class DiscreteSystem:
     For M = G^{-1} F, with G = L L^H the graph gram, g_chol is L and
     m_sqrt_hat = (L^{-1} F L^{-H})^{1/2}: ||M^{1/2} x||_G = ||m_sqrt_hat L^H x||
     and M^{1/2} x = L^{-H} m_sqrt_hat L^H x. For the bounded probe Q,
-    q_sqrt_hat = (W^{1/2} Q W^{-1/2})^{1/2}: ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||.
+    q_sqrt_hat = (W^{1/2} Q W^{-1/2})^{1/2}: ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||;
+    a model stepped in the sine basis builds it there, from its spectrum.
     """
 
     grid: Grid
@@ -90,6 +101,8 @@ class DiscreteSystem:
 
     @cached_property
     def q_sqrt_hat(self) -> np.ndarray:
+        if self.model.step == "sine":
+            return _sine_probe_root(self.grid)
         return psd_sqrt(_probe_hat(self.a_matrix, self.weights))
 
 
@@ -102,6 +115,35 @@ def _probe_hat(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return -0.5 * (res + res.conj().T)
 
 
+def sine_spectrum(grid: Grid) -> np.ndarray:
+    """Eigenvalues of heat's A in the sine basis, in node order: the two
+    decoupled boundary nodes at -2/h^2, and between them the Dirichlet
+    second difference, lambda_j = -(4/h^2) sin^2(j pi / (2 (n - 1))),
+    j = 1..n-2."""
+    lam = np.full(grid.n, -2.0 / grid.h**2)
+    j = np.arange(1, grid.n - 1)
+    lam[1:-1] = -4.0 / grid.h**2 * np.sin(j * np.pi / (2 * (grid.n - 1))) ** 2
+    return lam
+
+
+def sine_basis(x: np.ndarray) -> np.ndarray:
+    """Heat's eigenbasis S, applied in place along the last axis of the
+    float or complex array x, which it returns: the orthonormal DST-I on
+    the interior nodes, the two boundary nodes unchanged. S is its own
+    inverse, so it maps into the basis and back."""
+    sine_transform(x[..., 1:-1], out=x[..., 1:-1])
+    return x
+
+
+def _sine_probe_root(grid: Grid) -> np.ndarray:
+    # A = S diag(lambda) S with S = sine_basis, and W^{1/2} A W^{-1/2} = A
+    # since the boundary nodes are decoupled, so the probe core is
+    # S diag((1 - lambda)^{-1/2}) S: two transforms, no inverse or eigh
+    root = sine_basis(np.identity(grid.n))
+    root *= (1.0 - sine_spectrum(grid)) ** -0.5
+    return sine_basis(root)
+
+
 def herm_part_wa(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Hermitian part of W A; its negation is the dissipation form matrix."""
     wa = weights[:, None] * a_matrix
@@ -109,10 +151,27 @@ def herm_part_wa(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def dissipativity_gap(f_matrix: np.ndarray) -> tuple[float, float]:
-    """(-lambda_min(F), ||F||_2) of the Hermitian form matrix F, from one
-    eigensolve. The gap is <= 0 (up to roundoff) iff the system is dissipative."""
-    eigs = sla.eigvalsh(f_matrix)
-    return float(-eigs[0]), float(max(-eigs[0], eigs[-1]))
+    """(-lambda_min(F), ||F||_2) of the Hermitian form matrix F. The gap is
+    <= 0 (up to roundoff) iff the system is dissipative.
+
+    The eigenvalues are read from F's band: a diagonal F is its own
+    spectrum, a band of at most MAX_BAND sub-diagonals goes to
+    eigvals_banded (LAPACK's eigenvalues, not a bound), and only a wider F
+    takes a dense eigvalsh.
+    """
+    kd = max(sla.bandwidth(f_matrix))
+    if kd == 0:
+        eigs = np.diagonal(f_matrix).real
+    elif kd <= MAX_BAND:
+        n = f_matrix.shape[0]
+        band = np.zeros((kd + 1, n), dtype=f_matrix.dtype)
+        for i in range(kd + 1):
+            band[i, :n - i] = np.diagonal(f_matrix, -i)
+        eigs = sla.eigvals_banded(band, lower=True)
+    else:
+        eigs = sla.eigvalsh(f_matrix)
+    lo, hi = float(eigs.min()), float(eigs.max())
+    return -lo, max(-lo, hi)
 
 
 def graph_gram(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -140,6 +199,15 @@ def _input_matrix(grid: Grid, input_profile) -> np.ndarray:
     return b
 
 
+def _check_size(grid: Grid) -> None:
+    mb = 8 * grid.n**2 / 1e6
+    if mb > MAX_OPERATOR_MB:
+        raise AssemblyError(
+            f"a grid of {grid.n} nodes needs {mb:.3g} MB per dense n x n "
+            f"operator, over the budget of {MAX_OPERATOR_MB} MB "
+            "(systems.MAX_OPERATOR_MB)")
+
+
 def _finish(grid: Grid, a: np.ndarray, b: np.ndarray, tag: str) -> DiscreteSystem:
     f = -herm_part_wa(a, grid.weights)
     gap, f_norm = dissipativity_gap(f)
@@ -164,6 +232,7 @@ def assemble_transport(grid: Grid, input_profile=None) -> DiscreteSystem:
     W A + A^T W = diag(-1, 0, ..., 0, -1), hence the dissipation form is
     |x(0)|^2 / 2 + |x(1)|^2 / 2 with no interior residue.
     """
+    _check_size(grid)
     n, h = grid.n, grid.h
     a = np.zeros((n, n))
     a[0, 0], a[0, 1] = -1.0 / h, 1.0 / h
@@ -185,6 +254,7 @@ def assemble_heat(grid: Grid, input_profile=None) -> DiscreteSystem:
     construction. The full matrix stays invertible, which the steady-state
     solve -A^{-1}(B c) relies on.
     """
+    _check_size(grid)
     n, h = grid.n, grid.h
     a = np.zeros((n, n))
     for i in range(1, n - 1):
@@ -207,6 +277,7 @@ def assemble_skew_damped(grid: Grid, damping: float = DEFAULT_DAMPING,
     """
     if not 0.0 <= damping < np.inf:
         raise AssemblyError(f"damping must be finite and nonnegative, got {damping}")
+    _check_size(grid)
     n, h = grid.n, grid.h
     c = np.zeros((n, n))
     for i in range(n):
@@ -224,6 +295,7 @@ def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None) -> Discrete
 
     A custom system steps with expm and checks no boundary condition.
     """
+    _check_size(grid)
     a = np.asarray(a_matrix, dtype=complex if np.iscomplexobj(a_matrix) else float)
     if a.shape != (grid.n, grid.n):
         raise AssemblyError(f"generator shape {a.shape} does not match grid size {grid.n}")
@@ -238,9 +310,10 @@ class Model:
 
     assemble(grid, damping) builds the system; models without damping
     ignore it. step is how e^{dt A} is applied: "shift" (the exact nodal
-    shift, transport only), "eigen" (W-eigenpairs, for a W-self-adjoint A)
-    or "expm". boundary(x) is the residual of the boundary condition that
-    classical data meets, described by boundary_note.
+    shift, transport only), "sine" (the diagonal sine_spectrum in
+    sine_basis, heat only) or "expm". boundary(x) is the residual of the
+    boundary condition that classical data meets, described by
+    boundary_note.
     """
 
     assemble: Callable[[Grid, float], DiscreteSystem] | None
@@ -253,7 +326,7 @@ class Model:
 MODELS: dict[str, Model] = {
     "transport": Model(lambda grid, damping: assemble_transport(grid), "shift",
                        lambda x: abs(x[-1]), "outflow value x(1)"),
-    "heat": Model(lambda grid, damping: assemble_heat(grid), "eigen",
+    "heat": Model(lambda grid, damping: assemble_heat(grid), "sine",
                   lambda x: max(abs(x[0]), abs(x[-1])), "endpoint values x(0), x(1)"),
     "skew_damped": Model(lambda grid, damping: assemble_skew_damped(grid, damping=damping),
                          "expm", lambda x: abs(x[0] - x[-1]), "periodic match x(0) = x(1)"),

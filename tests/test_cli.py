@@ -87,6 +87,34 @@ def test_oversized_control_is_usage_error(capsys, tmp_path, t_final, dt):
     assert "MAX_STEPS" in capsys.readouterr().err
 
 
+def test_oversized_grid_is_usage_error(capsys, tmp_path):
+    # refused at assembly, before any n x n operator is allocated
+    cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path).replace(
+        "n_grid = 201", "n_grid = 50000"))
+    assert main(["run", cfg]) == 2
+    assert "MAX_OPERATOR_MB" in capsys.readouterr().err
+
+
+def test_heat_run_does_not_import_scipy_fft(tmp_path):
+    # heat's sine transform is built on numpy.fft; importing scipy.fft would
+    # add to the start-up time and the resident memory of every run
+    code = (
+        "import sys\n"
+        "from phdiss.config import parse_config_text\n"
+        "from phdiss.runner import run_config\n"
+        f"cfg = parse_config_text({FULL_CONFIG!r}.format(out={str(tmp_path)!r})"
+        ".replace('model = transport', 'model = heat')"
+        ".replace('x0_preset = one', 'x0_preset = sine:1'))\n"
+        "assert run_config(cfg).status == 0\n"
+        "print('scipy.fft' in sys.modules)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PHDISS_OUT"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_numerical_failure_exits_three(capsys, tmp_path, monkeypatch):
     # LinAlgError is a ValueError, yet it is no usage error
     def failing(*args, **kwargs):
@@ -357,7 +385,8 @@ out_dir = {tmp_path}
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
 def test_run_builds_only_the_roots_its_tasks_read(tmp_path, monkeypatch, model):
     # the M core (gram_sqrt_factors on F and G) is read by no run task, so
-    # no task forms G; the Q core (psd_sqrt) is read by q_check alone
+    # no task forms G; the Q core (psd_sqrt, or for heat _sine_probe_root)
+    # is read by q_check alone
     text = f"""\
 model = {model}
 n_grid = 41
@@ -372,13 +401,14 @@ out_dir = {{out}}
         cfg = parse_config_text(text.format(tasks=tasks, out=tmp_path / str(q_roots)))
         m_calls = _count_calls(monkeypatch, "gram_sqrt_factors", phdiss.systems)
         g_calls = _count_calls(monkeypatch, "graph_gram", phdiss.systems)
-        q_calls = _count_calls(monkeypatch, "psd_sqrt", phdiss.systems)
+        q_calls = [_count_calls(monkeypatch, name, phdiss.systems)
+                   for name in ("psd_sqrt", "_sine_probe_root")]
         res = phdiss.runner.run_config(cfg)
         monkeypatch.undo()
         assert res.status == 0
         assert len(m_calls) == 0
         assert len(g_calls) == 0
-        assert len(q_calls) == q_roots
+        assert sum(map(len, q_calls)) == q_roots
 
 
 @pytest.mark.parametrize("model", ["transport", "skew_damped"])

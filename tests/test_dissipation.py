@@ -320,7 +320,7 @@ def test_rt_bound_reports_norms(systems101):
 
 def test_residual_second_order_envelope():
     # classical free runs: the balance residual behaves like O(dt^2);
-    # the heat eigen propagator shows the scaling cleanly, the exact shift
+    # the heat sine propagator shows the scaling cleanly, the exact shift
     # adds an O(h^2) spatial floor that stays under the dt^2 envelope
     sys = assemble_model("heat", make_uniform_grid(101))
     x0 = np.sin(np.pi * sys.grid.nodes)

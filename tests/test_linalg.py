@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from phdiss import assemble_model, make_uniform_grid
 from phdiss.grids import norm_sq
-from phdiss.linalg import (NotPSDError, NotSelfAdjointError, gram_eigh,
-                           gram_sqrt_factors, psd_sqrt)
+from phdiss.linalg import (NotPSDError, NotSelfAdjointError, gram_sqrt_factors,
+                           psd_sqrt, sine_transform)
 from phdiss.systems import graph_gram
 
 from conftest import apply_m_sqrt, custom_complex_system
@@ -62,7 +62,8 @@ def test_weighted_routes_match_dense_gram(seed, n):
     s = np.sqrt(w)
     _, s_hat = gram_sqrt_factors(f, np.diag(w))
     np.testing.assert_allclose(psd_sqrt(f / np.outer(s, s)), s_hat, atol=1e-10 * scale)
-    lam, _ = gram_eigh(m, w)
+    # and the eigenvalues of M are those of the scaled congruence
+    lam = np.linalg.eigvalsh(f / np.outer(s, s))
     np.testing.assert_allclose(lam, sla.eigh(f, np.diag(w), eigvals_only=True),
                                atol=1e-10 * scale)
 
@@ -82,21 +83,21 @@ def test_not_self_adjoint_rejected():
     skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(NotSelfAdjointError):
         gram_sqrt_factors(skew, np.diag(w))
-    with pytest.raises(NotSelfAdjointError):
-        gram_eigh(skew, w)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_gram_eigh_orthonormal_and_reconstructs(seed):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans())
+def test_sine_transform_is_the_orthonormal_dst1(seed, n, complex_values):
+    # against the dense sine matrix, which is symmetric and its own inverse
+    j = np.arange(1, n + 1)
+    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
     rng = np.random.default_rng(seed)
-    n = 6
-    w = _random_weights(rng, n)
-    f = _random_spd(rng, n, shift=0.0)
-    m = f / w[:, None]
-    lam, vecs = gram_eigh(m, w)
-    np.testing.assert_allclose(vecs.conj().T @ (w[:, None] * vecs), np.eye(n), atol=1e-8)
-    np.testing.assert_allclose(m @ vecs, vecs * lam, atol=1e-8 * max(1.0, lam.max()))
+    x = rng.standard_normal((3, n))
+    if complex_values:
+        x = x + 1j * rng.standard_normal((3, n))
+    np.testing.assert_allclose(sine_transform(x), x @ s, atol=1e-13)
+    np.testing.assert_allclose(sine_transform(sine_transform(x)), x, atol=1e-13)
+    np.testing.assert_allclose(s @ s, np.eye(n), atol=1e-13)
 
 
 def _m_eigenvalues(sys):

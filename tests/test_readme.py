@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from phdiss import control_signal, initial_state, make_uniform_grid
+from phdiss import control_signal, initial_state, make_uniform_grid, systems
 from phdiss.config import (OPTIONAL_KEYS, REQUIRED_KEYS, SUPPORTED_TASKS,
                            parse_config_text)
 from phdiss.systems import DEFAULT_DAMPING, MODELS
@@ -101,3 +101,8 @@ def test_readme_documents_every_task():
     tasks = _section("Command line").split("Tasks:", 1)[1].split("\n\n", 1)[0]
     documented = set(re.findall(r"`([a-z_]+(?::[a-z_]+)?)`", tasks))
     assert documented == set(SUPPORTED_TASKS)
+
+
+@pytest.mark.parametrize("name", ["MAX_BAND", "MAX_OPERATOR_MB"])
+def test_readme_states_the_assembly_limits(name):
+    assert f"`phdiss.systems.{name}` = {getattr(systems, name)}" in README.read_text()

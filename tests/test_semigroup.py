@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import phdiss.presets
 from phdiss import (assemble_model, control_signal, energy_audit,
                     make_uniform_grid, mild_solution, rt_bound_check)
-from phdiss.systems import assemble_custom, assemble_transport
+from phdiss.systems import assemble_custom, assemble_heat, assemble_transport
 from phdiss.semigroup import (AlignmentError, ControlSignal, SignalError,
                               _dense_propagator, boundary_trace,
                               classical_check, output_signal)
@@ -84,6 +84,7 @@ def test_shift_requires_nodal_alignment():
 
 
 def test_heat_eigen_propagator_matches_expm():
+    # the sine-basis step is heat's spectral propagator
     sys = assemble_model("heat", make_uniform_grid(41))
     x0 = random_state(41, 3)
     for t in (0.01, 0.1):
@@ -106,17 +107,38 @@ def test_heat_discrete_mode_decays_exactly():
 
 def test_custom_heat_steps_like_heat():
     # a custom system steps with expm whatever its generator; on heat's A
-    # that must reproduce the eigen route of the heat model
+    # that must reproduce the sine route of the heat model
     g = make_uniform_grid(41)
     heat = assemble_model("heat", g)
     custom = assemble_custom(g, heat.a_matrix)
-    assert (heat.model.step, custom.model.step) == ("eigen", "expm")
+    assert (heat.model.step, custom.model.step) == ("sine", "expm")
     x0 = np.sin(np.pi * g.nodes) + 0.3 * np.sin(4 * np.pi * g.nodes)
     u = control_signal("ramp:0.5", 0.1, 1e-3)
     got = mild_solution(custom, x0, u).states
     ref = mild_solution(heat, x0, u).states
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
     assert classical_check(custom, np.ones(g.n)).boundary_residual == 0.0
+
+
+@pytest.mark.parametrize("n", [21, 201, 801])
+@pytest.mark.parametrize("case", ["real", "complex_x0", "complex_input"])
+def test_heat_sine_steps_match_expm(n, case):
+    # the sine route against the dense expm of the same A; the round-off
+    # of expm grows like eps * ||dt A||_1, and ||dt A||_1 = 2560 at n = 801
+    g = make_uniform_grid(n)
+    profile = (lambda w: np.exp(1j * np.pi * w)) if case == "complex_input" else None
+    heat = assemble_heat(g, input_profile=profile)
+    custom = assemble_custom(g, heat.a_matrix, b_matrix=heat.b_matrix)
+    x0 = np.sin(np.pi * g.nodes) + 0.3 * np.sin(4 * np.pi * g.nodes)
+    if case == "complex_x0":
+        x0 = x0 + 0.5j * random_state(n, 7) * np.sin(np.pi * g.nodes)
+    dt = 1e-3
+    u = control_signal("ramp:0.5", 0.05, dt)
+    got = mild_solution(heat, x0, u).states
+    ref = mild_solution(custom, x0, u).states
+    assert got.dtype == ref.dtype
+    scale = dt * np.linalg.norm(heat.a_matrix, 1)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * max(1.0, scale))
 
 
 def test_mild_solution_matches_naive_stepping():

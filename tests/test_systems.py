@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,12 @@ from hypothesis import strategies as st
 import scipy.linalg as sla
 
 from phdiss import assemble_model, make_uniform_grid, systems
-from phdiss.systems import (AssemblyError, assemble_custom, assemble_heat,
-                            assemble_skew_damped, assemble_transport,
-                            dissipativity_gap, graph_norm)
+from phdiss.linalg import psd_sqrt
+from phdiss.systems import (AssemblyError, _probe_hat, assemble_custom,
+                            assemble_heat, assemble_skew_damped,
+                            assemble_transport, dissipativity_gap, graph_norm)
 
-from conftest import MODELS, random_state
+from conftest import MODELS, custom_complex_system, random_state
 
 
 def test_transport_boundary_collapse():
@@ -167,9 +170,11 @@ def test_custom_rejects_shifted_heat(n, shift):
         assemble_custom(g, a)
 
 
-@pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
+@pytest.mark.parametrize("model", ["transport", "heat", "skew_damped", "custom"])
 def test_assembly_makes_one_eigensolve(monkeypatch, model):
-    # the gate reads the stored F: one Hermitian part, one eigensolve
+    # the gate reads the stored F: one Hermitian part, then its band decides:
+    # a diagonal F needs no eigensolve, heat's tridiagonal F one banded
+    # solve, and only a dense custom F the dense eigvalsh
     calls = []
 
     def counting(name, fn):
@@ -178,8 +183,72 @@ def test_assembly_makes_one_eigensolve(monkeypatch, model):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(sla, "eigvalsh", counting("eigvalsh", sla.eigvalsh))
+    for name in ("eigvalsh", "eigvals_banded"):
+        monkeypatch.setattr(sla, name, counting(name, getattr(sla, name)))
     monkeypatch.setattr(systems, "herm_part_wa",
                         counting("herm_part_wa", systems.herm_part_wa))
-    assemble_model(model, make_uniform_grid(41))
-    assert sorted(calls) == ["eigvalsh", "herm_part_wa"]
+    if model == "custom":
+        custom_complex_system(41)
+    else:
+        assemble_model(model, make_uniform_grid(41))
+    solves = {"heat": ["eigvals_banded"], "custom": ["eigvalsh"]}.get(model, [])
+    assert sorted(calls) == sorted(solves + ["herm_part_wa"])
+
+
+def _band_hermitian(rng, n, kd, complex_values):
+    f = np.zeros((n, n), dtype=complex if complex_values else float)
+    for i in range(kd + 1):
+        d = rng.standard_normal(n - i)
+        if complex_values and i > 0:
+            d = d + 1j * rng.standard_normal(n - i)
+        f += np.diag(d, -i)
+    return f + np.tril(f, -1).conj().T
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 60),
+       kd=st.sampled_from([0, 1, 2, 5]), complex_values=st.booleans())
+def test_band_gap_matches_dense_eigvalsh(seed, n, kd, complex_values):
+    f = _band_hermitian(np.random.default_rng(seed), n, kd, complex_values)
+    assert max(sla.bandwidth(f)) <= kd
+    eigs = np.linalg.eigvalsh(f)
+    gap, f_norm = dissipativity_gap(f)
+    scale = np.abs(eigs).max()
+    assert gap == pytest.approx(-eigs[0], abs=1e-13 * scale)
+    assert f_norm == pytest.approx(max(-eigs[0], eigs[-1]), abs=1e-13 * scale)
+
+
+@pytest.mark.parametrize("n", [21, 201, 801])
+def test_heat_probe_root_matches_dense_root(n):
+    # the sine-basis root against the dense inverse-and-eigh route
+    heat = assemble_heat(make_uniform_grid(n))
+    dense = psd_sqrt(_probe_hat(heat.a_matrix, heat.weights))
+    np.testing.assert_allclose(heat.q_sqrt_hat, dense, rtol=0, atol=1e-13)
+
+
+def test_oversized_grid_refused_before_allocating():
+    # a 50,000-node grid would need 20 GB per n x n operator
+    grid = make_uniform_grid(50_000)
+    tracemalloc.start()
+    try:
+        for model in MODELS:
+            with pytest.raises(AssemblyError, match="MAX_OPERATOR_MB"):
+                assemble_model(model, grid)
+        with pytest.raises(AssemblyError, match="MAX_OPERATOR_MB"):
+            assemble_custom(grid, np.zeros((1, 1)))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_operator_budget_is_the_module_constant(monkeypatch):
+    # exercised on a small budget, so no test allocates near the real one:
+    # 21 nodes take 3.5 kB per operator, 41 nodes 13.4 kB
+    monkeypatch.setattr(systems, "MAX_OPERATOR_MB", 0.01)
+    assert assemble_model("heat", make_uniform_grid(21)).n == 21
+    with pytest.raises(AssemblyError, match="MAX_OPERATOR_MB"):
+        assemble_model("heat", make_uniform_grid(41))
+
+
+def test_operator_budget_admits_the_largest_grid():
+    assert 8 * 1601**2 / 1e6 <= systems.MAX_OPERATOR_MB
