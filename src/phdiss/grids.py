@@ -14,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# The most memory, in MB, one dense n x n float64 operator may take; a grid
+# past it (n > 2000) is refused before its nodes or any operator exist.
+MAX_OPERATOR_MB = 32
+
+
 class GridError(ValueError):
     """Raised for unusable grid parameters or states."""
 
@@ -46,11 +51,23 @@ def make_uniform_grid(n: int) -> Grid:
         raise GridError(f"grid size must be an integer, got {n!r}")
     if n < 3:
         raise GridError(f"need at least 3 nodes, got {n}")
+    check_operator_size(n)
     h = 1.0 / (n - 1)
     nodes = np.linspace(0.0, 1.0, n)
     weights = np.full(n, h)
     weights[0] = weights[-1] = h / 2.0
     return Grid(n=int(n), h=h, nodes=nodes, weights=weights)
+
+
+def check_operator_size(n: int) -> None:
+    """Refuse n nodes when one dense n x n float64 operator would exceed
+    MAX_OPERATOR_MB; the grid builder and every assembler call this."""
+    mb = 8 * int(n)**2 / 1e6
+    if mb > MAX_OPERATOR_MB:
+        raise GridError(
+            f"a grid of {n} nodes needs {mb:.3g} MB per dense n x n "
+            f"operator, over the budget of {MAX_OPERATOR_MB} MB "
+            "(grids.MAX_OPERATOR_MB)")
 
 
 def as_state(x, n: int) -> np.ndarray:
@@ -71,5 +88,5 @@ def as_state(x, n: int) -> np.ndarray:
 
 def norm_sq(weights: np.ndarray, x: np.ndarray):
     """Squared weighted norm ||x||^2 = Re(x^H W x), W = diag(weights), of
-    one state, or of every row of a stack of states."""
-    return np.einsum("...i,i,...i->...", np.conj(x), weights, x).real
+    one state, or of every row of a stack; ndarray.conj leaves a real one uncopied."""
+    return np.einsum("...i,i,...i->...", x.conj(), weights, x).real

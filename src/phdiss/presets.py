@@ -37,23 +37,16 @@ def initial_state(grid: Grid, preset: str) -> np.ndarray:
         return np.zeros(grid.n)
     if base == "sinh_bc":
         return np.sinh(1.0 - grid.nodes)
-    if base == "poly":
-        try:
-            k = int(param)
-        except (TypeError, ValueError):
-            raise PresetError(f"invalid parameter in preset {preset!r}") from None
-        if k < 1:
-            raise PresetError(f"poly exponent must be >= 1, got {k}")
-        return (1.0 - grid.nodes) ** k
-    if base == "sine":
-        try:
-            k = int(param)
-        except (TypeError, ValueError):
-            raise PresetError(f"invalid parameter in preset {preset!r}") from None
-        if k < 1:
-            raise PresetError(f"sine frequency must be >= 1, got {k}")
-        return np.sin(k * np.pi * grid.nodes)
-    raise PresetError(f"unknown initial-state preset {preset!r}")
+    if base not in ("poly", "sine"):
+        raise PresetError(f"unknown initial-state preset {preset!r}")
+    try:
+        k = int(param)
+    except (TypeError, ValueError):
+        raise PresetError(f"invalid parameter in preset {preset!r}") from None
+    if k < 1:
+        what = "poly exponent" if base == "poly" else "sine frequency"
+        raise PresetError(f"{what} must be >= 1, got {k}")
+    return (1.0 - grid.nodes) ** k if base == "poly" else np.sin(k * np.pi * grid.nodes)
 
 
 def control_signal(preset: str, t_final: float, dt: float, m: int = 1) -> ControlSignal:

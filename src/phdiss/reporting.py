@@ -39,21 +39,10 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
-def _json_default(obj):
-    """The numpy values json cannot write itself; np.float64 is a float."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def write_json(path, payload: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
     return path

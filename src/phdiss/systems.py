@@ -19,18 +19,13 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Grid, as_state, norm_sq
+from .grids import Grid, as_state, check_operator_size, norm_sq
 from .linalg import gram_sqrt_factors, psd_sqrt, sine_transform
 
 
 # The damping of skew_damped wherever none is given: the assembler, configs,
 # the CLI, refinement studies and the scripts all read this one value.
 DEFAULT_DAMPING = 0.3
-
-# The most memory, in MB, that one dense n x n float64 operator may take.
-# A system holds A and F and builds its roots from several more, so the
-# assemblers refuse a grid past it (n > 2000) before allocating any of them.
-MAX_OPERATOR_MB = 32
 
 # The widest band of F whose eigenvalues come from the banded eigensolver;
 # its work grows like n^2 kd against n^3 for the dense one.
@@ -154,15 +149,12 @@ def dissipativity_gap(f_matrix: np.ndarray) -> tuple[float, float]:
     """(-lambda_min(F), ||F||_2) of the Hermitian form matrix F. The gap is
     <= 0 (up to roundoff) iff the system is dissipative.
 
-    The eigenvalues are read from F's band: a diagonal F is its own
-    spectrum, a band of at most MAX_BAND sub-diagonals goes to
-    eigvals_banded (LAPACK's eigenvalues, not a bound), and only a wider F
-    takes a dense eigvalsh.
+    The eigenvalues are read from F's band: a band of at most MAX_BAND
+    sub-diagonals, a diagonal F included, goes to eigvals_banded (LAPACK's
+    eigenvalues, not a bound), and only a wider F takes a dense eigvalsh.
     """
     kd = max(sla.bandwidth(f_matrix))
-    if kd == 0:
-        eigs = np.diagonal(f_matrix).real
-    elif kd <= MAX_BAND:
+    if kd <= MAX_BAND:
         n = f_matrix.shape[0]
         band = np.zeros((kd + 1, n), dtype=f_matrix.dtype)
         for i in range(kd + 1):
@@ -199,15 +191,6 @@ def _input_matrix(grid: Grid, input_profile) -> np.ndarray:
     return b
 
 
-def _check_size(grid: Grid) -> None:
-    mb = 8 * grid.n**2 / 1e6
-    if mb > MAX_OPERATOR_MB:
-        raise AssemblyError(
-            f"a grid of {grid.n} nodes needs {mb:.3g} MB per dense n x n "
-            f"operator, over the budget of {MAX_OPERATOR_MB} MB "
-            "(systems.MAX_OPERATOR_MB)")
-
-
 def _finish(grid: Grid, a: np.ndarray, b: np.ndarray, tag: str) -> DiscreteSystem:
     f = -herm_part_wa(a, grid.weights)
     gap, f_norm = dissipativity_gap(f)
@@ -232,7 +215,7 @@ def assemble_transport(grid: Grid, input_profile=None) -> DiscreteSystem:
     W A + A^T W = diag(-1, 0, ..., 0, -1), hence the dissipation form is
     |x(0)|^2 / 2 + |x(1)|^2 / 2 with no interior residue.
     """
-    _check_size(grid)
+    check_operator_size(grid.n)
     n, h = grid.n, grid.h
     a = np.zeros((n, n))
     a[0, 0], a[0, 1] = -1.0 / h, 1.0 / h
@@ -254,7 +237,7 @@ def assemble_heat(grid: Grid, input_profile=None) -> DiscreteSystem:
     construction. The full matrix stays invertible, which the steady-state
     solve -A^{-1}(B c) relies on.
     """
-    _check_size(grid)
+    check_operator_size(grid.n)
     n, h = grid.n, grid.h
     a = np.zeros((n, n))
     for i in range(1, n - 1):
@@ -277,7 +260,7 @@ def assemble_skew_damped(grid: Grid, damping: float = DEFAULT_DAMPING,
     """
     if not 0.0 <= damping < np.inf:
         raise AssemblyError(f"damping must be finite and nonnegative, got {damping}")
-    _check_size(grid)
+    check_operator_size(grid.n)
     n, h = grid.n, grid.h
     c = np.zeros((n, n))
     for i in range(n):
@@ -295,7 +278,7 @@ def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None) -> Discrete
 
     A custom system steps with expm and checks no boundary condition.
     """
-    _check_size(grid)
+    check_operator_size(grid.n)
     a = np.asarray(a_matrix, dtype=complex if np.iscomplexobj(a_matrix) else float)
     if a.shape != (grid.n, grid.n):
         raise AssemblyError(f"generator shape {a.shape} does not match grid size {grid.n}")

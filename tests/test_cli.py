@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -88,10 +89,29 @@ def test_oversized_control_is_usage_error(capsys, tmp_path, t_final, dt):
 
 
 def test_oversized_grid_is_usage_error(capsys, tmp_path):
-    # refused at assembly, before any n x n operator is allocated
+    # refused when the grid is built, before any n x n operator is allocated
     cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path).replace(
         "n_grid = 201", "n_grid = 50000"))
     assert main(["run", cfg]) == 2
+    assert "MAX_OPERATOR_MB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "probe"])
+def test_huge_grid_refused_before_the_grid_allocates(capsys, tmp_path, command):
+    # 10^7 nodes would take 160 MB of nodes and weights before any operator
+    if command == "run":
+        argv = ["run", _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path).replace(
+            "n_grid = 201", "n_grid = 10000000"))]
+    else:
+        argv = ["probe", "transport", "power", "--n-grid", "10000000",
+                "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     assert "MAX_OPERATOR_MB" in capsys.readouterr().err
 
 

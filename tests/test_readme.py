@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from phdiss import control_signal, initial_state, make_uniform_grid, systems
+from phdiss import control_signal, grids, initial_state, make_uniform_grid, systems
 from phdiss.config import (OPTIONAL_KEYS, REQUIRED_KEYS, SUPPORTED_TASKS,
                            parse_config_text)
 from phdiss.systems import DEFAULT_DAMPING, MODELS
@@ -105,4 +105,5 @@ def test_readme_documents_every_task():
 
 @pytest.mark.parametrize("name", ["MAX_BAND", "MAX_OPERATOR_MB"])
 def test_readme_states_the_assembly_limits(name):
-    assert f"`phdiss.systems.{name}` = {getattr(systems, name)}" in README.read_text()
+    module = systems if name == "MAX_BAND" else grids
+    assert f"`{module.__name__}.{name}` = {getattr(module, name)}" in README.read_text()

@@ -156,6 +156,24 @@ def test_mild_solution_matches_naive_stepping():
         np.testing.assert_allclose(traj.states[k + 1], x, atol=1e-11)
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_audited_run_holds_one_trajectory(model):
+    # n = 401, K = 3200: the states take 10.3 MB, and stepping and auditing
+    # them may add two n x n operators (the propagator, one block of rates)
+    # but no second (K+1) x n array
+    sys = assemble_model(model, make_uniform_grid(401))
+    u = control_signal("ramp:0.5", 8.0, sys.grid.h)
+    x0 = np.sin(np.pi * sys.grid.nodes)
+    tracemalloc.start()
+    try:
+        energy_audit(sys, mild_solution(sys, x0, u))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.values.shape[0] == 3201
+    assert peak <= 3201 * 401 * 8 + 2 * 8 * 401**2
+
+
 def test_dense_propagator_has_no_subnormals():
     # e^{hA} of skew_damped at n = 801 holds subnormal entries far from the
     # diagonal; zeroing them leaves every stepped state unchanged

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import scipy.linalg as sla
 
-from phdiss import assemble_model, make_uniform_grid, systems
+from phdiss import assemble_model, grids, make_uniform_grid, systems
+from phdiss.grids import Grid, GridError
 from phdiss.linalg import psd_sqrt
 from phdiss.systems import (AssemblyError, _probe_hat, assemble_custom,
                             assemble_heat, assemble_skew_damped,
@@ -173,8 +174,8 @@ def test_custom_rejects_shifted_heat(n, shift):
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped", "custom"])
 def test_assembly_makes_one_eigensolve(monkeypatch, model):
     # the gate reads the stored F: one Hermitian part, then its band decides:
-    # a diagonal F needs no eigensolve, heat's tridiagonal F one banded
-    # solve, and only a dense custom F the dense eigvalsh
+    # a diagonal or tridiagonal F takes one banded solve, and only a dense
+    # custom F the dense eigvalsh
     calls = []
 
     def counting(name, fn):
@@ -191,7 +192,7 @@ def test_assembly_makes_one_eigensolve(monkeypatch, model):
         custom_complex_system(41)
     else:
         assemble_model(model, make_uniform_grid(41))
-    solves = {"heat": ["eigvals_banded"], "custom": ["eigvalsh"]}.get(model, [])
+    solves = ["eigvalsh"] if model == "custom" else ["eigvals_banded"]
     assert sorted(calls) == sorted(solves + ["herm_part_wa"])
 
 
@@ -227,14 +228,19 @@ def test_heat_probe_root_matches_dense_root(n):
 
 
 def test_oversized_grid_refused_before_allocating():
-    # a 50,000-node grid would need 20 GB per n x n operator
-    grid = make_uniform_grid(50_000)
+    # a 50,000-node grid would need 20 GB per n x n operator: the grid
+    # builder refuses it, and so does every assembler on a grid built by hand
+    n = 50_000
+    nodes = np.linspace(0.0, 1.0, n)
+    grid = Grid(n=n, h=nodes[1], nodes=nodes, weights=np.full(n, nodes[1]))
     tracemalloc.start()
     try:
+        with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
+            make_uniform_grid(n)
         for model in MODELS:
-            with pytest.raises(AssemblyError, match="MAX_OPERATOR_MB"):
+            with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
                 assemble_model(model, grid)
-        with pytest.raises(AssemblyError, match="MAX_OPERATOR_MB"):
+        with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
             assemble_custom(grid, np.zeros((1, 1)))
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
@@ -244,11 +250,11 @@ def test_oversized_grid_refused_before_allocating():
 def test_operator_budget_is_the_module_constant(monkeypatch):
     # exercised on a small budget, so no test allocates near the real one:
     # 21 nodes take 3.5 kB per operator, 41 nodes 13.4 kB
-    monkeypatch.setattr(systems, "MAX_OPERATOR_MB", 0.01)
+    monkeypatch.setattr(grids, "MAX_OPERATOR_MB", 0.01)
     assert assemble_model("heat", make_uniform_grid(21)).n == 21
-    with pytest.raises(AssemblyError, match="MAX_OPERATOR_MB"):
+    with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
         assemble_model("heat", make_uniform_grid(41))
 
 
 def test_operator_budget_admits_the_largest_grid():
-    assert 8 * 1601**2 / 1e6 <= systems.MAX_OPERATOR_MB
+    assert 8 * 1601**2 / 1e6 <= grids.MAX_OPERATOR_MB
