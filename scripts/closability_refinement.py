@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from phdiss import refinement_study, write_probe_csv
-from phdiss.systems import DEFAULT_DAMPING
 
 DEFAULT_CASES = (("transport", "power"), ("heat", "scaled_sine"))
 
@@ -50,7 +49,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[101, 201, 401])
     parser.add_argument("--n-max", type=int, default=8)
-    parser.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
     parser.add_argument("--model", default=None,
                         help="run a single model instead of the default pair")
     parser.add_argument("--sequence", default=None)
@@ -65,8 +63,7 @@ def main(argv=None) -> int:
     for i, (model, sequence) in enumerate(cases):
         if i:
             print()
-        study = refinement_study(model, args.sizes, sequence,
-                                 n_max=args.n_max, damping=args.damping)
+        study = refinement_study(model, args.sizes, sequence, n_max=args.n_max)
         _print_study(study)
         if args.out is not None:
             path = write_probe_csv(

@@ -2,7 +2,7 @@
 
     phdiss run CONFIG
     phdiss verify-paper [--n-grid N] [--out DIR]
-    phdiss probe MODEL SEQUENCE [--n-max K] [--n-grid N] [--damping D] [--out DIR]
+    phdiss probe MODEL SEQUENCE [--n-max K] [--n-grid N] [--out DIR]
 
 The PHDISS_OUT environment variable overrides every output directory.
 Exit codes: 0 success, 1 a validation check failed, 2 usage or config error,
@@ -28,7 +28,7 @@ from .probes import SEQUENCE_TAGS, ProbeError, closability_probe
 from .reporting import write_csv, write_probe_csv
 from .runner import run_config
 from .semigroup import AlignmentError, SignalError
-from .systems import DEFAULT_DAMPING, MODELS, AssemblyError, assemble_model
+from .systems import MODELS, AssemblyError, assemble_model
 from .verify import verify_paper_values
 
 _USER_ERRORS = (ConfigError, GridError, AssemblyError, SignalError,
@@ -56,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("sequence", choices=SEQUENCE_TAGS)
     p_probe.add_argument("--n-max", type=int, default=8)
     p_probe.add_argument("--n-grid", type=int, default=201)
-    p_probe.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
     p_probe.add_argument("--out", default=None, help="directory for probe.csv")
     return parser
 
@@ -92,7 +91,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_probe(args) -> int:
     grid = make_uniform_grid(args.n_grid)
-    system = assemble_model(args.model, grid, damping=args.damping)
+    system = assemble_model(args.model, grid)
     report = closability_probe(system, args.sequence, n_max=args.n_max)
     for n, norm, r in zip(report.indices, report.norms, report.r_values):
         print(f"n={n}: |x_n| = {norm:.6g}, r[x_n] = {r:.6g}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .probes import SEQUENCE_TAGS
-from .systems import DEFAULT_DAMPING, MODELS
+from .systems import MODELS
 
 
 class ConfigError(ValueError):
@@ -31,7 +31,7 @@ SUPPORTED_TASKS = ("simulate", "audit", "rt_bound", "q_check", "refine",
                    *(f"probe:{tag}" for tag in SEQUENCE_TAGS))
 REQUIRED_KEYS = ("model", "n_grid", "t_final", "x0_preset", "u_preset",
                  "tasks", "out_dir")
-OPTIONAL_KEYS = ("dt", "damping")
+OPTIONAL_KEYS = ("dt",)
 
 
 @dataclass
@@ -44,7 +44,6 @@ class ExperimentConfig:
     tasks: tuple[str, ...]
     out_dir: str
     dt: float | str = "auto"
-    damping: float = DEFAULT_DAMPING
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -56,8 +55,6 @@ class ExperimentConfig:
         if self.dt != "auto":
             if not isinstance(self.dt, float) or not 0 < self.dt < math.inf:
                 raise ConfigError(f"dt must be 'auto' or a positive number, got {self.dt!r}")
-        if not 0 <= self.damping < math.inf:
-            raise ConfigError(f"damping must be nonnegative and finite, got {self.damping}")
         bad = [t for t in self.tasks if t not in SUPPORTED_TASKS]
         if bad:
             raise ConfigError(f"unknown task(s): {', '.join(bad)}")
@@ -103,7 +100,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         tasks=tasks,
         out_dir=raw["out_dir"],
         dt=dt,
-        damping=_num("damping", float) if "damping" in raw else DEFAULT_DAMPING,
     )
 
 

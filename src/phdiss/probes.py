@@ -22,9 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import grids
 from .dissipation import _form_rates
 from .grids import Grid, as_state, make_uniform_grid, norm_sq
-from .systems import DEFAULT_DAMPING, DiscreteSystem, assemble_model
+from .systems import DiscreteSystem, assemble_model
 
 SEQUENCE_TAGS = ("power", "scaled_sine")
 
@@ -91,9 +92,17 @@ def _form_cauchy(stats: np.ndarray, eps_form: float) -> bool:
 
 def closability_probe(system: DiscreteSystem, sequence: str, n_max: int = 8,
                       custom: Callable | None = None) -> ProbeReport:
-    """Run the probe sequence through the system's dissipation form."""
+    """Run the probe sequence through the system's dissipation form. An n_max
+    whose float64 stack of n_max (n_max - 1) / 2 pairwise differences would
+    exceed grids.MAX_OPERATOR_MB is refused before any state is sampled."""
     if n_max < 2:
         raise ProbeError(f"need at least two probe states, got n_max={n_max}")
+    mb = 8 * (n_max * (n_max - 1) // 2) * system.n / 1e6
+    if mb > grids.MAX_OPERATOR_MB:
+        raise ProbeError(
+            f"n_max={n_max} on {system.n} nodes needs {mb:.3g} MB of pairwise "
+            f"differences, over the budget of {grids.MAX_OPERATOR_MB} MB "
+            "(grids.MAX_OPERATOR_MB)")
     states = np.array([as_state(x, system.n) for x in
                        probe_states(sequence, system.grid, n_max, custom=custom)])
     norms = np.sqrt(norm_sq(system.weights, states))
@@ -165,7 +174,7 @@ class StudyReport:
 
 
 def refinement_study(model_tag: str, grid_sizes: Sequence[int], sequence: str,
-                     n_max: int = 8, damping: float = DEFAULT_DAMPING) -> StudyReport:
+                     n_max: int = 8) -> StudyReport:
     """Rerun the probe across grids; report verdict stability and orders.
 
     Orders are estimated per probe index for the norm and the form value;
@@ -178,7 +187,7 @@ def refinement_study(model_tag: str, grid_sizes: Sequence[int], sequence: str,
         raise ProbeError("grid sizes must be strictly increasing")
     reports = []
     for size in sizes:
-        system = assemble_model(model_tag, make_uniform_grid(size), damping=damping)
+        system = assemble_model(model_tag, make_uniform_grid(size))
         reports.append(closability_probe(system, sequence, n_max=n_max))
     verdicts = tuple(r.verdict for r in reports)
     spacings = np.array([1.0 / (s - 1) for s in sizes])

@@ -47,7 +47,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = make_uniform_grid(cfg.n_grid)
-    system = assemble_model(cfg.model, grid, damping=cfg.damping)
+    system = assemble_model(cfg.model, grid)
     dt = grid.h if cfg.dt == "auto" else float(cfg.dt)
     x0 = initial_state(grid, cfg.x0_preset)
     u = control_signal(cfg.u_preset, cfg.t_final, dt, m=system.m_inputs)
@@ -124,8 +124,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
                 f"worst scaled residual {worst:.3e} (tol {Q_RESIDUAL_TOL:.0e})"))
             summary["q_check"] = {"q_max_residual": worst, "samples": 100}
         elif task == "refine":
-            study = refinement_study(cfg.model, REFINE_SIZES, "power",
-                                     damping=cfg.damping)
+            study = refinement_study(cfg.model, REFINE_SIZES, "power")
             summary["refine"] = {
                 "grid_sizes": list(study.grid_sizes),
                 "verdicts": list(study.verdicts),

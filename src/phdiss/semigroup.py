@@ -98,8 +98,6 @@ class Trajectory:
 
 
 def _shift_indices(t: float, h: float) -> int:
-    if t < -1e-12:
-        raise AlignmentError(f"negative time {t}")
     ratio = t / h
     k = int(round(ratio))
     if abs(ratio - k) > 1e-9 * max(1.0, abs(ratio)):

@@ -23,9 +23,9 @@ from .grids import Grid, as_state, check_operator_size, norm_sq
 from .linalg import gram_sqrt_factors, psd_sqrt, sine_transform
 
 
-# The damping of skew_damped wherever none is given: the assembler, configs,
-# the CLI, refinement studies and the scripts all read this one value.
-DEFAULT_DAMPING = 0.3
+# The damping of skew_damped, whose rate is DAMPING * ||x||^2. Another
+# damping d is assemble_custom(grid, A - (d - DAMPING) * I) on its A.
+DAMPING = 0.3
 
 # The widest band of F whose eigenvalues come from the banded eigensolver;
 # its work grows like n^2 kd against n^3 for the dense one.
@@ -204,6 +204,15 @@ def _finish(grid: Grid, a: np.ndarray, b: np.ndarray, tag: str) -> DiscreteSyste
                           model_tag=tag)
 
 
+def _tridiagonal(n: int, lower, diag, upper) -> np.ndarray:
+    # the n x n matrix with these sub-, main and super-diagonals, zero elsewhere
+    a = np.zeros((n, n))
+    a.flat[n::n + 1] = lower
+    a.flat[::n + 1] = diag
+    a.flat[1::n + 1] = upper
+    return a
+
+
 def assemble_transport(grid: Grid, input_profile=None) -> DiscreteSystem:
     """Transport x' = dx/dw with outflow condition x(1) = 0.
 
@@ -217,13 +226,9 @@ def assemble_transport(grid: Grid, input_profile=None) -> DiscreteSystem:
     """
     check_operator_size(grid.n)
     n, h = grid.n, grid.h
-    a = np.zeros((n, n))
+    a = _tridiagonal(n, -1.0 / (2.0 * h), 0.0, 1.0 / (2.0 * h))
     a[0, 0], a[0, 1] = -1.0 / h, 1.0 / h
-    for i in range(1, n - 1):
-        a[i, i - 1] = -1.0 / (2.0 * h)
-        a[i, i + 1] = 1.0 / (2.0 * h)
-    a[-1, -2], a[-1, -1] = -1.0 / h, 1.0 / h
-    a[-1, -1] -= 2.0 / h  # penalty enforcing x(1) = 0
+    a[-1, -2], a[-1, -1] = -1.0 / h, 1.0 / h - 2.0 / h  # penalty enforcing x(1) = 0
     return _finish(grid, a, _input_matrix(grid, input_profile), "transport")
 
 
@@ -239,37 +244,25 @@ def assemble_heat(grid: Grid, input_profile=None) -> DiscreteSystem:
     """
     check_operator_size(grid.n)
     n, h = grid.n, grid.h
-    a = np.zeros((n, n))
-    for i in range(1, n - 1):
-        a[i, i - 1] = 1.0 / h**2
-        a[i, i] = -2.0 / h**2
-        a[i, i + 1] = 1.0 / h**2
-    a[1, 0] = 0.0
-    a[-2, -1] = 0.0
-    a[0, 0] = -2.0 / h**2
-    a[-1, -1] = -2.0 / h**2
+    a = _tridiagonal(n, 1.0 / h**2, -2.0 / h**2, 1.0 / h**2)
+    a[0, 1] = a[1, 0] = a[-2, -1] = a[-1, -2] = 0.0
     return _finish(grid, a, _input_matrix(grid, input_profile), "heat")
 
 
-def assemble_skew_damped(grid: Grid, damping: float = DEFAULT_DAMPING,
-                         input_profile=None) -> DiscreteSystem:
-    """Periodic central derivative, skew-symmetrized in W, minus damping*I.
+def assemble_skew_damped(grid: Grid, input_profile=None) -> DiscreteSystem:
+    """Periodic central derivative, skew-symmetrized in W, minus DAMPING*I.
 
-    The generator is J - damping*I where J is exactly W-skew-adjoint, so the
-    dissipation form is damping * ||x||^2 to machine precision.
+    The generator is J - DAMPING*I where J is exactly W-skew-adjoint, so the
+    dissipation form is DAMPING * ||x||^2 to machine precision.
     """
-    if not 0.0 <= damping < np.inf:
-        raise AssemblyError(f"damping must be finite and nonnegative, got {damping}")
     check_operator_size(grid.n)
-    n, h = grid.n, grid.h
-    c = np.zeros((n, n))
-    for i in range(n):
-        c[i, (i + 1) % n] += 1.0 / (2.0 * h)
-        c[i, (i - 1) % n] -= 1.0 / (2.0 * h)
-    w = grid.weights
-    # J = (C - W^{-1} C^T W) / 2, then A = J - damping * I
-    a = 0.5 * (c - (1.0 / w)[:, None] * (c.T * w[None, :]))
-    a.flat[::n + 1] -= damping
+    n, s, w = grid.n, 1.0 / (2.0 * grid.h), grid.weights
+    # J = (C - W^{-1} C^T W) / 2 entrywise, J_ij = (C_ij - (1/w_i)(C_ji w_j)) / 2,
+    # from the periodic central difference C_{i,i+1} = s, C_{i+1,i} = -s
+    a = _tridiagonal(n, 0.5 * (-s - (1.0 / w[1:]) * (s * w[:-1])), -DAMPING,
+                     0.5 * (s - (1.0 / w[:-1]) * (-s * w[1:])))
+    a[-1, 0] = 0.5 * (s - (1.0 / w[-1]) * (-s * w[0]))
+    a[0, -1] = 0.5 * (-s - (1.0 / w[0]) * (s * w[-1]))
     return _finish(grid, a, _input_matrix(grid, input_profile), "skew_damped")
 
 
@@ -291,37 +284,37 @@ def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None) -> Discrete
 class Model:
     """One row of the model registry.
 
-    assemble(grid, damping) builds the system; models without damping
-    ignore it. step is how e^{dt A} is applied: "shift" (the exact nodal
-    shift, transport only), "sine" (the diagonal sine_spectrum in
-    sine_basis, heat only) or "expm". boundary(x) is the residual of the
-    boundary condition that classical data meets, described by
-    boundary_note.
+    assemble(grid) builds the system. step is how e^{dt A} is applied:
+    "shift" (the exact nodal shift, transport only), "sine" (the diagonal
+    sine_spectrum in sine_basis, heat only) or "expm". boundary(x) is the
+    residual of the boundary condition that classical data meets, described
+    by boundary_note.
     """
 
-    assemble: Callable[[Grid, float], DiscreteSystem] | None
+    assemble: Callable[[Grid], DiscreteSystem] | None
     step: str = "expm"
     boundary: Callable[[np.ndarray], float] = lambda x: 0.0
     boundary_note: str = "custom model, no boundary condition checked"
 
 
-# The model registry. Configs and the CLI read their model names from here.
+# The model registry, read by configs and the CLI. Each row looks its assembler
+# up at call time, so a call tracer that rebinds systems.assemble_* sees it.
 MODELS: dict[str, Model] = {
-    "transport": Model(lambda grid, damping: assemble_transport(grid), "shift",
+    "transport": Model(lambda grid: assemble_transport(grid), "shift",
                        lambda x: abs(x[-1]), "outflow value x(1)"),
-    "heat": Model(lambda grid, damping: assemble_heat(grid), "sine",
+    "heat": Model(lambda grid: assemble_heat(grid), "sine",
                   lambda x: max(abs(x[0]), abs(x[-1])), "endpoint values x(0), x(1)"),
-    "skew_damped": Model(lambda grid, damping: assemble_skew_damped(grid, damping=damping),
-                         "expm", lambda x: abs(x[0] - x[-1]), "periodic match x(0) = x(1)"),
+    "skew_damped": Model(lambda grid: assemble_skew_damped(grid), "expm",
+                         lambda x: abs(x[0] - x[-1]), "periodic match x(0) = x(1)"),
 }
 CUSTOM = Model(assemble=None)
 
 
-def assemble_model(model_tag: str, grid: Grid, damping: float = DEFAULT_DAMPING) -> DiscreteSystem:
+def assemble_model(model_tag: str, grid: Grid) -> DiscreteSystem:
     """Assemble one of the named models (custom needs assemble_custom)."""
     if model_tag not in MODELS:
         raise AssemblyError(f"unsupported model: {model_tag!r}")
-    return MODELS[model_tag].assemble(grid, damping)
+    return MODELS[model_tag].assemble(grid)
 
 
 def graph_norm(system: DiscreteSystem, f) -> float:

@@ -171,11 +171,44 @@ def test_program_bug_is_not_a_usage_error(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv, message", [
     (["transport", "power", "--n-max", "1"], "need at least two probe states"),
-    (["skew_damped", "power", "--damping", "nan"], "damping must be finite"),
 ])
 def test_probe_bad_input_is_usage_error(capsys, tmp_path, argv, message):
     assert main(["probe", *argv, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_probe_stack_over_budget_refused_before_sampling(capsys, tmp_path):
+    # 4,498,500 differences of 101 nodes would take 3.6 GB, and the 3,000
+    # sampled states alone 2.4 MB; the system itself takes 0.25 MB
+    argv = ["probe", "transport", "power", "--n-max", "3000", "--n-grid", "101",
+            "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "MAX_OPERATOR_MB" in capsys.readouterr().err
+    assert not (tmp_path / "probe.csv").exists()
+
+
+def test_damping_is_no_config_key(capsys, tmp_path):
+    # a named model is fixed by its grid: skew_damped's damping is the
+    # constant systems.DAMPING
+    cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path).replace(
+        "model = transport", "model = skew_damped\ndamping = 0.3"))
+    assert main(["run", cfg]) == 2
+    assert "unknown key: damping" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_probe_has_no_damping_option(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "skew_damped", "power", "--damping", "0.3",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--damping" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit", [("u_preset = zero", "u_preset = const:nan"),
@@ -355,7 +388,7 @@ out_dir = {out}
         assert (out / "ledger.csv").exists() == ledger_written
 
         grid = make_uniform_grid(cfg.n_grid)
-        system = assemble_model(cfg.model, grid, damping=cfg.damping)
+        system = assemble_model(cfg.model, grid)
         x0 = initial_state(grid, cfg.x0_preset)
         u = control_signal(cfg.u_preset, cfg.t_final, grid.h, m=system.m_inputs)
         led = energy_audit(system, mild_solution(system, x0, u))
@@ -383,7 +416,7 @@ out_dir = {tmp_path}
     res = phdiss.runner.run_config(cfg)
     assert res.status == 0
     grid = make_uniform_grid(cfg.n_grid)
-    system = assemble_model(cfg.model, grid, damping=cfg.damping)
+    system = assemble_model(cfg.model, grid)
     x0 = initial_state(grid, cfg.x0_preset)
     u = control_signal(cfg.u_preset, cfg.t_final, grid.h, m=system.m_inputs)
     traj = mild_solution(system, x0, u)

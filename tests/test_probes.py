@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from phdiss import (assemble_model, closability_probe, form_r,
-                    make_uniform_grid, refinement_study)
+from phdiss import (assemble_model, closability_probe, form_r, grids,
+                    make_uniform_grid, probes, refinement_study)
 from phdiss.probes import (VERDICT_CLOSABLE, VERDICT_NON_CLOSABLE,
-                           VERDICT_PREMISE, probe_states)
+                           VERDICT_PREMISE, ProbeError, probe_states)
 
 
 def test_probe_state_families(grid101):
@@ -27,6 +27,32 @@ def test_unknown_sequence_rejected(grid101):
 def test_probe_needs_two_states(systems101):
     with pytest.raises(ValueError):
         closability_probe(systems101["transport"], "power", n_max=1)
+
+
+def test_probe_budget_is_the_module_constant(systems101, monkeypatch):
+    # exercised on a small budget: n_max = 8 stacks 28 differences of 101
+    # nodes (22.6 kB), n_max = 9 stacks 36 (29.1 kB)
+    monkeypatch.setattr(grids, "MAX_OPERATOR_MB", 0.025)
+    assert closability_probe(systems101["heat"], "power", n_max=8).indices.size == 8
+    with pytest.raises(ProbeError, match="MAX_OPERATOR_MB"):
+        closability_probe(systems101["heat"], "power", n_max=9)
+
+
+def test_probe_budget_admits_n_max_100_on_801_nodes(monkeypatch):
+    # 4,950 differences of 801 nodes take 31.7 MB and are admitted, 5,050
+    # (32.4 MB) are not; the sampler is stubbed, so no stack is allocated
+    class Sampled(Exception):
+        pass
+
+    def sampled(*args, **kwargs):
+        raise Sampled
+
+    system = assemble_model("transport", make_uniform_grid(801))
+    monkeypatch.setattr(probes, "probe_states", sampled)
+    with pytest.raises(Sampled):
+        closability_probe(system, "power", n_max=100)
+    with pytest.raises(ProbeError, match="MAX_OPERATOR_MB"):
+        closability_probe(system, "power", n_max=101)
 
 
 def test_transport_power_probe_values():

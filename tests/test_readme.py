@@ -1,7 +1,8 @@
 """The README Quickstart runs as printed and prints what its comments say,
-and the README's `run` config parses with the keys, presets and tasks it
-documents."""
+the README's `run` config parses with the keys, presets and tasks it
+documents, and its CLI synopsis lists the options the parser defines."""
 
+import argparse
 import contextlib
 import io
 import re
@@ -9,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from phdiss import control_signal, grids, initial_state, make_uniform_grid, systems
+from phdiss import cli, control_signal, grids, initial_state, make_uniform_grid, systems
 from phdiss.config import (OPTIONAL_KEYS, REQUIRED_KEYS, SUPPORTED_TASKS,
                            parse_config_text)
-from phdiss.systems import DEFAULT_DAMPING, MODELS
+from phdiss.systems import MODELS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -73,7 +74,6 @@ def test_readme_run_config_parses_as_documented():
     block = _run_config_block()
     cfg = parse_config_text(block)
     assert (cfg.model, cfg.n_grid, cfg.t_final, cfg.dt) == ("transport", 201, 1.0, "auto")
-    assert cfg.damping == DEFAULT_DAMPING
     keys = {line.split("=", 1)[0].strip() for line in block.splitlines()
             if "=" in line.split("#", 1)[0]}
     assert keys == set(REQUIRED_KEYS + OPTIONAL_KEYS)
@@ -103,7 +103,24 @@ def test_readme_documents_every_task():
     assert documented == set(SUPPORTED_TASKS)
 
 
-@pytest.mark.parametrize("name", ["MAX_BAND", "MAX_OPERATOR_MB"])
+@pytest.mark.parametrize("name", ["MAX_BAND", "MAX_OPERATOR_MB", "DAMPING"])
 def test_readme_states_the_assembly_limits(name):
-    module = systems if name == "MAX_BAND" else grids
+    module = grids if name == "MAX_OPERATOR_MB" else systems
     assert f"`{module.__name__}.{name}` = {getattr(module, name)}" in README.read_text()
+
+
+def _synopsis_options(text: str, verb: str) -> set[str]:
+    line = next(line for line in text.splitlines()
+                if line.strip().startswith(f"phdiss {verb}"))
+    return set(re.findall(r"--[a-z][a-z-]*", line))
+
+
+@pytest.mark.parametrize("source", ["README", "cli docstring"])
+def test_cli_synopsis_lists_the_parser_options(source):
+    text = _section("Command line") if source == "README" else cli.__doc__
+    verbs = next(action for action in cli._build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)).choices
+    for verb, parser in verbs.items():
+        defined = {opt for action in parser._actions for opt in action.option_strings
+                   if opt.startswith("--")} - {"--help"}
+        assert _synopsis_options(text, verb) == defined, verb

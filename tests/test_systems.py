@@ -10,7 +10,7 @@ import scipy.linalg as sla
 from phdiss import assemble_model, grids, make_uniform_grid, systems
 from phdiss.grids import Grid, GridError
 from phdiss.linalg import psd_sqrt
-from phdiss.systems import (AssemblyError, _probe_hat, assemble_custom,
+from phdiss.systems import (DAMPING, AssemblyError, _probe_hat, assemble_custom,
                             assemble_heat, assemble_skew_damped,
                             assemble_transport, dissipativity_gap, graph_norm)
 
@@ -72,9 +72,9 @@ def test_heat_generator_invertible_steady_state():
 
 def test_skew_part_exactly_skew():
     g = make_uniform_grid(51)
-    sys = assemble_skew_damped(g, damping=0.3)
+    sys = assemble_skew_damped(g)
     w = np.diag(g.weights)
-    j = sys.a_matrix + 0.3 * np.eye(g.n)
+    j = sys.a_matrix + DAMPING * np.eye(g.n)
     np.testing.assert_allclose(w @ j + j.T @ w, 0.0, atol=1e-12)
 
 
@@ -86,7 +86,68 @@ def test_skew_damped_rate_is_damping_times_norm(systems101, seed):
     x = random_state(sys.n, seed)
     nx2 = float(np.real(np.conj(x) @ (sys.weights * x)))
     assert form_r(sys, x) == pytest.approx(
-        0.3 * nx2, abs=1e-10 * max(1.0, nx2))
+        DAMPING * nx2, abs=1e-10 * max(1.0, nx2))
+
+
+def _loop_generator(model: str, grid) -> np.ndarray:
+    # the former entry-by-entry construction of each named generator, the
+    # oracle of the stencil writes
+    n, h = grid.n, grid.h
+    a = np.zeros((n, n))
+    if model == "transport":
+        a[0, 0], a[0, 1] = -1.0 / h, 1.0 / h
+        for i in range(1, n - 1):
+            a[i, i - 1] = -1.0 / (2.0 * h)
+            a[i, i + 1] = 1.0 / (2.0 * h)
+        a[-1, -2], a[-1, -1] = -1.0 / h, 1.0 / h
+        a[-1, -1] -= 2.0 / h
+    elif model == "heat":
+        for i in range(1, n - 1):
+            a[i, i - 1] = 1.0 / h**2
+            a[i, i] = -2.0 / h**2
+            a[i, i + 1] = 1.0 / h**2
+        a[1, 0] = 0.0
+        a[-2, -1] = 0.0
+        a[0, 0] = -2.0 / h**2
+        a[-1, -1] = -2.0 / h**2
+    else:
+        c = np.zeros((n, n))
+        for i in range(n):
+            c[i, (i + 1) % n] += 1.0 / (2.0 * h)
+            c[i, (i - 1) % n] -= 1.0 / (2.0 * h)
+        w = grid.weights
+        a = 0.5 * (c - (1.0 / w)[:, None] * (c.T * w[None, :]))
+        a.flat[::n + 1] -= DAMPING
+    return a
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 21, 401])
+@pytest.mark.parametrize("model", MODELS)
+def test_stencil_generator_matches_the_loop_oracle(model, n):
+    # same bits, zero signs included, in A and in F
+    grid = make_uniform_grid(n)
+    system = assemble_model(model, grid)
+    a = _loop_generator(model, grid)
+    f = -systems.herm_part_wa(a, grid.weights)
+    for new, old in ((system.a_matrix, a), (system.f_matrix, f)):
+        assert np.array_equal(new, old)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_assembly_peaks_at_three_operators(model):
+    # A, W A and its Hermitian part: the stencil writes hold no dense
+    # difference matrix beside them
+    n = 401
+    grid = make_uniform_grid(n)
+    assemble_model(model, make_uniform_grid(5))  # lazy imports, caches
+    tracemalloc.start()
+    try:
+        assemble_model(model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 8 * n**2
 
 
 def test_custom_rejects_non_dissipative():
