@@ -16,7 +16,7 @@ Example::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .probes import SEQUENCE_TAGS
@@ -27,11 +27,8 @@ class ConfigError(ValueError):
     pass
 
 
-SUPPORTED_TASKS = ("simulate", "audit", "rt_bound", "q_check", "refine",
+SUPPORTED_TASKS = ("simulate", "audit", "rt_bound", "q_check",
                    *(f"probe:{tag}" for tag in SEQUENCE_TAGS))
-REQUIRED_KEYS = ("model", "n_grid", "t_final", "x0_preset", "u_preset",
-                 "tasks", "out_dir")
-OPTIONAL_KEYS = ("dt",)
 
 
 @dataclass
@@ -60,11 +57,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown task(s): {', '.join(bad)}")
         if not self.tasks:
             raise ConfigError("tasks must not be empty")
+        if len(set(self.tasks)) < len(self.tasks):
+            raise ConfigError(f"a task is listed twice: {', '.join(self.tasks)}")
+        if sum(t.startswith("probe:") for t in self.tasks) > 1:
+            raise ConfigError("a run takes at most one probe task: each writes probe.csv")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the flat key = value format; raises ConfigError with the line."""
-    raw: dict[str, str] = {}
+    """Parse the flat key = value format; the keys are the ExperimentConfig
+    fields, required unless they have a default. Raises ConfigError."""
+    keys = {f.name: f.default is MISSING for f in fields(ExperimentConfig)}
+    raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -72,35 +75,24 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"malformed line {lineno}: {line.strip()!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in REQUIRED_KEYS + OPTIONAL_KEYS:
+        if key not in keys:
             raise ConfigError(f"unknown key: {key} (line {lineno})")
         if not value:
             raise ConfigError(f"empty value for {key} (line {lineno})")
+        if key in raw:
+            raise ConfigError(f"duplicate key: {key} (line {lineno})")
         raw[key] = value
-    for key in REQUIRED_KEYS:
-        if key not in raw:
+    for key, required in keys.items():
+        if required and key not in raw:
             raise ConfigError(f"missing key: {key}")
-
-    def _num(key: str, cast):
-        try:
-            return cast(raw[key])
-        except ValueError:
-            raise ConfigError(f"invalid value for {key}: {raw[key]!r}") from None
-
-    dt: float | str = "auto"
-    if raw.get("dt", "auto") != "auto":
-        dt = _num("dt", float)
-    tasks = tuple(t.strip() for t in raw["tasks"].split(",") if t.strip())
-    return ExperimentConfig(
-        model=raw["model"],
-        n_grid=_num("n_grid", int),
-        t_final=_num("t_final", float),
-        x0_preset=raw["x0_preset"],
-        u_preset=raw["u_preset"],
-        tasks=tasks,
-        out_dir=raw["out_dir"],
-        dt=dt,
-    )
+    for key, cast in (("dt", float), ("n_grid", int), ("t_final", float)):
+        if key in raw and not (key == "dt" and raw[key] == "auto"):
+            try:
+                raw[key] = cast(raw[key])
+            except ValueError:
+                raise ConfigError(f"invalid value for {key}: {raw[key]!r}") from None
+    raw["tasks"] = tuple(t.strip() for t in raw["tasks"].split(",") if t.strip())
+    return ExperimentConfig(**raw)
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -17,14 +17,13 @@ from .config import ExperimentConfig
 from .dissipation import _q_identity_rows, energy_audit, rt_bound_check
 from .grids import make_uniform_grid, norm_sq
 from .presets import control_signal, initial_state
-from .probes import closability_probe, refinement_study
+from .probes import closability_probe
 from .reporting import write_json, write_ledger_csv, write_probe_csv
 from .semigroup import classical_check, mild_solution
 from .systems import assemble_model
 
 RATE_FLOOR = -1e-10      # rate non-negativity margin
 Q_RESIDUAL_TOL = 1e-10   # scaled probe-identity residual
-REFINE_SIZES = (101, 201, 401)
 
 
 @dataclass
@@ -98,11 +97,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
             checks.append(CheckResult(
                 "rt_bound", rep.ok,
                 f"lhs {rep.lhs:.6g} vs rhs {rep.rhs:.6g}, slack {rep.slack:.3e}"))
-            summary["rt_bound"] = {
-                "lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack,
-                "b_norm": rep.b_norm, "u_norm": rep.u_norm,
-                "x0_norm": rep.x0_norm, "t_final": rep.t_final,
-            }
+            summary["rt_bound"] = {k: v for k, v in asdict(rep).items() if k != "ok"}
         elif task.startswith("probe:"):
             sequence = task.split(":", 1)[1]
             rep = closability_probe(system, sequence)
@@ -123,14 +118,6 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
                 "q_identity", worst <= Q_RESIDUAL_TOL,
                 f"worst scaled residual {worst:.3e} (tol {Q_RESIDUAL_TOL:.0e})"))
             summary["q_check"] = {"q_max_residual": worst, "samples": 100}
-        elif task == "refine":
-            study = refinement_study(cfg.model, REFINE_SIZES, "power")
-            summary["refine"] = {
-                "grid_sizes": list(study.grid_sizes),
-                "verdicts": list(study.verdicts),
-                "verdict_stable": study.verdict_stable,
-                "orders": study.orders,
-            }
         else:  # config validation makes this unreachable
             raise ValueError(f"unknown task {task!r}")
 

@@ -239,8 +239,9 @@ def assemble_heat(grid: Grid, input_profile=None) -> DiscreteSystem:
     nodes are kept in the state vector but fully decoupled, each with its
     own fast relaxation, so that Dirichlet-compatible data (zero endpoint
     values) stays exact and W A is symmetric negative semidefinite by
-    construction. The full matrix stays invertible, which the steady-state
-    solve -A^{-1}(B c) relies on.
+    construction. The sine step route and its probe root rely on the
+    decoupling: each boundary node is an eigenvector of A (sine_spectrum).
+    A is invertible, every eigenvalue negative, but only a test solves with it.
     """
     check_operator_size(grid.n)
     n, h = grid.n, grid.h

@@ -225,6 +225,37 @@ def test_non_finite_input_is_usage_error(capsys, tmp_path, edit):
     assert not (tmp_path / "summary.json").exists()
 
 
+TASKS_LINE = "tasks = simulate, audit, rt_bound, q_check"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("dt = auto", "dt ="), "empty value for dt (line 5)"),
+    (("n_grid = 201", "n_grid = 2.5"), "invalid value for n_grid: '2.5'"),
+    (("n_grid = 201", "n_grid = auto"), "invalid value for n_grid: 'auto'"),
+    ((TASKS_LINE, "tasks = simulate, frobnicate"), "unknown task(s): frobnicate"),
+    ((TASKS_LINE, "tasks = refine"), "unknown task(s): refine"),
+    ((TASKS_LINE, "tasks = ,"), "tasks must not be empty"),
+    ((TASKS_LINE, "tasks = audit, audit"), "a task is listed twice: audit, audit"),
+    ((TASKS_LINE, "tasks = probe:power, probe:scaled_sine"), "at most one probe task"),
+    (("model = transport", "model = transport\nmodel = heat"), "duplicate key: model (line 3)"),
+    (("x0_preset = one", "x0_preset = wave"), "unknown initial-state preset 'wave'"),
+    (("x0_preset = one", "x0_preset = poly:1.5"), "invalid parameter in preset 'poly:1.5'"),
+    (("x0_preset = one", "x0_preset = sine:0"), "sine frequency must be >= 1, got 0"),
+    (("u_preset = zero", "u_preset = pulse"), "unknown control preset 'pulse'"),
+    (("u_preset = zero", "u_preset = const:abc"), "invalid parameter in preset 'const:abc'"),
+], ids=["empty_value", "n_grid_float", "n_grid_auto", "unknown_task", "refine_task",
+        "no_task", "task_twice", "two_probes", "key_twice", "unknown_x0", "poly_float",
+        "sine_zero", "unknown_u", "const_text"])
+def test_config_edit_is_usage_error(capsys, tmp_path, edit, message):
+    # refused before any artifact is written: two probe tasks would write one
+    # probe.csv, and of a key set twice only one value could be used
+    cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path).replace(*edit))
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
 @pytest.mark.parametrize("preset", ["ramp:inf", "ramp:-inf", "const:inf", "ramp:nan"])
 def test_non_finite_control_level_is_a_preset_error(preset):
     # ramp:inf used to multiply inf by t = 0, a RuntimeWarning, before the

@@ -34,6 +34,11 @@ def test_too_small_grid_rejected(n):
         make_uniform_grid(n)
 
 
+def test_non_integer_grid_size_rejected():
+    with pytest.raises(GridError, match="must be an integer, got 10.0"):
+        make_uniform_grid(10.0)
+
+
 def test_norm_sq_is_trapezoid_rule():
     # trapezoid is exact on linear integrands: ||sqrt(w)||^2 = int_0^1 w dw = 1/2
     g = make_uniform_grid(37)

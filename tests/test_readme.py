@@ -6,13 +6,13 @@ import argparse
 import contextlib
 import io
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from phdiss import cli, control_signal, grids, initial_state, make_uniform_grid, systems
-from phdiss.config import (OPTIONAL_KEYS, REQUIRED_KEYS, SUPPORTED_TASKS,
-                           parse_config_text)
+from phdiss.config import SUPPORTED_TASKS, ExperimentConfig, parse_config_text
 from phdiss.systems import MODELS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -76,7 +76,7 @@ def test_readme_run_config_parses_as_documented():
     assert (cfg.model, cfg.n_grid, cfg.t_final, cfg.dt) == ("transport", 201, 1.0, "auto")
     keys = {line.split("=", 1)[0].strip() for line in block.splitlines()
             if "=" in line.split("#", 1)[0]}
-    assert keys == set(REQUIRED_KEYS + OPTIONAL_KEYS)
+    assert keys == {f.name for f in fields(ExperimentConfig)}
 
 
 def test_readme_run_config_choices_match_the_parser():

@@ -240,6 +240,13 @@ def test_mild_solution_refuses_a_second_clock():
         mild_solution(sys, np.zeros(21), u, t_final=5.0, dt=0.5)
 
 
+def test_mild_solution_refuses_a_control_of_another_width():
+    sys = assemble_model("heat", make_uniform_grid(21))
+    u = control_signal("const:1.0", 0.1, 0.01, m=2)
+    with pytest.raises(SignalError, match="2 channels, system expects 1"):
+        mild_solution(sys, np.zeros(21), u)
+
+
 def test_control_signal_validation():
     with pytest.raises(SignalError):
         ControlSignal(1.0, np.zeros(1))

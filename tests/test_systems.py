@@ -166,6 +166,11 @@ def test_custom_rejects_non_finite_generator(bad):
         assemble_custom(g, a)
 
 
+def test_custom_rejects_a_generator_of_another_size():
+    with pytest.raises(AssemblyError, match=r"shape \(4, 4\) does not match grid size 5"):
+        assemble_custom(make_uniform_grid(5), -np.eye(4))
+
+
 def test_custom_accepts_dissipative():
     g = make_uniform_grid(5)
     sys = assemble_custom(g, -np.eye(5))
