@@ -12,9 +12,10 @@ For a dissipative generator A in the inner product with gram matrix W:
 
 Every function takes the DiscreteSystem itself: it holds F, and builds
 each square root on first read, as the Hermitian core its docstring
-describes. The energy audit reads the control from the Trajectory of the
-run, and the dissipation bound reads the control and the initial energy
-from that run's ledger.
+describes. Of the probe's checks only q_identity_residual reads Q's root;
+the run's stacked check solves with A - I instead. The energy audit reads
+the control from the Trajectory of the run, and the dissipation bound
+reads the control and the initial energy from that run's ledger.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .grids import as_state, norm_sq
 from .semigroup import ControlSignal, Trajectory, output_signal
-from .systems import DiscreteSystem
+from .systems import DiscreteSystem, _probe_solve
 
 
 def form_r(system: DiscreteSystem, x, y=None) -> complex:
@@ -54,14 +55,16 @@ def dissipation_rate(system: DiscreteSystem, x) -> float:
 
 
 def q_identity_residual(system: DiscreteSystem, x) -> float:
-    """|  ||Q^{1/2}(A - I)x||^2 - (||x||^2 + r[x])  |.
+    """|  ||Q^{1/2}(A - I)x||^2 - (||x||^2 + r[x])  |, through the probe root.
 
     An exact matrix identity, so the absolute residual stays below
     1e-10 * (1 + ||x||_A^2) for any state; callers scale by the graph
     norm before comparing.
     """
-    xv = as_state(x, system.n)
-    return float(_q_identity_rows(system, xv[None, :])[0][0])
+    xv, w = as_state(x, system.n), system.weights
+    # ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||, an unweighted norm
+    z = system.q_sqrt_hat @ (np.sqrt(w) * (system.a_matrix @ xv - xv))
+    return abs(float(np.vdot(z, z).real) - norm_sq(w, xv) - form_r(system, xv))
 
 
 def _q_identity_rows(system: DiscreteSystem,
@@ -69,15 +72,15 @@ def _q_identity_rows(system: DiscreteSystem,
     """Probe-identity residuals of every row x of states, absolute and
     scaled by 1 + ||x||^2 + ||Ax||^2, from one pass of stacked products.
 
-    The rows must already have passed grids.as_state.
+    ||Q^{1/2} y||_W^2 = Re z^H R z, z = sqrt(w) y, R = -(W^{1/2} A W^{-1/2} - I)^{-1}
+    since Q_hat = Herm(R): one solve, no root. Rows must have passed grids.as_state.
     """
     w = system.weights
     ax = states @ system.a_matrix.T
-    # ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||, an unweighted norm
-    z = ((ax - states) * np.sqrt(w)) @ system.q_sqrt_hat.T
+    z = (ax - states) * np.sqrt(w)
+    q_sq = -np.einsum("ij,ji->i", z.conj(), _probe_solve(system.a_matrix, w, z.T)).real
     x_sq = norm_sq(w, states)
-    z_sq = np.einsum("ij,ij->i", z.conj(), z).real
-    residual = np.abs(z_sq - (x_sq + _form_rates(system.f_matrix, states)))
+    residual = np.abs(q_sq - (x_sq + _form_rates(system.f_matrix, states)))
     return residual, residual / (1.0 + x_sq + norm_sq(w, ax))
 
 

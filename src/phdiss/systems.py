@@ -60,6 +60,7 @@ class DiscreteSystem:
     and M^{1/2} x = L^{-H} m_sqrt_hat L^H x. For the bounded probe Q,
     q_sqrt_hat = (W^{1/2} Q W^{-1/2})^{1/2}: ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||;
     a model stepped in the sine basis builds it there, from its spectrum.
+    No run task reads a root: q_check solves with W^{1/2} A W^{-1/2} - I.
     """
 
     grid: Grid
@@ -102,12 +103,20 @@ class DiscreteSystem:
 
 
 def _probe_hat(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # W^{1/2} Q W^{-1/2} = -Herm((W^{1/2} A W^{-1/2} - I)^{-1}), Hermitian by
-    # construction; its temporaries die before psd_sqrt
+    # W^{1/2} Q W^{-1/2} = -Herm((W^{1/2} A W^{-1/2} - I)^{-1}), Hermitian by construction
+    res = _probe_solve(a, w, np.identity(a.shape[0]))
+    return -0.5 * (res + res.conj().T)
+
+
+def _probe_solve(a: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # (W^{1/2} A W^{-1/2} - I)^{-1} rhs: a band of at most MAX_BAND a side (transport,
+    # heat) goes to solve_banded, a wider one (skew_damped's corners) to a dense LU
     shifted = np.sqrt(w)[:, None] * a / np.sqrt(w)
     shifted.flat[::a.shape[0] + 1] -= 1.0
-    res = sla.inv(shifted)
-    return -0.5 * (res + res.conj().T)
+    lower, upper = sla.bandwidth(shifted)
+    if max(lower, upper) <= MAX_BAND:
+        return sla.solve_banded((lower, upper), _band(shifted, lower, upper), rhs)
+    return sla.solve(shifted, rhs, overwrite_a=True)
 
 
 def sine_spectrum(grid: Grid) -> np.ndarray:
@@ -155,15 +164,19 @@ def dissipativity_gap(f_matrix: np.ndarray) -> tuple[float, float]:
     """
     kd = max(sla.bandwidth(f_matrix))
     if kd <= MAX_BAND:
-        n = f_matrix.shape[0]
-        band = np.zeros((kd + 1, n), dtype=f_matrix.dtype)
-        for i in range(kd + 1):
-            band[i, :n - i] = np.diagonal(f_matrix, -i)
-        eigs = sla.eigvals_banded(band, lower=True)
+        eigs = sla.eigvals_banded(_band(f_matrix, kd, 0), lower=True)
     else:
         eigs = sla.eigvalsh(f_matrix)
     lo, hi = float(eigs.min()), float(eigs.max())
     return -lo, max(-lo, hi)
+
+
+def _band(a: np.ndarray, lower: int, upper: int) -> np.ndarray:
+    # LAPACK band ab[upper + i - j, j] = a[i, j]; upper = 0 gives eigvals_banded's lower one
+    ab = np.zeros((lower + upper + 1, a.shape[0]), dtype=a.dtype)
+    for k in range(-lower, upper + 1):
+        ab[upper - k, max(k, 0):a.shape[0] + min(k, 0)] = np.diagonal(a, k)
+    return ab
 
 
 def graph_gram(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:

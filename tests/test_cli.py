@@ -469,8 +469,8 @@ out_dir = {tmp_path}
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
 def test_run_builds_only_the_roots_its_tasks_read(tmp_path, monkeypatch, model):
     # the M core (gram_sqrt_factors on F and G) is read by no run task, so
-    # no task forms G; the Q core (psd_sqrt, or for heat _sine_probe_root)
-    # is read by q_check alone
+    # no task forms G; nor is the Q core (_probe_hat and psd_sqrt, or for
+    # heat _sine_probe_root): q_check takes one solve with A_hat - I instead
     text = f"""\
 model = {model}
 n_grid = 41
@@ -481,18 +481,21 @@ tasks = {{tasks}}
 out_dir = {{out}}
 """
     base = "simulate, audit, rt_bound, probe:power"
-    for tasks, q_roots in ((base, 0), (base + ", q_check", 1)):
-        cfg = parse_config_text(text.format(tasks=tasks, out=tmp_path / str(q_roots)))
+    for tasks, q_solves in ((base, 0), (base + ", q_check", 1)):
+        cfg = parse_config_text(text.format(tasks=tasks, out=tmp_path / str(q_solves)))
         m_calls = _count_calls(monkeypatch, "gram_sqrt_factors", phdiss.systems)
         g_calls = _count_calls(monkeypatch, "graph_gram", phdiss.systems)
         q_calls = [_count_calls(monkeypatch, name, phdiss.systems)
-                   for name in ("psd_sqrt", "_sine_probe_root")]
+                   for name in ("psd_sqrt", "_sine_probe_root", "_probe_hat")]
+        solves = _count_calls(monkeypatch, "_probe_solve", phdiss.systems,
+                              phdiss.dissipation)
         res = phdiss.runner.run_config(cfg)
         monkeypatch.undo()
         assert res.status == 0
         assert len(m_calls) == 0
         assert len(g_calls) == 0
-        assert sum(map(len, q_calls)) == q_roots
+        assert sum(map(len, q_calls)) == 0
+        assert len(solves) == q_solves
 
 
 @pytest.mark.parametrize("model", ["transport", "skew_damped"])

@@ -13,8 +13,9 @@ from phdiss.dissipation import (_q_identity_rows, cumulative_parabolic,
                                 cumulative_trapezoid)
 from phdiss.grids import norm_sq
 from phdiss.linalg import NotPSDError
-from phdiss.systems import (DiscreteSystem, assemble_heat, assemble_skew_damped,
-                            assemble_transport, graph_gram, herm_part_wa)
+from phdiss.systems import (DiscreteSystem, _probe_solve, assemble_heat,
+                            assemble_skew_damped, assemble_transport, graph_gram,
+                            graph_norm, herm_part_wa)
 
 from conftest import MODELS, custom_complex_system, free_run, random_state
 
@@ -240,35 +241,75 @@ def _q_scaled_loop(sys, x):
     return abs(norm_sq(np.ones(sys.n), z) - rhs) / (1.0 + graph_sq)
 
 
-@pytest.mark.parametrize("model", MODELS + ("custom",))
-def test_q_rows_match_per_state_identity(model):
-    # a fresh system: the test replaces its probe root below
-    sys = (custom_complex_system() if model == "custom"
-           else assemble_model(model, make_uniform_grid(101)))
-    # the draw of the runner's q_check task: 100 rows, real + 1j * imag
-    # for a complex generator
+def _runner_draw(sys, model):
+    # the 100 states of the runner's q_check, real + 1j * imag for a complex
+    # generator
     rng = np.random.default_rng(20250819)
     if model == "custom":
         draw = rng.standard_normal((100, 2, sys.n))
-        states = draw[:, 0] + 1j * draw[:, 1]
-    else:
-        states = rng.standard_normal((100, sys.n))
-    # on the true root every residual is round-off noise, so only its size
-    # is comparable between the routes
+        return draw[:, 0] + 1j * draw[:, 1]
+    return rng.standard_normal((100, sys.n))
+
+
+@pytest.mark.parametrize("model", MODELS + ("custom",))
+def test_q_rows_match_per_state_identity(model):
+    # a fresh system: the test replaces its form matrix below
+    sys = (custom_complex_system() if model == "custom"
+           else assemble_model(model, make_uniform_grid(101)))
+    states = _runner_draw(sys, model)
+    # with the true F and root every residual is round-off noise, so only
+    # its size is comparable between the routes
     stacked = _q_identity_rows(sys, states)[1]
     assert stacked.shape == (100,)
     assert float(np.max(stacked)) <= 1e-10
     assert max(_q_scaled_loop(sys, x) for x in states) <= 1e-10
-    # a wrong root breaks the identity at order one, and there the stacked
-    # and per-state values must agree row by row
-    rng = np.random.default_rng(11)
-    sys.q_sqrt_hat = rng.standard_normal((sys.n, sys.n))
+    # a wrong F breaks the identity at order one, and there the stacked
+    # (solve) and per-state (root) values must agree row by row: F + 2 G
+    # adds twice the graph norm ||x||^2 + ||Ax||^2 > 1 to every rate
+    sys.f_matrix = sys.f_matrix + 2.0 * graph_gram(sys.a_matrix, sys.weights)
     stacked = _q_identity_rows(sys, states)[1]
     assert float(np.min(stacked)) > 1.0
     loop = np.array([_q_scaled_loop(sys, x) for x in states])
     np.testing.assert_allclose(stacked, loop, rtol=1e-10)
     single = np.array([_q_identity_rows(sys, x[None, :])[1][0] for x in states])
     np.testing.assert_allclose(stacked, single, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [21, 101, 401])
+@pytest.mark.parametrize("model", MODELS + ("custom",))
+def test_probe_root_and_solve_routes_agree(model, n):
+    # ||Q^{1/2} y||_W^2 = z^H Q_hat z with z = sqrt(w) y, y = (A - I) x, two
+    # ways: ||q_sqrt_hat z||^2 through the root, and -Re z^H (A_hat - I)^{-1} z
+    # through the solve that q_check takes
+    sys = (custom_complex_system(n) if model == "custom"
+           else assemble_model(model, make_uniform_grid(n)))
+    states, w = _runner_draw(sys, model), sys.weights
+    z = (states @ sys.a_matrix.T - states) * np.sqrt(w)
+    root = z @ sys.q_sqrt_hat.T
+    by_root = np.einsum("ij,ij->i", root.conj(), root).real
+    by_solve = -np.einsum("ij,ji->i", z.conj(), _probe_solve(sys.a_matrix, w, z.T)).real
+    # the routes agree to 1e-12 of the value, or to the root's own round-off,
+    # its backward error eps ||Q_hat|| <= eps times ||z||^2: on these rough
+    # states ||z||^2 ~ ||Ax||^2 grows like n^2, and on transport and
+    # skew_damped at n = 401 that reaches 1.4e-12 of the value
+    z_sq = np.einsum("ij,ij->i", z.conj(), z).real
+    tol = np.maximum(1e-12 * by_solve, np.finfo(float).eps * z_sq)
+    assert np.all(np.abs(by_root - by_solve) <= tol)
+
+
+@pytest.mark.parametrize("model", MODELS + ("custom",))
+def test_wrong_probe_root_breaks_q_identity_residual(model):
+    # q_identity_residual reads the root, so the root it reads is what it
+    # checks: a wrong one breaks the identity at order one
+    sys = (custom_complex_system(101) if model == "custom"
+           else assemble_model(model, make_uniform_grid(101)))
+    states = _runner_draw(sys, model)[:10]
+    scales = 1.0 + np.array([graph_norm(sys, x) ** 2 for x in states])
+    true = np.array([q_identity_residual(sys, x) for x in states])
+    assert np.all(true <= 1e-10 * scales)
+    sys.q_sqrt_hat = np.random.default_rng(11).standard_normal((sys.n, sys.n))
+    wrong = np.array([q_identity_residual(sys, x) for x in states])
+    assert np.all(wrong > scales)
 
 
 @pytest.mark.parametrize("assemble", [assemble_transport, assemble_heat,

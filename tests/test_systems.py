@@ -10,9 +10,10 @@ import scipy.linalg as sla
 from phdiss import assemble_model, grids, make_uniform_grid, systems
 from phdiss.grids import Grid, GridError
 from phdiss.linalg import psd_sqrt
-from phdiss.systems import (DAMPING, AssemblyError, _probe_hat, assemble_custom,
-                            assemble_heat, assemble_skew_damped,
-                            assemble_transport, dissipativity_gap, graph_norm)
+from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, _band, _probe_hat,
+                            _probe_solve, assemble_custom, assemble_heat,
+                            assemble_skew_damped, assemble_transport,
+                            dissipativity_gap, graph_norm)
 
 from conftest import MODELS, custom_complex_system, random_state
 
@@ -283,6 +284,63 @@ def test_band_gap_matches_dense_eigvalsh(seed, n, kd, complex_values):
     scale = np.abs(eigs).max()
     assert gap == pytest.approx(-eigs[0], abs=1e-13 * scale)
     assert f_norm == pytest.approx(max(-eigs[0], eigs[-1]), abs=1e-13 * scale)
+
+
+@pytest.mark.parametrize("lower, upper", [(0, 0), (1, 1), (2, 0), (0, 3), (3, 1)])
+def test_band_storage_is_lapack_layout(lower, upper):
+    # ab[upper + i - j, j] = a[i, j] inside the band and zero in the unused
+    # corners; with upper = 0 that is eigvals_banded's lower layout, one
+    # sub-diagonal per row
+    n = 9
+    rng = np.random.default_rng(lower + 4 * upper)
+    a = np.triu(np.tril(rng.standard_normal((n, n)), upper), -lower)
+    ab = _band(a, lower, upper)
+    want = np.zeros((lower + upper + 1, n))
+    for i in range(n):
+        for j in range(max(0, i - lower), min(n, i + upper + 1)):
+            want[upper + i - j, j] = a[i, j]
+    np.testing.assert_array_equal(ab, want)
+    if upper == 0:
+        gate = np.zeros((lower + 1, n))
+        for i in range(lower + 1):
+            gate[i, :n - i] = np.diagonal(a, -i)
+        np.testing.assert_array_equal(ab, gate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(MAX_BAND + 3, 60),
+       band=st.sampled_from([(1, 1), (0, 2), (3, 1)]), corners=st.booleans(),
+       complex_values=st.booleans())
+def test_probe_solve_matches_dense_solve(seed, n, band, corners, complex_values):
+    # a random dissipative generator, W A = M - c I with M of the given
+    # (lower, upper) band and c above Herm(M)'s top eigenvalue: tridiagonal
+    # or lopsided, which takes the banded branch, or with periodic corners,
+    # whose band is n - 1 and takes the dense one
+    rng = np.random.default_rng(seed)
+    grid = make_uniform_grid(n)
+    draw = (lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            if complex_values else rng.standard_normal(shape))
+    m = np.triu(np.tril(draw(n, n), band[1]), -band[0])
+    if corners:
+        m[0, -1], m[-1, 0] = draw(2)
+    c = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1] + rng.uniform(0.0, 2.0)
+    sys = assemble_custom(grid, (m - c * np.identity(n)) / grid.weights[:, None])
+    w, rhs = grid.weights, draw(n, 3)
+    shifted = np.sqrt(w)[:, None] * sys.a_matrix / np.sqrt(w) - np.identity(n)
+    want = np.linalg.solve(shifted, rhs)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("solve_banded", "solve"):
+            def counted(*args, _fn=getattr(sla, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            mp.setattr(sla, name, counted)
+        got = _probe_solve(sys.a_matrix, w, rhs)
+    assert calls == ["solve" if corners else "solve_banded"]
+    # round-off: the backward-stable bound, relative to the solution
+    tol = n * np.finfo(float).eps * np.linalg.cond(shifted)
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("n", [21, 201, 801])
