@@ -67,10 +67,9 @@ def q_identity_residual(system: DiscreteSystem, x) -> float:
     return abs(float(np.vdot(z, z).real) - norm_sq(w, xv) - form_r(system, xv))
 
 
-def _q_identity_rows(system: DiscreteSystem,
-                     states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probe-identity residuals of every row x of states, absolute and
-    scaled by 1 + ||x||^2 + ||Ax||^2, from one pass of stacked products.
+def _q_identity_rows(system: DiscreteSystem, states: np.ndarray) -> np.ndarray:
+    """Probe-identity residuals of every row x of states, scaled by
+    1 + ||x||^2 + ||Ax||^2, from one pass of stacked products.
 
     ||Q^{1/2} y||_W^2 = Re z^H R z, z = sqrt(w) y, R = -(W^{1/2} A W^{-1/2} - I)^{-1}
     since Q_hat = Herm(R): one solve, no root. Rows must have passed grids.as_state.
@@ -81,7 +80,7 @@ def _q_identity_rows(system: DiscreteSystem,
     q_sq = -np.einsum("ij,ji->i", z.conj(), _probe_solve(system.a_matrix, w, z.T)).real
     x_sq = norm_sq(w, states)
     residual = np.abs(q_sq - (x_sq + _form_rates(system.f_matrix, states)))
-    return residual, residual / (1.0 + x_sq + norm_sq(w, ax))
+    return residual / (1.0 + x_sq + norm_sq(w, ax))
 
 
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:

@@ -15,7 +15,7 @@ original coordinates. gram_sqrt_factors takes a dense G (the graph gram,
 which its caller forms for this one call and keeps only as the factor L).
 
 sine_transform is the orthonormal DST-I, the eigenbasis of the Dirichlet
-second difference: heat steps and takes its probe root in that basis.
+second difference: heat steps in that basis (semigroup.sine_basis).
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import as_state
-from .systems import DiscreteSystem, sine_basis, sine_spectrum
+from .grids import Grid, as_state
+from .linalg import sine_transform
+from .systems import DiscreteSystem
 
 
 class AlignmentError(ValueError):
@@ -129,6 +130,26 @@ def _dense_propagator(system: DiscreteSystem, t: float) -> np.ndarray:
     prop = sla.expm(t * system.a_matrix)
     prop[np.abs(prop) < np.finfo(float).tiny] = 0.0
     return prop
+
+
+def sine_spectrum(grid: Grid) -> np.ndarray:
+    """Eigenvalues of heat's A in the sine basis, in node order: the two
+    decoupled boundary nodes at -2/h^2, and between them the Dirichlet
+    second difference, lambda_j = -(4/h^2) sin^2(j pi / (2 (n - 1))),
+    j = 1..n-2."""
+    lam = np.full(grid.n, -2.0 / grid.h**2)
+    j = np.arange(1, grid.n - 1)
+    lam[1:-1] = -4.0 / grid.h**2 * np.sin(j * np.pi / (2 * (grid.n - 1))) ** 2
+    return lam
+
+
+def sine_basis(x: np.ndarray) -> np.ndarray:
+    """Heat's eigenbasis S, applied in place along the last axis of the
+    float or complex array x, which it returns: the orthonormal DST-I on
+    the interior nodes, the two boundary nodes unchanged. S is its own
+    inverse, so it maps into the basis and back."""
+    sine_transform(x[..., 1:-1], out=x[..., 1:-1])
+    return x
 
 
 def _make_step(system: DiscreteSystem, dt: float):

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grids import Grid, as_state, check_operator_size, norm_sq
-from .linalg import gram_sqrt_factors, psd_sqrt, sine_transform
+from .linalg import gram_sqrt_factors, psd_sqrt
 
 
 # The damping of skew_damped, whose rate is DAMPING * ||x||^2. Another
@@ -58,9 +58,9 @@ class DiscreteSystem:
     For M = G^{-1} F, with G = L L^H the graph gram, g_chol is L and
     m_sqrt_hat = (L^{-1} F L^{-H})^{1/2}: ||M^{1/2} x||_G = ||m_sqrt_hat L^H x||
     and M^{1/2} x = L^{-H} m_sqrt_hat L^H x. For the bounded probe Q,
-    q_sqrt_hat = (W^{1/2} Q W^{-1/2})^{1/2}: ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||;
-    a model stepped in the sine basis builds it there, from its spectrum.
-    No run task reads a root: q_check solves with W^{1/2} A W^{-1/2} - I.
+    q_sqrt_hat = (W^{1/2} Q W^{-1/2})^{1/2}: ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||,
+    one eigh after the solve with W^{1/2} A W^{-1/2} - I that q_check takes.
+    No run task reads a root.
     """
 
     grid: Grid
@@ -97,15 +97,9 @@ class DiscreteSystem:
 
     @cached_property
     def q_sqrt_hat(self) -> np.ndarray:
-        if self.model.step == "sine":
-            return _sine_probe_root(self.grid)
-        return psd_sqrt(_probe_hat(self.a_matrix, self.weights))
-
-
-def _probe_hat(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # W^{1/2} Q W^{-1/2} = -Herm((W^{1/2} A W^{-1/2} - I)^{-1}), Hermitian by construction
-    res = _probe_solve(a, w, np.identity(a.shape[0]))
-    return -0.5 * (res + res.conj().T)
+        # W^{1/2} Q W^{-1/2} = -Herm((W^{1/2} A W^{-1/2} - I)^{-1}), Hermitian by construction
+        res = _probe_solve(self.a_matrix, self.weights, np.identity(self.n))
+        return psd_sqrt(-0.5 * (res + res.conj().T))
 
 
 def _probe_solve(a: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -117,35 +111,6 @@ def _probe_solve(a: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if max(lower, upper) <= MAX_BAND:
         return sla.solve_banded((lower, upper), _band(shifted, lower, upper), rhs)
     return sla.solve(shifted, rhs, overwrite_a=True)
-
-
-def sine_spectrum(grid: Grid) -> np.ndarray:
-    """Eigenvalues of heat's A in the sine basis, in node order: the two
-    decoupled boundary nodes at -2/h^2, and between them the Dirichlet
-    second difference, lambda_j = -(4/h^2) sin^2(j pi / (2 (n - 1))),
-    j = 1..n-2."""
-    lam = np.full(grid.n, -2.0 / grid.h**2)
-    j = np.arange(1, grid.n - 1)
-    lam[1:-1] = -4.0 / grid.h**2 * np.sin(j * np.pi / (2 * (grid.n - 1))) ** 2
-    return lam
-
-
-def sine_basis(x: np.ndarray) -> np.ndarray:
-    """Heat's eigenbasis S, applied in place along the last axis of the
-    float or complex array x, which it returns: the orthonormal DST-I on
-    the interior nodes, the two boundary nodes unchanged. S is its own
-    inverse, so it maps into the basis and back."""
-    sine_transform(x[..., 1:-1], out=x[..., 1:-1])
-    return x
-
-
-def _sine_probe_root(grid: Grid) -> np.ndarray:
-    # A = S diag(lambda) S with S = sine_basis, and W^{1/2} A W^{-1/2} = A
-    # since the boundary nodes are decoupled, so the probe core is
-    # S diag((1 - lambda)^{-1/2}) S: two transforms, no inverse or eigh
-    root = sine_basis(np.identity(grid.n))
-    root *= (1.0 - sine_spectrum(grid)) ** -0.5
-    return sine_basis(root)
 
 
 def herm_part_wa(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -252,8 +217,8 @@ def assemble_heat(grid: Grid, input_profile=None) -> DiscreteSystem:
     nodes are kept in the state vector but fully decoupled, each with its
     own fast relaxation, so that Dirichlet-compatible data (zero endpoint
     values) stays exact and W A is symmetric negative semidefinite by
-    construction. The sine step route and its probe root rely on the
-    decoupling: each boundary node is an eigenvector of A (sine_spectrum).
+    construction. The sine step route relies on the decoupling: each
+    boundary node is an eigenvector of A (semigroup.sine_spectrum).
     A is invertible, every eigenvalue negative, but only a test solves with it.
     """
     check_operator_size(grid.n)
@@ -300,9 +265,9 @@ class Model:
 
     assemble(grid) builds the system. step is how e^{dt A} is applied:
     "shift" (the exact nodal shift, transport only), "sine" (the diagonal
-    sine_spectrum in sine_basis, heat only) or "expm". boundary(x) is the
-    residual of the boundary condition that classical data meets, described
-    by boundary_note.
+    semigroup.sine_spectrum in semigroup.sine_basis, heat only) or "expm";
+    only the step route reads it. boundary(x) is the residual of the
+    boundary condition that classical data meets, described by boundary_note.
     """
 
     assemble: Callable[[Grid], DiscreteSystem] | None

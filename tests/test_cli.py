@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -256,6 +257,37 @@ def test_config_edit_is_usage_error(capsys, tmp_path, edit, message):
     assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
+@pytest.mark.parametrize("edits, message", [
+    ((("t_final = 1.0", "t_final = 0.75"), ("dt = auto", "dt = 0.0075"),
+      (TASKS_LINE, "tasks = probe:power, simulate")), "is not aligned"),
+    ((("x0_preset = one", "x0_preset = bogus"),), "unknown initial-state preset 'bogus'"),
+], ids=["unaligned_dt_after_probe", "unknown_x0"])
+def test_refused_run_writes_nothing(capsys, tmp_path, edits, message):
+    # the run is built and stepped before any task writes: a clock the shift
+    # cannot step leaves no probe.csv of an earlier task, and a bad preset
+    # leaves no empty out dir
+    text = FULL_CONFIG.format(out=tmp_path / "out")
+    for edit in edits:
+        text = text.replace(*edit)
+    assert main(["run", _write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the parabolic rule weights the rate of heat's boundary "
+    "nodes at t = 0 as if it were smooth, so the dissipated total reads 1.82 "
+    "where the run dissipates 0.56 and rt_bound fails on working code"))
+def test_heat_rt_bound_holds_from_one(tmp_path):
+    cfg = parse_config_text(FULL_CONFIG.format(out=tmp_path).replace(
+        "model = transport", "model = heat").replace(
+        "u_preset = zero", "u_preset = const:0.5").replace(
+        TASKS_LINE, "tasks = simulate, audit, rt_bound"))
+    res = phdiss.runner.run_config(cfg)
+    assert [c.name for c in res.checks if not c.ok] == []
+
+
 @pytest.mark.parametrize("preset", ["ramp:inf", "ramp:-inf", "const:inf", "ramp:nan"])
 def test_non_finite_control_level_is_a_preset_error(preset):
     # ramp:inf used to multiply inf by t = 0, a RuntimeWarning, before the
@@ -346,6 +378,30 @@ def test_verify_paper_tolerances_follow_the_grid(n_grid):
     for r in report.rows:
         assert r.ok, r
         assert r.tol < 0.01 * measured[r.name], r
+
+
+@pytest.mark.parametrize("n_grid", range(3, 9))
+def test_verify_paper_passes_on_small_grids(n_grid):
+    # on n = 3 the parabolic rule spans K = 2 steps, where it is Simpson's
+    # rule, and the full exit dissipates 0.5 itself, not 0.5 - h/24
+    assert phdiss.verify.verify_paper_values(n_grid).ok
+
+
+def test_verify_paper_fails_on_a_one_percent_drift_at_n3(monkeypatch):
+    # the full-exit and rate rows hold at round-off on the smallest grid too
+    audit, rate = phdiss.verify.energy_audit, phdiss.verify.dissipation_rate
+
+    def drifted_audit(system, traj):
+        ledger = audit(system, traj)
+        return dataclasses.replace(ledger, dissipated=1.01 * ledger.dissipated)
+
+    monkeypatch.setattr(phdiss.verify, "energy_audit", drifted_audit)
+    monkeypatch.setattr(phdiss.verify, "dissipation_rate",
+                        lambda system, x: 1.01 * rate(system, x))
+    report = phdiss.verify.verify_paper_values(3)
+    assert {r.name for r in report.rows if not r.ok} == {
+        "rate_sinh_bc", "rate_poly2", "rate_poly1",
+        "full_exit_dissipated", "full_exit_residual"}
 
 
 def test_verify_paper_fails_on_a_one_percent_rate_drift(tmp_path, capsys,
@@ -469,8 +525,8 @@ out_dir = {tmp_path}
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
 def test_run_builds_only_the_roots_its_tasks_read(tmp_path, monkeypatch, model):
     # the M core (gram_sqrt_factors on F and G) is read by no run task, so
-    # no task forms G; nor is the Q core (_probe_hat and psd_sqrt, or for
-    # heat _sine_probe_root): q_check takes one solve with A_hat - I instead
+    # no task forms G; nor is the Q core (psd_sqrt in systems): q_check
+    # takes one solve with A_hat - I instead
     text = f"""\
 model = {model}
 n_grid = 41
@@ -485,8 +541,7 @@ out_dir = {{out}}
         cfg = parse_config_text(text.format(tasks=tasks, out=tmp_path / str(q_solves)))
         m_calls = _count_calls(monkeypatch, "gram_sqrt_factors", phdiss.systems)
         g_calls = _count_calls(monkeypatch, "graph_gram", phdiss.systems)
-        q_calls = [_count_calls(monkeypatch, name, phdiss.systems)
-                   for name in ("psd_sqrt", "_sine_probe_root", "_probe_hat")]
+        q_calls = _count_calls(monkeypatch, "psd_sqrt", phdiss.systems)
         solves = _count_calls(monkeypatch, "_probe_solve", phdiss.systems,
                               phdiss.dissipation)
         res = phdiss.runner.run_config(cfg)
@@ -494,7 +549,7 @@ out_dir = {{out}}
         assert res.status == 0
         assert len(m_calls) == 0
         assert len(g_calls) == 0
-        assert sum(map(len, q_calls)) == 0
+        assert len(q_calls) == 0
         assert len(solves) == q_solves
 
 

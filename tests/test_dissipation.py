@@ -88,7 +88,7 @@ def test_rate_identity_raw_states(systems101, seed, model):
 def test_q_identity_scaled_residual(systems101, seed, model):
     sys = systems101[model]
     x = random_state(101, seed)
-    assert _q_identity_rows(sys, x[None, :])[1][0] <= 1e-10
+    assert _q_identity_rows(sys, x[None, :])[0] <= 1e-10
 
 
 def test_q_identity_heat_sine_absolute():
@@ -259,7 +259,7 @@ def test_q_rows_match_per_state_identity(model):
     states = _runner_draw(sys, model)
     # with the true F and root every residual is round-off noise, so only
     # its size is comparable between the routes
-    stacked = _q_identity_rows(sys, states)[1]
+    stacked = _q_identity_rows(sys, states)
     assert stacked.shape == (100,)
     assert float(np.max(stacked)) <= 1e-10
     assert max(_q_scaled_loop(sys, x) for x in states) <= 1e-10
@@ -267,11 +267,11 @@ def test_q_rows_match_per_state_identity(model):
     # (solve) and per-state (root) values must agree row by row: F + 2 G
     # adds twice the graph norm ||x||^2 + ||Ax||^2 > 1 to every rate
     sys.f_matrix = sys.f_matrix + 2.0 * graph_gram(sys.a_matrix, sys.weights)
-    stacked = _q_identity_rows(sys, states)[1]
+    stacked = _q_identity_rows(sys, states)
     assert float(np.min(stacked)) > 1.0
     loop = np.array([_q_scaled_loop(sys, x) for x in states])
     np.testing.assert_allclose(stacked, loop, rtol=1e-10)
-    single = np.array([_q_identity_rows(sys, x[None, :])[1][0] for x in states])
+    single = np.array([_q_identity_rows(sys, x[None, :])[0] for x in states])
     np.testing.assert_allclose(stacked, single, rtol=1e-10)
 
 

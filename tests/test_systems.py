@@ -9,9 +9,9 @@ import scipy.linalg as sla
 
 from phdiss import assemble_model, grids, make_uniform_grid, systems
 from phdiss.grids import Grid, GridError
-from phdiss.linalg import psd_sqrt
-from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, _band, _probe_hat,
-                            _probe_solve, assemble_custom, assemble_heat,
+from phdiss.semigroup import sine_basis, sine_spectrum
+from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, _band, _probe_solve,
+                            assemble_custom, assemble_heat,
                             assemble_skew_damped, assemble_transport,
                             dissipativity_gap, graph_norm)
 
@@ -345,10 +345,14 @@ def test_probe_solve_matches_dense_solve(seed, n, band, corners, complex_values)
 
 @pytest.mark.parametrize("n", [21, 201, 801])
 def test_heat_probe_root_matches_dense_root(n):
-    # the sine-basis root against the dense inverse-and-eigh route
-    heat = assemble_heat(make_uniform_grid(n))
-    dense = psd_sqrt(_probe_hat(heat.a_matrix, heat.weights))
-    np.testing.assert_allclose(heat.q_sqrt_hat, dense, rtol=0, atol=1e-13)
+    # the dense solve-and-eigh root against heat's closed form: A = S diag(lambda) S
+    # with S = sine_basis, and W^{1/2} A W^{-1/2} = A since the boundary nodes are
+    # decoupled, so the probe core is S diag((1 - lambda)^{-1/2}) S
+    grid = make_uniform_grid(n)
+    closed = sine_basis(np.identity(n))
+    closed *= (1.0 - sine_spectrum(grid)) ** -0.5
+    sine_basis(closed)
+    np.testing.assert_allclose(assemble_heat(grid).q_sqrt_hat, closed, rtol=0, atol=1e-13)
 
 
 def test_oversized_grid_refused_before_allocating():
