@@ -5,10 +5,11 @@
     phdiss probe MODEL SEQUENCE [--n-max K] [--n-grid N] [--out DIR]
 
 The PHDISS_OUT environment variable overrides every output directory.
-Exit codes: 0 success, 1 a validation check failed, 2 usage or config error,
-3 numerical failure (a LAPACK routine gave up, or a square root found a
-matrix that is not self-adjoint or not positive semidefinite). Any other
-exception is a bug and propagates with its traceback.
+Exit codes: 0 success, 1 a validation check failed, 2 usage or config error
+or an allocation the machine refused (MemoryError), 3 numerical failure (a
+LAPACK routine gave up, a square root found a matrix that is not self-adjoint
+or not positive semidefinite, or an energy overflowed: FloatingPointError).
+Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .systems import MODELS, AssemblyError, assemble_model
 from .verify import verify_paper_values
 
 _USER_ERRORS = (ConfigError, GridError, AssemblyError, SignalError,
-                AlignmentError, PresetError, ProbeError, OSError)
-_NUMERICAL_ERRORS = (LinAlgError, NotPSDError, NotSelfAdjointError)
+                AlignmentError, PresetError, ProbeError, OSError, MemoryError)
+_NUMERICAL_ERRORS = (LinAlgError, NotPSDError, NotSelfAdjointError, FloatingPointError)
 
 
 def _build_parser() -> argparse.ArgumentParser:

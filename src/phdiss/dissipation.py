@@ -174,6 +174,7 @@ def energy_audit(system: DiscreteSystem, traj: Trajectory) -> EnergyLedger:
     integrates by trapezoid (exactly matched to the stepping); the
     dissipated energy integrates the rate x^H F x by the parabolic rule,
     which keeps the residual at quadrature level for smooth classical runs.
+    Raises FloatingPointError when H or either energy overflows.
     """
     states, u = traj.states, traj.control
     ham = 0.5 * norm_sq(system.weights, states)
@@ -182,6 +183,10 @@ def energy_audit(system: DiscreteSystem, traj: Trajectory) -> EnergyLedger:
     supply = np.sum(np.real(u.values * np.conj(y)), axis=1)
     supplied = cumulative_trapezoid(supply, u.dt)
     dissipated = cumulative_parabolic(rate, u.dt)
+    for name, series in (("H", ham), ("supplied", supplied), ("dissipated", dissipated)):
+        if not np.isfinite(series).all():
+            t = u.times[np.argmin(np.isfinite(series))]
+            raise FloatingPointError(f"energy audit overflow: {name} is not finite at t = {t:.6g}")
     return EnergyLedger(control=u, hamiltonian=ham,
                         supply_rate=supply, dissipation_rate=rate,
                         supplied=supplied, dissipated=dissipated)

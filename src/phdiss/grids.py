@@ -4,12 +4,13 @@ A state is a 1-D array of nodal samples. Everything downstream measures
 length with the weighted inner product ``<f, g> = sum_i w_i f_i conj(g_i)``
 where ``w`` are composite-trapezoid weights (h/2 at the endpoints, h
 inside). The weights double as the diagonal gram matrix W used by the
-operator modules.
+operator modules. A Grid is fixed by its number of nodes, which it checks
+once against the dense-operator budget; every operator stands on a Grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +26,8 @@ class GridError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Uniform closed grid on [0, 1].
+    """Uniform closed grid on [0, 1]. Grid(n) refuses a non-integer n, n < 3
+    and an n past MAX_OPERATOR_MB before any array exists.
 
     Attributes
     ----------
@@ -40,49 +42,55 @@ class Grid:
     """
 
     n: int
-    h: float
-    nodes: np.ndarray
-    weights: np.ndarray
+    h: float = field(init=False)
+    nodes: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n, (int, np.integer)):
+            raise GridError(f"grid size must be an integer, got {self.n!r}")
+        n = int(self.n)
+        if n < 3:
+            raise GridError(f"need at least 3 nodes, got {n}")
+        mb = 8 * n**2 / 1e6
+        if mb > MAX_OPERATOR_MB:
+            raise GridError(
+                f"a grid of {n} nodes needs {mb:.3g} MB per dense n x n "
+                f"operator, over the budget of {MAX_OPERATOR_MB} MB "
+                "(grids.MAX_OPERATOR_MB)")
+        h = 1.0 / (n - 1)
+        weights = np.full(n, h)
+        weights[0] = weights[-1] = h / 2.0
+        # frozen, so the derived fields are written past __setattr__, once
+        vars(self).update(n=n, h=h, nodes=np.linspace(0.0, 1.0, n), weights=weights)
 
 
 def make_uniform_grid(n: int) -> Grid:
     """Build the uniform n-node grid on [0, 1] with trapezoid weights."""
-    if not isinstance(n, (int, np.integer)):
-        raise GridError(f"grid size must be an integer, got {n!r}")
-    if n < 3:
-        raise GridError(f"need at least 3 nodes, got {n}")
-    check_operator_size(n)
-    h = 1.0 / (n - 1)
-    nodes = np.linspace(0.0, 1.0, n)
-    weights = np.full(n, h)
-    weights[0] = weights[-1] = h / 2.0
-    return Grid(n=int(n), h=h, nodes=nodes, weights=weights)
+    return Grid(n)
 
 
-def check_operator_size(n: int) -> None:
-    """Refuse n nodes when one dense n x n float64 operator would exceed
-    MAX_OPERATOR_MB; the grid builder and every assembler call this."""
-    mb = 8 * int(n)**2 / 1e6
-    if mb > MAX_OPERATOR_MB:
-        raise GridError(
-            f"a grid of {n} nodes needs {mb:.3g} MB per dense n x n "
-            f"operator, over the budget of {MAX_OPERATOR_MB} MB "
-            "(grids.MAX_OPERATOR_MB)")
+def check_finite(vals: np.ndarray, what: str, error: type[ValueError]) -> None:
+    """Raise error unless vals holds numbers, none of them NaN or inf."""
+    if vals.dtype.kind not in "biufc":
+        raise error(f"{what} must hold numbers, got dtype {vals.dtype}")
+    if not np.isfinite(vals).all():
+        raise error(f"{what} has non-finite entries (NaN or inf)")
 
 
 def as_state(x, n: int) -> np.ndarray:
     """The state x as an array of n finite samples.
 
     Every public routine that takes a state passes it through here once.
-    Raises GridError for a wrong shape or length and for NaN or inf entries.
+    Raises GridError for a wrong shape or length, for entries that are not
+    numbers and for NaN or inf entries.
     """
     vals = np.asarray(x)
     if vals.ndim != 1:
         raise GridError(f"expected a vector of samples, got shape {vals.shape}")
     if vals.shape[0] != n:
         raise GridError(f"expected {n} samples, got {vals.shape[0]}")
-    if not np.isfinite(vals).all():
-        raise GridError("state has non-finite entries (NaN or inf)")
+    check_finite(vals, "state", GridError)
     return vals
 
 

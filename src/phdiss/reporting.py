@@ -36,9 +36,12 @@ def write_csv(path, header, rows) -> Path:
 
 
 def write_json(path, payload: dict) -> Path:
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or inf, which JSON has no token for
+        raise FloatingPointError(f"cannot write {path}: {exc}") from None
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
     return path

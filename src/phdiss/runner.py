@@ -2,13 +2,14 @@
 
 Validation checks collected along the way decide the exit status:
 0 when every check passes, 1 otherwise. Artifacts (ledger.csv, probe.csv,
-summary.json) land in the config's out_dir unless overridden.
+summary.json) land in the config's out_dir unless overridden. A run is
+stepped and audited once, before any task writes, so a clock the model
+cannot step or an audit that overflows leaves nothing on disk.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +49,9 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     dt = grid.h if cfg.dt == "auto" else float(cfg.dt)
     x0 = initial_state(grid, cfg.x0_preset)
     u = control_signal(cfg.u_preset, cfg.t_final, dt, m=system.m_inputs)
-    # the run is stepped before any task writes, so that a clock the model
-    # cannot step is refused with nothing on disk (the writers make out)
     traj = (mild_solution(system, x0, u)
             if {"simulate", "audit", "rt_bound"} & set(cfg.tasks) else None)
+    ledger = energy_audit(system, traj) if {"audit", "rt_bound"} & set(cfg.tasks) else None
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
 
     checks: list[CheckResult] = []
@@ -68,9 +68,6 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         },
     }
 
-    # the run is audited at most once, by the first task to ask
-    _ledger = cache(lambda: energy_audit(system, traj))
-
     for task in cfg.tasks:
         if task == "simulate":
             summary["simulate"] = {
@@ -80,7 +77,6 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
                 "final_sup": float(np.max(np.abs(traj.states[-1]))),
             }
         elif task == "audit":
-            ledger = _ledger()
             files.append(write_ledger_csv(out / "ledger.csv", ledger))
             min_rate = float(np.min(ledger.dissipation_rate))
             checks.append(CheckResult(
@@ -94,7 +90,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
                 "max_abs_residual": ledger.max_abs_residual,
             }
         elif task == "rt_bound":
-            rep = rt_bound_check(system, _ledger())
+            rep = rt_bound_check(system, ledger)
             checks.append(CheckResult(
                 "rt_bound", rep.ok,
                 f"lhs {rep.lhs:.6g} vs rhs {rep.rhs:.6g}, slack {rep.slack:.3e}"))

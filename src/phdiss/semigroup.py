@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Grid, as_state
+from .grids import Grid, as_state, check_finite
 from .linalg import sine_transform
 from .systems import DiscreteSystem
 
@@ -59,8 +59,7 @@ class ControlSignal:
             raise SignalError("a control needs at least two time samples")
         if not 0.0 < self.t_final < np.inf:
             raise SignalError(f"t_final must be positive and finite, got {self.t_final}")
-        if not np.isfinite(vals).all():
-            raise SignalError("control values must be finite (no NaN or inf)")
+        check_finite(vals, "control", SignalError)
 
     @property
     def times(self) -> np.ndarray:

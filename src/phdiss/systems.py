@@ -4,22 +4,23 @@ Each model produces a DiscreteSystem, the one object per generator: the
 generator A, the input map B and the dissipation form matrix F = -Herm(W A),
 where W is the trapezoid gram matrix, kept as the grid's weight vector. The
 graph norm is taken from A; G = W + A^H W A is formed only for the M root.
-Assembly validates dissipativity on the stored F: its smallest eigenvalue
-must not fall below -1e-8 * max(1, ||F||_2), so -Re<Ax, x> >= 0 up to
-roundoff. The eigenvalues are read from F's band: the named models have a
-diagonal or tridiagonal F, and only a dense custom F takes a dense eigensolve.
+A DiscreteSystem checks itself when built: A's and B's shapes and finiteness,
+then dissipativity on the F it forms, whose smallest eigenvalue must not fall
+below -1e-8 * max(1, ||F||_2), so -Re<Ax, x> >= 0 up to roundoff. The
+eigenvalues are read from F's band: the named models have a diagonal or
+tridiagonal F, and only a dense custom F takes a dense eigensolve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Grid, as_state, check_operator_size, norm_sq
+from .grids import Grid, as_state, check_finite, norm_sq
 from .linalg import gram_sqrt_factors, psd_sqrt
 
 
@@ -48,10 +49,11 @@ class DiscreteSystem:
         Generator, shape (n, n).
     b_matrix : np.ndarray
         Input map, shape (n, m). m may be 0 for autonomous runs.
-    f_matrix : np.ndarray
-        Dissipation form matrix -Herm(W A), PSD: the rate is x^H F x.
     model_tag : str
         A key of MODELS, or "custom"; the model property is its registry row.
+    f_matrix : np.ndarray
+        Dissipation form matrix -Herm(W A), PSD: the rate is x^H F x. The constructor
+        forms it, and raises AssemblyError for a bad A or B or a non-dissipative F.
 
     The two dissipation roots are built on first read and kept, each only
     as its Hermitian core in orthonormal coordinates (G and Q are dropped).
@@ -66,8 +68,24 @@ class DiscreteSystem:
     grid: Grid
     a_matrix: np.ndarray
     b_matrix: np.ndarray
-    f_matrix: np.ndarray
     model_tag: str
+    f_matrix: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        n, a, b = self.grid.n, self.a_matrix, self.b_matrix
+        if a.shape != (n, n):
+            raise AssemblyError(f"generator shape {a.shape} does not match grid size {n}")
+        check_finite(a, "generator", AssemblyError)
+        if b.ndim != 2 or b.shape[0] != n:
+            raise AssemblyError(f"input map has shape {b.shape}, grid has {n} nodes")
+        check_finite(b, "input map", AssemblyError)
+        self.f_matrix = -herm_part_wa(a, self.grid.weights)
+        gap, f_norm = dissipativity_gap(self.f_matrix)
+        tol = 1e-8 * max(1.0, f_norm)
+        if gap > tol:
+            raise AssemblyError(
+                f"model '{self.model_tag}' is not dissipative: smallest eigenvalue of "
+                f"F = -Herm(WA) is {-gap:.3e} (tolerance {tol:.3e})")
 
     @property
     def n(self) -> int:
@@ -160,26 +178,7 @@ def _input_matrix(grid: Grid, input_profile) -> np.ndarray:
     # a complex map stays complex, as a complex generator does
     b = np.asarray(input_profile,
                    dtype=complex if np.iscomplexobj(input_profile) else float)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
-    if b.ndim != 2 or b.shape[0] != grid.n:
-        raise AssemblyError(f"input map has shape {b.shape}, grid has {grid.n} nodes")
-    if not np.isfinite(b).all():
-        raise AssemblyError("input map has non-finite entries (NaN or inf)")
-    return b
-
-
-def _finish(grid: Grid, a: np.ndarray, b: np.ndarray, tag: str) -> DiscreteSystem:
-    f = -herm_part_wa(a, grid.weights)
-    gap, f_norm = dissipativity_gap(f)
-    tol = 1e-8 * max(1.0, f_norm)
-    if gap > tol:
-        raise AssemblyError(
-            f"model '{tag}' is not dissipative: smallest eigenvalue of "
-            f"F = -Herm(WA) is {-gap:.3e} (tolerance {tol:.3e})"
-        )
-    return DiscreteSystem(grid=grid, a_matrix=a, b_matrix=b, f_matrix=f,
-                          model_tag=tag)
+    return b.reshape(-1, 1) if b.ndim == 1 else b
 
 
 def _tridiagonal(n: int, lower, diag, upper) -> np.ndarray:
@@ -202,12 +201,11 @@ def assemble_transport(grid: Grid, input_profile=None) -> DiscreteSystem:
     W A + A^T W = diag(-1, 0, ..., 0, -1), hence the dissipation form is
     |x(0)|^2 / 2 + |x(1)|^2 / 2 with no interior residue.
     """
-    check_operator_size(grid.n)
     n, h = grid.n, grid.h
     a = _tridiagonal(n, -1.0 / (2.0 * h), 0.0, 1.0 / (2.0 * h))
     a[0, 0], a[0, 1] = -1.0 / h, 1.0 / h
     a[-1, -2], a[-1, -1] = -1.0 / h, 1.0 / h - 2.0 / h  # penalty enforcing x(1) = 0
-    return _finish(grid, a, _input_matrix(grid, input_profile), "transport")
+    return DiscreteSystem(grid, a, _input_matrix(grid, input_profile), "transport")
 
 
 def assemble_heat(grid: Grid, input_profile=None) -> DiscreteSystem:
@@ -221,11 +219,10 @@ def assemble_heat(grid: Grid, input_profile=None) -> DiscreteSystem:
     boundary node is an eigenvector of A (semigroup.sine_spectrum).
     A is invertible, every eigenvalue negative, but only a test solves with it.
     """
-    check_operator_size(grid.n)
     n, h = grid.n, grid.h
     a = _tridiagonal(n, 1.0 / h**2, -2.0 / h**2, 1.0 / h**2)
     a[0, 1] = a[1, 0] = a[-2, -1] = a[-1, -2] = 0.0
-    return _finish(grid, a, _input_matrix(grid, input_profile), "heat")
+    return DiscreteSystem(grid, a, _input_matrix(grid, input_profile), "heat")
 
 
 def assemble_skew_damped(grid: Grid, input_profile=None) -> DiscreteSystem:
@@ -234,7 +231,6 @@ def assemble_skew_damped(grid: Grid, input_profile=None) -> DiscreteSystem:
     The generator is J - DAMPING*I where J is exactly W-skew-adjoint, so the
     dissipation form is DAMPING * ||x||^2 to machine precision.
     """
-    check_operator_size(grid.n)
     n, s, w = grid.n, 1.0 / (2.0 * grid.h), grid.weights
     # J = (C - W^{-1} C^T W) / 2 entrywise, J_ij = (C_ij - (1/w_i)(C_ji w_j)) / 2,
     # from the periodic central difference C_{i,i+1} = s, C_{i+1,i} = -s
@@ -242,21 +238,16 @@ def assemble_skew_damped(grid: Grid, input_profile=None) -> DiscreteSystem:
                      0.5 * (s - (1.0 / w[:-1]) * (-s * w[1:])))
     a[-1, 0] = 0.5 * (s - (1.0 / w[-1]) * (-s * w[0]))
     a[0, -1] = 0.5 * (-s - (1.0 / w[0]) * (s * w[-1]))
-    return _finish(grid, a, _input_matrix(grid, input_profile), "skew_damped")
+    return DiscreteSystem(grid, a, _input_matrix(grid, input_profile), "skew_damped")
 
 
 def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None) -> DiscreteSystem:
-    """Wrap a user matrix; validation (dissipativity, shapes) still applies.
+    """Wrap a user matrix as a float or complex array; the system checks it.
 
     A custom system steps with expm and checks no boundary condition.
     """
-    check_operator_size(grid.n)
     a = np.asarray(a_matrix, dtype=complex if np.iscomplexobj(a_matrix) else float)
-    if a.shape != (grid.n, grid.n):
-        raise AssemblyError(f"generator shape {a.shape} does not match grid size {grid.n}")
-    if not np.isfinite(a).all():
-        raise AssemblyError("generator has non-finite entries (NaN or inf)")
-    return _finish(grid, a, _input_matrix(grid, b_matrix), "custom")
+    return DiscreteSystem(grid, a, _input_matrix(grid, b_matrix), "custom")
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,41 @@ def test_numerical_failure_exits_three(capsys, tmp_path, monkeypatch):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("tasks, message", [
+    ("simulate, audit, rt_bound", "energy audit overflow: H is not finite at t = 0.05"),
+    ("simulate", "Out of range float values are not JSON compliant"),
+], ids=["audit", "simulate_only"])
+def test_overflowing_energies_exit_three_and_write_nothing(capsys, tmp_path, tasks, message):
+    # u = 1e307 drives heat's states past the float range in H = ||x||^2 / 2:
+    # the audit refuses the ledger, and summary.json refuses an inf, before
+    # anything is on disk
+    text = FULL_CONFIG.format(out=tmp_path / "out").replace(
+        "model = transport", "model = heat").replace("n_grid = 201", "n_grid = 21").replace(
+        "t_final = 1.0", "t_final = 8").replace("u_preset = zero", "u_preset = const:1e307").replace(
+        TASKS_LINE, f"tasks = {tasks}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["run", _write_config(tmp_path, text)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: ") and message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
+def test_refused_allocation_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # numpy's MemoryError names the array it could not allocate
+    def refused(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array with shape "
+                          "(199901, 2000) and data type float64")
+
+    monkeypatch.setattr(phdiss.runner, "mild_solution", refused)
+    cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path / "out"))
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 2.98 GiB for an array with shape (199901, 2000) "
+        "and data type float64\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
 @pytest.mark.parametrize("error", [NotPSDError, NotSelfAdjointError])
 def test_root_failure_exits_three(capsys, tmp_path, monkeypatch, error):
     def failing(*args, **kwargs):

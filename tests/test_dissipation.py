@@ -13,7 +13,7 @@ from phdiss.dissipation import (_q_identity_rows, cumulative_parabolic,
                                 cumulative_trapezoid)
 from phdiss.grids import norm_sq
 from phdiss.linalg import NotPSDError
-from phdiss.systems import (DiscreteSystem, _probe_solve, assemble_heat,
+from phdiss.systems import (AssemblyError, DiscreteSystem, _probe_solve, assemble_heat,
                             assemble_skew_damped, assemble_transport, graph_gram,
                             graph_norm, herm_part_wa)
 
@@ -132,12 +132,15 @@ def test_toolkit_builds_roots_on_first_read():
 
 
 def test_toolkit_root_failures_surface_on_first_read():
-    # A = I is not dissipative, so assembly would refuse it; built directly,
-    # the system exists and each root read fails
+    # A = I is not dissipative, so the constructor refuses it; built past the
+    # constructor, the system exists and each root read fails
     grid = make_uniform_grid(3)
     a, w = np.eye(3), grid.weights
-    sys = DiscreteSystem(grid=grid, a_matrix=a, b_matrix=np.ones((3, 1)),
-                         f_matrix=-herm_part_wa(a, w), model_tag="custom")
+    with pytest.raises(AssemblyError, match="not dissipative"):
+        DiscreteSystem(grid, a, np.ones((3, 1)), "custom")
+    sys = object.__new__(DiscreteSystem)
+    vars(sys).update(grid=grid, a_matrix=a, b_matrix=np.ones((3, 1)),
+                     model_tag="custom", f_matrix=-herm_part_wa(a, w))
     np.testing.assert_array_equal(sys.f_matrix, -np.diag(w))
     with pytest.raises(NotPSDError):
         sys.m_sqrt_hat

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +9,8 @@ from hypothesis import strategies as st
 from phdiss import (assemble_model, boundary_trace, closability_probe,
                     control_signal, dissipation_rate, form_r,
                     make_uniform_grid, mild_solution, q_identity_residual)
-from phdiss.grids import GridError, as_state, norm_sq
-from phdiss.semigroup import classical_check
+from phdiss.grids import Grid, GridError, as_state, norm_sq
+from phdiss.semigroup import ControlSignal, SignalError, classical_check
 from phdiss.systems import graph_norm
 
 
@@ -37,6 +40,35 @@ def test_too_small_grid_rejected(n):
 def test_non_integer_grid_size_rejected():
     with pytest.raises(GridError, match="must be an integer, got 10.0"):
         make_uniform_grid(10.0)
+
+
+def test_grid_is_fixed_by_its_size():
+    assert [f.name for f in dataclasses.fields(Grid) if f.init] == ["n"]
+    for bad, message in ((10.0, "must be an integer"), (2, "at least 3 nodes")):
+        with pytest.raises(GridError, match=message):
+            Grid(bad)
+    # 10^7 nodes would take 160 MB of nodes and weights: refused before either exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
+            Grid(10**7)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [3, 4, 201, 2000])
+def test_grid_fields_are_the_former_formulas_bit_for_bit(n):
+    h = 1.0 / (n - 1)
+    nodes = np.linspace(0.0, 1.0, n)
+    weights = np.full(n, h)
+    weights[0] = weights[-1] = h / 2.0
+    for grid in (make_uniform_grid(n), Grid(n), Grid(np.int64(n))):
+        assert type(grid.n) is int and grid.n == n
+        assert grid.h == h
+        assert np.array_equal(grid.nodes, nodes) and np.array_equal(grid.weights, weights)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.h = 0.5
 
 
 def test_norm_sq_is_trapezoid_rule():
@@ -117,6 +149,16 @@ def test_as_state_rejects_non_finite(bad):
     x[4] = bad
     with pytest.raises(GridError, match="non-finite"):
         as_state(x, 11)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: as_state(np.array(["a", "b", "c"]), 3), GridError),
+    (lambda: as_state(np.array([1.0, 2.0, 3.0], dtype=object), 3), GridError),
+    (lambda: ControlSignal(1.0, np.array(["a", "b"])), SignalError),
+], ids=["str_state", "object_state", "str_control"])
+def test_non_numeric_input_raises_the_package_error(build, error):
+    with pytest.raises(error, match="must hold numbers, got dtype"):
+        build()
 
 
 def _state_routes(system):

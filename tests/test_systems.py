@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,8 @@ import scipy.linalg as sla
 from phdiss import assemble_model, grids, make_uniform_grid, systems
 from phdiss.grids import Grid, GridError
 from phdiss.semigroup import sine_basis, sine_spectrum
-from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, _band, _probe_solve,
-                            assemble_custom, assemble_heat,
+from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, DiscreteSystem, _band,
+                            _probe_solve, assemble_custom, assemble_heat,
                             assemble_skew_damped, assemble_transport,
                             dissipativity_gap, graph_norm)
 
@@ -356,23 +357,62 @@ def test_heat_probe_root_matches_dense_root(n):
 
 
 def test_oversized_grid_refused_before_allocating():
-    # a 50,000-node grid would need 20 GB per n x n operator: the grid
-    # builder refuses it, and so does every assembler on a grid built by hand
+    # a 50,000-node grid would need 20 GB per n x n operator: the Grid itself
+    # refuses it before its nodes exist, so no assembler is ever handed one
     n = 50_000
-    nodes = np.linspace(0.0, 1.0, n)
-    grid = Grid(n=n, h=nodes[1], nodes=nodes, weights=np.full(n, nodes[1]))
     tracemalloc.start()
     try:
-        with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
-            make_uniform_grid(n)
-        for model in MODELS:
+        for build in (Grid, make_uniform_grid):
             with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
-                assemble_model(model, grid)
-        with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
-            assemble_custom(grid, np.zeros((1, 1)))
+                build(n)
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
+
+
+_FAULTS = ("non_dissipative", "nan_a", "inf_b", "object_a", "a_too_big", "a_wide",
+           "b_flat", "b_short")
+
+
+def _faulty_parts(system, fault, i, j, scale):
+    # A and B of a good system with one fault injected at (i, j) or of size scale
+    n, a, b = system.n, system.a_matrix.copy(), system.b_matrix.copy()
+    if fault == "non_dissipative":
+        a *= -scale  # F becomes -scale * F, whose smallest eigenvalue is < 0
+    elif fault == "nan_a":
+        a[i, j] = np.nan
+    elif fault == "inf_b":
+        b[i, 0] = -np.inf
+    elif fault == "object_a":
+        a = a.astype(object)
+    elif fault == "a_too_big":
+        a = np.identity(n + 1)
+    elif fault == "a_wide":
+        a = a[:, :-1]
+    elif fault == "b_flat":
+        b = b[:, 0]
+    else:
+        b = b[:-1]
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(MODELS), n=st.integers(3, 40), fault=st.sampled_from(_FAULTS),
+       i=st.integers(0, 10**6), j=st.integers(0, 10**6), scale=st.floats(0.5, 100.0))
+def test_direct_system_with_a_fault_is_refused(model, n, fault, i, j, scale):
+    # a DiscreteSystem built directly checks itself as an assembled one does
+    system = assemble_model(model, make_uniform_grid(n))
+    a, b = _faulty_parts(system, fault, i % n, j % n, scale)
+    with pytest.raises(AssemblyError):
+        DiscreteSystem(system.grid, a, b, model)
+    # the same parts without the fault build, and form the assembled F
+    rebuilt = DiscreteSystem(system.grid, system.a_matrix, system.b_matrix, model)
+    assert np.array_equal(rebuilt.f_matrix, system.f_matrix)
+
+
+def test_direct_system_fields():
+    init = [f.name for f in dataclasses.fields(DiscreteSystem) if f.init]
+    assert init == ["grid", "a_matrix", "b_matrix", "model_tag"]
 
 
 def test_operator_budget_is_the_module_constant(monkeypatch):
