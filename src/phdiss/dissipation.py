@@ -177,12 +177,14 @@ def energy_audit(system: DiscreteSystem, traj: Trajectory) -> EnergyLedger:
     Raises FloatingPointError when H or either energy overflows.
     """
     states, u = traj.states, traj.control
-    ham = 0.5 * norm_sq(system.weights, states)
-    rate = _form_rates(system.f_matrix, states)
-    y = output_signal(system, traj)
-    supply = np.sum(np.real(u.values * np.conj(y)), axis=1)
-    supplied = cumulative_trapezoid(supply, u.dt)
-    dissipated = cumulative_parabolic(rate, u.dt)
+    # an overflow is refused below by name, not warned about on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        ham = 0.5 * norm_sq(system.weights, states)
+        rate = _form_rates(system.f_matrix, states)
+        y = output_signal(system, traj)
+        supply = np.sum(np.real(u.values * np.conj(y)), axis=1)
+        supplied = cumulative_trapezoid(supply, u.dt)
+        dissipated = cumulative_parabolic(rate, u.dt)
     for name, series in (("H", ham), ("supplied", supplied), ("dissipated", dissipated)):
         if not np.isfinite(series).all():
             t = u.times[np.argmin(np.isfinite(series))]

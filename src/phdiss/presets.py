@@ -53,8 +53,7 @@ def control_signal(preset: str, t_final: float, dt: float, m: int = 1) -> Contro
     """Build a named control on the clock 0, dt, ..., t_final: ``zero``,
     ``const:c`` (u = c) or ``ramp:c`` (u = c t), each in all m channels.
 
-    This is the one builder of named controls; it marks them smooth. It
-    refuses more than MAX_STEPS steps before allocating any sample.
+    It refuses more than MAX_STEPS steps before allocating any sample.
     """
     base, param = _split(preset)
     if base not in ("zero", "const", "ramp"):
@@ -80,4 +79,4 @@ def control_signal(preset: str, t_final: float, dt: float, m: int = 1) -> Contro
     values = np.full((steps + 1, m), level)
     if base == "ramp":
         values *= np.linspace(0.0, t_final, steps + 1)[:, None]
-    return ControlSignal(t_final, values, smooth=True)
+    return ControlSignal(t_final, values)

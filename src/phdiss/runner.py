@@ -3,8 +3,9 @@
 Validation checks collected along the way decide the exit status:
 0 when every check passes, 1 otherwise. Artifacts (ledger.csv, probe.csv,
 summary.json) land in the config's out_dir unless overridden. A run is
-stepped and audited once, before any task writes, so a clock the model
-cannot step or an audit that overflows leaves nothing on disk.
+computed whole before it writes: stepped and audited once, then every task,
+then summary.json, which refuses NaN and inf, ahead of any CSV. So a clock
+the model cannot step or an energy that overflows leaves nothing on disk.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .grids import make_uniform_grid, norm_sq
 from .presets import control_signal, initial_state
 from .probes import closability_probe
 from .reporting import write_json, write_ledger_csv, write_probe_csv
-from .semigroup import classical_check, mild_solution
+from .semigroup import mild_solution
 from .systems import assemble_model
 
 RATE_FLOOR = -1e-10      # rate non-negativity margin
@@ -55,17 +56,11 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
 
     checks: list[CheckResult] = []
-    files: list[Path] = []
-    gate = classical_check(system, x0, u)
+    csvs: list = []  # (writer, path, data) of each CSV, written after summary.json
     summary: dict = {
         "config": asdict(cfg),
         "grid": {"n": grid.n, "h": grid.h},
         "dt": dt,
-        "classical": {
-            "classical": gate.classical,
-            "boundary_residual": gate.boundary_residual,
-            "detail": gate.detail,
-        },
     }
 
     for task in cfg.tasks:
@@ -77,7 +72,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
                 "final_sup": float(np.max(np.abs(traj.states[-1]))),
             }
         elif task == "audit":
-            files.append(write_ledger_csv(out / "ledger.csv", ledger))
+            csvs.append((write_ledger_csv, out / "ledger.csv", ledger))
             min_rate = float(np.min(ledger.dissipation_rate))
             checks.append(CheckResult(
                 "rate_nonnegative", min_rate >= RATE_FLOOR,
@@ -98,7 +93,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         elif task.startswith("probe:"):
             sequence = task.split(":", 1)[1]
             rep = closability_probe(system, sequence)
-            files.append(write_probe_csv(out / "probe.csv", rep))
+            csvs.append((write_probe_csv, out / "probe.csv", rep))
             summary[task] = {
                 "verdict": rep.verdict,
                 "norms_vanish": rep.norms_vanish,
@@ -121,6 +116,9 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     status = 0 if all(c.ok for c in checks) else 1
     summary["checks"] = [asdict(c) for c in checks]
     summary["status"] = status
-    files.append(write_json(out / "summary.json", summary))
+    # summary.json goes first, as the one file that refuses a number (NaN,
+    # inf); the list keeps the task order
+    written = write_json(out / "summary.json", summary)
+    files = [write(path, data) for write, path, data in csvs] + [written]
     return RunResult(status=status, checks=checks, summary=summary,
                      out_dir=out, files=files)

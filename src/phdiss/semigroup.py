@@ -37,15 +37,12 @@ class SignalError(ValueError):
 class ControlSignal:
     """Control samples u(k T / K), k = 0..K, on the horizon [0, T]: the
     values have shape (K+1, m), and the clock starts at 0 and is uniform
-    by construction.
-
-    smooth marks a signal known to be C1 in time; presets.control_signal,
-    the builder of named controls, sets it, raw samples do not.
+    by construction. The samples and the horizon are all a control holds;
+    how far a run is from classical shows in its audit's residual.
     """
 
     t_final: float
     values: np.ndarray
-    smooth: bool = False
 
     def __post_init__(self) -> None:
         self.t_final = float(self.t_final)
@@ -213,42 +210,6 @@ def output_signal(system: DiscreteSystem, traj: Trajectory) -> np.ndarray:
     as a (K+1) x m array with one row per time sample."""
     wb = system.weights[:, None] * system.b_matrix
     return traj.states @ np.conj(wb)
-
-
-@dataclass(eq=False)
-class ClassicalReport:
-    classical: bool
-    boundary_ok: bool
-    boundary_residual: float
-    control_smooth: bool
-    detail: str
-
-
-def classical_check(system: DiscreteSystem, x0,
-                    u: ControlSignal | None = None) -> ClassicalReport:
-    """Coarse gate for classical (vs merely mild) initial data.
-
-    Checks the boundary rule of the system's registry row on the sampled
-    state and the smoothness flag of the control. The boundary check is an
-    O(1)-violation detector with threshold 0.01 * max(1, max |x0|): states
-    sampled from smooth functions that satisfy the condition pass with
-    residuals at discretization level, violations show up at order one.
-    """
-    x0v = as_state(x0, system.n)
-    threshold = 0.01 * max(1.0, float(np.max(np.abs(x0v))))
-    residual = float(system.model.boundary(x0v))
-    note = system.model.boundary_note
-    boundary_ok = residual <= threshold
-    control_smooth = u is None or u.smooth
-    classical = boundary_ok and control_smooth
-    detail = (
-        f"{note}: residual {residual:.3e} against threshold "
-        f"{threshold:.3e}; control "
-        + ("smooth" if control_smooth else "not verifiably smooth")
-    )
-    return ClassicalReport(classical=classical, boundary_ok=boundary_ok,
-                           boundary_residual=residual,
-                           control_smooth=control_smooth, detail=detail)
 
 
 @dataclass(eq=False)

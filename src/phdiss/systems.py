@@ -54,6 +54,7 @@ class DiscreteSystem:
     f_matrix : np.ndarray
         Dissipation form matrix -Herm(W A), PSD: the rate is x^H F x. The constructor
         forms it, and raises AssemblyError for a bad A or B or a non-dissipative F.
+        It keeps integer and boolean A and B as float, complex ones as complex.
 
     The two dissipation roots are built on first read and kept, each only
     as its Hermitian core in orthonormal coordinates (G and Q are dropped).
@@ -79,7 +80,9 @@ class DiscreteSystem:
         if b.ndim != 2 or b.shape[0] != n:
             raise AssemblyError(f"input map has shape {b.shape}, grid has {n} nodes")
         check_finite(b, "input map", AssemblyError)
-        self.f_matrix = -herm_part_wa(a, self.grid.weights)
+        self.a_matrix = a.astype(np.result_type(a, float), copy=False)
+        self.b_matrix = b.astype(np.result_type(b, float), copy=False)
+        self.f_matrix = -herm_part_wa(self.a_matrix, self.grid.weights)
         gap, f_norm = dissipativity_gap(self.f_matrix)
         tol = 1e-8 * max(1.0, f_norm)
         if gap > tol:
@@ -170,14 +173,11 @@ def graph_gram(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _input_matrix(grid: Grid, input_profile) -> np.ndarray:
-    # default input profile: the constant-one window over the whole interval
+    # default input profile: the constant-one window over the whole interval;
+    # a profile of one value per node is one input column
     if input_profile is None:
         return np.ones((grid.n, 1))
-    if callable(input_profile):
-        input_profile = np.reshape(input_profile(grid.nodes), (grid.n, 1))
-    # a complex map stays complex, as a complex generator does
-    b = np.asarray(input_profile,
-                   dtype=complex if np.iscomplexobj(input_profile) else float)
+    b = np.asarray(input_profile(grid.nodes) if callable(input_profile) else input_profile)
     return b.reshape(-1, 1) if b.ndim == 1 else b
 
 
@@ -242,40 +242,33 @@ def assemble_skew_damped(grid: Grid, input_profile=None) -> DiscreteSystem:
 
 
 def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None) -> DiscreteSystem:
-    """Wrap a user matrix as a float or complex array; the system checks it.
+    """Wrap a user matrix; the system checks it and keeps it as float or complex.
 
-    A custom system steps with expm and checks no boundary condition.
+    A custom system steps with expm.
     """
-    a = np.asarray(a_matrix, dtype=complex if np.iscomplexobj(a_matrix) else float)
-    return DiscreteSystem(grid, a, _input_matrix(grid, b_matrix), "custom")
+    return DiscreteSystem(grid, np.asarray(a_matrix), _input_matrix(grid, b_matrix), "custom")
 
 
 @dataclass(frozen=True)
 class Model:
-    """One row of the model registry.
+    """One row of the model registry: its assembler and its step route.
 
     assemble(grid) builds the system. step is how e^{dt A} is applied:
     "shift" (the exact nodal shift, transport only), "sine" (the diagonal
     semigroup.sine_spectrum in semigroup.sine_basis, heat only) or "expm";
-    only the step route reads it. boundary(x) is the residual of the
-    boundary condition that classical data meets, described by boundary_note.
+    only the step route reads it.
     """
 
     assemble: Callable[[Grid], DiscreteSystem] | None
     step: str = "expm"
-    boundary: Callable[[np.ndarray], float] = lambda x: 0.0
-    boundary_note: str = "custom model, no boundary condition checked"
 
 
 # The model registry, read by configs and the CLI. Each row looks its assembler
 # up at call time, so a call tracer that rebinds systems.assemble_* sees it.
 MODELS: dict[str, Model] = {
-    "transport": Model(lambda grid: assemble_transport(grid), "shift",
-                       lambda x: abs(x[-1]), "outflow value x(1)"),
-    "heat": Model(lambda grid: assemble_heat(grid), "sine",
-                  lambda x: max(abs(x[0]), abs(x[-1])), "endpoint values x(0), x(1)"),
-    "skew_damped": Model(lambda grid: assemble_skew_damped(grid), "expm",
-                         lambda x: abs(x[0] - x[-1]), "periodic match x(0) = x(1)"),
+    "transport": Model(lambda grid: assemble_transport(grid), "shift"),
+    "heat": Model(lambda grid: assemble_heat(grid), "sine"),
+    "skew_damped": Model(lambda grid: assemble_skew_damped(grid), "expm"),
 }
 CUSTOM = Model(assemble=None)
 

@@ -151,20 +151,21 @@ def test_numerical_failure_exits_three(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("tasks, message", [
     ("simulate, audit, rt_bound", "energy audit overflow: H is not finite at t = 0.05"),
     ("simulate", "Out of range float values are not JSON compliant"),
-], ids=["audit", "simulate_only"])
+    ("probe:power, simulate", "Out of range float values are not JSON compliant"),
+], ids=["audit", "simulate_only", "probe_then_simulate"])
 def test_overflowing_energies_exit_three_and_write_nothing(capsys, tmp_path, tasks, message):
     # u = 1e307 drives heat's states past the float range in H = ||x||^2 / 2:
     # the audit refuses the ledger, and summary.json refuses an inf, before
-    # anything is on disk
+    # anything is on disk, the probe.csv of an earlier task included; the
+    # refusal is the one line on stderr, with no numpy warning before it
     text = FULL_CONFIG.format(out=tmp_path / "out").replace(
         "model = transport", "model = heat").replace("n_grid = 201", "n_grid = 21").replace(
         "t_final = 1.0", "t_final = 8").replace("u_preset = zero", "u_preset = const:1e307").replace(
         TASKS_LINE, f"tasks = {tasks}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["run", _write_config(tmp_path, text)]) == 3
+    assert main(["run", _write_config(tmp_path, text)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: numerical failure: ") and message in err
+    assert err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
@@ -374,6 +375,26 @@ def test_run_is_deterministic(tmp_path, monkeypatch):
         assert main(["run", cfg]) == 0
     for name in ("ledger.csv", "summary.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_run_lists_its_files_in_task_order(tmp_path, capsys):
+    # summary.json is written before the CSVs, yet named after them
+    text = FULL_CONFIG.format(out=tmp_path / "out").replace(
+        "n_grid = 201", "n_grid = 21").replace(TASKS_LINE, "tasks = probe:power, audit")
+    assert main(["run", _write_config(tmp_path, text)]) == 0
+    wrote = [line.split("/")[-1] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert wrote == ["probe.csv", "ledger.csv", "summary.json"]
+
+
+def test_summary_holds_no_classical_label(tmp_path):
+    # whether a run is classical shows in its audit residual, not in a label
+    cfg = parse_config_text(FULL_CONFIG.format(out=tmp_path).replace(
+        "n_grid = 201", "n_grid = 21"))
+    phdiss.runner.run_config(cfg)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary) == ["audit", "checks", "config", "dt", "grid",
+                             "q_check", "rt_bound", "simulate", "status"]
 
 
 def test_probe_verb_writes_schema(tmp_path, capsys):

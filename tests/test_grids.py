@@ -10,8 +10,8 @@ from phdiss import (assemble_model, boundary_trace, closability_probe,
                     control_signal, dissipation_rate, form_r,
                     make_uniform_grid, mild_solution, q_identity_residual)
 from phdiss.grids import Grid, GridError, as_state, norm_sq
-from phdiss.semigroup import ControlSignal, SignalError, classical_check
-from phdiss.systems import graph_norm
+from phdiss.semigroup import ControlSignal, SignalError
+from phdiss.systems import AssemblyError, assemble_custom, graph_norm
 
 
 def test_uniform_grid_basics():
@@ -155,7 +155,9 @@ def test_as_state_rejects_non_finite(bad):
     (lambda: as_state(np.array(["a", "b", "c"]), 3), GridError),
     (lambda: as_state(np.array([1.0, 2.0, 3.0], dtype=object), 3), GridError),
     (lambda: ControlSignal(1.0, np.array(["a", "b"])), SignalError),
-], ids=["str_state", "object_state", "str_control"])
+    (lambda: assemble_custom(Grid(11), np.full((11, 11), "a")), AssemblyError),
+    (lambda: assemble_custom(Grid(11), -np.eye(11), np.full(11, "a")), AssemblyError),
+], ids=["str_state", "object_state", "str_control", "str_generator", "str_input_map"])
 def test_non_numeric_input_raises_the_package_error(build, error):
     with pytest.raises(error, match="must hold numbers, got dtype"):
         build()
@@ -172,7 +174,6 @@ def _state_routes(system):
         "dissipation_rate": lambda x: dissipation_rate(system, x),
         "q_identity_residual": lambda x: q_identity_residual(system, x),
         "mild_solution": lambda x: mild_solution(system, x, u),
-        "classical_check": lambda x: classical_check(system, x, u),
         "boundary_trace": lambda x: boundary_trace(system, x, u),
         "graph_norm": lambda x: graph_norm(system, x),
         "closability_probe": lambda x: closability_probe(

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from phdiss import cli, control_signal, grids, initial_state, make_uniform_grid, systems
+from phdiss import (cli, control_signal, energy_audit, grids, initial_state,
+                    make_uniform_grid, mild_solution, systems)
 from phdiss.config import SUPPORTED_TASKS, ExperimentConfig, parse_config_text
 from phdiss.systems import MODELS
 
@@ -94,13 +95,30 @@ def test_readme_run_config_choices_match_the_parser():
             if key == "x0_preset":
                 assert initial_state(grid, cfg.x0_preset).shape == (grid.n,)
             elif key == "u_preset":
-                assert control_signal(cfg.u_preset, 1.0, 0.1).smooth
+                assert control_signal(cfg.u_preset, 1.0, 0.1).values.shape == (11, 1)
 
 
 def test_readme_documents_every_task():
     tasks = _section("Command line").split("Tasks:", 1)[1].split("\n\n", 1)[0]
     documented = set(re.findall(r"`([a-z_]+(?::[a-z_]+)?)`", tasks))
     assert documented == set(SUPPORTED_TASKS)
+
+
+def test_readme_audit_residual_tells_classical_data_apart():
+    # heat's free run at n = 101, dt = h: x0 = 1 breaks the Dirichlet
+    # condition, sin(pi w) meets it
+    tasks = _section("Command line").split("Tasks:", 1)[1].split("\n\n", 1)[0]
+    assert "`audit.max_abs_residual` = 1.56, above H(0) = 0.5" in tasks
+    assert "`x0_preset = sine:1` it reads 5.7e-5" in tasks
+    grid = make_uniform_grid(101)
+    heat = systems.assemble_model("heat", grid)
+    u = control_signal("zero", 1.0, grid.h)
+    read = {}
+    for x0 in ("one", "sine:1"):
+        traj = mild_solution(heat, initial_state(grid, x0), u)
+        read[x0] = energy_audit(heat, traj).max_abs_residual
+    assert f"{read['one']:.2f}" == "1.56" and read["one"] > 0.5
+    assert f"{read['sine:1']:.1e}" == "5.7e-05" and read["sine:1"] < 1e-4
 
 
 @pytest.mark.parametrize("name", ["MAX_BAND", "MAX_OPERATOR_MB", "DAMPING"])

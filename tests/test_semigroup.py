@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,8 +13,7 @@ from phdiss import (assemble_model, control_signal, energy_audit,
                     make_uniform_grid, mild_solution, rt_bound_check)
 from phdiss.systems import assemble_custom, assemble_heat, assemble_transport
 from phdiss.semigroup import (AlignmentError, ControlSignal, SignalError,
-                              _dense_propagator, boundary_trace,
-                              classical_check, output_signal)
+                              _dense_propagator, boundary_trace, output_signal)
 
 from conftest import MODELS, free_run, random_state
 
@@ -117,7 +117,6 @@ def test_custom_heat_steps_like_heat():
     got = mild_solution(custom, x0, u).states
     ref = mild_solution(heat, x0, u).states
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
-    assert classical_check(custom, np.ones(g.n)).boundary_residual == 0.0
 
 
 @pytest.mark.parametrize("n", [21, 201, 801])
@@ -307,11 +306,15 @@ def test_raw_samples_run_on_zero_to_t_final():
     assert rt_bound_check(sys, energy_audit(sys, traj)).t_final == 0.5
 
 
+def test_control_is_its_horizon_and_samples():
+    init = [f.name for f in dataclasses.fields(ControlSignal) if f.init]
+    assert init == ["t_final", "values"]
+
+
 def test_free_run_carries_the_zero_control(systems101):
     sys = systems101["heat"]
     traj = free_run(sys, np.sin(np.pi * sys.grid.nodes), 0.2, 1e-3)
     u = traj.control
-    assert u.smooth
     assert u.values.shape == (201, sys.m_inputs)
     np.testing.assert_array_equal(u.values, 0.0)
     np.testing.assert_array_equal(traj.times, np.linspace(0.0, 0.2, 201))
@@ -345,33 +348,6 @@ def test_output_adjoint_complex_states(grid101):
     lhs = np.conj(x) @ (sys_c.weights * (sys_c.b_matrix @ u0))
     rhs = np.conj(y0) @ u0
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
-def test_classical_gate():
-    g = make_uniform_grid(101)
-    transport = assemble_model("transport", g)
-    heat = assemble_model("heat", g)
-    skew = assemble_model("skew_damped", g)
-    sinh_bc = np.sinh(1.0 - g.nodes)
-    one = np.ones(g.n)
-    sine = np.sin(np.pi * g.nodes)
-    assert classical_check(transport, sinh_bc).classical
-    assert not classical_check(transport, one).classical  # x(1) != 0
-    assert classical_check(heat, sine).classical
-    assert not classical_check(heat, one).classical
-    assert classical_check(skew, one).classical  # periodic: x(0) = x(1)
-
-
-def test_classical_gate_flags_rough_control():
-    g = make_uniform_grid(51)
-    sys = assemble_model("transport", g)
-    x0 = np.sinh(1.0 - g.nodes)
-    t = np.linspace(0.0, 0.5, 26)
-    jagged = ControlSignal(0.5, np.sign(np.sin(37.0 * t)))
-    rep = classical_check(sys, x0, jagged)
-    assert not rep.control_smooth
-    smooth = control_signal("ramp:1.0", 0.5, 0.02)
-    assert classical_check(sys, x0, smooth).control_smooth
 
 
 def test_boundary_trace_two_routes_agree():

@@ -190,6 +190,20 @@ def test_input_profile_shape_checked(grid101):
         assemble_transport(grid101, input_profile=np.ones(7))
 
 
+def test_callable_profile_shape_checked():
+    # a function of the nodes with the wrong length meets the system's shape
+    # check, not a bare reshape error
+    with pytest.raises(AssemblyError, match=r"input map has shape \(7, 1\), grid has 11"):
+        assemble_transport(make_uniform_grid(11), input_profile=lambda w: np.ones(7))
+
+
+def test_integer_parts_are_kept_as_float():
+    g = make_uniform_grid(5)
+    sys = assemble_custom(g, -np.eye(5, dtype=int), b_matrix=np.ones(5, dtype=bool))
+    assert (sys.a_matrix.dtype, sys.b_matrix.dtype) == (np.float64, np.float64)
+    np.testing.assert_array_equal(sys.a_matrix, -np.eye(5))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("form", ["array", "callable"])
 def test_input_map_rejects_non_finite(bad, form):
@@ -413,6 +427,12 @@ def test_direct_system_with_a_fault_is_refused(model, n, fault, i, j, scale):
 def test_direct_system_fields():
     init = [f.name for f in dataclasses.fields(DiscreteSystem) if f.init]
     assert init == ["grid", "a_matrix", "b_matrix", "model_tag"]
+
+
+def test_registry_row_is_assembler_and_step_route():
+    assert [f.name for f in dataclasses.fields(systems.Model)] == ["assemble", "step"]
+    assert {tag: row.step for tag, row in systems.MODELS.items()} == {
+        "transport": "shift", "heat": "sine", "skew_damped": "expm"}
 
 
 def test_operator_budget_is_the_module_constant(monkeypatch):
