@@ -1,5 +1,6 @@
-"""Propagation of states: exact shift, sine-basis and dense propagators,
-mild solutions with sampled controls, outputs, and trace diagnostics.
+"""Propagation of states: exact shift, sine-basis, banded Taylor and dense
+propagators, mild solutions with sampled controls, outputs, and trace
+diagnostics.
 
 A run is one Trajectory: its states and the control that drove them,
 whose clock is the run's clock. A free run carries the zero control.
@@ -11,18 +12,27 @@ integral in the mild-solution formula. The residual of the energy balance
 along a classical trajectory is then O(dt^2). Each step route runs this
 recursion in its own basis: the nodal one for "shift" and "expm", heat's
 sine basis for "sine", where P is diagonal.
+
+The "expm" route (skew_damped, custom systems) applies P without forming
+it when A is narrow in its periodic band: P ~ T_m(dt A / s)^s, the
+degree-m Taylor polynomial on A's 2 kd + 1 periodic bands, with (m, s)
+chosen from ||dt A||_1 as in Al-Mohy and Higham (2011). That takes
+s (2 m kd + 1) n products a step; where this is not below n^2, as for a
+wide or stiff custom generator, P is the dense expm.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, as_state, check_finite
 from .linalg import sine_transform
-from .systems import DiscreteSystem
+from .systems import DiscreteSystem, periodic_bandwidth
 
 
 class AlignmentError(ValueError):
@@ -116,6 +126,72 @@ def _shift_values(vals: np.ndarray, k: int, n: int) -> np.ndarray:
     return out
 
 
+# theta_m: the largest ||dt A||_1 / s at which the degree-m Taylor polynomial
+# of e^{dt A / s} meets double precision, from Al-Mohy and Higham, Computing
+# the action of the matrix exponential, SIAM J. Sci. Comput. 33 (2011),
+# table 3.1 (m <= 30 from table A.3 of Higham, Functions of Matrices); scipy
+# carries the same values as scipy.sparse.linalg._expm_multiply._theta
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+
+def _band_step(a: np.ndarray, dt: float, dtype):
+    """The band route's step v -> T_m(dt A / s)^s v for states of the given
+    dtype, T_m the degree-m Taylor polynomial, or None when it would cost as
+    much as a dense mat-vec.
+
+    kd is A's systems.periodic_bandwidth, and (m, s) minimizes m s subject
+    to ||dt A||_1 / s <= theta_m. T_m has 2 m kd + 1 periodic bands, band k
+    of a matrix P being P[i, (i + k) mod n], so a step takes s (2 m kd + 1) n
+    products against n^2 for a dense one, and the route needs
+    s (2 m kd + 1) < n. T_m is summed term by term on its bands; no n x n
+    array is formed.
+    """
+    n, kd = a.shape[0], periodic_bandwidth(a)
+    if 2 * kd + 1 >= n:
+        return None
+    idx, offsets = np.arange(n), np.arange(-kd, kd + 1)[:, None]
+    # column j of A holds A[(j - k) mod n, j], k = -kd..kd
+    norm = dt * float(np.abs(a[(idx - offsets) % n, idx]).sum(axis=0).max())
+    m, s = min(((m, max(1, math.ceil(norm / theta))) for m, theta in _THETA.items()),
+               key=lambda ms: (ms[0] * ms[1], ms[1]))
+    w = m * kd
+    if s * (2 * w + 1) >= n:
+        return None
+    x = (dt / s) * a[idx, (idx + offsets) % n]
+    # term j = X^j / j! on the bands -j kd..j kd, stored in rows w - j kd..w + j kd:
+    # (X T)[i, i + q + p] = X[i, i + q] T[i + q, i + q + p] moves band p to q + p
+    term = np.zeros((2 * w + 1, n), dtype=x.dtype)
+    term[w] = 1.0
+    poly = term.copy()
+    for j in range(1, m + 1):
+        r = (j - 1) * kd
+        src, prod = term[w - r:w + r + 1], np.zeros_like(term)
+        for q in range(-kd, kd + 1):
+            prod[w - r + q:w + r + 1 + q] += x[q + kd] * np.roll(src, -q, axis=1)
+        term = prod / j
+        poly += term
+    bands = poly.T.copy()  # bands[i, p + w] = T_m[i, (i + p) mod n]
+    # windows[i, p + w] = v[(i + p) mod n] once padded holds v wrapped by w a side
+    padded = np.empty(n + 2 * w, dtype=dtype)
+    windows = sliding_window_view(padded, 2 * w + 1)
+
+    def step(v):
+        for _ in range(s):
+            padded[:w], padded[w:n + w], padded[n + w:] = v[n - w:], v, v[:w]
+            v = np.einsum("ij,ij->i", bands, windows)
+        return v
+
+    return step
+
+
 def _dense_propagator(system: DiscreteSystem, t: float) -> np.ndarray:
     """e^{tA} as a dense matrix, by expm.
 
@@ -148,11 +224,13 @@ def sine_basis(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _make_step(system: DiscreteSystem, dt: float):
+def _make_step(system: DiscreteSystem, dt: float, dtype):
     """(basis, step) for the step route of the system's model: step is
-    v -> e^{dt A} v in the coordinates basis(x), and basis, applied in
-    place along the last axis, is its own inverse; None stands for the
-    nodal basis."""
+    v -> e^{dt A} v for states of the given dtype, in the coordinates
+    basis(x), and basis, applied in place along the last axis, is its own
+    inverse; None stands for the nodal basis. The "expm" route steps on A's
+    periodic bands (_band_step) where that is cheaper than a dense mat-vec,
+    and with the dense e^{dt A} otherwise."""
     if system.model.step == "shift":
         q = _shift_indices(dt, system.grid.h)
         if q < 1:
@@ -165,6 +243,9 @@ def _make_step(system: DiscreteSystem, dt: float):
     if system.model.step == "sine":
         p = np.exp(dt * sine_spectrum(system.grid))
         return sine_basis, lambda v: p * v
+    step = _band_step(system.a_matrix, dt, dtype)
+    if step is not None:
+        return None, step
     prop = _dense_propagator(system, dt)
     return None, lambda v: prop @ v
 
@@ -186,7 +267,7 @@ def mild_solution(system: DiscreteSystem, x0, u: ControlSignal) -> Trajectory:
     b = system.b_matrix
     out_dtype = np.result_type(x0v.dtype, u.values.dtype, b.dtype,
                                system.a_matrix.dtype, float)
-    basis, step = _make_step(system, u.dt)
+    basis, step = _make_step(system, u.dt, out_dtype)
     states = np.zeros((u.values.shape[0], n), dtype=out_dtype)
     states[0] = x0v
     if basis is not None:

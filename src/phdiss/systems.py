@@ -124,14 +124,42 @@ class DiscreteSystem:
 
 
 def _probe_solve(a: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # (W^{1/2} A W^{-1/2} - I)^{-1} rhs: a band of at most MAX_BAND a side (transport,
-    # heat) goes to solve_banded, a wider one (skew_damped's corners) to a dense LU
+    # (W^{1/2} A W^{-1/2} - I)^{-1} rhs for a 2-D rhs: a band of at most MAX_BAND a
+    # side (transport, heat) goes to solve_banded, and so does a periodic one
+    # (skew_damped), whose wrapped corners come back by Woodbury; a wider one
+    # takes a dense LU
+    n = a.shape[0]
     shifted = np.sqrt(w)[:, None] * a / np.sqrt(w)
-    shifted.flat[::a.shape[0] + 1] -= 1.0
+    shifted.flat[::n + 1] -= 1.0
     lower, upper = sla.bandwidth(shifted)
     if max(lower, upper) <= MAX_BAND:
         return sla.solve_banded((lower, upper), _band(shifted, lower, upper), rhs)
-    return sla.solve(shifted, rhs, overwrite_a=True)
+    kd = periodic_bandwidth(shifted)
+    if kd > MAX_BAND:
+        return sla.solve(shifted, rhs, overwrite_a=True)
+    # the wrapped entries, |i - j| > kd, lie in rows and columns idx: shifted is
+    # the band plus E C E^H, E the columns idx of the identity
+    idx = np.r_[:kd, n - kd:n]
+    c = shifted[np.ix_(idx, idx)]
+    c[np.abs(idx[:, None] - idx) <= kd] = 0.0
+    # beta I moved into C keeps Herm(band) <= Herm(shifted) <= -I, so the band is
+    # no worse conditioned than shifted; skew_damped's corners are skew, beta = 0
+    c.flat[::2 * kd + 1] += max(0.0, -np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
+    shifted[np.ix_(idx, idx)] -= c
+    e = np.zeros((n, 2 * kd))
+    e[idx, np.arange(2 * kd)] = 1.0
+    sol = sla.solve_banded((kd, kd), _band(shifted, kd, kd), np.hstack((rhs, e)))
+    y, z = sol[:, :rhs.shape[1]], sol[:, rhs.shape[1]:]
+    return y - z @ np.linalg.solve(np.identity(2 * kd) + c @ z[idx], c @ y[idx])
+
+
+def periodic_bandwidth(a: np.ndarray) -> int:
+    """The largest min(|i - j|, n - |i - j|) over the nonzeros a[i, j] of the
+    n x n matrix a: its half-bandwidth when the rows wrap around, so 1 for
+    skew_damped's generator with its two periodic corners."""
+    rows, cols = np.nonzero(a)
+    dist = np.abs(rows - cols)
+    return int(np.minimum(dist, a.shape[0] - dist).max(initial=0))
 
 
 def herm_part_wa(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -244,7 +272,8 @@ def assemble_skew_damped(grid: Grid, input_profile=None) -> DiscreteSystem:
 def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None) -> DiscreteSystem:
     """Wrap a user matrix; the system checks it and keeps it as float or complex.
 
-    A custom system steps with expm.
+    A custom system takes the "expm" step route: on A's periodic bands where
+    that is cheaper than a dense product, with the dense expm otherwise.
     """
     return DiscreteSystem(grid, np.asarray(a_matrix), _input_matrix(grid, b_matrix), "custom")
 
@@ -255,8 +284,11 @@ class Model:
 
     assemble(grid) builds the system. step is how e^{dt A} is applied:
     "shift" (the exact nodal shift, transport only), "sine" (the diagonal
-    semigroup.sine_spectrum in semigroup.sine_basis, heat only) or "expm";
-    only the step route reads it.
+    semigroup.sine_spectrum in semigroup.sine_basis, heat only) or "expm"
+    (skew_damped and custom systems), which steps with a Taylor polynomial
+    on A's periodic bands where that costs less than a dense product and
+    with the dense expm otherwise; the choice is read from A and dt, and
+    only the step route reads step.
     """
 
     assemble: Callable[[Grid], DiscreteSystem] | None

@@ -116,24 +116,37 @@ def test_huge_grid_refused_before_the_grid_allocates(capsys, tmp_path, command):
     assert "MAX_OPERATOR_MB" in capsys.readouterr().err
 
 
-def test_heat_run_does_not_import_scipy_fft(tmp_path):
-    # heat's sine transform is built on numpy.fft; importing scipy.fft would
-    # add to the start-up time and the resident memory of every run
+def _modules_after_run(tmp_path, model, x0, modules):
+    """Which of modules a fresh interpreter holds after a FULL_CONFIG run of
+    model from x0, one True or False per line."""
     code = (
         "import sys\n"
         "from phdiss.config import parse_config_text\n"
         "from phdiss.runner import run_config\n"
         f"cfg = parse_config_text({FULL_CONFIG!r}.format(out={str(tmp_path)!r})"
-        ".replace('model = transport', 'model = heat')"
-        ".replace('x0_preset = one', 'x0_preset = sine:1'))\n"
+        f".replace('model = transport', 'model = {model}')"
+        f".replace('x0_preset = one', 'x0_preset = {x0}'))\n"
         "assert run_config(cfg).status == 0\n"
-        "print('scipy.fft' in sys.modules)\n"
+        f"for name in {modules!r}: print(name in sys.modules)\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "PHDISS_OUT"}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.split()
+
+
+def test_heat_run_does_not_import_scipy_fft(tmp_path):
+    # heat's sine transform is built on numpy.fft; importing scipy.fft would
+    # add to the start-up time and the resident memory of every run
+    assert _modules_after_run(tmp_path, "heat", "sine:1", ["scipy.fft"]) == ["False"]
+
+
+def test_skew_damped_run_does_not_import_scipy_sparse(tmp_path):
+    # skew_damped steps on its periodic bands and solves its probe system
+    # by solve_banded; importing scipy.sparse costs every run its start-up
+    assert _modules_after_run(tmp_path, "skew_damped", "sine:1",
+                              ["scipy.sparse", "phdiss.semigroup"]) == ["False", "True"]
 
 
 def test_numerical_failure_exits_three(capsys, tmp_path, monkeypatch):

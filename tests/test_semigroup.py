@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phdiss.presets
+import phdiss.semigroup
 from phdiss import (assemble_model, control_signal, energy_audit,
                     make_uniform_grid, mild_solution, rt_bound_check)
 from phdiss.systems import assemble_custom, assemble_heat, assemble_transport
-from phdiss.semigroup import (AlignmentError, ControlSignal, SignalError,
-                              _dense_propagator, boundary_trace, output_signal)
+from phdiss.semigroup import (_THETA, AlignmentError, ControlSignal, SignalError,
+                              _band_step, _dense_propagator, boundary_trace,
+                              output_signal)
 
 from conftest import MODELS, free_run, random_state
 
@@ -106,8 +108,8 @@ def test_heat_discrete_mode_decays_exactly():
 
 
 def test_custom_heat_steps_like_heat():
-    # a custom system steps with expm whatever its generator; on heat's A
-    # that must reproduce the sine route of the heat model
+    # heat's A as a custom system is too stiff for the band route at this
+    # dt and steps with expm; that must reproduce the sine route of heat
     g = make_uniform_grid(41)
     heat = assemble_model("heat", g)
     custom = assemble_custom(g, heat.a_matrix)
@@ -158,8 +160,9 @@ def test_mild_solution_matches_naive_stepping():
 @pytest.mark.parametrize("model", MODELS)
 def test_audited_run_holds_one_trajectory(model):
     # n = 401, K = 3200: the states take 10.3 MB, and stepping and auditing
-    # them may add two n x n operators (the propagator, one block of rates)
-    # but no second (K+1) x n array
+    # them may add one n x n block of rates and skew_damped's 39 propagator
+    # bands with their work arrays, but no n x n propagator and no second
+    # (K+1) x n array
     sys = assemble_model(model, make_uniform_grid(401))
     u = control_signal("ramp:0.5", 8.0, sys.grid.h)
     x0 = np.sin(np.pi * sys.grid.nodes)
@@ -170,14 +173,120 @@ def test_audited_run_holds_one_trajectory(model):
     finally:
         tracemalloc.stop()
     assert u.values.shape[0] == 3201
-    assert peak <= 3201 * 401 * 8 + 2 * 8 * 401**2
+    assert peak <= 3201 * 401 * 8 + 8 * 401**2 + 4 * 39 * 401 * 8
+
+
+def _dense_steps(system, x0, u):
+    """The recursion of mild_solution, stepped with the expm propagator."""
+    p = _dense_propagator(system, u.dt)
+    bu = u.values @ system.b_matrix.T
+    states = np.zeros((bu.shape[0], system.n), dtype=np.result_type(p, bu, x0))
+    states[0] = x0
+    for k in range(bu.shape[0] - 1):
+        states[k + 1] = p @ (states[k] + 0.5 * u.dt * bu[k]) + 0.5 * u.dt * bu[k + 1]
+    return states
+
+
+def _count_dense_propagators(monkeypatch):
+    calls = []
+
+    def counted(system, t):
+        calls.append(t)
+        return _dense_propagator(system, t)
+
+    monkeypatch.setattr(phdiss.semigroup, "_dense_propagator", counted)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 120), kd=st.integers(1, 3),
+       corners=st.booleans(), complex_a=st.booleans(), complex_b=st.booleans(),
+       complex_x0=st.booleans(), reach=st.floats(0.01, 1.0))
+def test_band_route_matches_dense_propagator(seed, n, kd, corners, complex_a,
+                                             complex_b, complex_x0, reach):
+    # a random dissipative generator, W A = M - c I with M of periodic
+    # half-bandwidth kd, its wrapped corners kept or cut, and c above
+    # Herm(M)'s top eigenvalue; dt puts ||dt A||_1 at reach * theta_m for the
+    # largest degree m whose 2 m kd + 1 bands stay below n
+    rng = np.random.default_rng(seed)
+    grid = make_uniform_grid(n)
+
+    def draw(complex_values, *shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_values else z
+
+    i = np.arange(n)
+    m = np.zeros((n, n), dtype=complex if complex_a else float)
+    for k in range(-kd, kd + 1):
+        j = (i + k) % n
+        keep = corners | (np.abs(i - j) <= kd)
+        m[i[keep], j[keep]] = draw(complex_a, int(keep.sum()))
+    c = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1] + rng.uniform(0.0, 2.0)
+    sys = assemble_custom(grid, (m - c * np.identity(n)) / grid.weights[:, None],
+                          b_matrix=draw(complex_b, n))
+    norm = np.linalg.norm(sys.a_matrix, 1)
+    dt = reach * _THETA[max(d for d in _THETA if 2 * d * kd + 1 < n)] / norm
+    assert _band_step(sys.a_matrix, dt, complex) is not None
+    u = control_signal("ramp:0.5", 10 * dt, dt)
+    x0 = draw(complex_x0, n)
+    got = mild_solution(sys, x0, u).states
+    want = _dense_steps(sys, x0, u)
+    assert got.dtype == want.dtype
+    atol = 1e-13 * max(1.0, dt * norm) * np.abs(want).max()
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("steps", [1, 12])
+def test_skew_damped_band_route_matches_dense_at_n801(monkeypatch, steps):
+    # dt = h: ||dt A||_1 is 1.25, one substep of degree 19; dt = 12 h:
+    # 15, above theta_55 = 9.9, so two substeps of degree 50
+    sys = assemble_model("skew_damped", make_uniform_grid(801))
+    dt = steps * sys.grid.h
+    u = control_signal("const:0.5", 800 // steps * dt, dt)
+    x0 = np.sin(np.pi * sys.grid.nodes)
+    calls = _count_dense_propagators(monkeypatch)
+    got = mild_solution(sys, x0, u).states
+    assert calls == [] and got.shape == (800 // steps + 1, 801)
+    want = _dense_steps(sys, x0, u)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_stiff_custom_generator_takes_the_dense_route(monkeypatch):
+    # heat's A at n = 801 and dt = 1e-3 has ||dt A||_1 = 2560: s = 259
+    # substeps of degree 55 would cost far more than one dense mat-vec
+    g = make_uniform_grid(801)
+    sys = assemble_custom(g, assemble_heat(g).a_matrix)
+    assert _band_step(sys.a_matrix, 1e-3, float) is None
+    calls = _count_dense_propagators(monkeypatch)
+    mild_solution(sys, np.sin(np.pi * g.nodes), control_signal("const:0.5", 2e-3, 1e-3))
+    assert calls == [1e-3]
+
+
+def test_band_route_forms_no_square_array():
+    # skew_damped at n = 801, K = 800: the states are one 801 x 801 array,
+    # and the band route adds T_m's 2 m kd + 1 = 39 bands (m = 19, kd = 1 at
+    # dt = h) and the work arrays that sum them, a fifth of another n x n
+    sys = assemble_model("skew_damped", make_uniform_grid(801))
+    u = control_signal("ramp:0.5", 1.0, sys.grid.h)
+    x0 = np.sin(np.pi * sys.grid.nodes)
+    tracemalloc.start()
+    try:
+        states = mild_solution(sys, x0, u).states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.nbytes == 801 * 801 * 8
+    assert peak <= states.nbytes + 4 * 39 * 801 * 8
 
 
 def test_dense_propagator_has_no_subnormals():
-    # e^{hA} of skew_damped at n = 801 holds subnormal entries far from the
-    # diagonal; zeroing them leaves every stepped state unchanged
-    sys = assemble_model("skew_damped", make_uniform_grid(801))
-    dt = sys.grid.h
+    # e^{dt A} of heat's A at n = 801 and dt = 1e-4 holds subnormal entries
+    # far from the diagonal; as a custom system it takes the dense route, and
+    # zeroing them leaves every stepped state unchanged
+    g = make_uniform_grid(801)
+    sys = assemble_custom(g, assemble_heat(g).a_matrix)
+    dt = 1e-4
+    assert _band_step(sys.a_matrix, dt, float) is None
     raw = sla.expm(dt * sys.a_matrix)
     tiny = np.finfo(float).tiny
     assert np.count_nonzero((raw != 0) & (np.abs(raw) < tiny)) > 0

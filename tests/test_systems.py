@@ -329,8 +329,8 @@ def test_band_storage_is_lapack_layout(lower, upper):
 def test_probe_solve_matches_dense_solve(seed, n, band, corners, complex_values):
     # a random dissipative generator, W A = M - c I with M of the given
     # (lower, upper) band and c above Herm(M)'s top eigenvalue: tridiagonal
-    # or lopsided, which takes the banded branch, or with periodic corners,
-    # whose band is n - 1 and takes the dense one
+    # or lopsided, or with periodic corners, whose band is n - 1 and which
+    # takes the banded solve with the corners added back by Woodbury
     rng = np.random.default_rng(seed)
     grid = make_uniform_grid(n)
     draw = (lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -352,8 +352,31 @@ def test_probe_solve_matches_dense_solve(seed, n, band, corners, complex_values)
 
             mp.setattr(sla, name, counted)
         got = _probe_solve(sys.a_matrix, w, rhs)
-    assert calls == ["solve" if corners else "solve_banded"]
+    assert calls == ["solve_banded"]
     # round-off: the backward-stable bound, relative to the solution
+    tol = n * np.finfo(float).eps * np.linalg.cond(shifted)
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+def test_probe_solve_band_without_corners_may_be_singular():
+    # W^{1/2} A W^{-1/2} - I = T - c I, T the periodic tridiagonal matrix with
+    # off-diagonals t and twisted corners -t. Cutting the corners leaves the
+    # path matrix, whose top eigenvalue 2 t cos(pi / (n + 1)) is c: the cut band
+    # is singular while the whole stays dissipative with margin 11, so the solve
+    # must move a multiple of the identity into the corner correction
+    n, t = 20, 5000.0
+    grid = make_uniform_grid(n)
+    path = np.diag(np.full(n - 1, t), 1) + np.diag(np.full(n - 1, t), -1)
+    path -= 2 * t * np.cos(np.pi / (n + 1)) * np.identity(n)
+    shifted = path.copy()
+    shifted[0, -1] = shifted[-1, 0] = -t
+    assert np.linalg.cond(path) > 1e15
+    assert np.linalg.eigvalsh(shifted)[-1] < -11.0
+    sw = np.sqrt(grid.weights)
+    sys = assemble_custom(grid, (shifted + np.identity(n)) * sw / sw[:, None])
+    rhs = np.random.default_rng(3).standard_normal((n, 3))
+    want = np.linalg.solve(shifted, rhs)
+    got = _probe_solve(sys.a_matrix, grid.weights, rhs)
     tol = n * np.finfo(float).eps * np.linalg.cond(shifted)
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
