@@ -10,9 +10,9 @@ For a dissipative generator A in the inner product with gram matrix W:
 * the bounded probe Q = -((A - I)^{-1} + ((A - I)^{-1})*) / 2 (adjoint
   taken in W), which satisfies ||Q^{1/2} (A - I) x||^2 = ||x||^2 + r[x].
 
-Every function takes the DiscreteSystem itself: it holds F, and builds
-each square root on first read, as the Hermitian core its docstring
-describes. Of the probe's checks only q_identity_residual reads Q's root;
+Every function takes the DiscreteSystem itself: it holds the bands of A
+and F, and builds each square root on first read, as the Hermitian core
+its docstring describes. Of the probe's checks only q_identity_residual reads Q's root;
 the run's stacked check solves with A - I instead. The energy audit reads
 the control from the Trajectory of the run, and the dissipation bound
 reads the control and the initial energy from that run's ledger.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .grids import as_state, norm_sq
 from .semigroup import ControlSignal, Trajectory, output_signal
-from .systems import DiscreteSystem, _probe_solve
+from .systems import DiscreteSystem, _probe_solve, band_product
 
 
 def form_r(system: DiscreteSystem, x, y=None) -> complex:
@@ -34,12 +34,12 @@ def form_r(system: DiscreteSystem, x, y=None) -> complex:
 
     With y omitted, returns the real diagonal value r[x].
     """
-    f = system.f_matrix
     xv = as_state(x, system.n)
+    fx = band_product(system.f_bands, xv)
     if y is None:
-        return float(np.real(np.conj(xv) @ (f @ xv)))
+        return float(np.real(np.conj(xv) @ fx))
     yv = as_state(y, system.n)
-    return complex(np.conj(yv) @ (f @ xv))
+    return complex(np.conj(yv) @ fx)
 
 
 def dissipation_rate(system: DiscreteSystem, x) -> float:
@@ -63,7 +63,7 @@ def q_identity_residual(system: DiscreteSystem, x) -> float:
     """
     xv, w = as_state(x, system.n), system.weights
     # ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||, an unweighted norm
-    z = system.q_sqrt_hat @ (np.sqrt(w) * (system.a_matrix @ xv - xv))
+    z = system.q_sqrt_hat @ (np.sqrt(w) * (band_product(system.a_bands, xv) - xv))
     return abs(float(np.vdot(z, z).real) - norm_sq(w, xv) - form_r(system, xv))
 
 
@@ -75,11 +75,11 @@ def _q_identity_rows(system: DiscreteSystem, states: np.ndarray) -> np.ndarray:
     since Q_hat = Herm(R): one solve, no root. Rows must have passed grids.as_state.
     """
     w = system.weights
-    ax = states @ system.a_matrix.T
+    ax = band_product(system.a_bands, states)
     z = (ax - states) * np.sqrt(w)
-    q_sq = -np.einsum("ij,ji->i", z.conj(), _probe_solve(system.a_matrix, w, z.T)).real
+    q_sq = -np.einsum("ij,ji->i", z.conj(), _probe_solve(system.a_bands, w, z.T)).real
     x_sq = norm_sq(w, states)
-    residual = np.abs(q_sq - (x_sq + _form_rates(system.f_matrix, states)))
+    residual = np.abs(q_sq - (x_sq + _form_rates(system.f_bands, states)))
     return residual / (1.0 + x_sq + norm_sq(w, ax))
 
 
@@ -152,18 +152,14 @@ class EnergyLedger:
         return float(np.max(np.abs(self.residuals)))
 
 
-def _form_rates(f: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Rates x_k^H F x_k for every row x_k of states.
-
-    One GEMM per block of at most n rows, so no temporary outgrows the
-    n x n form matrix however long the trajectory is. ndarray.conj returns
-    real blocks uncopied.
-    """
-    n = f.shape[0]
+def _form_rates(f_bands: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Rates x_k^H F x_k for every row x_k of states, F given by its bands, one
+    band product per block of 64 rows: the work arrays stay in cache however
+    long the trajectory is. ndarray.conj returns real blocks uncopied."""
     rate = np.empty(states.shape[0])
-    for start in range(0, states.shape[0], n):
-        xb = states[start:start + n]
-        rate[start:start + n] = np.einsum("ij,ij->i", xb.conj(), xb @ f.T).real
+    for start in range(0, states.shape[0], 64):
+        xb = states[start:start + 64]
+        rate[start:start + 64] = np.einsum("ij,ij->i", xb.conj(), band_product(f_bands, xb)).real
     return rate
 
 
@@ -180,7 +176,7 @@ def energy_audit(system: DiscreteSystem, traj: Trajectory) -> EnergyLedger:
     # an overflow is refused below by name, not warned about on the way
     with np.errstate(over="ignore", invalid="ignore"):
         ham = 0.5 * norm_sq(system.weights, states)
-        rate = _form_rates(system.f_matrix, states)
+        rate = _form_rates(system.f_bands, states)
         y = output_signal(system, traj)
         supply = np.sum(np.real(u.values * np.conj(y)), axis=1)
         supplied = cumulative_trapezoid(supply, u.dt)

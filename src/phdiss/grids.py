@@ -5,7 +5,7 @@ length with the weighted inner product ``<f, g> = sum_i w_i f_i conj(g_i)``
 where ``w`` are composite-trapezoid weights (h/2 at the endpoints, h
 inside). The weights double as the diagonal gram matrix W used by the
 operator modules. A Grid is fixed by its number of nodes, which it checks
-once against the dense-operator budget; every operator stands on a Grid.
+once against the n x n array budget; every operator stands on a Grid.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-# The most memory, in MB, one dense n x n float64 operator may take; a grid
-# past it (n > 2000) is refused before its nodes or any operator exist.
+# The most memory, in MB, of one n x n float64 array, as the M root, a dense
+# propagator or K >= n states form; a grid past it (n > 2000) is refused at once.
 MAX_OPERATOR_MB = 32
 
 

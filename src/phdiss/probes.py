@@ -106,7 +106,7 @@ def closability_probe(system: DiscreteSystem, sequence: str, n_max: int = 8,
     states = np.array([as_state(x, system.n) for x in
                        probe_states(sequence, system.grid, n_max, custom=custom)])
     norms = np.sqrt(norm_sq(system.weights, states))
-    r_vals = _form_rates(system.f_matrix, states)
+    r_vals = _form_rates(system.f_bands, states)
     # pairwise tail statistic: for each n the worst r[x_n - x_m] over m > n.
     # Every difference is formed explicitly (r_nn + r_mm - 2 Re r_nm
     # cancels), x_n's run starting at row starts[n - 1]; writing the runs in
@@ -116,7 +116,7 @@ def closability_probe(system: DiscreteSystem, sequence: str, n_max: int = 8,
     for i, start in enumerate(starts):
         np.subtract(states[i], states[i + 1:], out=diffs[start:start + n_max - 1 - i])
     pair = np.zeros(n_max)
-    pair[:-1] = np.maximum.reduceat(_form_rates(system.f_matrix, diffs), starts)
+    pair[:-1] = np.maximum.reduceat(_form_rates(system.f_bands, diffs), starts)
     r1 = max(float(r_vals[0]), 0.0)
     eps_norm = 0.05
     eps_form = 0.05 * max(1.0, r1)

@@ -13,12 +13,9 @@ along a classical trajectory is then O(dt^2). Each step route runs this
 recursion in its own basis: the nodal one for "shift" and "expm", heat's
 sine basis for "sine", where P is diagonal.
 
-The "expm" route (skew_damped, custom systems) applies P without forming
-it when A is narrow in its periodic band: P ~ T_m(dt A / s)^s, the
-degree-m Taylor polynomial on A's 2 kd + 1 periodic bands, with (m, s)
-chosen from ||dt A||_1 as in Al-Mohy and Higham (2011). That takes
-s (2 m kd + 1) n products a step; where this is not below n^2, as for a
-wide or stiff custom generator, P is the dense expm.
+The "expm" route (skew_damped, custom systems) applies P ~ T_m(dt A / s)^s,
+a Taylor polynomial on the system's stored bands of A (Al-Mohy and Higham
+2011), where that costs less than a dense product, and the dense expm else.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, as_state, check_finite
 from .linalg import sine_transform
-from .systems import DiscreteSystem, periodic_bandwidth
+from .systems import DiscreteSystem, _columns
 
 
 class AlignmentError(ValueError):
@@ -142,30 +139,27 @@ _THETA = {
 }
 
 
-def _band_step(a: np.ndarray, dt: float, dtype):
+def _band_step(a_bands: np.ndarray, dt: float, dtype):
     """The band route's step v -> T_m(dt A / s)^s v for states of the given
     dtype, T_m the degree-m Taylor polynomial, or None when it would cost as
     much as a dense mat-vec.
 
-    kd is A's systems.periodic_bandwidth, and (m, s) minimizes m s subject
-    to ||dt A||_1 / s <= theta_m. T_m has 2 m kd + 1 periodic bands, band k
-    of a matrix P being P[i, (i + k) mod n], so a step takes s (2 m kd + 1) n
-    products against n^2 for a dense one, and the route needs
-    s (2 m kd + 1) < n. T_m is summed term by term on its bands; no n x n
-    array is formed.
+    (m, s) minimizes m s subject to ||dt A||_1 / s <= theta_m. T_m has
+    2 m kd + 1 periodic bands, like A's 2 kd + 1 a_bands, so a step takes
+    s (2 m kd + 1) n products against n^2 for a dense one, and the route
+    needs s (2 m kd + 1) < n. T_m is summed term by term on its bands.
     """
-    n, kd = a.shape[0], periodic_bandwidth(a)
+    n, kd = a_bands.shape[1], a_bands.shape[0] // 2
     if 2 * kd + 1 >= n:
         return None
-    idx, offsets = np.arange(n), np.arange(-kd, kd + 1)[:, None]
-    # column j of A holds A[(j - k) mod n, j], k = -kd..kd
-    norm = dt * float(np.abs(a[(idx - offsets) % n, idx]).sum(axis=0).max())
+    # column j of A holds A[(j - k) mod n, j] = a_bands[k + kd, (j - k) mod n]
+    norm = dt * float(np.abs(np.take_along_axis(a_bands, _columns(n, kd)[::-1], 1)).sum(0).max())
     m, s = min(((m, max(1, math.ceil(norm / theta))) for m, theta in _THETA.items()),
                key=lambda ms: (ms[0] * ms[1], ms[1]))
     w = m * kd
     if s * (2 * w + 1) >= n:
         return None
-    x = (dt / s) * a[idx, (idx + offsets) % n]
+    x = (dt / s) * a_bands
     # term j = X^j / j! on the bands -j kd..j kd, stored in rows w - j kd..w + j kd:
     # (X T)[i, i + q + p] = X[i, i + q] T[i + q, i + q + p] moves band p to q + p
     term = np.zeros((2 * w + 1, n), dtype=x.dtype)
@@ -228,9 +222,7 @@ def _make_step(system: DiscreteSystem, dt: float, dtype):
     """(basis, step) for the step route of the system's model: step is
     v -> e^{dt A} v for states of the given dtype, in the coordinates
     basis(x), and basis, applied in place along the last axis, is its own
-    inverse; None stands for the nodal basis. The "expm" route steps on A's
-    periodic bands (_band_step) where that is cheaper than a dense mat-vec,
-    and with the dense e^{dt A} otherwise."""
+    inverse; None stands for the nodal basis."""
     if system.model.step == "shift":
         q = _shift_indices(dt, system.grid.h)
         if q < 1:
@@ -243,7 +235,7 @@ def _make_step(system: DiscreteSystem, dt: float, dtype):
     if system.model.step == "sine":
         p = np.exp(dt * sine_spectrum(system.grid))
         return sine_basis, lambda v: p * v
-    step = _band_step(system.a_matrix, dt, dtype)
+    step = _band_step(system.a_bands, dt, dtype)
     if step is not None:
         return None, step
     prop = _dense_propagator(system, dt)
@@ -266,7 +258,7 @@ def mild_solution(system: DiscreteSystem, x0, u: ControlSignal) -> Trajectory:
     x0v = as_state(x0, n)
     b = system.b_matrix
     out_dtype = np.result_type(x0v.dtype, u.values.dtype, b.dtype,
-                               system.a_matrix.dtype, float)
+                               system.a_bands.dtype, float)
     basis, step = _make_step(system, u.dt, out_dtype)
     states = np.zeros((u.values.shape[0], n), dtype=out_dtype)
     states[0] = x0v

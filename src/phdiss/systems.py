@@ -2,13 +2,11 @@
 
 Each model produces a DiscreteSystem, the one object per generator: the
 generator A, the input map B and the dissipation form matrix F = -Herm(W A),
-where W is the trapezoid gram matrix, kept as the grid's weight vector. The
-graph norm is taken from A; G = W + A^H W A is formed only for the M root.
-A DiscreteSystem checks itself when built: A's and B's shapes and finiteness,
-then dissipativity on the F it forms, whose smallest eigenvalue must not fall
-below -1e-8 * max(1, ||F||_2), so -Re<Ax, x> >= 0 up to roundoff. The
-eigenvalues are read from F's band: the named models have a diagonal or
-tridiagonal F, and only a dense custom F takes a dense eigensolve.
+where W is the trapezoid gram matrix, kept as the grid's weight vector.
+A and F are stored as their periodic bands, three rows of n for a named
+model; dense A and F are built on first read only, for the M root, the dense
+propagator and custom generators wider than MAX_BAND. A DiscreteSystem checks
+itself when built, F's dissipativity included (dissipativity_gap).
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ from .linalg import gram_sqrt_factors, psd_sqrt
 # damping d is assemble_custom(grid, A - (d - DAMPING) * I) on its A.
 DAMPING = 0.3
 
-# The widest band of F whose eigenvalues come from the banded eigensolver;
-# its work grows like n^2 kd against n^3 for the dense one.
+# The widest periodic band the gate and the probe solve hand to LAPACK's band
+# routines; a wider one takes the dense eigvalsh or LU, n^3 work against n kd^2.
 MAX_BAND = 16
 
 
@@ -45,45 +43,45 @@ class DiscreteSystem:
     Attributes
     ----------
     grid : Grid
-    a_matrix : np.ndarray
-        Generator, shape (n, n).
+    a_bands : np.ndarray
+        Generator A as its periodic bands, shape (2 kd + 1, n), 2 kd <= n:
+        a_bands[k + kd, i] = A[i, (i + k) mod n], entries of two bands adding up.
     b_matrix : np.ndarray
         Input map, shape (n, m). m may be 0 for autonomous runs.
     model_tag : str
         A key of MODELS, or "custom"; the model property is its registry row.
-    f_matrix : np.ndarray
-        Dissipation form matrix -Herm(W A), PSD: the rate is x^H F x. The constructor
-        forms it, and raises AssemblyError for a bad A or B or a non-dissipative F.
-        It keeps integer and boolean A and B as float, complex ones as complex.
+    f_bands : np.ndarray
+        The bands of the form matrix F = -Herm(W A), PSD: the rate is x^H F x.
+        The constructor forms them, raising AssemblyError for bad bands or B or
+        a non-dissipative F, and keeps integer and boolean A and B as float.
 
-    The two dissipation roots are built on first read and kept, each only
-    as its Hermitian core in orthonormal coordinates (G and Q are dropped).
-    For M = G^{-1} F, with G = L L^H the graph gram, g_chol is L and
-    m_sqrt_hat = (L^{-1} F L^{-H})^{1/2}: ||M^{1/2} x||_G = ||m_sqrt_hat L^H x||
-    and M^{1/2} x = L^{-H} m_sqrt_hat L^H x. For the bounded probe Q,
-    q_sqrt_hat = (W^{1/2} Q W^{-1/2})^{1/2}: ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||,
-    one eigh after the solve with W^{1/2} A W^{-1/2} - I that q_check takes.
-    No run task reads a root.
+    a_matrix and f_matrix, A and F as dense arrays, and the two dissipation
+    roots, each as its Hermitian core in orthonormal coordinates, are built
+    on first read and kept; no run task reads them. For M = G^{-1} F, with
+    G = L L^H the graph gram, g_chol is L and m_sqrt_hat = (L^{-1} F L^{-H})^{1/2}:
+    ||M^{1/2} x||_G = ||m_sqrt_hat L^H x|| and M^{1/2} x = L^{-H} m_sqrt_hat L^H x.
+    For the bounded probe Q, q_sqrt_hat = (W^{1/2} Q W^{-1/2})^{1/2}, one eigh
+    after q_check's solve: ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||.
     """
 
     grid: Grid
-    a_matrix: np.ndarray
+    a_bands: np.ndarray
     b_matrix: np.ndarray
     model_tag: str
-    f_matrix: np.ndarray = field(init=False)
+    f_bands: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        n, a, b = self.grid.n, self.a_matrix, self.b_matrix
-        if a.shape != (n, n):
-            raise AssemblyError(f"generator shape {a.shape} does not match grid size {n}")
+        n, a, b = self.grid.n, self.a_bands, self.b_matrix
+        if a.ndim != 2 or a.shape[0] % 2 == 0 or a.shape[0] > n + 1 or a.shape[1] != n:
+            raise AssemblyError(f"generator bands have shape {a.shape}, grid has {n} nodes")
         check_finite(a, "generator", AssemblyError)
         if b.ndim != 2 or b.shape[0] != n:
             raise AssemblyError(f"input map has shape {b.shape}, grid has {n} nodes")
         check_finite(b, "input map", AssemblyError)
-        self.a_matrix = a.astype(np.result_type(a, float), copy=False)
+        self.a_bands = a.astype(np.result_type(a, float), copy=False)
         self.b_matrix = b.astype(np.result_type(b, float), copy=False)
-        self.f_matrix = -herm_part_wa(self.a_matrix, self.grid.weights)
-        gap, f_norm = dissipativity_gap(self.f_matrix)
+        self.f_bands = form_bands(self.a_bands, self.grid.weights)
+        gap, f_norm = dissipativity_gap(self.f_bands)
         tol = 1e-8 * max(1.0, f_norm)
         if gap > tol:
             raise AssemblyError(
@@ -108,6 +106,9 @@ class DiscreteSystem:
         """The registry row of model_tag; CUSTOM for a custom system."""
         return MODELS.get(self.model_tag, CUSTOM)
 
+    a_matrix = cached_property(lambda self: _dense(self.a_bands))
+    f_matrix = cached_property(lambda self: _dense(self.f_bands))
+
     @cached_property
     def _m_factors(self):
         # G M = F exactly, so the factors come straight from F; M is never formed
@@ -119,78 +120,95 @@ class DiscreteSystem:
     @cached_property
     def q_sqrt_hat(self) -> np.ndarray:
         # W^{1/2} Q W^{-1/2} = -Herm((W^{1/2} A W^{-1/2} - I)^{-1}), Hermitian by construction
-        res = _probe_solve(self.a_matrix, self.weights, np.identity(self.n))
+        res = _probe_solve(self.a_bands, self.weights, np.identity(self.n))
         return psd_sqrt(-0.5 * (res + res.conj().T))
 
 
-def _probe_solve(a: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # (W^{1/2} A W^{-1/2} - I)^{-1} rhs for a 2-D rhs: a band of at most MAX_BAND a
-    # side (transport, heat) goes to solve_banded, and so does a periodic one
-    # (skew_damped), whose wrapped corners come back by Woodbury; a wider one
-    # takes a dense LU
-    n = a.shape[0]
-    shifted = np.sqrt(w)[:, None] * a / np.sqrt(w)
-    shifted.flat[::n + 1] -= 1.0
-    lower, upper = sla.bandwidth(shifted)
-    if max(lower, upper) <= MAX_BAND:
-        return sla.solve_banded((lower, upper), _band(shifted, lower, upper), rhs)
-    kd = periodic_bandwidth(shifted)
+def _columns(n: int, kd: int) -> np.ndarray:
+    # cols[k + kd, i] = (i + k) mod n, the column of the band entry bands[k + kd, i]
+    return (np.arange(n) + np.arange(-kd, kd + 1)[:, None]) % n
+
+
+def _dense(bands: np.ndarray) -> np.ndarray:
+    n = bands.shape[1]
+    a = np.zeros((n, n), dtype=bands.dtype)
+    np.add.at(a, (np.arange(n), _columns(n, bands.shape[0] // 2)), bands)
+    return a
+
+
+def _lapack_band(bands: np.ndarray):
+    # LAPACK's (kd, kd) band storage ab[kd + i - j, j] = A[i, j] of the entries that do not
+    # wrap, and the wrapped ones in c, on the rows and columns (arange(2 kd) - kd) mod n
+    n, kd = bands.shape[1], bands.shape[0] // 2
+    i, j = np.broadcast_arrays(np.arange(n), np.arange(n) + np.arange(-kd, kd + 1)[:, None])
+    inside = (0 <= j) & (j < n)
+    ab, c = np.zeros_like(bands), np.zeros((2 * kd, 2 * kd), dtype=bands.dtype)
+    ab[(kd + i - j)[inside], j[inside]] = bands[inside]
+    c[(i[~inside] + kd) % n, (j[~inside] + kd) % n] = bands[~inside]
+    return ab, c
+
+
+def band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x along the last axis of x, a state or a stack of rows, A given by its bands."""
+    n, kd = bands.shape[1], bands.shape[0] // 2
+    # wrapped[..., kd + k + i] = x[..., (i + k) mod n]
+    wrapped = np.concatenate((x[..., n - kd:], x, x[..., :kd]), axis=-1)
+    return sum(bands[k + kd] * wrapped[..., kd + k:kd + k + n] for k in range(-kd, kd + 1))
+
+
+def _probe_solve(a_bands: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # (W^{1/2} A W^{-1/2} - I)^{-1} rhs for a 2-D rhs: a band of at most MAX_BAND a side goes
+    # to solve_banded, its wrapped corners (skew_damped's) back by Woodbury; a wider one to LU
+    n, kd = a_bands.shape[1], a_bands.shape[0] // 2
+    shifted = np.sqrt(w) * a_bands / np.sqrt(w)[_columns(n, kd)]
+    shifted[kd] -= 1.0
     if kd > MAX_BAND:
-        return sla.solve(shifted, rhs, overwrite_a=True)
-    # the wrapped entries, |i - j| > kd, lie in rows and columns idx: shifted is
-    # the band plus E C E^H, E the columns idx of the identity
-    idx = np.r_[:kd, n - kd:n]
-    c = shifted[np.ix_(idx, idx)]
-    c[np.abs(idx[:, None] - idx) <= kd] = 0.0
+        return sla.solve(_dense(shifted), rhs, overwrite_a=True)
+    ab, c = _lapack_band(shifted)
+    # shifted is the band plus E C E^H, E the columns idx of the identity.
     # beta I moved into C keeps Herm(band) <= Herm(shifted) <= -I, so the band is
     # no worse conditioned than shifted; skew_damped's corners are skew, beta = 0
-    c.flat[::2 * kd + 1] += max(0.0, -np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
-    shifted[np.ix_(idx, idx)] -= c
-    e = np.zeros((n, 2 * kd))
-    e[idx, np.arange(2 * kd)] = 1.0
-    sol = sla.solve_banded((kd, kd), _band(shifted, kd, kd), np.hstack((rhs, e)))
+    idx = (np.arange(2 * kd) - kd) % n
+    beta = -np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min(initial=0.0)
+    c.flat[::2 * kd + 1] += beta
+    ab[kd, idx] -= beta
+    e = np.roll(np.eye(n, 2 * kd), -kd, axis=0)  # e[idx[p], p] = 1
+    sol = sla.solve_banded((kd, kd), ab, np.hstack((rhs, e)))
     y, z = sol[:, :rhs.shape[1]], sol[:, rhs.shape[1]:]
     return y - z @ np.linalg.solve(np.identity(2 * kd) + c @ z[idx], c @ y[idx])
 
 
 def periodic_bandwidth(a: np.ndarray) -> int:
     """The largest min(|i - j|, n - |i - j|) over the nonzeros a[i, j] of the
-    n x n matrix a: its half-bandwidth when the rows wrap around, so 1 for
-    skew_damped's generator with its two periodic corners."""
+    n x n matrix a: its half-bandwidth when the rows wrap around."""
     rows, cols = np.nonzero(a)
     dist = np.abs(rows - cols)
     return int(np.minimum(dist, a.shape[0] - dist).max(initial=0))
 
 
-def herm_part_wa(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Hermitian part of W A; its negation is the dissipation form matrix."""
-    wa = weights[:, None] * a_matrix
-    return 0.5 * (wa + wa.conj().T)
+def form_bands(a_bands: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The periodic bands of F = -Herm(W A) from those of A: F[i, i + k] =
+    -(w_i A[i, i + k] + conj(w_{i+k} A[i + k, i])) / 2, A[i + k, i] in band -k."""
+    wa = weights * a_bands
+    partner = np.take_along_axis(wa[::-1], _columns(wa.shape[1], wa.shape[0] // 2), axis=1)
+    return -0.5 * (wa + partner.conj())
 
 
-def dissipativity_gap(f_matrix: np.ndarray) -> tuple[float, float]:
-    """(-lambda_min(F), ||F||_2) of the Hermitian form matrix F. The gap is
-    <= 0 (up to roundoff) iff the system is dissipative.
-
-    The eigenvalues are read from F's band: a band of at most MAX_BAND
-    sub-diagonals, a diagonal F included, goes to eigvals_banded (LAPACK's
-    eigenvalues, not a bound), and only a wider F takes a dense eigvalsh.
-    """
-    kd = max(sla.bandwidth(f_matrix))
-    if kd <= MAX_BAND:
-        eigs = sla.eigvals_banded(_band(f_matrix, kd, 0), lower=True)
+def dissipativity_gap(f_bands: np.ndarray) -> tuple[float, float]:
+    """(-lambda_min(F), ||F||_2) of the Hermitian F given by its periodic bands;
+    the gap is <= 0 (up to roundoff) iff the system is dissipative. A diagonal F
+    gives its entries, a band of at most MAX_BAND that does not wrap its two ends
+    by eigvals_banded (LAPACK's eigenvalues, not a bound), any other F eigvalsh."""
+    n, kd = f_bands.shape[1], f_bands.shape[0] // 2
+    ab, c = _lapack_band(f_bands)
+    if not (ab[kd + 1:].any() or c.any()):
+        lo, hi = float(ab[kd].real.min()), float(ab[kd].real.max())
+    elif kd <= MAX_BAND and not c.any():
+        lo, hi = (float(sla.eigvals_banded(ab[kd:], lower=True, select="i",
+                                           select_range=(j, j))[0]) for j in (0, n - 1))
     else:
-        eigs = sla.eigvalsh(f_matrix)
-    lo, hi = float(eigs.min()), float(eigs.max())
+        lo, hi = (float(e) for e in sla.eigvalsh(_dense(f_bands))[[0, -1]])
     return -lo, max(-lo, hi)
-
-
-def _band(a: np.ndarray, lower: int, upper: int) -> np.ndarray:
-    # LAPACK band ab[upper + i - j, j] = a[i, j]; upper = 0 gives eigvals_banded's lower one
-    ab = np.zeros((lower + upper + 1, a.shape[0]), dtype=a.dtype)
-    for k in range(-lower, upper + 1):
-        ab[upper - k, max(k, 0):a.shape[0] + min(k, 0)] = np.diagonal(a, k)
-    return ab
 
 
 def graph_gram(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -209,15 +227,6 @@ def _input_matrix(grid: Grid, input_profile) -> np.ndarray:
     return b.reshape(-1, 1) if b.ndim == 1 else b
 
 
-def _tridiagonal(n: int, lower, diag, upper) -> np.ndarray:
-    # the n x n matrix with these sub-, main and super-diagonals, zero elsewhere
-    a = np.zeros((n, n))
-    a.flat[n::n + 1] = lower
-    a.flat[::n + 1] = diag
-    a.flat[1::n + 1] = upper
-    return a
-
-
 def assemble_transport(grid: Grid, input_profile=None) -> DiscreteSystem:
     """Transport x' = dx/dw with outflow condition x(1) = 0.
 
@@ -230,9 +239,10 @@ def assemble_transport(grid: Grid, input_profile=None) -> DiscreteSystem:
     |x(0)|^2 / 2 + |x(1)|^2 / 2 with no interior residue.
     """
     n, h = grid.n, grid.h
-    a = _tridiagonal(n, -1.0 / (2.0 * h), 0.0, 1.0 / (2.0 * h))
-    a[0, 0], a[0, 1] = -1.0 / h, 1.0 / h
-    a[-1, -2], a[-1, -1] = -1.0 / h, 1.0 / h - 2.0 / h  # penalty enforcing x(1) = 0
+    a = np.zeros((3, n))  # the sub-, main and super-diagonal
+    a[0, 1:], a[2, :-1] = -1.0 / (2.0 * h), 1.0 / (2.0 * h)
+    a[1, 0], a[2, 0] = -1.0 / h, 1.0 / h
+    a[0, -1], a[1, -1] = -1.0 / h, 1.0 / h - 2.0 / h  # penalty enforcing x(1) = 0
     return DiscreteSystem(grid, a, _input_matrix(grid, input_profile), "transport")
 
 
@@ -248,8 +258,8 @@ def assemble_heat(grid: Grid, input_profile=None) -> DiscreteSystem:
     A is invertible, every eigenvalue negative, but only a test solves with it.
     """
     n, h = grid.n, grid.h
-    a = _tridiagonal(n, 1.0 / h**2, -2.0 / h**2, 1.0 / h**2)
-    a[0, 1] = a[1, 0] = a[-2, -1] = a[-1, -2] = 0.0
+    a = np.zeros((3, n))
+    a[0, 2:-1], a[1], a[2, 1:-2] = 1.0 / h**2, -2.0 / h**2, 1.0 / h**2
     return DiscreteSystem(grid, a, _input_matrix(grid, input_profile), "heat")
 
 
@@ -262,33 +272,35 @@ def assemble_skew_damped(grid: Grid, input_profile=None) -> DiscreteSystem:
     n, s, w = grid.n, 1.0 / (2.0 * grid.h), grid.weights
     # J = (C - W^{-1} C^T W) / 2 entrywise, J_ij = (C_ij - (1/w_i)(C_ji w_j)) / 2,
     # from the periodic central difference C_{i,i+1} = s, C_{i+1,i} = -s
-    a = _tridiagonal(n, 0.5 * (-s - (1.0 / w[1:]) * (s * w[:-1])), -DAMPING,
-                     0.5 * (s - (1.0 / w[:-1]) * (-s * w[1:])))
-    a[-1, 0] = 0.5 * (s - (1.0 / w[-1]) * (-s * w[0]))
-    a[0, -1] = 0.5 * (-s - (1.0 / w[0]) * (s * w[-1]))
+    a = np.empty((3, n))  # a[0, 0] and a[2, -1] wrap: the corners J[0, n-1], J[n-1, 0]
+    a[0, 1:], a[1] = 0.5 * (-s - (1.0 / w[1:]) * (s * w[:-1])), -DAMPING
+    a[2, :-1] = 0.5 * (s - (1.0 / w[:-1]) * (-s * w[1:]))
+    a[0, 0] = 0.5 * (-s - (1.0 / w[0]) * (s * w[-1]))
+    a[2, -1] = 0.5 * (s - (1.0 / w[-1]) * (-s * w[0]))
     return DiscreteSystem(grid, a, _input_matrix(grid, input_profile), "skew_damped")
 
 
 def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None) -> DiscreteSystem:
-    """Wrap a user matrix; the system checks it and keeps it as float or complex.
-
-    A custom system takes the "expm" step route: on A's periodic bands where
-    that is cheaper than a dense product, with the dense expm otherwise.
-    """
-    return DiscreteSystem(grid, np.asarray(a_matrix), _input_matrix(grid, b_matrix), "custom")
+    """Wrap a user matrix as its periodic bands out to its periodic_bandwidth,
+    which the system checks; a custom system takes the "expm" step route."""
+    a, n = np.asarray(a_matrix), grid.n
+    if a.shape != (n, n):
+        raise AssemblyError(f"generator shape {a.shape} does not match grid size {n}")
+    kd = periodic_bandwidth(a)
+    bands = a[np.arange(n), _columns(n, kd)]
+    if 2 * kd == n:
+        bands[0] = 0  # band -n/2 is band n/2, kept once
+    return DiscreteSystem(grid, bands, _input_matrix(grid, b_matrix), "custom")
 
 
 @dataclass(frozen=True)
 class Model:
     """One row of the model registry: its assembler and its step route.
 
-    assemble(grid) builds the system. step is how e^{dt A} is applied:
-    "shift" (the exact nodal shift, transport only), "sine" (the diagonal
-    semigroup.sine_spectrum in semigroup.sine_basis, heat only) or "expm"
-    (skew_damped and custom systems), which steps with a Taylor polynomial
-    on A's periodic bands where that costs less than a dense product and
-    with the dense expm otherwise; the choice is read from A and dt, and
-    only the step route reads step.
+    assemble(grid) builds the system. step, read by the step route only, is
+    how e^{dt A} is applied: "shift" (the exact nodal shift, transport only),
+    "sine" (the diagonal semigroup.sine_spectrum in semigroup.sine_basis,
+    heat only) or "expm" (skew_damped and custom systems; see semigroup).
     """
 
     assemble: Callable[[Grid], DiscreteSystem] | None
@@ -314,4 +326,4 @@ def assemble_model(model_tag: str, grid: Grid) -> DiscreteSystem:
 
 def graph_norm(system: DiscreteSystem, f) -> float:
     fv, w = as_state(f, system.n), system.weights
-    return float(np.sqrt(norm_sq(w, fv) + norm_sq(w, system.a_matrix @ fv)))
+    return float(np.sqrt(norm_sq(w, fv) + norm_sq(w, band_product(system.a_bands, fv))))

@@ -42,6 +42,24 @@ def custom_complex_system(n: int = 21, seed: int = 5):
     return assemble_custom(g, wa / g.weights[:, None])
 
 
+def periodic_bands(a: np.ndarray, kd: int) -> np.ndarray:
+    """The oracle of assemble_custom's conversion: the 2 kd + 1 periodic
+    bands of the n x n matrix a, entry by entry, bands[k + kd, i] =
+    a[i, (i + k) mod n]; where 2 kd = n, band -kd is zero and band kd keeps
+    the entries at distance n / 2."""
+    n = a.shape[0]
+    bands = np.array([[a[i, (i + k) % n] for i in range(n)] for k in range(-kd, kd + 1)])
+    if 2 * kd == n:
+        bands[0] = 0
+    return bands
+
+
+def dense_form(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """F = -Herm(W A) of a dense A, the oracle of the system's F bands."""
+    wa = weights[:, None] * a
+    return -(0.5 * (wa + wa.conj().T))
+
+
 def apply_m_sqrt(system, x: np.ndarray) -> np.ndarray:
     """M^{1/2} x = L^{-H} s_hat L^H x from the system's core."""
     lh = system.g_chol.conj().T

@@ -622,6 +622,32 @@ out_dir = {{out}}
         assert len(solves) == q_solves
 
 
+@pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
+def test_run_forms_no_square_array(tmp_path, model):
+    # every task of a run reads the bands of A and F: at n = 801 and K = 40
+    # the run peaks below one dense n x n operator (5.1 MB)
+    text = f"""\
+model = {model}
+n_grid = 801
+t_final = 0.05
+x0_preset = sine:1
+u_preset = const:0.5
+tasks = simulate, audit, rt_bound, q_check, probe:power
+out_dir = {{out}}
+"""
+    warm = parse_config_text(text.format(out=tmp_path / "warm").replace("801", "21"))
+    assert phdiss.runner.run_config(warm).status == 0  # lazy imports, caches
+    cfg = parse_config_text(text.format(out=tmp_path / "run"))
+    tracemalloc.start()
+    try:
+        res = phdiss.runner.run_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == 0 and res.summary["simulate"]["steps"] == 40
+    assert peak < 8 * 801**2
+
+
 @pytest.mark.parametrize("model", ["transport", "skew_damped"])
 def test_q_check_and_probe_stack_their_rates(tmp_path, monkeypatch, model):
     # one q_check evaluates its 100 states through one stacked rate call,

@@ -14,10 +14,11 @@ from phdiss.dissipation import (_q_identity_rows, cumulative_parabolic,
 from phdiss.grids import norm_sq
 from phdiss.linalg import NotPSDError
 from phdiss.systems import (AssemblyError, DiscreteSystem, _probe_solve, assemble_heat,
-                            assemble_skew_damped, assemble_transport, graph_gram,
-                            graph_norm, herm_part_wa)
+                            assemble_skew_damped, assemble_transport, form_bands,
+                            graph_gram, graph_norm)
 
-from conftest import MODELS, custom_complex_system, free_run, random_state
+from conftest import (MODELS, custom_complex_system, dense_form, free_run,
+                      periodic_bands, random_state)
 
 
 @settings(max_examples=25, deadline=None)
@@ -111,12 +112,12 @@ def test_scalar_toolkit():
 
 @pytest.mark.parametrize("model", MODELS)
 def test_assembly_forms_g_and_f_once(systems101, model, monkeypatch):
-    # F comes from the module's helper, bit for bit, and the system is its
-    # only holder; G is not formed at assembly at all
+    # F is -Herm(W A), bit for bit, and the system is its only holder, as
+    # three bands; G is not formed at assembly at all
     sys = systems101[model]
-    assert np.array_equal(sys.f_matrix, -herm_part_wa(sys.a_matrix, sys.weights))
+    assert np.array_equal(sys.f_matrix, dense_form(sys.a_matrix, sys.weights))
     monkeypatch.setattr(phdiss.systems, "graph_gram", None)  # any call fails
-    assert assemble_model(model, sys.grid).f_matrix.shape == (sys.n, sys.n)
+    assert assemble_model(model, sys.grid).f_bands.shape == (3, sys.n)
 
 
 def test_toolkit_builds_roots_on_first_read():
@@ -139,8 +140,9 @@ def test_toolkit_root_failures_surface_on_first_read():
     with pytest.raises(AssemblyError, match="not dissipative"):
         DiscreteSystem(grid, a, np.ones((3, 1)), "custom")
     sys = object.__new__(DiscreteSystem)
-    vars(sys).update(grid=grid, a_matrix=a, b_matrix=np.ones((3, 1)),
-                     model_tag="custom", f_matrix=-herm_part_wa(a, w))
+    a_bands = periodic_bands(a, 1)
+    vars(sys).update(grid=grid, a_bands=a_bands, b_matrix=np.ones((3, 1)),
+                     model_tag="custom", f_bands=form_bands(a_bands, w))
     np.testing.assert_array_equal(sys.f_matrix, -np.diag(w))
     with pytest.raises(NotPSDError):
         sys.m_sqrt_hat
@@ -269,7 +271,8 @@ def test_q_rows_match_per_state_identity(model):
     # a wrong F breaks the identity at order one, and there the stacked
     # (solve) and per-state (root) values must agree row by row: F + 2 G
     # adds twice the graph norm ||x||^2 + ||Ax||^2 > 1 to every rate
-    sys.f_matrix = sys.f_matrix + 2.0 * graph_gram(sys.a_matrix, sys.weights)
+    sys.f_bands = periodic_bands(sys.f_matrix + 2.0 * graph_gram(sys.a_matrix, sys.weights),
+                                 sys.n // 2)
     stacked = _q_identity_rows(sys, states)
     assert float(np.min(stacked)) > 1.0
     loop = np.array([_q_scaled_loop(sys, x) for x in states])
@@ -290,7 +293,7 @@ def test_probe_root_and_solve_routes_agree(model, n):
     z = (states @ sys.a_matrix.T - states) * np.sqrt(w)
     root = z @ sys.q_sqrt_hat.T
     by_root = np.einsum("ij,ij->i", root.conj(), root).real
-    by_solve = -np.einsum("ij,ji->i", z.conj(), _probe_solve(sys.a_matrix, w, z.T)).real
+    by_solve = -np.einsum("ij,ji->i", z.conj(), _probe_solve(sys.a_bands, w, z.T)).real
     # the routes agree to 1e-12 of the value, or to the root's own round-off,
     # its backward error eps ||Q_hat|| <= eps times ||z||^2: on these rough
     # states ||z||^2 ~ ||Ax||^2 grows like n^2, and on transport and

@@ -226,7 +226,7 @@ def test_band_route_matches_dense_propagator(seed, n, kd, corners, complex_a,
                           b_matrix=draw(complex_b, n))
     norm = np.linalg.norm(sys.a_matrix, 1)
     dt = reach * _THETA[max(d for d in _THETA if 2 * d * kd + 1 < n)] / norm
-    assert _band_step(sys.a_matrix, dt, complex) is not None
+    assert _band_step(sys.a_bands, dt, complex) is not None
     u = control_signal("ramp:0.5", 10 * dt, dt)
     x0 = draw(complex_x0, n)
     got = mild_solution(sys, x0, u).states
@@ -256,7 +256,7 @@ def test_stiff_custom_generator_takes_the_dense_route(monkeypatch):
     # substeps of degree 55 would cost far more than one dense mat-vec
     g = make_uniform_grid(801)
     sys = assemble_custom(g, assemble_heat(g).a_matrix)
-    assert _band_step(sys.a_matrix, 1e-3, float) is None
+    assert _band_step(sys.a_bands, 1e-3, float) is None
     calls = _count_dense_propagators(monkeypatch)
     mild_solution(sys, np.sin(np.pi * g.nodes), control_signal("const:0.5", 2e-3, 1e-3))
     assert calls == [1e-3]
@@ -286,7 +286,7 @@ def test_dense_propagator_has_no_subnormals():
     g = make_uniform_grid(801)
     sys = assemble_custom(g, assemble_heat(g).a_matrix)
     dt = 1e-4
-    assert _band_step(sys.a_matrix, dt, float) is None
+    assert _band_step(sys.a_bands, dt, float) is None
     raw = sla.expm(dt * sys.a_matrix)
     tiny = np.finfo(float).tiny
     assert np.count_nonzero((raw != 0) & (np.abs(raw) < tiny)) > 0

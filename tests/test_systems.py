@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 import scipy.linalg as sla
 
-from phdiss import assemble_model, grids, make_uniform_grid, systems
-from phdiss.grids import Grid, GridError
+from phdiss import assemble_model, form_r, grids, make_uniform_grid, systems
+from phdiss.dissipation import _form_rates
+from phdiss.grids import Grid, GridError, norm_sq
 from phdiss.semigroup import sine_basis, sine_spectrum
-from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, DiscreteSystem, _band,
-                            _probe_solve, assemble_custom, assemble_heat,
-                            assemble_skew_damped, assemble_transport,
+from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, DiscreteSystem, _dense,
+                            _lapack_band, _probe_solve, assemble_custom, assemble_heat,
+                            assemble_skew_damped, assemble_transport, band_product,
                             dissipativity_gap, graph_norm)
 
-from conftest import MODELS, custom_complex_system, random_state
+from conftest import MODELS, custom_complex_system, dense_form, periodic_bands, random_state
 
 
 def test_transport_boundary_collapse():
@@ -35,7 +36,7 @@ def test_transport_boundary_collapse():
 def test_transport_is_dissipative_exactly():
     g = make_uniform_grid(101)
     sys = assemble_transport(g)
-    gap, f_norm = dissipativity_gap(sys.f_matrix)
+    gap, f_norm = dissipativity_gap(sys.f_bands)
     assert abs(gap) <= 1e-12
     # F = diag(1/2, 0, ..., 0, 1/2)
     assert f_norm == pytest.approx(0.5, rel=1e-12)
@@ -126,21 +127,25 @@ def _loop_generator(model: str, grid) -> np.ndarray:
 @pytest.mark.parametrize("n", [3, 4, 5, 21, 401])
 @pytest.mark.parametrize("model", MODELS)
 def test_stencil_generator_matches_the_loop_oracle(model, n):
-    # same bits, zero signs included, in A and in F
+    # same bits, zero signs included, in A's and F's three bands, and in
+    # the dense A and F built from them
     grid = make_uniform_grid(n)
     system = assemble_model(model, grid)
     a = _loop_generator(model, grid)
-    f = -systems.herm_part_wa(a, grid.weights)
-    for new, old in ((system.a_matrix, a), (system.f_matrix, f)):
+    f = dense_form(a, grid.weights)
+    for new, old in ((system.a_bands, periodic_bands(a, 1)),
+                     (system.f_bands, periodic_bands(f, 1)), (system.a_matrix, a)):
         assert np.array_equal(new, old)
         assert np.array_equal(np.signbit(new), np.signbit(old))
+    assert np.array_equal(system.f_matrix, f)
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_assembly_peaks_at_three_operators(model):
-    # A, W A and its Hermitian part: the stencil writes hold no dense
-    # difference matrix beside them
-    n = 401
+def test_assembly_memory_is_linear_in_n(model):
+    # the bands of A and F, the gate's band storage and LAPACK's work arrays:
+    # at n = 1601, where one dense operator takes 20.5 MB, assembly stays
+    # within 32 arrays of n floats
+    n = 1601
     grid = make_uniform_grid(n)
     assemble_model(model, make_uniform_grid(5))  # lazy imports, caches
     tracemalloc.start()
@@ -149,7 +154,7 @@ def test_assembly_peaks_at_three_operators(model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25 * 8 * n**2
+    assert peak <= 32 * 8 * n
 
 
 def test_custom_rejects_non_dissipative():
@@ -200,7 +205,7 @@ def test_callable_profile_shape_checked():
 def test_integer_parts_are_kept_as_float():
     g = make_uniform_grid(5)
     sys = assemble_custom(g, -np.eye(5, dtype=int), b_matrix=np.ones(5, dtype=bool))
-    assert (sys.a_matrix.dtype, sys.b_matrix.dtype) == (np.float64, np.float64)
+    assert (sys.a_bands.dtype, sys.b_matrix.dtype) == (np.float64, np.float64)
     np.testing.assert_array_equal(sys.a_matrix, -np.eye(5))
 
 
@@ -255,9 +260,10 @@ def test_custom_rejects_shifted_heat(n, shift):
 
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped", "custom"])
 def test_assembly_makes_one_eigensolve(monkeypatch, model):
-    # the gate reads the stored F: one Hermitian part, then its band decides:
-    # a diagonal or tridiagonal F takes one banded solve, and only a dense
-    # custom F the dense eigvalsh
+    # the gate reads the stored F: its bands are formed once, then they decide:
+    # a diagonal F (transport, skew_damped) is its own eigenvalues, a
+    # tridiagonal one (heat) gives its two end eigenvalues to two selected
+    # banded solves, and only a dense custom F takes the dense eigvalsh
     calls = []
 
     def counting(name, fn):
@@ -268,58 +274,102 @@ def test_assembly_makes_one_eigensolve(monkeypatch, model):
 
     for name in ("eigvalsh", "eigvals_banded"):
         monkeypatch.setattr(sla, name, counting(name, getattr(sla, name)))
-    monkeypatch.setattr(systems, "herm_part_wa",
-                        counting("herm_part_wa", systems.herm_part_wa))
+    monkeypatch.setattr(systems, "form_bands", counting("form_bands", systems.form_bands))
     if model == "custom":
         custom_complex_system(41)
     else:
         assemble_model(model, make_uniform_grid(41))
-    solves = ["eigvalsh"] if model == "custom" else ["eigvals_banded"]
-    assert sorted(calls) == sorted(solves + ["herm_part_wa"])
+    solves = {"custom": ["eigvalsh"], "heat": ["eigvals_banded"] * 2}.get(model, [])
+    assert sorted(calls) == sorted(solves + ["form_bands"])
 
 
-def _band_hermitian(rng, n, kd, complex_values):
-    f = np.zeros((n, n), dtype=complex if complex_values else float)
-    for i in range(kd + 1):
-        d = rng.standard_normal(n - i)
-        if complex_values and i > 0:
-            d = d + 1j * rng.standard_normal(n - i)
-        f += np.diag(d, -i)
-    return f + np.tril(f, -1).conj().T
+def _random_periodic(rng, n, kd, corners, complex_values, hermitian=False):
+    # a random n x n matrix whose entries lie at periodic distance
+    # min(|i - j|, n - |i - j|) <= kd, the wrapped ones (|i - j| > kd) kept or
+    # cut; Hermitian on request
+    m = rng.standard_normal((n, n))
+    if complex_values:
+        m = m + 1j * rng.standard_normal((n, n))
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    keep = (np.minimum(dist, n - dist) <= kd) & (corners | (dist <= kd))
+    m = np.where(keep, m, 0)
+    return 0.5 * (m + m.conj().T) if hermitian else m
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 60),
-       kd=st.sampled_from([0, 1, 2, 5]), complex_values=st.booleans())
-def test_band_gap_matches_dense_eigvalsh(seed, n, kd, complex_values):
-    f = _band_hermitian(np.random.default_rng(seed), n, kd, complex_values)
-    assert max(sla.bandwidth(f)) <= kd
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
+       kd=st.sampled_from([0, 1, 2, 5]), corners=st.booleans(), complex_values=st.booleans())
+def test_band_gap_matches_dense_eigvalsh(seed, n, kd, corners, complex_values):
+    # F given by its periodic bands: a diagonal one is its eigenvalues, a
+    # band that does not wrap takes the two selected banded solves, and one
+    # with corners the dense eigvalsh
+    kd = min(kd, n // 2)
+    f = _random_periodic(np.random.default_rng(seed), n, kd, corners, complex_values,
+                         hermitian=True)
     eigs = np.linalg.eigvalsh(f)
-    gap, f_norm = dissipativity_gap(f)
-    scale = np.abs(eigs).max()
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("eigvals_banded", "eigvalsh"):
+            def counted(*args, _fn=getattr(sla, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            mp.setattr(sla, name, counted)
+        gap, f_norm = dissipativity_gap(periodic_bands(f, kd))
+    # with 2 kd = n, band kd holds the entries at distance n / 2 on both sides
+    wraps = kd > 0 and (corners or 2 * kd == n)
+    assert calls == (["eigvalsh"] if wraps else ["eigvals_banded"] * 2 if kd else [])
+    scale = max(np.abs(eigs).max(), 1e-300)
     assert gap == pytest.approx(-eigs[0], abs=1e-13 * scale)
     assert f_norm == pytest.approx(max(-eigs[0], eigs[-1]), abs=1e-13 * scale)
 
 
+def _check_band_storage(bands):
+    # ab[kd + i - j, j] = A[i, j] for the band entries that do not wrap, zero
+    # in the unused corners; the wrapped ones land in c on the rows and
+    # columns idx = n - kd, ..., n - 1, 0, ..., kd - 1, and band and corners
+    # add up to A
+    kd, n = bands.shape[0] // 2, bands.shape[1]
+    ab, c = _lapack_band(bands)
+    want_ab, want_c = np.zeros((2 * kd + 1, n)), np.zeros((2 * kd, 2 * kd))
+    idx = np.r_[n - kd:n, :kd]
+    pos = {v: p for p, v in enumerate(idx)}
+    for k in range(-kd, kd + 1):
+        for i in range(n):
+            j = i + k
+            if 0 <= j < n:
+                want_ab[kd + i - j, j] = bands[k + kd, i]
+            else:
+                want_c[pos[i], pos[j % n]] += bands[k + kd, i]
+    np.testing.assert_array_equal(ab, want_ab)
+    np.testing.assert_array_equal(c, want_c)
+    dense = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - kd), min(n, i + kd + 1)):
+            dense[i, j] = ab[kd + i - j, j]
+    dense[np.ix_(idx, idx)] += c
+    np.testing.assert_array_equal(dense, _dense(bands))
+
+
 @pytest.mark.parametrize("lower, upper", [(0, 0), (1, 1), (2, 0), (0, 3), (3, 1)])
 def test_band_storage_is_lapack_layout(lower, upper):
-    # ab[upper + i - j, j] = a[i, j] inside the band and zero in the unused
-    # corners; with upper = 0 that is eigvals_banded's lower layout, one
-    # sub-diagonal per row
-    n = 9
-    rng = np.random.default_rng(lower + 4 * upper)
-    a = np.triu(np.tril(rng.standard_normal((n, n)), upper), -lower)
-    ab = _band(a, lower, upper)
-    want = np.zeros((lower + upper + 1, n))
-    for i in range(n):
-        for j in range(max(0, i - lower), min(n, i + upper + 1)):
-            want[upper + i - j, j] = a[i, j]
-    np.testing.assert_array_equal(ab, want)
-    if upper == 0:
-        gate = np.zeros((lower + 1, n))
-        for i in range(lower + 1):
-            gate[i, :n - i] = np.diagonal(a, -i)
-        np.testing.assert_array_equal(ab, gate)
+    # a lopsided band, sub-diagonals -lower..upper of kd = max(lower, upper),
+    # whose outer rows wrap around; its rows kd.. are eigvals_banded's lower
+    # layout, one sub-diagonal per row
+    n, kd = 9, max(lower, upper)
+    bands = np.random.default_rng(lower + 4 * upper).standard_normal((2 * kd + 1, n))
+    bands[:kd - lower] = bands[kd + upper + 1:] = 0.0
+    _check_band_storage(bands)
+
+
+@pytest.mark.parametrize("n, kd", [(3, 1), (4, 2), (6, 3), (9, 4)])
+def test_band_storage_of_the_widest_bands(n, kd):
+    # kd = n // 2: with 2 kd = n, band -kd is zero and band kd holds the
+    # entries at distance n / 2, on both sides of the diagonal
+    bands = np.random.default_rng(n).standard_normal((2 * kd + 1, n))
+    if 2 * kd == n:
+        bands[0] = 0.0
+    _check_band_storage(bands)
 
 
 @settings(max_examples=40, deadline=None)
@@ -351,7 +401,7 @@ def test_probe_solve_matches_dense_solve(seed, n, band, corners, complex_values)
                 return _fn(*args, **kwargs)
 
             mp.setattr(sla, name, counted)
-        got = _probe_solve(sys.a_matrix, w, rhs)
+        got = _probe_solve(sys.a_bands, w, rhs)
     assert calls == ["solve_banded"]
     # round-off: the backward-stable bound, relative to the solution
     tol = n * np.finfo(float).eps * np.linalg.cond(shifted)
@@ -376,7 +426,59 @@ def test_probe_solve_band_without_corners_may_be_singular():
     sys = assemble_custom(grid, (shifted + np.identity(n)) * sw / sw[:, None])
     rhs = np.random.default_rng(3).standard_normal((n, 3))
     want = np.linalg.solve(shifted, rhs)
-    got = _probe_solve(sys.a_matrix, grid.weights, rhs)
+    got = _probe_solve(sys.a_bands, grid.weights, rhs)
+    tol = n * np.finfo(float).eps * np.linalg.cond(shifted)
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+       kd=st.sampled_from([0, 1, 2, 5, "full"]), corners=st.booleans(),
+       complex_values=st.booleans())
+def test_band_paths_match_their_dense_references(seed, n, kd, corners, complex_values):
+    # a random dissipative custom generator, W A = M - c I with M of periodic
+    # half-bandwidth kd ("full": n // 2, so a dense A when the corners stay),
+    # against the dense reference of every reader of its bands
+    kd = n // 2 if kd == "full" else min(kd, n // 2)
+    rng = np.random.default_rng(seed)
+    grid, w = make_uniform_grid(n), make_uniform_grid(n).weights
+    m = _random_periodic(rng, n, kd, corners, complex_values)
+    c = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1] + rng.uniform(0.1, 2.0)
+    a = (m - c * np.identity(n)) / w[:, None]
+    sys = assemble_custom(grid, a)
+    # dense -> bands -> dense is bit-exact; an aliased band (2 kd = n) is kept once
+    kd = sys.a_bands.shape[0] // 2
+    np.testing.assert_array_equal(sys.a_bands, periodic_bands(a, kd))
+    assert sys.a_matrix.dtype == a.dtype and sys.a_matrix.tobytes() == a.tobytes()
+    # F = -Herm(W A), bit for bit but where the two halves of the band at
+    # distance n / 2 add up
+    f = dense_form(a, w)
+    if 2 * kd < n:
+        assert np.array_equal(sys.f_matrix, f)
+    else:
+        np.testing.assert_allclose(sys.f_matrix, f, rtol=0, atol=4e-16 * np.abs(f).max())
+    x = rng.standard_normal((7, n)) + (1j * rng.standard_normal((7, n)) if complex_values else 0)
+    ax_bound = np.abs(x) @ np.abs(a).T
+    assert np.all(np.abs(band_product(sys.a_bands, x) - x @ a.T) <= 1e-13 * ax_bound)
+    assert np.all(np.abs(band_product(sys.a_bands, x[0]) - a @ x[0]) <= 1e-13 * ax_bound[0])
+    rates = np.einsum("ij,ij->i", x.conj(), x @ f.T).real
+    rate_bound = np.einsum("ij,jk,ik->i", np.abs(x), np.abs(f), np.abs(x))
+    assert np.all(np.abs(_form_rates(sys.f_bands, x) - rates) <= 1e-13 * rate_bound)
+    assert abs(form_r(sys, x[0]) - rates[0]) <= 1e-13 * rate_bound[0]
+    cross = np.conj(x[1]) @ f @ x[0]
+    assert abs(form_r(sys, x[0], x[1]) - cross) <= 1e-13 * (np.abs(x[1]) @ np.abs(f) @ np.abs(x[0]))
+    graph = np.sqrt(norm_sq(w, x[0]) + norm_sq(w, a @ x[0]))
+    assert graph_norm(sys, x[0]) == pytest.approx(graph, rel=1e-13)
+    eigs = np.linalg.eigvalsh(f)
+    gap, f_norm = dissipativity_gap(sys.f_bands)
+    scale = np.abs(eigs).max()
+    assert gap == pytest.approx(-eigs[0], abs=1e-12 * scale)
+    assert f_norm == pytest.approx(max(-eigs[0], eigs[-1]), abs=1e-12 * scale)
+    sw = np.sqrt(w)
+    shifted = sw[:, None] * a / sw - np.identity(n)
+    rhs = x[:3].T
+    want = np.linalg.solve(shifted, rhs)
+    got = _probe_solve(sys.a_bands, w, rhs)
     tol = n * np.finfo(float).eps * np.linalg.cond(shifted)
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
@@ -407,25 +509,32 @@ def test_oversized_grid_refused_before_allocating():
         tracemalloc.stop()
 
 
-_FAULTS = ("non_dissipative", "nan_a", "inf_b", "object_a", "a_too_big", "a_wide",
-           "b_flat", "b_short")
+_FAULTS = ("non_dissipative", "nan_a", "inf_b", "object_a", "a_long", "a_short",
+           "a_even", "a_too_wide", "a_flat", "b_flat", "b_short")
 
 
 def _faulty_parts(system, fault, i, j, scale):
-    # A and B of a good system with one fault injected at (i, j) or of size scale
-    n, a, b = system.n, system.a_matrix.copy(), system.b_matrix.copy()
+    # A's bands and B of a good system with one fault injected at (i, j) or
+    # of size scale
+    n, a, b = system.n, system.a_bands.copy(), system.b_matrix.copy()
     if fault == "non_dissipative":
         a *= -scale  # F becomes -scale * F, whose smallest eigenvalue is < 0
     elif fault == "nan_a":
-        a[i, j] = np.nan
+        a[i % a.shape[0], j] = np.nan
     elif fault == "inf_b":
         b[i, 0] = -np.inf
     elif fault == "object_a":
         a = a.astype(object)
-    elif fault == "a_too_big":
-        a = np.identity(n + 1)
-    elif fault == "a_wide":
+    elif fault == "a_long":
+        a = np.hstack((a, a[:, :1]))  # bands of n + 1 entries
+    elif fault == "a_short":
         a = a[:, :-1]
+    elif fault == "a_even":
+        a = a[:-1]  # no middle band
+    elif fault == "a_too_wide":
+        a = np.zeros((n + 2 + n % 2, n))  # 2 kd + 1 > n + 1 bands
+    elif fault == "a_flat":
+        a = a[1]
     elif fault == "b_flat":
         b = b[:, 0]
     else:
@@ -443,13 +552,13 @@ def test_direct_system_with_a_fault_is_refused(model, n, fault, i, j, scale):
     with pytest.raises(AssemblyError):
         DiscreteSystem(system.grid, a, b, model)
     # the same parts without the fault build, and form the assembled F
-    rebuilt = DiscreteSystem(system.grid, system.a_matrix, system.b_matrix, model)
-    assert np.array_equal(rebuilt.f_matrix, system.f_matrix)
+    rebuilt = DiscreteSystem(system.grid, system.a_bands, system.b_matrix, model)
+    assert np.array_equal(rebuilt.f_bands, system.f_bands)
 
 
 def test_direct_system_fields():
     init = [f.name for f in dataclasses.fields(DiscreteSystem) if f.init]
-    assert init == ["grid", "a_matrix", "b_matrix", "model_tag"]
+    assert init == ["grid", "a_bands", "b_matrix", "model_tag"]
 
 
 def test_registry_row_is_assembler_and_step_route():
