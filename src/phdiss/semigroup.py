@@ -102,12 +102,13 @@ class Trajectory:
 
 
 def _shift_indices(t: float, h: float) -> int:
+    # the shift route's one alignment check: t = k h with k >= 1
     ratio = t / h
     k = int(round(ratio))
-    if abs(ratio - k) > 1e-9 * max(1.0, abs(ratio)):
+    if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, abs(ratio)):
         raise AlignmentError(
             f"time {t} is not aligned with the grid spacing h={h}; "
-            "choose times that are integer multiples of h (e.g. dt = h * integer)"
+            "choose times that are positive integer multiples of h (e.g. dt = h * integer)"
         )
     return k
 
@@ -150,8 +151,6 @@ def _band_step(a_bands: np.ndarray, dt: float, dtype):
     needs s (2 m kd + 1) < n. T_m is summed term by term on its bands.
     """
     n, kd = a_bands.shape[1], a_bands.shape[0] // 2
-    if 2 * kd + 1 >= n:
-        return None
     # column j of A holds A[(j - k) mod n, j] = a_bands[k + kd, (j - k) mod n]
     norm = dt * float(np.abs(np.take_along_axis(a_bands, _columns(n, kd)[::-1], 1)).sum(0).max())
     m, s = min(((m, max(1, math.ceil(norm / theta))) for m, theta in _THETA.items()),
@@ -224,13 +223,7 @@ def _make_step(system: DiscreteSystem, dt: float, dtype):
     basis(x), and basis, applied in place along the last axis, is its own
     inverse; None stands for the nodal basis."""
     if system.model.step == "shift":
-        q = _shift_indices(dt, system.grid.h)
-        if q < 1:
-            raise AlignmentError(
-                f"dt={dt} is below the grid spacing h={system.grid.h}; "
-                "choose dt = h * (positive integer)"
-            )
-        n = system.n
+        q, n = _shift_indices(dt, system.grid.h), system.n
         return None, lambda v: _shift_values(v, q, n)
     if system.model.step == "sine":
         p = np.exp(dt * sine_spectrum(system.grid))

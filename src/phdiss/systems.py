@@ -5,8 +5,9 @@ generator A, the input map B and the dissipation form matrix F = -Herm(W A),
 where W is the trapezoid gram matrix, kept as the grid's weight vector.
 A and F are stored as their periodic bands, three rows of n for a named
 model; dense A and F are built on first read only, for the M root, the dense
-propagator and custom generators wider than MAX_BAND. A DiscreteSystem checks
-itself when built, F's dissipativity included (dissipativity_gap).
+propagator and the gate of an F wider than MAX_BAND; LAPACK gets the bands
+with a periodic band folded into an ordinary one (_lapack_band). A
+DiscreteSystem checks itself when built, F's dissipativity included.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .linalg import gram_sqrt_factors, psd_sqrt
 # damping d is assemble_custom(grid, A - (d - DAMPING) * I) on its A.
 DAMPING = 0.3
 
-# The widest periodic band the gate and the probe solve hand to LAPACK's band
-# routines; a wider one takes the dense eigvalsh or LU, n^3 work against n kd^2.
+# The widest band, a side, the gate hands to eigvals_banded once a periodic band is
+# folded (_lapack_band); a wider F takes the dense eigvalsh, n^3 work against n u^2.
 MAX_BAND = 16
 
 
@@ -137,15 +138,25 @@ def _dense(bands: np.ndarray) -> np.ndarray:
 
 
 def _lapack_band(bands: np.ndarray):
-    # LAPACK's (kd, kd) band storage ab[kd + i - j, j] = A[i, j] of the entries that do not
-    # wrap, and the wrapped ones in c, on the rows and columns (arange(2 kd) - kd) mod n
+    # (ab, pos, u): LAPACK's (u, u) band storage ab[u + p - q, q] = B[p, q] of B = P A P^T,
+    # where P moves node i to position pos[i]. The order is the natural one when no band
+    # entry wraps from one end to the other, else 0, n - 1, 1, n - 2, ..., which folds a
+    # periodic band of half-width kd into an ordinary one of half-width u <= 2 kd
     n, kd = bands.shape[1], bands.shape[0] // 2
-    i, j = np.broadcast_arrays(np.arange(n), np.arange(n) + np.arange(-kd, kd + 1)[:, None])
-    inside = (0 <= j) & (j < n)
-    ab, c = np.zeros_like(bands), np.zeros((2 * kd, 2 * kd), dtype=bands.dtype)
-    ab[(kd + i - j)[inside], j[inside]] = bands[inside]
-    c[(i[~inside] + kd) % n, (j[~inside] + kd) % n] = bands[~inside]
-    return ab, c
+    if 2 * kd == n:  # bands -kd and kd share their entries: add them up where they do not wrap
+        both, low = bands[0] + bands[-1], np.arange(n) < kd
+        bands = np.vstack((np.where(low, 0, both), bands[1:-1], np.where(low, both, 0)))
+    i = np.broadcast_to(np.arange(n), bands.shape)
+    j = i + np.arange(-kd, kd + 1)[:, None]
+    pos = np.arange(n)
+    if bands[(j < 0) | (j >= n)].any():
+        pos = np.minimum(2 * pos, 2 * (n - 1 - pos) + 1)
+    nz = bands != 0
+    p, q = pos[i[nz]], pos[j[nz] % n]
+    u = int(np.abs(p - q).max(initial=0))
+    ab = np.zeros((2 * u + 1, n), dtype=bands.dtype)
+    ab[u + p - q, q] = bands[nz]
+    return ab, pos, u
 
 
 def band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -157,25 +168,12 @@ def band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _probe_solve(a_bands: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # (W^{1/2} A W^{-1/2} - I)^{-1} rhs for a 2-D rhs: a band of at most MAX_BAND a side goes
-    # to solve_banded, its wrapped corners (skew_damped's) back by Woodbury; a wider one to LU
+    # (W^{1/2} A W^{-1/2} - I)^{-1} rhs for a 2-D rhs, by one banded LU in _lapack_band's order
     n, kd = a_bands.shape[1], a_bands.shape[0] // 2
     shifted = np.sqrt(w) * a_bands / np.sqrt(w)[_columns(n, kd)]
     shifted[kd] -= 1.0
-    if kd > MAX_BAND:
-        return sla.solve(_dense(shifted), rhs, overwrite_a=True)
-    ab, c = _lapack_band(shifted)
-    # shifted is the band plus E C E^H, E the columns idx of the identity.
-    # beta I moved into C keeps Herm(band) <= Herm(shifted) <= -I, so the band is
-    # no worse conditioned than shifted; skew_damped's corners are skew, beta = 0
-    idx = (np.arange(2 * kd) - kd) % n
-    beta = -np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min(initial=0.0)
-    c.flat[::2 * kd + 1] += beta
-    ab[kd, idx] -= beta
-    e = np.roll(np.eye(n, 2 * kd), -kd, axis=0)  # e[idx[p], p] = 1
-    sol = sla.solve_banded((kd, kd), ab, np.hstack((rhs, e)))
-    y, z = sol[:, :rhs.shape[1]], sol[:, rhs.shape[1]:]
-    return y - z @ np.linalg.solve(np.identity(2 * kd) + c @ z[idx], c @ y[idx])
+    ab, pos, u = _lapack_band(shifted)
+    return sla.solve_banded((u, u), ab, rhs[np.argsort(pos)])[pos]
 
 
 def periodic_bandwidth(a: np.ndarray) -> int:
@@ -197,14 +195,15 @@ def form_bands(a_bands: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def dissipativity_gap(f_bands: np.ndarray) -> tuple[float, float]:
     """(-lambda_min(F), ||F||_2) of the Hermitian F given by its periodic bands;
     the gap is <= 0 (up to roundoff) iff the system is dissipative. A diagonal F
-    gives its entries, a band of at most MAX_BAND that does not wrap its two ends
-    by eigvals_banded (LAPACK's eigenvalues, not a bound), any other F eigvalsh."""
-    n, kd = f_bands.shape[1], f_bands.shape[0] // 2
-    ab, c = _lapack_band(f_bands)
-    if not (ab[kd + 1:].any() or c.any()):
-        lo, hi = float(ab[kd].real.min()), float(ab[kd].real.max())
-    elif kd <= MAX_BAND and not c.any():
-        lo, hi = (float(sla.eigvals_banded(ab[kd:], lower=True, select="i",
+    gives its entries; any other band, folded if it wraps (_lapack_band), gives
+    its two ends to eigvals_banded (LAPACK's eigenvalues, not a bound) when at
+    most MAX_BAND wide, else to eigvalsh."""
+    n = f_bands.shape[1]
+    ab, _, u = _lapack_band(f_bands)
+    if u == 0:
+        lo, hi = float(ab[0].real.min()), float(ab[0].real.max())
+    elif u <= MAX_BAND:
+        lo, hi = (float(sla.eigvals_banded(ab[u:], lower=True, select="i",
                                            select_range=(j, j))[0]) for j in (0, n - 1))
     else:
         lo, hi = (float(e) for e in sla.eigvalsh(_dense(f_bands))[[0, -1]])

@@ -83,6 +83,9 @@ def test_shift_requires_nodal_alignment():
         _free_step(sys, x, 0.5 * g.h)
     with pytest.raises(AlignmentError):
         _free_step(sys, x, 1.5 * g.h)
+    # within the 1e-9 alignment slack of k = 0, but no step of at least one node
+    with pytest.raises(AlignmentError, match="is not aligned"):
+        _free_step(sys, x, 1e-10 * g.h)
 
 
 def test_heat_eigen_propagator_matches_expm():

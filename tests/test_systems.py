@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import scipy.linalg as sla
 
 from phdiss import assemble_model, form_r, grids, make_uniform_grid, systems
-from phdiss.dissipation import _form_rates
+from phdiss.dissipation import _form_rates, _q_identity_rows
 from phdiss.grids import Grid, GridError, norm_sq
 from phdiss.semigroup import sine_basis, sine_spectrum
 from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, DiscreteSystem, _dense,
@@ -263,7 +263,8 @@ def test_assembly_makes_one_eigensolve(monkeypatch, model):
     # the gate reads the stored F: its bands are formed once, then they decide:
     # a diagonal F (transport, skew_damped) is its own eigenvalues, a
     # tridiagonal one (heat) gives its two end eigenvalues to two selected
-    # banded solves, and only a dense custom F takes the dense eigvalsh
+    # banded solves, and only a band wider than MAX_BAND (the dense custom F)
+    # takes the dense eigvalsh
     calls = []
 
     def counting(name, fn):
@@ -300,9 +301,9 @@ def _random_periodic(rng, n, kd, corners, complex_values, hermitian=False):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
        kd=st.sampled_from([0, 1, 2, 5]), corners=st.booleans(), complex_values=st.booleans())
 def test_band_gap_matches_dense_eigvalsh(seed, n, kd, corners, complex_values):
-    # F given by its periodic bands: a diagonal one is its eigenvalues, a
-    # band that does not wrap takes the two selected banded solves, and one
-    # with corners the dense eigvalsh
+    # F given by its periodic bands: a diagonal one is its eigenvalues, and any
+    # other band, folded when it wraps (half-width <= 2 kd = 10 <= MAX_BAND),
+    # takes the two selected banded solves
     kd = min(kd, n // 2)
     f = _random_periodic(np.random.default_rng(seed), n, kd, corners, complex_values,
                          hermitian=True)
@@ -316,71 +317,81 @@ def test_band_gap_matches_dense_eigvalsh(seed, n, kd, corners, complex_values):
 
             mp.setattr(sla, name, counted)
         gap, f_norm = dissipativity_gap(periodic_bands(f, kd))
-    # with 2 kd = n, band kd holds the entries at distance n / 2 on both sides
-    wraps = kd > 0 and (corners or 2 * kd == n)
-    assert calls == (["eigvalsh"] if wraps else ["eigvals_banded"] * 2 if kd else [])
+    assert calls == (["eigvals_banded"] * 2 if kd else [])
     scale = max(np.abs(eigs).max(), 1e-300)
     assert gap == pytest.approx(-eigs[0], abs=1e-13 * scale)
     assert f_norm == pytest.approx(max(-eigs[0], eigs[-1]), abs=1e-13 * scale)
 
 
 def _check_band_storage(bands):
-    # ab[kd + i - j, j] = A[i, j] for the band entries that do not wrap, zero
-    # in the unused corners; the wrapped ones land in c on the rows and
-    # columns idx = n - kd, ..., n - 1, 0, ..., kd - 1, and band and corners
-    # add up to A
+    # read back, ab[u + p - q, q] = B[p, q] is B = P A P^T, P moving node i to
+    # pos[i]; with an entry that wraps the order is 0, n - 1, 1, n - 2, ... and
+    # u <= 2 kd, and with none it is the natural order, and ab LAPACK's (kd, kd)
+    # storage ab[kd + i - j, j] = A[i, j], bit for bit
     kd, n = bands.shape[0] // 2, bands.shape[1]
-    ab, c = _lapack_band(bands)
-    want_ab, want_c = np.zeros((2 * kd + 1, n)), np.zeros((2 * kd, 2 * kd))
-    idx = np.r_[n - kd:n, :kd]
-    pos = {v: p for p, v in enumerate(idx)}
+    ab, pos, u = _lapack_band(bands)
+    b = np.zeros((n, n))
+    for p in range(n):
+        for q in range(max(0, p - u), min(n, p + u + 1)):
+            b[p, q] = ab[u + p - q, q]
+    dense = _dense(bands)
+    np.testing.assert_array_equal(b[np.ix_(pos, pos)], dense)
+    if np.any(dense[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > kd]):
+        folded = np.column_stack((np.arange(n), np.arange(n)[::-1])).ravel()[:n]
+        np.testing.assert_array_equal(np.argsort(pos), folded)
+        assert u <= 2 * kd
+        return
+    want_ab = np.zeros((2 * kd + 1, n))
     for k in range(-kd, kd + 1):
-        for i in range(n):
-            j = i + k
-            if 0 <= j < n:
-                want_ab[kd + i - j, j] = bands[k + kd, i]
-            else:
-                want_c[pos[i], pos[j % n]] += bands[k + kd, i]
+        for i in range(max(0, -k), min(n, n - k)):
+            want_ab[kd - k, i + k] = bands[k + kd, i]
+    np.testing.assert_array_equal(pos, np.arange(n))
+    assert u == kd
     np.testing.assert_array_equal(ab, want_ab)
-    np.testing.assert_array_equal(c, want_c)
-    dense = np.zeros((n, n))
-    for i in range(n):
-        for j in range(max(0, i - kd), min(n, i + kd + 1)):
-            dense[i, j] = ab[kd + i - j, j]
-    dense[np.ix_(idx, idx)] += c
-    np.testing.assert_array_equal(dense, _dense(bands))
+
+
+def _cut_wrapped(bands):
+    # the same bands with every entry that wraps from one end to the other cut
+    kd, n = bands.shape[0] // 2, bands.shape[1]
+    j = np.arange(n) + np.arange(-kd, kd + 1)[:, None]
+    return np.where((0 <= j) & (j < n), bands, 0.0)
 
 
 @pytest.mark.parametrize("lower, upper", [(0, 0), (1, 1), (2, 0), (0, 3), (3, 1)])
 def test_band_storage_is_lapack_layout(lower, upper):
     # a lopsided band, sub-diagonals -lower..upper of kd = max(lower, upper),
-    # whose outer rows wrap around; its rows kd.. are eigvals_banded's lower
-    # layout, one sub-diagonal per row
+    # whose outer rows wrap around, and the same band with the wrapped entries
+    # cut; its rows u.. are eigvals_banded's lower layout, one sub-diagonal per row
     n, kd = 9, max(lower, upper)
     bands = np.random.default_rng(lower + 4 * upper).standard_normal((2 * kd + 1, n))
     bands[:kd - lower] = bands[kd + upper + 1:] = 0.0
     _check_band_storage(bands)
+    _check_band_storage(_cut_wrapped(bands))
 
 
 @pytest.mark.parametrize("n, kd", [(3, 1), (4, 2), (6, 3), (9, 4)])
 def test_band_storage_of_the_widest_bands(n, kd):
     # kd = n // 2: with 2 kd = n, band -kd is zero and band kd holds the
-    # entries at distance n / 2, on both sides of the diagonal
+    # entries at distance n / 2, on both sides of the diagonal, or the two
+    # bands hold parts of them that add up
     bands = np.random.default_rng(n).standard_normal((2 * kd + 1, n))
+    _check_band_storage(bands)
+    _check_band_storage(_cut_wrapped(bands))
     if 2 * kd == n:
         bands[0] = 0.0
-    _check_band_storage(bands)
+        _check_band_storage(bands)
+        _check_band_storage(_cut_wrapped(bands))
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(MAX_BAND + 3, 60),
-       band=st.sampled_from([(1, 1), (0, 2), (3, 1)]), corners=st.booleans(),
-       complex_values=st.booleans())
+       band=st.sampled_from([(1, 1), (0, 2), (3, 1), (MAX_BAND + 1, MAX_BAND + 1)]),
+       corners=st.booleans(), complex_values=st.booleans())
 def test_probe_solve_matches_dense_solve(seed, n, band, corners, complex_values):
     # a random dissipative generator, W A = M - c I with M of the given
-    # (lower, upper) band and c above Herm(M)'s top eigenvalue: tridiagonal
-    # or lopsided, or with periodic corners, whose band is n - 1 and which
-    # takes the banded solve with the corners added back by Woodbury
+    # (lower, upper) band and c above Herm(M)'s top eigenvalue: tridiagonal,
+    # lopsided or wider than MAX_BAND, or with periodic corners, which fold
+    # the band; every one takes one banded solve
     rng = np.random.default_rng(seed)
     grid = make_uniform_grid(n)
     draw = (lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -413,7 +424,7 @@ def test_probe_solve_band_without_corners_may_be_singular():
     # off-diagonals t and twisted corners -t. Cutting the corners leaves the
     # path matrix, whose top eigenvalue 2 t cos(pi / (n + 1)) is c: the cut band
     # is singular while the whole stays dissipative with margin 11, so the solve
-    # must move a multiple of the identity into the corner correction
+    # must keep the corners in its band, as the folded order does
     n, t = 20, 5000.0
     grid = make_uniform_grid(n)
     path = np.diag(np.full(n - 1, t), 1) + np.diag(np.full(n - 1, t), -1)
@@ -481,6 +492,33 @@ def test_band_paths_match_their_dense_references(seed, n, kd, corners, complex_v
     got = _probe_solve(sys.a_bands, w, rhs)
     tol = n * np.finfo(float).eps * np.linalg.cond(shifted)
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+def test_wrapping_custom_generator_takes_the_band_routes(monkeypatch):
+    # skew_damped's A plus a periodic viscosity, 1e-3 times the periodic second
+    # difference over W: F is tridiagonal with two wrapped corners, so its
+    # folded band (half-width 2) takes the gate's two banded solves, no eigvalsh
+    n = 1601
+    grid = make_uniform_grid(n)
+    lap = -2.0 * np.identity(n) + np.roll(np.identity(n), 1, 1) + np.roll(np.identity(n), -1, 1)
+    a = assemble_skew_damped(grid).a_matrix + 1e-3 * lap / grid.h**2 / grid.weights[:, None]
+    calls = []
+    for name in ("eigvals_banded", "eigvalsh"):
+        def counted(*args, _fn=getattr(sla, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(sla, name, counted)
+    sys = assemble_custom(grid, a)
+    gap, f_norm = dissipativity_gap(sys.f_bands)
+    monkeypatch.undo()
+    assert calls == ["eigvals_banded"] * 4
+    eigs = np.linalg.eigvalsh(sys.f_matrix)
+    scale = np.abs(eigs).max()
+    assert gap == pytest.approx(-eigs[0], abs=1e-13 * scale)
+    assert f_norm == pytest.approx(max(-eigs[0], eigs[-1]), abs=1e-13 * scale)
+    states = np.stack([random_state(n, seed, complex_values=seed % 2 == 1) for seed in range(4)])
+    assert np.all(_q_identity_rows(sys, states) <= 1e-10)
 
 
 @pytest.mark.parametrize("n", [21, 201, 801])
