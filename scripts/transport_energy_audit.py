@@ -4,10 +4,12 @@
 
 Two runs. First the free decay of the constant profile: every bit of the
 initial energy H(0) = 1/2 leaves through the boundary within one unit of
-time, and the trapezoid ledger reproduces that to the quadrature error of
-a single kink crossing the outflow node. Second a driven run from the
-outflow-compatible sinh profile under constant input, which exercises the
-supply side of the balance and the integral dissipation bound.
+time. The ledger's dissipated column integrates the rate by the parabolic
+rule and reproduces that to the quadrature error of the rate's jump from
+1/2 to 0 at t = 1: h/24 when t = 1 is the last sample (0 at n = 3, where
+the rule is Simpson's), h/12 when later samples follow. Second a driven run
+from the outflow-compatible sinh profile under constant input, which
+exercises the supply side of the balance and the integral dissipation bound.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from .grids import GridError, make_uniform_grid
 from .linalg import NotPSDError, NotSelfAdjointError
 from .presets import PresetError
 from .probes import SEQUENCE_TAGS, ProbeError, closability_probe
-from .reporting import write_csv, write_probe_csv
+from .reporting import write_probe_csv, write_verify_csv
 from .runner import run_config
 from .semigroup import AlignmentError, SignalError
 from .systems import MODELS, AssemblyError, assemble_model
@@ -84,8 +84,7 @@ def _cmd_verify(args) -> int:
     report = verify_paper_values(n_grid=args.n_grid)
     print(report.table_text())
     out = _out_dir(args.out)
-    header, rows = report.csv_rows()
-    path = write_csv(out / "verify_paper.csv", header, rows)
+    path = write_verify_csv(out / "verify_paper.csv", report)
     print(f"wrote {path}")
     return 0 if report.ok else 1
 

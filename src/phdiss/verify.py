@@ -15,7 +15,6 @@ from .dissipation import dissipation_rate, energy_audit
 from .grids import make_uniform_grid, norm_sq
 from .presets import control_signal, initial_state
 from .probes import probe_states
-from .reporting import fmt_float
 from .semigroup import mild_solution
 from .systems import assemble_transport, graph_norm
 
@@ -49,15 +48,6 @@ class VerifyReport:
             )
         lines.append("overall: " + ("pass" if self.ok else "FAIL"))
         return "\n".join(lines)
-
-    def csv_rows(self):
-        header = ["row", "computed", "reference", "tol", "status"]
-        rows = [
-            (r.name, fmt_float(r.computed), fmt_float(r.reference),
-             fmt_float(r.tol), "pass" if r.ok else "fail")
-            for r in self.rows
-        ]
-        return header, rows
 
 
 def _row(name: str, computed: float, reference: float, tol: float) -> VerifyRow:

@@ -24,7 +24,6 @@ from phdiss.cli import main
 from phdiss.config import ConfigError, parse_config_text
 from phdiss.linalg import NotPSDError, NotSelfAdjointError
 from phdiss.presets import PresetError
-from phdiss.reporting import fmt_float
 from phdiss.semigroup import output_signal
 
 FULL_CONFIG = """\
@@ -374,7 +373,7 @@ def test_full_run_artifacts(tmp_path, capsys):
 
     # the ledger holds full-precision decimals: first data row starts at t=0
     # with H = 1/2 and supply 0
-    assert rows[1][0] == fmt_float(0.0)
+    assert rows[1][0] == "0"
     assert float(rows[1][1]) == pytest.approx(0.5, abs=1e-15)
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phdiss.presets
@@ -205,6 +205,8 @@ def _count_dense_propagators(monkeypatch):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 120), kd=st.integers(1, 3),
        corners=st.booleans(), complex_a=st.booleans(), complex_b=st.booleans(),
        complex_x0=st.booleans(), reach=st.floats(0.01, 1.0))
+@example(seed=64, n=63, kd=1, corners=True, complex_a=False, complex_b=False,
+         complex_x0=False, reach=1.0)
 def test_band_route_matches_dense_propagator(seed, n, kd, corners, complex_a,
                                              complex_b, complex_x0, reach):
     # a random dissipative generator, W A = M - c I with M of periodic
@@ -227,8 +229,11 @@ def test_band_route_matches_dense_propagator(seed, n, kd, corners, complex_a,
     c = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1] + rng.uniform(0.0, 2.0)
     sys = assemble_custom(grid, (m - c * np.identity(n)) / grid.weights[:, None],
                           b_matrix=draw(complex_b, n))
+    # np.linalg.norm sums each column in another order than _band_step does,
+    # so at reach = 1 the step's own ||dt A||_1 can land an ulp above theta_m
+    # and ask for a second substep; the factor 1 - 1e-12 keeps it below
     norm = np.linalg.norm(sys.a_matrix, 1)
-    dt = reach * _THETA[max(d for d in _THETA if 2 * d * kd + 1 < n)] / norm
+    dt = reach * (1 - 1e-12) * _THETA[max(d for d in _THETA if 2 * d * kd + 1 < n)] / norm
     assert _band_step(sys.a_bands, dt, complex) is not None
     u = control_signal("ramp:0.5", 10 * dt, dt)
     x0 = draw(complex_x0, n)
