@@ -3,11 +3,13 @@
 Each model produces a DiscreteSystem, the one object per generator: the
 generator A, the input map B and the dissipation form matrix F = -Herm(W A),
 where W is the trapezoid gram matrix, kept as the grid's weight vector.
-A and F are stored as their periodic bands, three rows of n for a named
-model; dense A and F are built on first read only, for the M root, the dense
+A and F are stored as their periodic bands, each out to its own half-bandwidth:
+three rows of n for a named model's A and heat's F, one for a diagonal F.
+Dense A and F are built on first read only, for the M root, the dense
 propagator and the gate of an F wider than MAX_BAND; LAPACK gets the bands
 with a periodic band folded into an ordinary one (_lapack_band). A
-DiscreteSystem checks itself when built, F's dissipativity included.
+DiscreteSystem checks itself when built, F's dissipativity included; only an
+assembler names it, else it is "custom" and takes the "expm" step route.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ class DiscreteSystem:
     b_matrix : np.ndarray
         Input map, shape (n, m). m may be 0 for autonomous runs.
     model_tag : str
-        A key of MODELS, or "custom"; the model property is its registry row.
+        "custom", or the MODELS key its assembler sets; model is its registry row.
     f_bands : np.ndarray
-        The bands of the form matrix F = -Herm(W A), PSD: the rate is x^H F x.
+        The bands of F = -Herm(W A) out to its own half-bandwidth, PSD: the rate is x^H F x.
         The constructor forms them, raising AssemblyError for bad bands or B or
         a non-dissipative F, and keeps integer and boolean A and B as float.
 
@@ -68,7 +70,7 @@ class DiscreteSystem:
     grid: Grid
     a_bands: np.ndarray
     b_matrix: np.ndarray
-    model_tag: str
+    model_tag: str = field(default="custom", init=False)
     f_bands: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -86,7 +88,7 @@ class DiscreteSystem:
         tol = 1e-8 * max(1.0, f_norm)
         if gap > tol:
             raise AssemblyError(
-                f"model '{self.model_tag}' is not dissipative: smallest eigenvalue of "
+                "the generator is not dissipative: smallest eigenvalue of "
                 f"F = -Herm(WA) is {-gap:.3e} (tolerance {tol:.3e})")
 
     @property
@@ -185,11 +187,19 @@ def periodic_bandwidth(a: np.ndarray) -> int:
 
 
 def form_bands(a_bands: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The periodic bands of F = -Herm(W A) from those of A: F[i, i + k] =
-    -(w_i A[i, i + k] + conj(w_{i+k} A[i + k, i])) / 2, A[i + k, i] in band -k."""
+    """The periodic bands of F = -Herm(W A) from those of A, out to F's own half-bandwidth:
+    F[i, i + k] = -(w_i A[i, i + k] + conj(w_{i+k} A[i + k, i])) / 2, A[i + k, i] in band -k;
+    where 2 kd = n, band kd alone keeps the entries at distance n / 2, as in A's bands."""
+    n, kd = a_bands.shape[1], a_bands.shape[0] // 2
     wa = weights * a_bands
-    partner = np.take_along_axis(wa[::-1], _columns(wa.shape[1], wa.shape[0] // 2), axis=1)
-    return -0.5 * (wa + partner.conj())
+    if 2 * kd == n:  # bands -kd and kd alias: each reads the two halves added up
+        wa[0] = wa[-1] = wa[0] + wa[-1]
+    partner = np.take_along_axis(wa[::-1], _columns(n, kd), axis=1)
+    f = -(0.5 * (wa + partner.conj()))  # negated last: -0.5 * z makes a 0j part +0.0, not -0.0
+    if 2 * kd == n:
+        f[0] = 0
+    kf = int(np.abs(np.flatnonzero(f.any(axis=1)) - kd).max(initial=0))
+    return f[kd - kf:kd + kf + 1].copy()  # a copy, so the trimmed rows are freed
 
 
 def dissipativity_gap(f_bands: np.ndarray) -> tuple[float, float]:
@@ -226,6 +236,11 @@ def _input_matrix(grid: Grid, input_profile) -> np.ndarray:
     return b.reshape(-1, 1) if b.ndim == 1 else b
 
 
+def _named(model_tag: str, system: DiscreteSystem) -> DiscreteSystem:
+    system.model_tag = model_tag  # the one place a tag, and so its step route, is set
+    return system
+
+
 def assemble_transport(grid: Grid, input_profile=None) -> DiscreteSystem:
     """Transport x' = dx/dw with outflow condition x(1) = 0.
 
@@ -242,7 +257,7 @@ def assemble_transport(grid: Grid, input_profile=None) -> DiscreteSystem:
     a[0, 1:], a[2, :-1] = -1.0 / (2.0 * h), 1.0 / (2.0 * h)
     a[1, 0], a[2, 0] = -1.0 / h, 1.0 / h
     a[0, -1], a[1, -1] = -1.0 / h, 1.0 / h - 2.0 / h  # penalty enforcing x(1) = 0
-    return DiscreteSystem(grid, a, _input_matrix(grid, input_profile), "transport")
+    return _named("transport", DiscreteSystem(grid, a, _input_matrix(grid, input_profile)))
 
 
 def assemble_heat(grid: Grid, input_profile=None) -> DiscreteSystem:
@@ -259,7 +274,7 @@ def assemble_heat(grid: Grid, input_profile=None) -> DiscreteSystem:
     n, h = grid.n, grid.h
     a = np.zeros((3, n))
     a[0, 2:-1], a[1], a[2, 1:-2] = 1.0 / h**2, -2.0 / h**2, 1.0 / h**2
-    return DiscreteSystem(grid, a, _input_matrix(grid, input_profile), "heat")
+    return _named("heat", DiscreteSystem(grid, a, _input_matrix(grid, input_profile)))
 
 
 def assemble_skew_damped(grid: Grid, input_profile=None) -> DiscreteSystem:
@@ -276,7 +291,7 @@ def assemble_skew_damped(grid: Grid, input_profile=None) -> DiscreteSystem:
     a[2, :-1] = 0.5 * (s - (1.0 / w[:-1]) * (-s * w[1:]))
     a[0, 0] = 0.5 * (-s - (1.0 / w[0]) * (s * w[-1]))
     a[2, -1] = 0.5 * (s - (1.0 / w[-1]) * (-s * w[0]))
-    return DiscreteSystem(grid, a, _input_matrix(grid, input_profile), "skew_damped")
+    return _named("skew_damped", DiscreteSystem(grid, a, _input_matrix(grid, input_profile)))
 
 
 def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None) -> DiscreteSystem:
@@ -289,7 +304,7 @@ def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None) -> Discrete
     bands = a[np.arange(n), _columns(n, kd)]
     if 2 * kd == n:
         bands[0] = 0  # band -n/2 is band n/2, kept once
-    return DiscreteSystem(grid, bands, _input_matrix(grid, b_matrix), "custom")
+    return DiscreteSystem(grid, bands, _input_matrix(grid, b_matrix))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -224,22 +225,6 @@ def test_program_bug_is_not_a_usage_error(tmp_path, monkeypatch):
 def test_probe_bad_input_is_usage_error(capsys, tmp_path, argv, message):
     assert main(["probe", *argv, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
-
-
-def test_probe_stack_over_budget_refused_before_sampling(capsys, tmp_path):
-    # 4,498,500 differences of 101 nodes would take 3.6 GB, and the 3,000
-    # sampled states alone 2.4 MB; the system itself takes 0.25 MB
-    argv = ["probe", "transport", "power", "--n-max", "3000", "--n-grid", "101",
-            "--out", str(tmp_path)]
-    tracemalloc.start()
-    try:
-        assert main(argv) == 2
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    assert "MAX_OPERATOR_MB" in capsys.readouterr().err
-    assert not (tmp_path / "probe.csv").exists()
 
 
 def test_damping_is_no_config_key(capsys, tmp_path):
@@ -651,7 +636,7 @@ out_dir = {{out}}
 def test_q_check_and_probe_stack_their_rates(tmp_path, monkeypatch, model):
     # one q_check evaluates its 100 states through one stacked rate call,
     # its graph norms from the product with A; one probe rates its states
-    # and all their pairwise differences through two
+    # through one, then the differences x_i - x_m, m > i, through one per i
     text = f"""\
 model = {model}
 n_grid = 41
@@ -661,6 +646,7 @@ u_preset = zero
 tasks = {{task}}
 out_dir = {{out}}
 """
+    n_max = inspect.signature(phdiss.probes.closability_probe).parameters["n_max"].default
     for task in ("q_check", "probe:power"):
         cfg = parse_config_text(text.format(task=task, out=tmp_path / task[:5]))
         rates = _count_calls(monkeypatch, "_form_rates", phdiss.dissipation,
@@ -669,7 +655,7 @@ out_dir = {{out}}
         res = phdiss.runner.run_config(cfg)
         monkeypatch.undo()
         assert res.status == 0
-        assert len(rates) == (1 if task == "q_check" else 2)
+        assert len(rates) == (1 if task == "q_check" else 1 + (n_max - 1))
         assert len(forms) == 0
 
 

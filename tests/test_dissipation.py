@@ -113,11 +113,13 @@ def test_scalar_toolkit():
 @pytest.mark.parametrize("model", MODELS)
 def test_assembly_forms_g_and_f_once(systems101, model, monkeypatch):
     # F is -Herm(W A), bit for bit, and the system is its only holder, as
-    # three bands; G is not formed at assembly at all
+    # its own bands: heat's three, the one diagonal band of the others; G is
+    # not formed at assembly at all
     sys = systems101[model]
     assert np.array_equal(sys.f_matrix, dense_form(sys.a_matrix, sys.weights))
     monkeypatch.setattr(phdiss.systems, "graph_gram", None)  # any call fails
-    assert assemble_model(model, sys.grid).f_bands.shape == (3, sys.n)
+    width = 3 if model == "heat" else 1
+    assert assemble_model(model, sys.grid).f_bands.shape == (width, sys.n)
 
 
 def test_toolkit_builds_roots_on_first_read():
@@ -138,7 +140,7 @@ def test_toolkit_root_failures_surface_on_first_read():
     grid = make_uniform_grid(3)
     a, w = np.eye(3), grid.weights
     with pytest.raises(AssemblyError, match="not dissipative"):
-        DiscreteSystem(grid, a, np.ones((3, 1)), "custom")
+        DiscreteSystem(grid, a, np.ones((3, 1)))
     sys = object.__new__(DiscreteSystem)
     a_bands = periodic_bands(a, 1)
     vars(sys).update(grid=grid, a_bands=a_bands, b_matrix=np.ones((3, 1)),

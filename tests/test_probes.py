@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from phdiss import (assemble_model, closability_probe, form_r, grids,
-                    make_uniform_grid, probes, refinement_study)
+from phdiss import (assemble_model, closability_probe, form_r,
+                    make_uniform_grid, refinement_study)
 from phdiss.probes import (VERDICT_CLOSABLE, VERDICT_NON_CLOSABLE,
-                           VERDICT_PREMISE, ProbeError, probe_states)
+                           VERDICT_PREMISE, probe_states)
 
 
 def test_probe_state_families(grid101):
@@ -27,32 +29,6 @@ def test_unknown_sequence_rejected(grid101):
 def test_probe_needs_two_states(systems101):
     with pytest.raises(ValueError):
         closability_probe(systems101["transport"], "power", n_max=1)
-
-
-def test_probe_budget_is_the_module_constant(systems101, monkeypatch):
-    # exercised on a small budget: n_max = 8 stacks 28 differences of 101
-    # nodes (22.6 kB), n_max = 9 stacks 36 (29.1 kB)
-    monkeypatch.setattr(grids, "MAX_OPERATOR_MB", 0.025)
-    assert closability_probe(systems101["heat"], "power", n_max=8).indices.size == 8
-    with pytest.raises(ProbeError, match="MAX_OPERATOR_MB"):
-        closability_probe(systems101["heat"], "power", n_max=9)
-
-
-def test_probe_budget_admits_n_max_100_on_801_nodes(monkeypatch):
-    # 4,950 differences of 801 nodes take 31.7 MB and are admitted, 5,050
-    # (32.4 MB) are not; the sampler is stubbed, so no stack is allocated
-    class Sampled(Exception):
-        pass
-
-    def sampled(*args, **kwargs):
-        raise Sampled
-
-    system = assemble_model("transport", make_uniform_grid(801))
-    monkeypatch.setattr(probes, "probe_states", sampled)
-    with pytest.raises(Sampled):
-        closability_probe(system, "power", n_max=100)
-    with pytest.raises(ProbeError, match="MAX_OPERATOR_MB"):
-        closability_probe(system, "power", n_max=101)
 
 
 def test_transport_power_probe_values():
@@ -130,21 +106,31 @@ def _offset(n, w):
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
 @pytest.mark.parametrize("sequence", ["power", "scaled_sine", "offset"])
 def test_stacked_probe_matches_form_r(model, sequence):
-    sys = assemble_model(model, make_uniform_grid(201))
-    n_max = 12
+    # n_max = 101 on 801 nodes has 5,050 differences (32.4 MB of float64); the
+    # probe holds the sampled states, at most n_max - 1 differences and the
+    # rate products' work arrays of 64 rows at a time
     custom = _offset if sequence == "offset" else None
-    rep = closability_probe(sys, sequence, n_max, custom=custom)
-    states = probe_states(sequence, sys.grid, n_max, custom=custom)
-    r_loop = np.array([form_r(sys, x) for x in states])
-    pair_loop = np.zeros(n_max)
-    for i in range(n_max - 1):
-        pair_loop[i] = max(form_r(sys, states[i] - states[j])
-                           for j in range(i + 1, n_max))
-    if model == "transport" and custom is None:
-        # F has two nonzeros; on these sequences every route sums the same
-        # two products to the same bits
-        np.testing.assert_array_equal(rep.r_values, r_loop)
-        np.testing.assert_array_equal(rep.max_pairwise, pair_loop)
-    else:
-        np.testing.assert_allclose(rep.r_values, r_loop, rtol=1e-12)
-        np.testing.assert_allclose(rep.max_pairwise, pair_loop, rtol=1e-12)
+    for n, n_max in ((201, 12), (801, 101)):
+        sys = assemble_model(model, make_uniform_grid(n))
+        closability_probe(sys, sequence, 2, custom=custom)  # lazy imports, caches
+        tracemalloc.start()
+        try:
+            rep = closability_probe(sys, sequence, n_max, custom=custom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * (3 * n_max + 4 * 64)
+        states = probe_states(sequence, sys.grid, n_max, custom=custom)
+        r_loop = np.array([form_r(sys, x) for x in states])
+        pair_loop = np.zeros(n_max)
+        for i in range(n_max - 1):
+            pair_loop[i] = max(form_r(sys, states[i] - states[j])
+                               for j in range(i + 1, n_max))
+        if model == "transport" and custom is None:
+            # F has two nonzeros; on these sequences every route sums the same
+            # two products to the same bits
+            np.testing.assert_array_equal(rep.r_values, r_loop)
+            np.testing.assert_array_equal(rep.max_pairwise, pair_loop)
+        else:
+            np.testing.assert_allclose(rep.r_values, r_loop, rtol=1e-12)
+            np.testing.assert_allclose(rep.max_pairwise, pair_loop, rtol=1e-12)

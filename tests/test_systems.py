@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import scipy.linalg as sla
 
-from phdiss import assemble_model, form_r, grids, make_uniform_grid, systems
+from phdiss import assemble_model, form_r, grids, initial_state, make_uniform_grid, systems
 from phdiss.dissipation import _form_rates, _q_identity_rows
 from phdiss.grids import Grid, GridError, norm_sq
 from phdiss.semigroup import sine_basis, sine_spectrum
@@ -17,7 +17,8 @@ from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, DiscreteSystem, _d
                             assemble_skew_damped, assemble_transport, band_product,
                             dissipativity_gap, graph_norm)
 
-from conftest import MODELS, custom_complex_system, dense_form, periodic_bands, random_state
+from conftest import (MODELS, custom_complex_system, dense_form, free_run, periodic_bands,
+                      random_state)
 
 
 def test_transport_boundary_collapse():
@@ -127,14 +128,16 @@ def _loop_generator(model: str, grid) -> np.ndarray:
 @pytest.mark.parametrize("n", [3, 4, 5, 21, 401])
 @pytest.mark.parametrize("model", MODELS)
 def test_stencil_generator_matches_the_loop_oracle(model, n):
-    # same bits, zero signs included, in A's and F's three bands, and in
+    # same bits, zero signs included, in A's three bands, in F's bands out to
+    # its own width (tridiagonal for heat past n = 3, else diagonal), and in
     # the dense A and F built from them
     grid = make_uniform_grid(n)
     system = assemble_model(model, grid)
     a = _loop_generator(model, grid)
     f = dense_form(a, grid.weights)
+    kf = 1 if model == "heat" and n > 3 else 0
     for new, old in ((system.a_bands, periodic_bands(a, 1)),
-                     (system.f_bands, periodic_bands(f, 1)), (system.a_matrix, a)):
+                     (system.f_bands, periodic_bands(f, kf)), (system.a_matrix, a)):
         assert np.array_equal(new, old)
         assert np.array_equal(np.signbit(new), np.signbit(old))
     assert np.array_equal(system.f_matrix, f)
@@ -297,6 +300,21 @@ def _random_periodic(rng, n, kd, corners, complex_values, hermitian=False):
     return 0.5 * (m + m.conj().T) if hermitian else m
 
 
+def _random_generator(rng, w, kd, corners, complex_values, skew=False):
+    # a random dissipative A of periodic half-bandwidth kd: W A = M - c I with c
+    # above Herm(M)'s top eigenvalue, or with skew W A = Skew(M) - D, D >= 0
+    # diagonal with some zeros; on the grid weights (h and h / 2) w_i A_ij and
+    # w_j A_ji of the skew part then cancel to the last bit, so F = D
+    n = w.size
+    m = _random_periodic(rng, n, kd, corners, complex_values)
+    if skew:
+        wa = 0.5 * (m - m.conj().T) - np.diag(rng.uniform(0.0, 2.0, n) * rng.integers(0, 2, n))
+    else:
+        c = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1] + rng.uniform(0.1, 2.0)
+        wa = m - c * np.identity(n)
+    return wa / w[:, None]
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
        kd=st.sampled_from([0, 1, 2, 5]), corners=st.booleans(), complex_values=st.booleans())
@@ -321,6 +339,32 @@ def test_band_gap_matches_dense_eigvalsh(seed, n, kd, corners, complex_values):
     scale = max(np.abs(eigs).max(), 1e-300)
     assert gap == pytest.approx(-eigs[0], abs=1e-13 * scale)
     assert f_norm == pytest.approx(max(-eigs[0], eigs[-1]), abs=1e-13 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+       kd=st.sampled_from([0, 1, 2, 5, "full"]), corners=st.booleans(),
+       complex_values=st.booleans(), skew=st.booleans())
+def test_form_bands_reach_the_widest_band_of_f(seed, n, kd, corners, complex_values, skew):
+    # F's bands go out to the widest nonzero band of -Herm(W A) and no further,
+    # where 2 kd = n with band kd alone holding the entries at distance n / 2;
+    # a W-skew-plus-diagonal A of any width, 2 kd = n included, has one band
+    kd = n // 2 if kd == "full" else min(kd, n // 2)
+    grid = make_uniform_grid(n)
+    a = _random_generator(np.random.default_rng(seed), grid.weights, kd, corners,
+                          complex_values, skew)
+    f = dense_form(a, grid.weights)
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    kf = int(np.minimum(dist, n - dist)[f != 0].max(initial=0))
+    f_bands = assemble_custom(grid, a).f_bands
+    want = periodic_bands(f, kf)
+    assert f_bands.shape == want.shape and f_bands.dtype == want.dtype
+    assert f_bands.tobytes() == want.tobytes()  # bit for bit, sign bits included
+    assert kf == 0 or f_bands[[0, -1]].any()
+    assert kf == 0 or not skew
+    # _dense adds the bands onto +0.0, so a -0.0 of F reads +0.0 there: its
+    # sign bits are the bands' above
+    assert np.array_equal(_dense(f_bands), f)
 
 
 def _check_band_storage(bands):
@@ -453,21 +497,15 @@ def test_band_paths_match_their_dense_references(seed, n, kd, corners, complex_v
     kd = n // 2 if kd == "full" else min(kd, n // 2)
     rng = np.random.default_rng(seed)
     grid, w = make_uniform_grid(n), make_uniform_grid(n).weights
-    m = _random_periodic(rng, n, kd, corners, complex_values)
-    c = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1] + rng.uniform(0.1, 2.0)
-    a = (m - c * np.identity(n)) / w[:, None]
+    a = _random_generator(rng, w, kd, corners, complex_values)
     sys = assemble_custom(grid, a)
     # dense -> bands -> dense is bit-exact; an aliased band (2 kd = n) is kept once
     kd = sys.a_bands.shape[0] // 2
     np.testing.assert_array_equal(sys.a_bands, periodic_bands(a, kd))
     assert sys.a_matrix.dtype == a.dtype and sys.a_matrix.tobytes() == a.tobytes()
-    # F = -Herm(W A), bit for bit but where the two halves of the band at
-    # distance n / 2 add up
+    # F = -Herm(W A), bit for bit
     f = dense_form(a, w)
-    if 2 * kd < n:
-        assert np.array_equal(sys.f_matrix, f)
-    else:
-        np.testing.assert_allclose(sys.f_matrix, f, rtol=0, atol=4e-16 * np.abs(f).max())
+    assert np.array_equal(sys.f_matrix, f)
     x = rng.standard_normal((7, n)) + (1j * rng.standard_normal((7, n)) if complex_values else 0)
     ax_bound = np.abs(x) @ np.abs(a).T
     assert np.all(np.abs(band_product(sys.a_bands, x) - x @ a.T) <= 1e-13 * ax_bound)
@@ -588,15 +626,33 @@ def test_direct_system_with_a_fault_is_refused(model, n, fault, i, j, scale):
     system = assemble_model(model, make_uniform_grid(n))
     a, b = _faulty_parts(system, fault, i % n, j % n, scale)
     with pytest.raises(AssemblyError):
-        DiscreteSystem(system.grid, a, b, model)
+        DiscreteSystem(system.grid, a, b)
     # the same parts without the fault build, and form the assembled F
-    rebuilt = DiscreteSystem(system.grid, system.a_bands, system.b_matrix, model)
+    rebuilt = DiscreteSystem(system.grid, system.a_bands, system.b_matrix)
     assert np.array_equal(rebuilt.f_bands, system.f_bands)
 
 
 def test_direct_system_fields():
     init = [f.name for f in dataclasses.fields(DiscreteSystem) if f.init]
-    assert init == ["grid", "a_bands", "b_matrix", "model_tag"]
+    assert init == ["grid", "a_bands", "b_matrix"]
+
+
+def test_direct_system_takes_the_custom_step_route():
+    # a system built directly is "custom" whatever bands it holds, so it steps
+    # as assemble_custom's does and cannot claim another model's step route
+    grid = make_uniform_grid(101)
+    skew = assemble_model("skew_damped", grid)
+    direct = DiscreteSystem(grid, skew.a_bands, skew.b_matrix)
+    assert direct.model_tag == "custom"
+    x0 = initial_state(grid, "sine:1")
+    final = [free_run(system, x0, 1.0, grid.h).states[-1]
+             for system in (direct, assemble_custom(grid, skew.a_matrix), skew)]
+    np.testing.assert_array_equal(final[0], final[1])
+    assert np.linalg.norm(final[0] - final[2]) <= 1e-12 * np.linalg.norm(final[2])
+    with pytest.raises(TypeError):
+        DiscreteSystem(grid, skew.a_bands, skew.b_matrix, "heat")
+    with pytest.raises(TypeError):
+        DiscreteSystem(grid, skew.a_bands, skew.b_matrix, model_tag="heat")
 
 
 def test_registry_row_is_assembler_and_step_route():
