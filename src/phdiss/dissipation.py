@@ -13,9 +13,9 @@ For a dissipative generator A in the inner product with gram matrix W:
 Every function takes the DiscreteSystem itself: it holds the bands of A
 and F, and builds each square root on first read, as the Hermitian core
 its docstring describes. Of the probe's checks only q_identity_residual reads Q's root;
-the run's stacked check solves with A - I instead. The energy audit reads
-the control from the Trajectory of the run, and the dissipation bound
-reads the control and the initial energy from that run's ledger.
+the run's stacked check solves with A - I instead. The energy audit steps the
+system's own run of x0 and u block by block, so no other run's states reach
+it; the dissipation bound reads the control and H(0) from that run's ledger.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import as_state, norm_sq
-from .semigroup import ControlSignal, Trajectory, output_signal
+from .semigroup import BLOCK_ROWS, ControlSignal, output_signal, run_blocks
 from .systems import DiscreteSystem, _probe_solve, band_product
 
 
@@ -117,7 +117,7 @@ def cumulative_parabolic(values: np.ndarray, dt: float) -> np.ndarray:
 @dataclass(eq=False)
 class EnergyLedger:
     """Time series of the energy balance H(t) - H(0) = supplied - dissipated,
-    on the clock of the control that drove the audited run."""
+    on the clock of the control that drove the audited run, and its x(T)."""
 
     control: ControlSignal
     hamiltonian: np.ndarray
@@ -125,6 +125,7 @@ class EnergyLedger:
     dissipation_rate: np.ndarray
     supplied: np.ndarray
     dissipated: np.ndarray
+    final_state: np.ndarray
     residuals: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -163,22 +164,24 @@ def _form_rates(f_bands: np.ndarray, states: np.ndarray) -> np.ndarray:
     return rate
 
 
-def energy_audit(system: DiscreteSystem, traj: Trajectory) -> EnergyLedger:
-    """Audit a trajectory: energies, rates, cumulative integrals, residual.
-
-    The supplied power Re<u(t), y(t)> of the run's own control
-    integrates by trapezoid (exactly matched to the stepping); the
-    dissipated energy integrates the rate x^H F x by the parabolic rule,
-    which keeps the residual at quadrature level for smooth classical runs.
-    Raises FloatingPointError when H or either energy overflows.
+def energy_audit(system: DiscreteSystem, x0, u: ControlSignal) -> EnergyLedger:
+    """Audit the run of x0 under the control u, stepped block by block
+    (semigroup.run_blocks): per-sample energies, rates and cumulative
+    integrals, and the final state, never the (K+1) x n states. The supplied
+    power Re<u(t), y(t)> integrates by trapezoid (exactly matched to the
+    stepping); the dissipated energy integrates the rate x^H F x by the
+    parabolic rule, which keeps the residual at quadrature level for smooth
+    classical runs. Raises FloatingPointError when H or either energy overflows.
     """
-    states, u = traj.states, traj.control
+    ham, rate, supply = (np.empty(u.values.shape[0]) for _ in range(3))
     # an overflow is refused below by name, not warned about on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        ham = 0.5 * norm_sq(system.weights, states)
-        rate = _form_rates(system.f_bands, states)
-        y = output_signal(system, traj)
-        supply = np.sum(np.real(u.values * np.conj(y)), axis=1)
+        for start, block in zip(range(0, ham.size, BLOCK_ROWS), run_blocks(system, x0, u)):
+            rows = slice(start, start + block.shape[0])
+            ham[rows] = 0.5 * norm_sq(system.weights, block)
+            rate[rows] = _form_rates(system.f_bands, block)
+            y = output_signal(system, block)
+            supply[rows] = np.sum(np.real(u.values[rows] * np.conj(y)), axis=1)
         supplied = cumulative_trapezoid(supply, u.dt)
         dissipated = cumulative_parabolic(rate, u.dt)
     for name, series in (("H", ham), ("supplied", supplied), ("dissipated", dissipated)):
@@ -187,7 +190,8 @@ def energy_audit(system: DiscreteSystem, traj: Trajectory) -> EnergyLedger:
             raise FloatingPointError(f"energy audit overflow: {name} is not finite at t = {t:.6g}")
     return EnergyLedger(control=u, hamiltonian=ham,
                         supply_rate=supply, dissipation_rate=rate,
-                        supplied=supplied, dissipated=dissipated)
+                        supplied=supplied, dissipated=dissipated,
+                        final_state=block[-1].copy())
 
 
 @dataclass(eq=False)

@@ -23,9 +23,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-# rows per numpy.fft.rfft call in sine_transform
-_SINE_BLOCK = 64
-
 
 class NotSelfAdjointError(ValueError):
     """G M is not Hermitian within tolerance."""
@@ -87,8 +84,8 @@ def sine_transform(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     read off numpy.fft.rfft of the odd extension (0, x, 0, -reversed x),
     whose transform is -2i times the unscaled sine sums; a complex x is
     transformed in its real and imaginary parts. The result goes to out,
-    which may be x itself. Rows go through in blocks of at most
-    _SINE_BLOCK, so the work arrays stay small however many there are.
+    which may be x itself. All rows go through one rfft call, so its work
+    arrays grow with the rows: the stepping loop hands over 64 at most.
     """
     x = np.asarray(x)
     if out is None:
@@ -99,12 +96,9 @@ def sine_transform(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return out
     rows, dest = np.atleast_2d(x), np.atleast_2d(out)
     n = rows.shape[1]
-    odd = np.zeros((min(rows.shape[0], _SINE_BLOCK), 2 * n + 2))
-    for start in range(0, rows.shape[0], _SINE_BLOCK):
-        block = rows[start:start + _SINE_BLOCK]
-        k = block.shape[0]
-        odd[:k, 1:n + 1] = block
-        np.negative(block[:, ::-1], out=odd[:k, n + 2:])
-        dest[start:start + k] = np.fft.rfft(odd[:k])[:, 1:n + 1].imag
+    odd = np.zeros((rows.shape[0], 2 * n + 2))
+    odd[:, 1:n + 1] = rows
+    np.negative(rows[:, ::-1], out=odd[:, n + 2:])
+    dest[...] = np.fft.rfft(odd)[:, 1:n + 1].imag
     dest *= -np.sqrt(0.5 / (n + 1))
     return out

@@ -26,7 +26,11 @@ from .dissipation import _form_rates
 from .grids import Grid, as_state, make_uniform_grid, norm_sq
 from .systems import DiscreteSystem, assemble_model
 
-SEQUENCE_TAGS = ("power", "scaled_sine")
+_SEQUENCES = {
+    "power": lambda k, w: (1.0 - w) ** k,
+    "scaled_sine": lambda k, w: np.sin(k * np.pi * w) / np.sqrt(k),
+}
+SEQUENCE_TAGS = tuple(_SEQUENCES)
 
 VERDICT_NON_CLOSABLE = "non-closable-evidence"
 VERDICT_CLOSABLE = "closable-consistent"
@@ -38,20 +42,25 @@ class ProbeError(ValueError):
 
 
 def probe_states(sequence: str, grid: Grid, n_max: int,
-                 custom: Callable[[int, np.ndarray], np.ndarray] | None = None) -> list[np.ndarray]:
-    """Sample the test sequence x_1, ..., x_{n_max} on the grid.
+                 custom: Callable[[int, np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+    """Sample the test sequence x_1, ..., x_{n_max} on the grid as one (n_max, n) array.
 
     ``power`` is (1 - w)^n (vanishing in norm, boundary value pinned at 1);
     ``scaled_sine`` is n^{-1/2} sin(n pi w) (vanishing amplitude, growing
-    oscillation). A callable custom(n, nodes) overrides both.
+    oscillation). A callable custom(n, nodes) overrides both. Every row
+    passes grids.as_state, and the array takes the first row's type.
     """
-    if custom is not None:
-        return [np.asarray(custom(n, grid.nodes)) for n in range(1, n_max + 1)]
-    if sequence == "power":
-        return [(1.0 - grid.nodes) ** n for n in range(1, n_max + 1)]
-    if sequence == "scaled_sine":
-        return [np.sin(n * np.pi * grid.nodes) / np.sqrt(n) for n in range(1, n_max + 1)]
-    raise ProbeError(f"unknown probe sequence {sequence!r}")
+    if custom is None and sequence not in _SEQUENCES:
+        raise ProbeError(f"unknown probe sequence {sequence!r}")
+    sample = custom or _SEQUENCES[sequence]
+    states = None
+    for k in range(1, n_max + 1):
+        x = as_state(sample(k, grid.nodes), grid.n)
+        if states is None:
+            states = np.empty((n_max, grid.n), dtype=np.result_type(x, float))
+        # same_kind: a complex row after a real first one raises, not truncates
+        np.copyto(states[k - 1], x, casting="same_kind")
+    return states
 
 
 @dataclass(eq=False)
@@ -93,8 +102,7 @@ def closability_probe(system: DiscreteSystem, sequence: str, n_max: int = 8,
     rated in one product per i: n_max - 1 rows at most, O(n_max n) memory."""
     if n_max < 2:
         raise ProbeError(f"need at least two probe states, got n_max={n_max}")
-    states = np.array([as_state(x, system.n) for x in
-                       probe_states(sequence, system.grid, n_max, custom=custom)])
+    states = probe_states(sequence, system.grid, n_max, custom=custom)
     norms = np.sqrt(norm_sq(system.weights, states))
     r_vals = _form_rates(system.f_bands, states)
     pair = np.zeros(n_max)

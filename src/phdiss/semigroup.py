@@ -2,8 +2,9 @@
 propagators, mild solutions with sampled controls, outputs, and trace
 diagnostics.
 
-A run is one Trajectory: its states and the control that drove them,
-whose clock is the run's clock. A free run carries the zero control.
+A run is x0 and a control, whose clock is the run's clock; a free run carries
+the zero control. run_blocks steps it and hands its states out in blocks of
+BLOCK_ROWS rows; mild_solution stacks them into one Trajectory.
 
 Time stepping uses
     x_{k+1} = P x_k + (dt/2) (P B u_k + B u_{k+1}),    P = e^{dt A},
@@ -235,47 +236,84 @@ def _make_step(system: DiscreteSystem, dt: float, dtype):
     return None, lambda v: prop @ v
 
 
-def mild_solution(system: DiscreteSystem, x0, u: ControlSignal) -> Trajectory:
-    """Propagate x0 under the control u, whose clock is the run's clock.
+# Rows per block of a run: the block size of the rate products, and the most
+# rows heat's sine transform takes in one call
+BLOCK_ROWS = 64
 
-    A free run passes the zero control on the clock it wants; the returned
-    trajectory carries it like any other. The steps run in the basis of the
-    model's step route: x0 and B are mapped in once, and the states back
-    in place.
-    """
+
+def _start(system: DiscreteSystem, x0, u: ControlSignal):
+    # what the loop starts from: x0 as a state, x0 and B in the step basis, basis, step
     if u.m_inputs != system.m_inputs:
-        raise SignalError(
-            f"control has {u.m_inputs} channels, system expects {system.m_inputs}"
-        )
-    n = system.n
-    x0v = as_state(x0, n)
-    b = system.b_matrix
-    out_dtype = np.result_type(x0v.dtype, u.values.dtype, b.dtype,
-                               system.a_bands.dtype, float)
-    basis, step = _make_step(system, u.dt, out_dtype)
-    states = np.zeros((u.values.shape[0], n), dtype=out_dtype)
-    states[0] = x0v
+        raise SignalError(f"control has {u.m_inputs} channels, system expects {system.m_inputs}")
+    x0v, b = as_state(x0, system.n), system.b_matrix
+    x = x0v.astype(np.result_type(x0v, u.values, b, system.a_bands, float))
+    basis, step = _make_step(system, u.dt, x.dtype)
     if basis is not None:
-        basis(states[0])
+        basis(x)
         b = basis(b.T.copy()).T
-    # B u_k per step, no (K+1) x n array; a np.dot call costs a quarter of @
-    half = 0.5 * u.dt
-    bu = np.dot(b, u.values[0])
-    for k in range(u.values.shape[0] - 1):
-        bu_next = np.dot(b, u.values[k + 1])
-        states[k + 1] = step(states[k] + half * bu) + half * bu_next
-        bu = bu_next
-    if basis is not None:
-        basis(states)
-        states[0] = x0v  # not its round trip through the basis
+    return x0v, x, b, basis, step
+
+
+def _blocks(x0v, x, b, basis, step, u: ControlSignal, out):
+    # the loop of run_blocks; with out, each block is its rows of out
+    rows, work = u.values.shape[0], np.empty_like(x)
+    # hb[1 + k] = (dt/2) B u at row k of the block, hb[0] at the row before it
+    hb = np.zeros((min(rows, BLOCK_ROWS) + 1, x.size), dtype=np.result_type(u.values, b))
+    for start in range(0, rows, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, rows)
+        hb[0] = hb[-1]  # a block that has a successor is full
+        bu = np.matmul(u.values[start:stop], b.T, out=hb[1:stop - start + 1])
+        bu *= 0.5 * u.dt
+        block = np.empty((stop - start, x.size), x.dtype) if out is None else out[start:stop]
+        if start == 0:
+            block[0] = x
+        for k in range(1 if start == 0 else 0, stop - start):
+            # x_{k+1} = P (x_k + (dt/2) B u_k) + (dt/2) B u_{k+1}
+            x = np.add(step(np.add(x, hb[k], out=work)), hb[k + 1], out=block[k])
+        if basis is not None:
+            x = x.copy()  # the next block steps on from the last row in the basis
+            basis(block)
+            if start == 0:
+                block[0] = x0v  # not its round trip through the basis
+        yield block
+
+
+def run_blocks(system: DiscreteSystem, x0, u: ControlSignal):
+    """The states x(t_k), k = 0..K, of x0 under the control u, whose clock is
+    the run's clock: an iterator over consecutive fresh blocks of at most
+    BLOCK_ROWS rows from row 0, in the nodal basis. The only stepping loop;
+    a bad state or control is refused at the call.
+
+    The loop runs in the basis of the model's step route: x0 and B are mapped
+    in once, and each block back in place before it is handed out. (dt/2) B u
+    is formed by one product per block. A consumer that keeps a row or column
+    past its block copies it, or the whole block stays alive.
+    """
+    return _blocks(*_start(system, x0, u), u, None)
+
+
+def mild_solution(system: DiscreteSystem, x0, u: ControlSignal) -> Trajectory:
+    """The run of x0 under the control u with every state: run_blocks' loop
+    steps into one (K+1) x n array, allocated once the step is built. The
+    package's own consumers read the blocks instead."""
+    start = _start(system, x0, u)
+    states = np.empty((u.values.shape[0], system.n), dtype=start[1].dtype)
+    for _ in _blocks(*start, u, states):
+        pass
     return Trajectory(states=states, control=u)
 
 
-def output_signal(system: DiscreteSystem, traj: Trajectory) -> np.ndarray:
-    """Collocated output y = B^* x, taken in the weighted inner product,
-    as a (K+1) x m array with one row per time sample."""
-    wb = system.weights[:, None] * system.b_matrix
-    return traj.states @ np.conj(wb)
+def output_signal(system: DiscreteSystem, states: np.ndarray) -> np.ndarray:
+    """Collocated output y = B^* x, taken in the weighted inner product, of
+    every row x of states, as an array with one row of m outputs per state.
+
+    One input goes through BLAS gemv for any number of rows: numpy's @ takes
+    gemv too, but a dot product, which sums in another order, for one row."""
+    wb = np.conj(system.weights[:, None] * system.b_matrix)
+    if wb.shape[1] != 1:
+        return states @ wb
+    gemv = sla.get_blas_funcs("gemv", (states, wb))
+    return gemv(1.0, states.T, wb[:, 0], trans=1)[:, None]
 
 
 @dataclass(eq=False)
@@ -289,7 +327,7 @@ class BoundaryTraceReport:
 def boundary_trace(system: DiscreteSystem, x0, u: ControlSignal) -> BoundaryTraceReport:
     """Outflow trace t -> x(t, 0) for transport, computed two ways.
 
-    Route one reads node 0 off the stepped mild solution. Route two
+    Route one reads node 0 off the blocks of the stepped run. Route two
     evaluates the closed-form trace: the initial profile sampled at w = t
     while t < 1, plus the integral of (B u(s))(t - s) over the window
     s in (max(t-1, 0), t]. Points whose spatial argument has reached the
@@ -299,8 +337,8 @@ def boundary_trace(system: DiscreteSystem, x0, u: ControlSignal) -> BoundaryTrac
     if system.model_tag != "transport":
         raise ValueError("boundary trace is defined for the transport model only")
     x0v = as_state(x0, system.n)
-    traj = mild_solution(system, x0v, u)
-    from_traj = traj.states[:, 0]
+    # a copy of each column, so that no block outlives its turn
+    from_traj = np.concatenate([block[:, 0].copy() for block in run_blocks(system, x0v, u)])
     n, h = system.n, system.grid.h
     dt = u.dt
     q = _shift_indices(dt, h)

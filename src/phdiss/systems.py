@@ -52,7 +52,7 @@ class DiscreteSystem:
     b_matrix : np.ndarray
         Input map, shape (n, m). m may be 0 for autonomous runs.
     model_tag : str
-        "custom", or the MODELS key its assembler sets; model is its registry row.
+        Read-only: "custom", or the MODELS key its assembler sets; model is its row.
     f_bands : np.ndarray
         The bands of F = -Herm(W A) out to its own half-bandwidth, PSD: the rate is x^H F x.
         The constructor forms them, raising AssemblyError for bad bands or B or
@@ -70,7 +70,7 @@ class DiscreteSystem:
     grid: Grid
     a_bands: np.ndarray
     b_matrix: np.ndarray
-    model_tag: str = field(default="custom", init=False)
+    _tag: str = field(default="custom", init=False)
     f_bands: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -104,6 +104,7 @@ class DiscreteSystem:
         """Trapezoid weights, the diagonal of W."""
         return self.grid.weights
 
+    model_tag = property(lambda self: self._tag)  # read-only: only _named writes _tag
     @property
     def model(self) -> Model:
         """The registry row of model_tag; CUSTOM for a custom system."""
@@ -237,7 +238,7 @@ def _input_matrix(grid: Grid, input_profile) -> np.ndarray:
 
 
 def _named(model_tag: str, system: DiscreteSystem) -> DiscreteSystem:
-    system.model_tag = model_tag  # the one place a tag, and so its step route, is set
+    system._tag = model_tag  # the one place a tag, and so its step route, is set
     return system
 
 

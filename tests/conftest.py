@@ -26,9 +26,14 @@ def random_state(n: int, seed: int, complex_values: bool = False) -> np.ndarray:
     return v
 
 
+def free_control(system, t_final: float, dt: float):
+    """The zero control of the system on the clock of t_final and dt."""
+    return control_signal("zero", t_final, dt, m=system.m_inputs)
+
+
 def free_run(system, x0, t_final: float, dt: float):
     """The uncontrolled run of x0: mild_solution under the zero control."""
-    return mild_solution(system, x0, control_signal("zero", t_final, dt, m=system.m_inputs))
+    return mild_solution(system, x0, free_control(system, t_final, dt))
 
 
 def custom_complex_system(n: int = 21, seed: int = 5):

@@ -14,12 +14,12 @@ import pytest
 
 from phdiss import (assemble_model, closability_probe, control_signal,
                     dissipation_rate, energy_audit, form_r, make_uniform_grid,
-                    mild_solution, q_identity_residual, rt_bound_check)
+                    q_identity_residual, rt_bound_check)
 from phdiss.probes import VERDICT_NON_CLOSABLE, VERDICT_PREMISE
 from phdiss.semigroup import ControlSignal, output_signal
 from phdiss.systems import graph_gram, graph_norm
 
-from conftest import apply_m_sqrt, free_run
+from conftest import apply_m_sqrt, free_control, free_run
 
 MODELS = ("transport", "heat", "skew_damped")
 SIZES = (101, 201, 401)
@@ -106,14 +106,12 @@ def test_criterion_03_rank_one_sqrt():
 def test_criterion_04_energy_balance():
     g = make_uniform_grid(201)
     sys = assemble_model("transport", g)
-    traj = free_run(sys, np.ones(201), 1.0, g.h)
-    led = energy_audit(sys, traj)
+    led = energy_audit(sys, np.ones(201), free_control(sys, 1.0, g.h))
     ok_t = abs(led.dissipated_total - 0.5) < 1e-3 and abs(led.residual) < 1e-3
 
     gh = make_uniform_grid(101)
     heat = assemble_model("heat", gh)
-    trajh = free_run(heat, np.sin(np.pi * gh.nodes), 0.2, 1e-3)
-    ledh = energy_audit(heat, trajh)
+    ledh = energy_audit(heat, np.sin(np.pi * gh.nodes), free_control(heat, 0.2, 1e-3))
     ok_h = abs(ledh.residual) < 1e-6
     _report("4 energy balance", ok_t and ok_h,
             f"transport dissipated {led.dissipated_total:.6f}, residual "
@@ -128,7 +126,7 @@ def test_criterion_05_dissipation_bound():
         sys = assemble_model(model, g)
         for _ in range(50):
             x0, u = _sweep_draw(model, g, rng)
-            led = energy_audit(sys, mild_solution(sys, x0, u))
+            led = energy_audit(sys, x0, u)
             rep = rt_bound_check(sys, led)
             min_slack = min(min_slack, rep.slack)
     sweep_ok = min_slack >= -1e-8
@@ -136,7 +134,7 @@ def test_criterion_05_dissipation_bound():
     g = make_uniform_grid(201)
     sys = assemble_model("transport", g)
     x0, u = np.ones(201), control_signal("zero", 1.0, g.h)
-    rep = rt_bound_check(sys, energy_audit(sys, mild_solution(sys, x0, u)))
+    rep = rt_bound_check(sys, energy_audit(sys, x0, u))
     near_ok = rep.slack < 1e-3 and abs(rep.lhs - 1.0 / np.sqrt(2.0)) <= 1e-3
     _report("5 dissipation bound", sweep_ok and near_ok,
             f"sweep min slack {min_slack:+.3e}; near-equality slack "
@@ -204,7 +202,7 @@ def test_criterion_09_output_adjoint(systems101):
             x = rng.standard_normal(sys.n)
             u0 = rng.standard_normal(sys.m_inputs)
             traj = free_run(sys, x, 0.02, 0.02)
-            y0 = output_signal(sys, traj)[0]
+            y0 = output_signal(sys, traj.states)[0]
             lhs = np.conj(x) @ (sys.weights * (sys.b_matrix @ u0))
             rhs = np.conj(y0) @ u0
             worst = max(worst, abs(lhs - rhs))

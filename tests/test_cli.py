@@ -188,7 +188,9 @@ def test_refused_allocation_is_a_usage_error(capsys, tmp_path, monkeypatch):
         raise MemoryError("Unable to allocate 2.98 GiB for an array with shape "
                           "(199901, 2000) and data type float64")
 
-    monkeypatch.setattr(phdiss.runner, "mild_solution", refused)
+    # the stepping loop, reached through the audit or a bare simulate
+    monkeypatch.setattr(phdiss.runner, "run_blocks", refused)
+    monkeypatch.setattr(phdiss.dissipation, "run_blocks", refused)
     cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path / "out"))
     assert main(["run", cfg]) == 2
     assert capsys.readouterr().err == (
@@ -444,8 +446,8 @@ def test_verify_paper_fails_on_a_one_percent_drift_at_n3(monkeypatch):
     # the full-exit and rate rows hold at round-off on the smallest grid too
     audit, rate = phdiss.verify.energy_audit, phdiss.verify.dissipation_rate
 
-    def drifted_audit(system, traj):
-        ledger = audit(system, traj)
+    def drifted_audit(system, x0, u):
+        ledger = audit(system, x0, u)
         return dataclasses.replace(ledger, dissipated=1.01 * ledger.dissipated)
 
     monkeypatch.setattr(phdiss.verify, "energy_audit", drifted_audit)
@@ -518,7 +520,7 @@ out_dir = {out}
                                   ("rt_bound", False)):
         out = tmp_path / tasks.replace(", ", "_")
         cfg = parse_config_text(text.format(tasks=tasks, out=out))
-        sims = _count_calls(monkeypatch, "mild_solution", phdiss.runner)
+        sims = _count_calls(monkeypatch, "run_blocks", phdiss.runner, phdiss.dissipation)
         audits = _count_calls(monkeypatch, "energy_audit", phdiss.runner,
                               phdiss.dissipation)
         res = phdiss.runner.run_config(cfg)
@@ -531,7 +533,7 @@ out_dir = {out}
         system = assemble_model(cfg.model, grid)
         x0 = initial_state(grid, cfg.x0_preset)
         u = control_signal(cfg.u_preset, cfg.t_final, grid.h, m=system.m_inputs)
-        led = energy_audit(system, mild_solution(system, x0, u))
+        led = energy_audit(system, x0, u)
         rep = rt_bound_check(system, led)
         assert res.summary["rt_bound"] == {
             "lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack,
@@ -560,8 +562,8 @@ out_dir = {tmp_path}
     x0 = initial_state(grid, cfg.x0_preset)
     u = control_signal(cfg.u_preset, cfg.t_final, grid.h, m=system.m_inputs)
     traj = mild_solution(system, x0, u)
-    led = energy_audit(system, traj)
-    y = output_signal(system, traj)
+    led = energy_audit(system, x0, u)
+    y = output_signal(system, traj.states)
     np.testing.assert_array_equal(led.supply_rate,
                                   np.sum(np.real(u.values * np.conj(y)), axis=1))
     assert led.supplied_total == pytest.approx(0.06195634323214575, rel=1e-12)
@@ -630,6 +632,40 @@ out_dir = {{out}}
         tracemalloc.stop()
     assert res.status == 0 and res.summary["simulate"]["steps"] == 40
     assert peak < 8 * 801**2
+
+
+@pytest.mark.parametrize("tasks", ["simulate, audit, rt_bound", "simulate"])
+@pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
+def test_long_run_holds_no_trajectory(tmp_path, monkeypatch, capsys, model, tasks):
+    # n = 401, K = 3200: the run's states would take 10.3 MB, but it steps
+    # once, in blocks of 64 states, through the audit when a task reads the
+    # ledger and bare for simulate alone, and keeps per-sample scalars and
+    # the final state (0.7-1.6 MB measured)
+    text = f"""\
+model = {model}
+n_grid = 401
+t_final = 8
+x0_preset = sine:1
+u_preset = ramp:0.5
+tasks = {tasks}
+out_dir = {{out}}
+"""
+    warm = text.format(out=tmp_path / "warm").replace("t_final = 8", "t_final = 0.01")
+    assert main(["run", _write_config(tmp_path, warm)]) == 0  # lazy imports, caches
+    cfg = _write_config(tmp_path, text.format(out=tmp_path / "run"))
+    loops = _count_calls(monkeypatch, "run_blocks", phdiss.runner, phdiss.dissipation)
+    audits = _count_calls(monkeypatch, "energy_audit", phdiss.runner)
+    tracemalloc.start()
+    try:
+        status = main(["run", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and "status 0" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["simulate"]["steps"] == 3200
+    assert len(loops) == 1 and len(audits) == (1 if "audit" in tasks else 0)
+    assert peak <= 3201 * 401 * 8 / 5
 
 
 @pytest.mark.parametrize("model", ["transport", "skew_damped"])

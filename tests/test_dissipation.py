@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import phdiss.systems
 from phdiss import (assemble_custom, assemble_model, control_signal,
                     dissipation_rate, energy_audit, form_r, make_uniform_grid,
-                    mild_solution, q_identity_residual, rt_bound_check)
+                    q_identity_residual, rt_bound_check)
 from phdiss.dissipation import (_q_identity_rows, cumulative_parabolic,
                                 cumulative_trapezoid)
 from phdiss.grids import norm_sq
@@ -17,8 +17,8 @@ from phdiss.systems import (AssemblyError, DiscreteSystem, _probe_solve, assembl
                             assemble_skew_damped, assemble_transport, form_bands,
                             graph_gram, graph_norm)
 
-from conftest import (MODELS, custom_complex_system, dense_form, free_run,
-                      periodic_bands, random_state)
+from conftest import (MODELS, custom_complex_system, dense_form, free_control,
+                      free_run, periodic_bands, random_state)
 
 
 @settings(max_examples=25, deadline=None)
@@ -184,8 +184,7 @@ def test_cumulative_edge_sizes():
 
 def test_audit_zero_run_all_zero(systems101):
     sys = systems101["transport"]
-    traj = free_run(sys, np.zeros(101), 0.1, sys.grid.h)
-    led = energy_audit(sys, traj)
+    led = energy_audit(sys, np.zeros(101), free_control(sys, 0.1, sys.grid.h))
     for col in (led.hamiltonian, led.supply_rate, led.dissipation_rate,
                 led.supplied, led.dissipated, led.residuals):
         np.testing.assert_array_equal(col, 0.0)
@@ -194,8 +193,7 @@ def test_audit_zero_run_all_zero(systems101):
 def test_ledger_residual_telescopes(systems101):
     sys = systems101["heat"]
     x0 = np.sin(np.pi * sys.grid.nodes)
-    traj = free_run(sys, x0, 0.1, 1e-3)
-    led = energy_audit(sys, traj)
+    led = energy_audit(sys, x0, free_control(sys, 0.1, 1e-3))
     recon = led.hamiltonian - led.hamiltonian[0] - led.supplied + led.dissipated
     np.testing.assert_allclose(led.residuals, recon, atol=1e-15)
     assert led.residual == led.residuals[-1]
@@ -211,8 +209,7 @@ def test_dissipated_monotone_on_classical_runs(model, x0_name, dt,
     sys = systems101[model]
     g = sys.grid
     x0 = np.sinh(1.0 - g.nodes) if x0_name == "sinh" else np.sin(np.pi * g.nodes)
-    traj = free_run(sys, x0, 0.2, dt or g.h)
-    led = energy_audit(sys, traj)
+    led = energy_audit(sys, x0, free_control(sys, 0.2, dt or g.h))
     assert np.all(np.diff(led.dissipated) >= -1e-12)
 
 
@@ -227,10 +224,11 @@ def test_audit_rate_matches_form_r(model, systems101):
     else:
         sys = systems101[model]
         dt = 1e-3 if model == "heat" else sys.grid.h
-        traj = free_run(sys, random_state(101, 3), 250 * dt, dt)
+        x0 = random_state(101, 3)
+        traj = free_run(sys, x0, 250 * dt, dt)
     states = traj.states
     assert states.shape[0] > sys.n and states.shape[0] % sys.n != 0
-    rate = energy_audit(sys, traj).dissipation_rate
+    rate = energy_audit(sys, x0, traj.control).dissipation_rate
     ref = np.array([form_r(sys, x) for x in states])
     np.testing.assert_allclose(rate, ref, rtol=1e-12, atol=1e-14 * ref.max())
     if model == "transport":
@@ -332,7 +330,7 @@ def test_complex_input_map_audits_like_real(assemble):
     ledgers = []
     for profile in (b, 1j * b):
         sys = assemble(g, input_profile=profile)
-        ledgers.append(energy_audit(sys, mild_solution(sys, x0, u)))
+        ledgers.append(energy_audit(sys, x0, u))
     real, cplx = ledgers
     assert real.supplied_total > 0.0
     assert cplx.supplied_total == pytest.approx(real.supplied_total, rel=1e-12)
@@ -349,7 +347,7 @@ def test_rt_bound_zero_data(systems101):
     sys = systems101["transport"]
     u = control_signal("zero", 0.5, sys.grid.h)
     x0 = np.zeros(101)
-    led = energy_audit(sys, mild_solution(sys, x0, u))
+    led = energy_audit(sys, x0, u)
     rep = rt_bound_check(sys, led)
     assert rep.ok
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
@@ -359,7 +357,7 @@ def test_rt_bound_reports_norms(systems101):
     sys = systems101["transport"]
     u = control_signal("const:1.0", 0.5, sys.grid.h)
     x0 = np.ones(101)
-    led = energy_audit(sys, mild_solution(sys, x0, u))
+    led = energy_audit(sys, x0, u)
     rep = rt_bound_check(sys, led)
     assert rep.x0_norm == pytest.approx(1.0, abs=1e-12)
     assert rep.u_norm == pytest.approx(np.sqrt(0.5), rel=1e-10)
@@ -375,8 +373,7 @@ def test_residual_second_order_envelope():
     x0 = np.sin(np.pi * sys.grid.nodes)
     res = []
     for dt in (4e-3, 2e-3, 1e-3):
-        traj = free_run(sys, x0, 0.2, dt)
-        res.append(abs(energy_audit(sys, traj).residual))
+        res.append(abs(energy_audit(sys, x0, free_control(sys, 0.2, dt)).residual))
     orders = [np.log2(res[i] / res[i + 1]) for i in range(2)]
     assert all(o >= 1.9 for o in orders)
 
@@ -384,8 +381,7 @@ def test_residual_second_order_envelope():
     x0_t = np.sinh(1.0 - sys_t.grid.nodes)
     for q in (4, 2, 1):
         dt = q * sys_t.grid.h
-        traj = free_run(sys_t, x0_t, 0.5, dt)
-        assert abs(energy_audit(sys_t, traj).residual) <= 0.5 * dt**2
+        assert abs(energy_audit(sys_t, x0_t, free_control(sys_t, 0.5, dt)).residual) <= 0.5 * dt**2
 
 
 def test_transport_rate_or_graph_functions_exact():

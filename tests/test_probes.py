@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phdiss import (assemble_model, closability_probe, form_r,
+from phdiss import (GridError, assemble_model, closability_probe, form_r,
                     make_uniform_grid, refinement_study)
 from phdiss.probes import (VERDICT_CLOSABLE, VERDICT_NON_CLOSABLE,
                            VERDICT_PREMISE, probe_states)
@@ -19,6 +19,20 @@ def test_probe_state_families(grid101):
     custom = probe_states("ignored", grid101, 2,
                           custom=lambda n, w: n * np.ones_like(w))
     np.testing.assert_array_equal(custom[1], 2.0 * np.ones(101))
+    assert states.shape == (3, 101) and custom.shape == (2, 101)
+
+
+def test_custom_probe_rows_are_states(grid101):
+    # every row passes as_state; the array takes the first row's type, so
+    # integer rows become float and a complex row after a real one is refused
+    ints = probe_states("power", grid101, 2, custom=lambda n, w: np.full(w.size, n))
+    assert ints.dtype == float and ints[1, 0] == 2.0
+    with pytest.raises(GridError, match="non-finite"):
+        probe_states("power", grid101, 3, custom=lambda n, w: w if n < 3 else w * np.nan)
+    with pytest.raises(GridError, match="expected 101 samples"):
+        probe_states("power", grid101, 2, custom=lambda n, w: w[:-n])
+    with pytest.raises(TypeError, match="same_kind"):
+        probe_states("power", grid101, 2, custom=lambda n, w: w * (1j if n == 2 else 1))
 
 
 def test_unknown_sequence_rejected(grid101):
@@ -107,8 +121,10 @@ def _offset(n, w):
 @pytest.mark.parametrize("sequence", ["power", "scaled_sine", "offset"])
 def test_stacked_probe_matches_form_r(model, sequence):
     # n_max = 101 on 801 nodes has 5,050 differences (32.4 MB of float64); the
-    # probe holds the sampled states, at most n_max - 1 differences and the
-    # rate products' work arrays of 64 rows at a time
+    # probe holds the sampled states once, at most n_max - 1 differences and
+    # the rate products' work arrays of 64 rows at a time (measured: 340 to
+    # 414 rows of n floats at n_max = 101); sampling holds one array and the
+    # temporaries of the row being sampled
     custom = _offset if sequence == "offset" else None
     for n, n_max in ((201, 12), (801, 101)):
         sys = assemble_model(model, make_uniform_grid(n))
@@ -119,8 +135,14 @@ def test_stacked_probe_matches_form_r(model, sequence):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n * (3 * n_max + 4 * 64)
-        states = probe_states(sequence, sys.grid, n_max, custom=custom)
+        assert peak <= 8 * n * (2 * n_max + 4 * 64)
+        tracemalloc.start()
+        try:
+            states = probe_states(sequence, sys.grid, n_max, custom=custom)
+            sampled = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sampled <= 8 * n * (n_max + 4) and states.shape == (n_max, n)
         r_loop = np.array([form_r(sys, x) for x in states])
         pair_loop = np.zeros(n_max)
         for i in range(n_max - 1):

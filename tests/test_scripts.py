@@ -4,6 +4,7 @@ benchmarks/checks.py parses."""
 import csv
 import importlib.util
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,22 @@ def test_transport_energy_audit_script(tmp_path, capsys):
     # the ledger holds the printed total, which is rounded to 10 decimals
     assert float(rows[-1]["dissipated_cum"]) == pytest.approx(
         float(free.group(1)), abs=1e-10)
+
+
+def test_transport_energy_audit_script_holds_no_trajectory(tmp_path, capsys):
+    # n = 401, t_final = 8: each of the two audits steps its 3,201 states in
+    # blocks of 64 and keeps its ledger, not the 10.3 MB of stacked states
+    # (1.4 MB measured)
+    main = _main("transport_energy_audit.py")
+    assert main(["--n-grid", "21", "--out", str(tmp_path)]) == 0  # lazy imports
+    tracemalloc.start()
+    try:
+        status = main(["--n-grid", "401", "--t-final", "8", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and "(ok)" in capsys.readouterr().out
+    assert peak <= 3201 * 401 * 8 / 5
 
 
 @pytest.mark.parametrize("model, sequence, verdict", [

@@ -12,12 +12,13 @@ import phdiss.presets
 import phdiss.semigroup
 from phdiss import (assemble_model, control_signal, energy_audit,
                     make_uniform_grid, mild_solution, rt_bound_check)
-from phdiss.systems import assemble_custom, assemble_heat, assemble_transport
+from phdiss.systems import (assemble_custom, assemble_heat, assemble_skew_damped,
+                            assemble_transport)
 from phdiss.semigroup import (_THETA, AlignmentError, ControlSignal, SignalError,
-                              _band_step, _dense_propagator, boundary_trace,
-                              output_signal)
+                              _band_step, _dense_propagator, _make_step, boundary_trace,
+                              output_signal, run_blocks)
 
-from conftest import MODELS, free_run, random_state
+from conftest import MODELS, custom_complex_system, free_run, random_state
 
 
 def _shift_oracle(vals, k, n):
@@ -160,23 +161,28 @@ def test_mild_solution_matches_naive_stepping():
         np.testing.assert_allclose(traj.states[k + 1], x, atol=1e-11)
 
 
+# the trajectory of a run at n = 401, K = 3200: 10.3 MB of float64
+TRAJECTORY_BYTES = 3201 * 401 * 8
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_audited_run_holds_one_trajectory(model):
-    # n = 401, K = 3200: the states take 10.3 MB, and stepping and auditing
-    # them may add one n x n block of rates and skew_damped's 39 propagator
-    # bands with their work arrays, but no n x n propagator and no second
-    # (K+1) x n array
+    # n = 401, K = 3200: the audit steps the run itself in blocks of 64
+    # states and keeps per-sample scalars, so it peaks at a fifth of the
+    # 10.3 MB the stacked states would take (1.1-1.6 MB measured): no
+    # (K+1) x n array, no n x n propagator
     sys = assemble_model(model, make_uniform_grid(401))
     u = control_signal("ramp:0.5", 8.0, sys.grid.h)
     x0 = np.sin(np.pi * sys.grid.nodes)
+    energy_audit(sys, x0, control_signal("zero", 0.1, sys.grid.h))  # lazy imports
     tracemalloc.start()
     try:
-        energy_audit(sys, mild_solution(sys, x0, u))
+        energy_audit(sys, x0, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert u.values.shape[0] == 3201
-    assert peak <= 3201 * 401 * 8 + 8 * 401**2 + 4 * 39 * 401 * 8
+    assert peak <= TRAJECTORY_BYTES / 5
 
 
 def _dense_steps(system, x0, u):
@@ -188,6 +194,80 @@ def _dense_steps(system, x0, u):
     for k in range(bu.shape[0] - 1):
         states[k + 1] = p @ (states[k] + 0.5 * u.dt * bu[k]) + 0.5 * u.dt * bu[k + 1]
     return states
+
+
+def _step_by_step(system, x0, u):
+    """The stepping loop as it was before run_blocks: B u_k formed one step
+    at a time by np.dot, every state written into one stack, and the stack
+    mapped back from the step basis at the end."""
+    x0v = np.asarray(x0)
+    b = system.b_matrix
+    out_dtype = np.result_type(x0v.dtype, u.values.dtype, b.dtype,
+                               system.a_bands.dtype, float)
+    basis, step = _make_step(system, u.dt, out_dtype)
+    states = np.zeros((u.values.shape[0], system.n), dtype=out_dtype)
+    states[0] = x0v
+    if basis is not None:
+        basis(states[0])
+        b = basis(b.T.copy()).T
+    half = 0.5 * u.dt
+    bu = np.dot(b, u.values[0])
+    for k in range(u.values.shape[0] - 1):
+        bu_next = np.dot(b, u.values[k + 1])
+        states[k + 1] = step(states[k] + half * bu) + half * bu_next
+        bu = bu_next
+    if basis is not None:
+        basis(states)
+        states[0] = x0v
+    return states
+
+
+def _route_system(route, m):
+    # a system on each step route with m input columns; n = 41 lets
+    # skew_damped's degree-19 band step (39 bands) undercut a dense one
+    g = make_uniform_grid(21 if route == "dense" else 41)
+    b = np.cos(np.outer(g.nodes, np.arange(1, m + 1))) + g.nodes[:, None]
+    if route == "dense":
+        return assemble_custom(g, custom_complex_system(21).a_matrix, b_matrix=b)
+    assemble = {"shift": assemble_transport, "sine": assemble_heat,
+                "band": assemble_skew_damped}[route]
+    return assemble(g, input_profile=b)
+
+
+@pytest.mark.parametrize("rows", [2, 63, 64, 65, 129, 3201])
+@pytest.mark.parametrize("route", ["shift", "sine", "band", "dense"])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_blocks_match_the_step_by_step_loop(rows, route, m):
+    # block edges fall inside, at and just past a block of 64 rows; B u is
+    # one product per block, which at m = 1 is the same single product per
+    # entry as np.dot, and at m = 2 may round its two terms in another order:
+    # an ulp per step, which the steps carry along and which add up like a
+    # random walk, so within 1e-15 sqrt(K + 1) of the largest state
+    sys = _route_system(route, m)
+    dt = sys.grid.h
+    if route == "band":
+        assert _band_step(sys.a_bands, dt, float) is not None
+    if route == "dense":
+        assert _band_step(sys.a_bands, dt, complex) is None
+    rng = np.random.default_rng(rows + 7 * m)
+    u = ControlSignal((rows - 1) * dt, rng.standard_normal((rows, m)))
+    for x0 in (random_state(sys.n, rows), random_state(sys.n, rows, complex_values=True)):
+        want = _step_by_step(sys, x0, u)
+        blocks = list(run_blocks(sys, x0, u))
+        assert [len(b) for b in blocks] == [min(64, rows - s) for s in range(0, rows, 64)]
+        got = np.concatenate(blocks)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(mild_solution(sys, x0, u).states, got)
+        if m <= 1:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-15 * math.sqrt(rows) * np.abs(want).max()
+
+
+def test_run_blocks_refuses_a_bad_run_at_the_call():
+    sys = assemble_model("heat", make_uniform_grid(21))
+    with pytest.raises(SignalError, match="channels"):
+        run_blocks(sys, np.zeros(21), control_signal("zero", 0.1, 0.01, m=2))
 
 
 def _count_dense_propagators(monkeypatch):
@@ -417,10 +497,11 @@ def test_raw_samples_run_on_zero_to_t_final():
     sys = assemble_model("heat", make_uniform_grid(41))
     rng = np.random.default_rng(5)
     u = ControlSignal(0.5, rng.standard_normal(21))
-    traj = mild_solution(sys, np.sin(np.pi * sys.grid.nodes), u)
+    x0 = np.sin(np.pi * sys.grid.nodes)
+    traj = mild_solution(sys, x0, u)
     np.testing.assert_array_equal(traj.times, np.linspace(0.0, 0.5, 21))
     assert traj.dt == 0.5 / 20
-    assert rt_bound_check(sys, energy_audit(sys, traj)).t_final == 0.5
+    assert rt_bound_check(sys, energy_audit(sys, x0, u)).t_final == 0.5
 
 
 def test_control_is_its_horizon_and_samples():
@@ -447,10 +528,27 @@ def test_output_is_weighted_adjoint(systems101, seed, model):
     x = rng.standard_normal(sys.n)
     u0 = rng.standard_normal(sys.m_inputs)
     traj = free_run(sys, x, 0.02, 0.02)
-    y0 = output_signal(sys, traj)[0]
+    y0 = output_signal(sys, traj.states)[0]
     lhs = np.conj(x) @ (sys.weights * (sys.b_matrix @ u0))
     rhs = np.conj(y0) @ u0
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_output_of_a_block_is_its_rows_of_the_stack(model):
+    # K + 1 = 65 leaves a last block of one row; y = B^* x takes gemv on it
+    # as on a stack of rows, so the audit's supply has the bits of a product
+    # over more rows (numpy's @ on one row takes a dot product, which moves
+    # an ulp here)
+    sys = assemble_model(model, make_uniform_grid(201))
+    u = control_signal("ramp:0.7", 64 * sys.grid.h, sys.grid.h)
+    x0 = np.sin(np.pi * sys.grid.nodes)
+    states = mild_solution(sys, x0, u).states
+    np.testing.assert_array_equal(output_signal(sys, states[64:]),
+                                  output_signal(sys, states[60:])[-1:])
+    y = np.concatenate([output_signal(sys, states[:64]), output_signal(sys, states[64:])])
+    supply = np.sum(np.real(u.values * np.conj(y)), axis=1)
+    np.testing.assert_array_equal(energy_audit(sys, x0, u).supply_rate, supply)
 
 
 def test_output_adjoint_complex_states(grid101):
@@ -460,7 +558,7 @@ def test_output_adjoint_complex_states(grid101):
                             b_matrix=rng.standard_normal((n, 2)))
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     traj = free_run(sys_c, x, 0.02, 0.02)
-    y0 = output_signal(sys_c, traj)[0]
+    y0 = output_signal(sys_c, traj.states)[0]
     u0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     lhs = np.conj(x) @ (sys_c.weights * (sys_c.b_matrix @ u0))
     rhs = np.conj(y0) @ u0
@@ -487,6 +585,23 @@ def test_boundary_trace_complex_input_map():
     assert np.max(np.abs(real.from_formula)) > 0.1
     np.testing.assert_allclose(cplx.from_formula, 1j * real.from_formula,
                                rtol=0, atol=1e-14)
+
+
+def test_boundary_trace_holds_no_trajectory():
+    # n = 401, K = 3200: route one keeps a copy of node 0 from each block of
+    # states, not the 10.3 MB of stacked states (0.66 MB measured)
+    sys = assemble_transport(make_uniform_grid(401))
+    x0 = np.sinh(1.0 - sys.grid.nodes)
+    u = control_signal("ramp:0.5", 8.0, sys.grid.h)
+    boundary_trace(sys, x0, control_signal("zero", 0.1, sys.grid.h))  # lazy imports
+    tracemalloc.start()
+    try:
+        rep = boundary_trace(sys, x0, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.from_trajectory.shape == (3201,) and rep.max_discrepancy <= 1e-10
+    assert peak <= TRAJECTORY_BYTES / 10
 
 
 def test_boundary_trace_transport_only(systems101):

@@ -655,6 +655,20 @@ def test_direct_system_takes_the_custom_step_route():
         DiscreteSystem(grid, skew.a_bands, skew.b_matrix, model_tag="heat")
 
 
+def test_model_tag_is_read_only():
+    # only an assembler names a system: a direct one cannot be renamed into
+    # heat's sine step route after it is built
+    grid = make_uniform_grid(101)
+    skew = assemble_model("skew_damped", grid)
+    direct = DiscreteSystem(grid, skew.a_bands, skew.b_matrix)
+    for system in (direct, skew):
+        with pytest.raises(AttributeError):
+            system.model_tag = "heat"
+    assert direct.model_tag == "custom" and direct.model.step == "expm"
+    assert skew.model_tag == "skew_damped"
+    assert "model_tag" not in {f.name for f in dataclasses.fields(DiscreteSystem)}
+
+
 def test_registry_row_is_assembler_and_step_route():
     assert [f.name for f in dataclasses.fields(systems.Model)] == ["assemble", "step"]
     assert {tag: row.step for tag, row in systems.MODELS.items()} == {
