@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import as_state, norm_sq
-from .semigroup import BLOCK_ROWS, ControlSignal, output_signal, run_blocks
+from .semigroup import BLOCK_ROWS, ControlSignal, _blocks, _outputs, _start
 from .systems import DiscreteSystem, _probe_solve, band_product
 
 
@@ -165,23 +165,24 @@ def _form_rates(f_bands: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def energy_audit(system: DiscreteSystem, x0, u: ControlSignal) -> EnergyLedger:
-    """Audit the run of x0 under the control u, stepped block by block
-    (semigroup.run_blocks): per-sample energies, rates and cumulative
-    integrals, and the final state, never the (K+1) x n states. The supplied
-    power Re<u(t), y(t)> integrates by trapezoid (exactly matched to the
-    stepping); the dissipated energy integrates the rate x^H F x by the
-    parabolic rule, which keeps the residual at quadrature level for smooth
-    classical runs. Raises FloatingPointError when H or either energy overflows.
-    """
-    ham, rate, supply = (np.empty(u.values.shape[0]) for _ in range(3))
+    """Audit the run of x0 under the control u, stepped block by block in its
+    step basis (semigroup._blocks), which W commutes with, and read there with
+    F and B: per-sample energies, rates and cumulative integrals, H(0) of x0
+    and x(T) at the nodes, never the (K+1) x n states. The supplied power
+    Re<u(t), y(t)> integrates by trapezoid (exactly matched to the stepping);
+    the dissipated energy integrates the rate x^H F x by the parabolic rule,
+    which keeps the residual at quadrature level for smooth classical runs.
+    Raises FloatingPointError when H or either energy overflows."""
+    x0v, basis, _, f, _, b = start = _start(system, x0, u)
+    w, ham, rate, supply = system.weights, *(np.empty(u.values.shape[0]) for _ in range(3))
     # an overflow is refused below by name, not warned about on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, block in zip(range(0, ham.size, BLOCK_ROWS), run_blocks(system, x0, u)):
-            rows = slice(start, start + block.shape[0])
-            ham[rows] = 0.5 * norm_sq(system.weights, block)
-            rate[rows] = _form_rates(system.f_bands, block)
-            y = output_signal(system, block)
-            supply[rows] = np.sum(np.real(u.values[rows] * np.conj(y)), axis=1)
+        for first, block in zip(range(0, ham.size, BLOCK_ROWS), _blocks(start, u)):
+            rows = slice(first, first + block.shape[0])
+            ham[rows] = 0.5 * norm_sq(w, block)
+            rate[rows] = _form_rates(f, block)
+            supply[rows] = np.sum(np.real(u.values[rows] * np.conj(_outputs(w, b, block))), axis=1)
+        ham[0] = 0.5 * norm_sq(w, x0v)
         supplied = cumulative_trapezoid(supply, u.dt)
         dissipated = cumulative_parabolic(rate, u.dt)
     for name, series in (("H", ham), ("supplied", supplied), ("dissipated", dissipated)):
@@ -191,7 +192,7 @@ def energy_audit(system: DiscreteSystem, x0, u: ControlSignal) -> EnergyLedger:
     return EnergyLedger(control=u, hamiltonian=ham,
                         supply_rate=supply, dissipation_rate=rate,
                         supplied=supplied, dissipated=dissipated,
-                        final_state=block[-1].copy())
+                        final_state=basis(block[-1].copy()))
 
 
 @dataclass(eq=False)

@@ -85,7 +85,8 @@ def sine_transform(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     whose transform is -2i times the unscaled sine sums; a complex x is
     transformed in its real and imaginary parts. The result goes to out,
     which may be x itself. All rows go through one rfft call, so its work
-    arrays grow with the rows: the stepping loop hands over 64 at most.
+    arrays grow with the rows: run_blocks maps 64 states at a time, and an
+    audit maps only x0, B and x(T).
     """
     x = np.asarray(x)
     if out is None:

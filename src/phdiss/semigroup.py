@@ -3,8 +3,9 @@ propagators, mild solutions with sampled controls, outputs, and trace
 diagnostics.
 
 A run is x0 and a control, whose clock is the run's clock; a free run carries
-the zero control. run_blocks steps it and hands its states out in blocks of
-BLOCK_ROWS rows; mild_solution stacks them into one Trajectory.
+the zero control. _blocks, the one stepping loop, hands its states out in
+blocks of BLOCK_ROWS rows in the step basis, where the audit reads them;
+run_blocks maps them to the nodes and mild_solution stacks them.
 
 Time stepping uses
     x_{k+1} = P x_k + (dt/2) (P B u_k + B u_{k+1}),    P = e^{dt A},
@@ -12,7 +13,7 @@ which telescopes to the trapezoid discretization of the convolution
 integral in the mild-solution formula. The residual of the energy balance
 along a classical trajectory is then O(dt^2). Each step route runs this
 recursion in its own basis: the nodal one for "shift" and "expm", heat's
-sine basis for "sine", where P is diagonal.
+sine basis for "sine", where P is diagonal. A step writes into its row.
 
 The "expm" route (skew_damped, custom systems) applies P ~ T_m(dt A / s)^s,
 a Taylor polynomial on the system's stored bands of A (Al-Mohy and Higham
@@ -114,14 +115,12 @@ def _shift_indices(t: float, h: float) -> int:
     return k
 
 
-def _shift_values(vals: np.ndarray, k: int, n: int) -> np.ndarray:
-    # the exact nodal shift [S(k h) x](w) = x(w + k h) while w + k h < 1,
-    # else 0, for k >= 1: a node keeps propagating only while its source
-    # index stays <= n-2; the last node is the outflow condition and never
-    # moves inward
-    out = np.zeros_like(vals)
-    if k <= n - 2:
-        out[: n - 1 - k] = vals[k : n - 1]
+def _shift_values(vals: np.ndarray, k: int, n: int, out: np.ndarray) -> np.ndarray:
+    # the exact nodal shift [S(k h) x](w) = x(w + k h) while w + k h < 1, else 0,
+    # for k >= 1, into out: a node keeps propagating only while its source index
+    # stays <= n-2; the last node is the outflow condition and never moves inward
+    kept = max(n - 1 - k, 0)
+    out[:kept], out[kept:] = vals[k:k + kept], 0
     return out
 
 
@@ -141,6 +140,29 @@ _THETA = {
 }
 
 
+def _taylor_poly(x: np.ndarray, m: int) -> np.ndarray:
+    """T_m(X) = sum_{j <= m} X^j / j! of the X of bands x, row p + m kd holding
+    band p, rounded as a new array per term would round it. X moves band p of
+    T to q + p by (X T)[i, i + q + p] = X[i, i + q] T[i + q, i + q + p], so
+    term j is written over term j - 1 kd rows higher, c bands at a time from
+    the top, whose sources no chunk above overwrote."""
+    kd, n = x.shape[0] // 2, x.shape[1]
+    w, c = m * kd, m * kd // 2 + 1
+    poly = np.zeros((2 * w + 1, n), dtype=x.dtype)
+    term = np.zeros((2 * w + 2 * kd + 1, n + 2 * kd), dtype=x.dtype)  # bands wrapped by kd a side
+    poly[w] = term[2 * kd] = 1.0
+    for j in range(1, m + 1):
+        o = (j + 1) * kd  # row p + o of term holds band p of term j - 1
+        for hi in range(j * kd, -j * kd - 1, -c):
+            lo = max(hi - c + 1, -j * kd)
+            new = term[lo + o + kd:hi + o + kd + 1]
+            np.divide(sum(x[q + kd] * term[lo - q + o:hi - q + o + 1, kd + q:kd + q + n]
+                          for q in range(-kd, kd + 1)), j, out=new[:, kd:n + kd])
+            new[:, :kd], new[:, n + kd:] = new[:, n:n + kd], new[:, kd:2 * kd]
+            poly[lo + w:hi + w + 1] += new[:, kd:n + kd]
+    return poly
+
+
 def _band_step(a_bands: np.ndarray, dt: float, dtype):
     """The band route's step v -> T_m(dt A / s)^s v for states of the given
     dtype, T_m the degree-m Taylor polynomial, or None when it would cost as
@@ -149,7 +171,7 @@ def _band_step(a_bands: np.ndarray, dt: float, dtype):
     (m, s) minimizes m s subject to ||dt A||_1 / s <= theta_m. T_m has
     2 m kd + 1 periodic bands, like A's 2 kd + 1 a_bands, so a step takes
     s (2 m kd + 1) n products against n^2 for a dense one, and the route
-    needs s (2 m kd + 1) < n. T_m is summed term by term on its bands.
+    needs s (2 m kd + 1) < n. T_m is built in place (_taylor_poly).
     """
     n, kd = a_bands.shape[1], a_bands.shape[0] // 2
     # column j of A holds A[(j - k) mod n, j] = a_bands[k + kd, (j - k) mod n]
@@ -159,28 +181,15 @@ def _band_step(a_bands: np.ndarray, dt: float, dtype):
     w = m * kd
     if s * (2 * w + 1) >= n:
         return None
-    x = (dt / s) * a_bands
-    # term j = X^j / j! on the bands -j kd..j kd, stored in rows w - j kd..w + j kd:
-    # (X T)[i, i + q + p] = X[i, i + q] T[i + q, i + q + p] moves band p to q + p
-    term = np.zeros((2 * w + 1, n), dtype=x.dtype)
-    term[w] = 1.0
-    poly = term.copy()
-    for j in range(1, m + 1):
-        r = (j - 1) * kd
-        src, prod = term[w - r:w + r + 1], np.zeros_like(term)
-        for q in range(-kd, kd + 1):
-            prod[w - r + q:w + r + 1 + q] += x[q + kd] * np.roll(src, -q, axis=1)
-        term = prod / j
-        poly += term
-    bands = poly.T.copy()  # bands[i, p + w] = T_m[i, (i + p) mod n]
+    bands = _taylor_poly((dt / s) * a_bands, m).T.copy()  # bands[i, p + w] = T_m[i, (i + p) mod n]
     # windows[i, p + w] = v[(i + p) mod n] once padded holds v wrapped by w a side
     padded = np.empty(n + 2 * w, dtype=dtype)
     windows = sliding_window_view(padded, 2 * w + 1)
 
-    def step(v):
+    def step(v, out):
         for _ in range(s):
             padded[:w], padded[w:n + w], padded[n + w:] = v[n - w:], v, v[:w]
-            v = np.einsum("ij,ij->i", bands, windows)
+            v = np.einsum("ij,ij->i", bands, windows, out=out)
         return v
 
     return step
@@ -219,21 +228,23 @@ def sine_basis(x: np.ndarray) -> np.ndarray:
 
 
 def _make_step(system: DiscreteSystem, dt: float, dtype):
-    """(basis, step) for the step route of the system's model: step is
-    v -> e^{dt A} v for states of the given dtype, in the coordinates
-    basis(x), and basis, applied in place along the last axis, is its own
-    inverse; None stands for the nodal basis."""
+    """(basis, step, f_bands, b) of the system's step route: basis maps states
+    to its coordinates in place along the last axis, and back; there step(v,
+    out) writes e^{dt A} v into out for states of the given dtype, F has the
+    bands f_bands and B is b. In heat's sine basis S, F = -W A = S (-W Lambda) S:
+    W is scalar where S acts."""
+    if system.model.step == "sine":
+        lam = sine_spectrum(system.grid)
+        p = np.exp(dt * lam)
+        return (sine_basis, lambda v, out: np.multiply(p, v, out=out),
+                -(system.weights * lam)[None], sine_basis(system.b_matrix.T.copy()).T)
     if system.model.step == "shift":
         q, n = _shift_indices(dt, system.grid.h), system.n
-        return None, lambda v: _shift_values(v, q, n)
-    if system.model.step == "sine":
-        p = np.exp(dt * sine_spectrum(system.grid))
-        return sine_basis, lambda v: p * v
-    step = _band_step(system.a_bands, dt, dtype)
-    if step is not None:
-        return None, step
-    prop = _dense_propagator(system, dt)
-    return None, lambda v: prop @ v
+        step = lambda v, out: _shift_values(v, q, n, out)
+    elif (step := _band_step(system.a_bands, dt, dtype)) is None:
+        prop = _dense_propagator(system, dt)
+        step = lambda v, out: np.matmul(prop, v, out=out)
+    return lambda x: x, step, system.f_bands, system.b_matrix
 
 
 # Rows per block of a run: the block size of the rate products, and the most
@@ -242,74 +253,78 @@ BLOCK_ROWS = 64
 
 
 def _start(system: DiscreteSystem, x0, u: ControlSignal):
-    # what the loop starts from: x0 as a state, x0 and B in the step basis, basis, step
+    # the loop's one entry, which refuses a bad run: x0 as a state of the run's
+    # dtype, the basis, step, F and B of _make_step, and x0 in that basis
     if u.m_inputs != system.m_inputs:
         raise SignalError(f"control has {u.m_inputs} channels, system expects {system.m_inputs}")
-    x0v, b = as_state(x0, system.n), system.b_matrix
-    x = x0v.astype(np.result_type(x0v, u.values, b, system.a_bands, float))
-    basis, step = _make_step(system, u.dt, x.dtype)
-    if basis is not None:
-        basis(x)
-        b = basis(b.T.copy()).T
-    return x0v, x, b, basis, step
+    x0v = as_state(x0, system.n)
+    x0v = x0v.astype(np.result_type(x0v, u.values, system.b_matrix, system.a_bands, float))
+    basis, step, f, b = _make_step(system, u.dt, x0v.dtype)
+    return x0v, basis, step, f, basis(x0v.copy()), b
 
 
-def _blocks(x0v, x, b, basis, step, u: ControlSignal, out):
-    # the loop of run_blocks; with out, each block is its rows of out
+def _blocks(start, u: ControlSignal, out=None):
+    # the one stepping loop: the run's blocks in the step basis, fresh or the rows
+    # of out; a consumer may map one in place, as the loop steps on from a copy
+    _, _, step, _, x, b = start
     rows, work = u.values.shape[0], np.empty_like(x)
     # hb[1 + k] = (dt/2) B u at row k of the block, hb[0] at the row before it
     hb = np.zeros((min(rows, BLOCK_ROWS) + 1, x.size), dtype=np.result_type(u.values, b))
-    for start in range(0, rows, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, rows)
+    for first in range(0, rows, BLOCK_ROWS):
+        stop = min(first + BLOCK_ROWS, rows)
         hb[0] = hb[-1]  # a block that has a successor is full
-        bu = np.matmul(u.values[start:stop], b.T, out=hb[1:stop - start + 1])
+        bu = np.matmul(u.values[first:stop], b.T, out=hb[1:stop - first + 1])
         bu *= 0.5 * u.dt
-        block = np.empty((stop - start, x.size), x.dtype) if out is None else out[start:stop]
-        if start == 0:
+        block = np.empty((stop - first, x.size), x.dtype) if out is None else out[first:stop]
+        if first == 0:
             block[0] = x
-        for k in range(1 if start == 0 else 0, stop - start):
+        for k in range(1 if first == 0 else 0, stop - first):
             # x_{k+1} = P (x_k + (dt/2) B u_k) + (dt/2) B u_{k+1}
-            x = np.add(step(np.add(x, hb[k], out=work)), hb[k + 1], out=block[k])
-        if basis is not None:
-            x = x.copy()  # the next block steps on from the last row in the basis
-            basis(block)
-            if start == 0:
-                block[0] = x0v  # not its round trip through the basis
+            x = np.add(step(np.add(x, hb[k], out=work), block[k]), hb[k + 1], out=block[k])
+        x = x.copy()
+        yield block
+
+
+def _nodal(start, u: ControlSignal, out=None):
+    # the loop's blocks mapped to the nodes in place, row 0 x0 itself, not its round trip
+    for i, block in enumerate(_blocks(start, u, out)):
+        start[1](block)
+        if i == 0:
+            block[0] = start[0]
         yield block
 
 
 def run_blocks(system: DiscreteSystem, x0, u: ControlSignal):
     """The states x(t_k), k = 0..K, of x0 under the control u, whose clock is
     the run's clock: an iterator over consecutive fresh blocks of at most
-    BLOCK_ROWS rows from row 0, in the nodal basis. The only stepping loop;
-    a bad state or control is refused at the call.
-
-    The loop runs in the basis of the model's step route: x0 and B are mapped
-    in once, and each block back in place before it is handed out. (dt/2) B u
-    is formed by one product per block. A consumer that keeps a row or column
-    past its block copies it, or the whole block stays alive.
+    BLOCK_ROWS rows from row 0, each mapped from the step basis to the nodes
+    in place. A bad state or control is refused at the call. A consumer that
+    keeps a row or column past its block copies it, or the block stays alive.
     """
-    return _blocks(*_start(system, x0, u), u, None)
+    return _nodal(_start(system, x0, u), u)
 
 
 def mild_solution(system: DiscreteSystem, x0, u: ControlSignal) -> Trajectory:
-    """The run of x0 under the control u with every state: run_blocks' loop
-    steps into one (K+1) x n array, allocated once the step is built. The
+    """The run of x0 under the control u with every state: run_blocks' blocks
+    stepped into one (K+1) x n array, allocated once the step is built. The
     package's own consumers read the blocks instead."""
     start = _start(system, x0, u)
-    states = np.empty((u.values.shape[0], system.n), dtype=start[1].dtype)
-    for _ in _blocks(*start, u, states):
+    states = np.empty((u.values.shape[0], system.n), dtype=start[0].dtype)
+    for _ in _nodal(start, u, states):
         pass
     return Trajectory(states=states, control=u)
 
 
 def output_signal(system: DiscreteSystem, states: np.ndarray) -> np.ndarray:
-    """Collocated output y = B^* x, taken in the weighted inner product, of
-    every row x of states, as an array with one row of m outputs per state.
+    """Collocated output y = B^* x in the weighted inner product of every row
+    x of states, as an array with one row of m outputs per state."""
+    return _outputs(system.weights, system.b_matrix, states)
 
-    One input goes through BLAS gemv for any number of rows: numpy's @ takes
-    gemv too, but a dot product, which sums in another order, for one row."""
-    wb = np.conj(system.weights[:, None] * system.b_matrix)
+
+def _outputs(weights: np.ndarray, b: np.ndarray, states: np.ndarray) -> np.ndarray:
+    # y = (W B)^H x of every row x of states, B in their basis. One input goes through gemv
+    # for any number of rows: numpy's @ sums in another order, by a dot product, for one row
+    wb = np.conj(weights[:, None] * b)
     if wb.shape[1] != 1:
         return states @ wb
     gemv = sla.get_blas_funcs("gemv", (states, wb))

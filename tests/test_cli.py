@@ -188,9 +188,9 @@ def test_refused_allocation_is_a_usage_error(capsys, tmp_path, monkeypatch):
         raise MemoryError("Unable to allocate 2.98 GiB for an array with shape "
                           "(199901, 2000) and data type float64")
 
-    # the stepping loop, reached through the audit or a bare simulate
-    monkeypatch.setattr(phdiss.runner, "run_blocks", refused)
-    monkeypatch.setattr(phdiss.dissipation, "run_blocks", refused)
+    # the stepping loop's one entry, reached through the audit or a bare simulate
+    monkeypatch.setattr(phdiss.runner, "_start", refused)
+    monkeypatch.setattr(phdiss.dissipation, "_start", refused)
     cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path / "out"))
     assert main(["run", cfg]) == 2
     assert capsys.readouterr().err == (
@@ -520,7 +520,7 @@ out_dir = {out}
                                   ("rt_bound", False)):
         out = tmp_path / tasks.replace(", ", "_")
         cfg = parse_config_text(text.format(tasks=tasks, out=out))
-        sims = _count_calls(monkeypatch, "run_blocks", phdiss.runner, phdiss.dissipation)
+        sims = _count_calls(monkeypatch, "_start", phdiss.runner, phdiss.dissipation)
         audits = _count_calls(monkeypatch, "energy_audit", phdiss.runner,
                               phdiss.dissipation)
         res = phdiss.runner.run_config(cfg)
@@ -653,7 +653,7 @@ out_dir = {{out}}
     warm = text.format(out=tmp_path / "warm").replace("t_final = 8", "t_final = 0.01")
     assert main(["run", _write_config(tmp_path, warm)]) == 0  # lazy imports, caches
     cfg = _write_config(tmp_path, text.format(out=tmp_path / "run"))
-    loops = _count_calls(monkeypatch, "run_blocks", phdiss.runner, phdiss.dissipation)
+    loops = _count_calls(monkeypatch, "_start", phdiss.runner, phdiss.dissipation)
     audits = _count_calls(monkeypatch, "energy_audit", phdiss.runner)
     tracemalloc.start()
     try:

@@ -8,15 +8,21 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import phdiss.linalg
 import phdiss.presets
 import phdiss.semigroup
 from phdiss import (assemble_model, control_signal, energy_audit,
                     make_uniform_grid, mild_solution, rt_bound_check)
+from phdiss.config import parse_config_text
+from phdiss.dissipation import _form_rates
+from phdiss.grids import norm_sq
+from phdiss.runner import run_config
 from phdiss.systems import (assemble_custom, assemble_heat, assemble_skew_damped,
                             assemble_transport)
 from phdiss.semigroup import (_THETA, AlignmentError, ControlSignal, SignalError,
-                              _band_step, _dense_propagator, _make_step, boundary_trace,
-                              output_signal, run_blocks)
+                              _band_step, _blocks, _dense_propagator, _make_step, _outputs,
+                              _start, _taylor_poly, boundary_trace, output_signal, run_blocks,
+                              sine_basis)
 
 from conftest import MODELS, custom_complex_system, free_run, random_state
 
@@ -198,27 +204,24 @@ def _dense_steps(system, x0, u):
 
 def _step_by_step(system, x0, u):
     """The stepping loop as it was before run_blocks: B u_k formed one step
-    at a time by np.dot, every state written into one stack, and the stack
-    mapped back from the step basis at the end."""
+    at a time by np.dot, every state stepped into its row of one stack, and
+    the stack mapped back from the step basis at the end."""
     x0v = np.asarray(x0)
-    b = system.b_matrix
-    out_dtype = np.result_type(x0v.dtype, u.values.dtype, b.dtype,
+    out_dtype = np.result_type(x0v.dtype, u.values.dtype, system.b_matrix.dtype,
                                system.a_bands.dtype, float)
-    basis, step = _make_step(system, u.dt, out_dtype)
+    basis, step, _, b = _make_step(system, u.dt, out_dtype)  # b: B in the step basis
     states = np.zeros((u.values.shape[0], system.n), dtype=out_dtype)
     states[0] = x0v
-    if basis is not None:
-        basis(states[0])
-        b = basis(b.T.copy()).T
+    basis(states[0])
     half = 0.5 * u.dt
     bu = np.dot(b, u.values[0])
     for k in range(u.values.shape[0] - 1):
         bu_next = np.dot(b, u.values[k + 1])
-        states[k + 1] = step(states[k] + half * bu) + half * bu_next
+        step(states[k] + half * bu, states[k + 1])
+        states[k + 1] += half * bu_next
         bu = bu_next
-    if basis is not None:
-        basis(states)
-        states[0] = x0v
+    basis(states)
+    states[0] = x0v
     return states
 
 
@@ -262,6 +265,141 @@ def test_blocks_match_the_step_by_step_loop(rows, route, m):
             np.testing.assert_array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= 1e-15 * math.sqrt(rows) * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rows", [2, 63, 64, 65, 129, 3201])
+@pytest.mark.parametrize("route", ["shift", "sine", "band", "dense"])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_audit_in_the_step_basis_matches_the_nodal_states(rows, route, m):
+    # the audit reads the loop's blocks in the step basis: on the nodal
+    # routes they are run_blocks' states, so every series has their bits; in
+    # heat's sine basis, which W commutes with, F is diagonal and B is mapped
+    # in once, and the series meet the nodal ones at round-off. H(0) is x0's
+    # own on every route, which keeps the dissipation bound's ||x0||
+    sys = _route_system(route, m)
+    rng = np.random.default_rng(rows + 7 * m)
+    u = ControlSignal((rows - 1) * sys.grid.h, rng.standard_normal((rows, m)))
+    for x0 in (random_state(sys.n, rows), random_state(sys.n, rows, complex_values=True)):
+        blocks = list(run_blocks(sys, x0, u))
+        states = np.concatenate(blocks)
+        y = np.concatenate([output_signal(sys, block) for block in blocks])
+        want = {"hamiltonian": 0.5 * norm_sq(sys.weights, states),
+                "dissipation_rate": _form_rates(sys.f_bands, states),
+                "supply_rate": np.sum(np.real(u.values * np.conj(y)), axis=1),
+                "final_state": states[-1]}
+        ledger = energy_audit(sys, x0, u)
+        for name, value in want.items():
+            got = getattr(ledger, name)
+            assert got.dtype == value.dtype and got.shape == value.shape
+            if route == "sine":
+                np.testing.assert_allclose(got, value, rtol=0, atol=1e-13 * np.abs(value).max())
+            else:
+                np.testing.assert_array_equal(got, value)
+        assert ledger.hamiltonian[0] == want["hamiltonian"][0]
+
+
+@pytest.mark.parametrize("n", [3, 5, 41, 401])
+def test_heat_form_is_diagonal_in_the_sine_basis(n):
+    # F-hat = -w * sine_spectrum is S F S, S the sine basis as a matrix
+    sys = assemble_heat(make_uniform_grid(n))
+    s = sine_basis(np.identity(n))
+    f_hat = _make_step(sys, sys.grid.h, float)[2]
+    assert f_hat.shape == (1, n)
+    dense = s @ sys.f_matrix @ s
+    np.testing.assert_allclose(dense, np.diag(f_hat[0]), rtol=0, atol=1e-14 * np.abs(dense).max())
+
+
+def test_heat_transforms_as_often_for_any_horizon(monkeypatch, tmp_path):
+    # the audit maps x0 and B into the sine basis and x(T) back; so does a
+    # bare simulate, which maps back its last row only. No block goes through
+    # the transform, so K = 64 and K = 3200 make the same calls
+    calls = []
+
+    def counted(x, out=None):
+        calls.append(x.shape)
+        return phdiss.linalg.sine_transform(x, out)
+
+    monkeypatch.setattr(phdiss.semigroup, "sine_transform", counted)
+    sys = assemble_heat(make_uniform_grid(101))
+    x0 = np.sin(np.pi * sys.grid.nodes)
+    text = ("model = heat\nn_grid = 101\nt_final = {t}\nx0_preset = sine:1\n"
+            "u_preset = ramp:0.5\ntasks = simulate\nout_dir = {out}\n")
+    counts = []
+    for k in (64, 3200):
+        calls.clear()
+        energy_audit(sys, x0, control_signal("ramp:0.5", k * sys.grid.h, sys.grid.h))
+        audited = list(calls)
+        calls.clear()
+        cfg = parse_config_text(text.format(t=k * sys.grid.h, out=tmp_path / str(k)))
+        simulated = run_config(cfg).summary["simulate"]
+        counts.append((audited, list(calls)))
+        # the one row mapped back is x(T) at the nodes
+        u = control_signal("ramp:0.5", k * sys.grid.h, sys.grid.h)
+        last = np.concatenate(list(run_blocks(sys, x0, u)))[-1]
+        assert simulated["steps"] == k
+        assert simulated["final_sup"] == pytest.approx(np.abs(last).max(), rel=1e-13)
+    assert counts[0] == counts[1] == ([(1, 99), (99,), (99,)], [(1, 99), (99,), (99,)])
+
+
+def _term_by_term(x, m):
+    """T_m's bands as _band_step summed them before _taylor_poly: a new array
+    for every product and term, row p + w holding band p."""
+    n, kd = x.shape[1], x.shape[0] // 2
+    w = m * kd
+    term = np.zeros((2 * w + 1, n), dtype=x.dtype)
+    term[w] = 1.0
+    poly = term.copy()
+    for j in range(1, m + 1):
+        r = (j - 1) * kd
+        src, prod = term[w - r:w + r + 1], np.zeros_like(term)
+        for q in range(-kd, kd + 1):
+            prod[w - r + q:w + r + 1 + q] += x[q + kd] * np.roll(src, -q, axis=1)
+        term = prod / j
+        poly += term
+    return poly
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kd=st.integers(1, 4), m=st.integers(1, 30),
+       n=st.integers(8, 90), complex_x=st.booleans())
+def test_taylor_poly_has_the_bits_of_the_term_by_term_sum(seed, kd, m, n, complex_x):
+    # kd <= n / 2, and T_m may be wider than n: the bands stay periodic
+    kd = min(kd, n // 2)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2 * kd + 1, n)) / (2 * kd + 1)
+    if complex_x:
+        x = x + 1j * rng.standard_normal((2 * kd + 1, n)) / (2 * kd + 1)
+    x[:, rng.integers(0, n, 3)] = 0.0  # zero entries, whose products are signed zeros
+    got, want = _taylor_poly(x, m), _term_by_term(x, m)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, steps", [(801, 1), (801, 12), (41, 1)])
+def test_skew_damped_taylor_bands_have_the_bits_of_the_term_by_term_sum(n, steps):
+    sys = assemble_model("skew_damped", make_uniform_grid(n))
+    x = steps * sys.grid.h * sys.a_bands
+    for m in (9, 19, 50):
+        assert _taylor_poly(x, m).tobytes() == _term_by_term(x, m).tobytes()
+
+
+def test_taylor_poly_holds_two_arrays_of_its_size():
+    # T_m and the terms, 2 kd rows taller and wrapped by kd columns a side,
+    # plus at most three sums of a chunk of m kd // 2 + 1 rows; the
+    # term-by-term sum held five arrays of T_m's size. Measured on 20,001
+    # columns, so numpy's fixed 64 KB work buffers stay small
+    kd, m, n = 1, 19, 20001
+    x = np.random.default_rng(3).standard_normal((2 * kd + 1, n)) / 3
+    tracemalloc.start()
+    try:
+        poly = _taylor_poly(x, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    w = m * kd
+    held = (2 * w + 1) * n + (2 * w + 2 * kd + 1) * (n + 2 * kd) + 3 * (w // 2 + 1) * n
+    assert peak <= 8 * held + 2**18
+    assert peak < 3 * poly.nbytes
 
 
 def test_run_blocks_refuses_a_bad_run_at_the_call():
@@ -539,16 +677,31 @@ def test_output_of_a_block_is_its_rows_of_the_stack(model):
     # K + 1 = 65 leaves a last block of one row; y = B^* x takes gemv on it
     # as on a stack of rows, so the audit's supply has the bits of a product
     # over more rows (numpy's @ on one row takes a dot product, which moves
-    # an ulp here)
+    # an ulp here). The audit reads the loop's blocks in the step basis with
+    # B in that basis: for heat those are the sine-basis states, whose supply
+    # meets the nodal one at round-off; for the nodal routes they are the
+    # states themselves
     sys = assemble_model(model, make_uniform_grid(201))
     u = control_signal("ramp:0.7", 64 * sys.grid.h, sys.grid.h)
     x0 = np.sin(np.pi * sys.grid.nodes)
     states = mild_solution(sys, x0, u).states
     np.testing.assert_array_equal(output_signal(sys, states[64:]),
                                   output_signal(sys, states[60:])[-1:])
-    y = np.concatenate([output_signal(sys, states[:64]), output_signal(sys, states[64:])])
-    supply = np.sum(np.real(u.values * np.conj(y)), axis=1)
-    np.testing.assert_array_equal(energy_audit(sys, x0, u).supply_rate, supply)
+
+    def supply(b, stack):
+        y = np.concatenate([_outputs(sys.weights, b, stack[:64]),
+                            _outputs(sys.weights, b, stack[64:])])
+        return np.sum(np.real(u.values * np.conj(y)), axis=1)
+
+    start = _start(sys, x0, u)
+    basis_states = np.concatenate(list(_blocks(start, u)))
+    audited = energy_audit(sys, x0, u).supply_rate
+    np.testing.assert_array_equal(audited, supply(start[5], basis_states))
+    nodal = supply(sys.b_matrix, states)
+    if model == "heat":
+        np.testing.assert_allclose(audited, nodal, rtol=0, atol=1e-14 * np.abs(nodal).max())
+    else:
+        np.testing.assert_array_equal(audited, nodal)
 
 
 def test_output_adjoint_complex_states(grid101):
