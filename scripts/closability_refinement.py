@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from phdiss import refinement_study, write_probe_csv
+from phdiss import AssemblyError, GridError, ProbeError, refinement_study, write_probe_csv
 
 DEFAULT_CASES = (("transport", "power"), ("heat", "scaled_sine"))
 
@@ -63,7 +63,10 @@ def main(argv=None) -> int:
     for i, (model, sequence) in enumerate(cases):
         if i:
             print()
-        study = refinement_study(model, args.sizes, sequence, n_max=args.n_max)
+        try:
+            study = refinement_study(model, args.sizes, sequence, n_max=args.n_max)
+        except (AssemblyError, GridError, ProbeError) as exc:
+            parser.error(str(exc))
         _print_study(study)
         if args.out is not None:
             path = write_probe_csv(

@@ -18,9 +18,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from phdiss import (assemble_model, control_signal, energy_audit,
-                    initial_state, make_uniform_grid, rt_bound_check,
-                    write_ledger_csv)
+from phdiss import (GridError, SignalError, assemble_model, control_signal,
+                    energy_audit, initial_state, make_uniform_grid,
+                    rt_bound_check, write_ledger_csv)
 
 
 def _print_ledger(ledger, stride):
@@ -41,7 +41,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="directory for ledger.csv")
     args = parser.parse_args(argv)
 
-    grid = make_uniform_grid(args.n_grid)
+    try:  # the driven run steps on the free run's clock, so one check covers both
+        grid = make_uniform_grid(args.n_grid)
+        free = control_signal("zero", args.t_final, grid.h)
+    except (GridError, SignalError) as exc:
+        parser.error(str(exc))
     system = assemble_model("transport", grid)
     dt = grid.h
 
@@ -49,7 +53,6 @@ def main(argv=None) -> int:
     print()
     print("free decay of x0 = 1 (everything exits through the boundary)")
     x0 = initial_state(grid, "one")
-    free = control_signal("zero", args.t_final, dt, m=system.m_inputs)
     # each audit steps its run in blocks; only the ledgers are kept
     ledger = energy_audit(system, x0, free)
     _print_ledger(ledger, max(1, len(ledger.times) // 10))

@@ -2,8 +2,8 @@
 dissipative evolution models on the unit interval.
 
 The package discretizes a family of contraction-generating operators with
-trapezoid-weighted grids, propagates mild solutions under sampled
-controls, and exposes the instantaneous dissipation rate in three
+trapezoid-weighted grids, steps runs under sampled controls block by
+block, and exposes the instantaneous dissipation rate in three
 mutually consistent representations (quadratic form, graph-space operator
 square root, bounded resolvent probe) together with energy-balance audits
 and a numerical closability probe for the underlying form.
@@ -22,7 +22,7 @@ from .linalg import NotPSDError, NotSelfAdjointError
 from .presets import PresetError, control_signal, initial_state
 from .probes import ProbeError, closability_probe, refinement_study
 from .reporting import write_ledger_csv, write_probe_csv
-from .semigroup import AlignmentError, SignalError, boundary_trace, mild_solution
+from .semigroup import AlignmentError, SignalError, boundary_trace
 from .systems import AssemblyError, assemble_custom, assemble_model
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "form_r",
     "initial_state",
     "make_uniform_grid",
-    "mild_solution",
     "q_identity_residual",
     "refinement_study",
     "rt_bound_check",

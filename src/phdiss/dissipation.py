@@ -155,12 +155,13 @@ class EnergyLedger:
 
 def _form_rates(f_bands: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Rates x_k^H F x_k for every row x_k of states, F given by its bands, one
-    band product per block of 64 rows: the work arrays stay in cache however
-    long the trajectory is. ndarray.conj returns real blocks uncopied."""
+    band product per block of BLOCK_ROWS rows: the work arrays stay in cache
+    however many rows there are. ndarray.conj returns real blocks uncopied."""
     rate = np.empty(states.shape[0])
-    for start in range(0, states.shape[0], 64):
-        xb = states[start:start + 64]
-        rate[start:start + 64] = np.einsum("ij,ij->i", xb.conj(), band_product(f_bands, xb)).real
+    for start in range(0, states.shape[0], BLOCK_ROWS):
+        xb = states[start:start + BLOCK_ROWS]
+        rate[start:start + BLOCK_ROWS] = np.einsum("ij,ij->i", xb.conj(),
+                                                   band_product(f_bands, xb)).real
     return rate
 
 

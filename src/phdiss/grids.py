@@ -16,8 +16,8 @@ import numpy as np
 
 
 # The most memory, in MB, of one n x n float64 array, as the M root or a dense
-# propagator forms; a grid past it (n > 2000) is refused at once. Runs hold no (K+1) x n
-# trajectory; a direct mild_solution call does, whose K only presets.MAX_STEPS caps.
+# propagator forms; a grid past it (n > 2000) is refused at once. No package path holds
+# a (K+1) x n array of states.
 MAX_OPERATOR_MB = 32
 
 

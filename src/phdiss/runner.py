@@ -11,7 +11,6 @@ overflows leaves nothing on disk.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .grids import make_uniform_grid, norm_sq
 from .presets import control_signal, initial_state
 from .probes import closability_probe
 from .reporting import write_json, write_ledger_csv, write_probe_csv
-from .semigroup import _blocks, _start
+from .semigroup import final_state
 from .systems import assemble_model
 
 RATE_FLOOR = -1e-10      # rate non-negativity margin
@@ -66,11 +65,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None) -> RunResult:
 
     for task in cfg.tasks:
         if task == "simulate":
-            if ledger is not None:
-                final = ledger.final_state
-            else:  # step without auditing: only row K comes back to the nodes
-                start = _start(system, x0, u)
-                final = start[1](deque(_blocks(start, u), maxlen=1)[0][-1].copy())
+            final = final_state(system, x0, u) if ledger is None else ledger.final_state
             summary["simulate"] = {
                 "steps": int(u.values.shape[0] - 1),
                 "h_initial": 0.5 * norm_sq(grid.weights, x0),

@@ -1,11 +1,12 @@
 """Propagation of states: exact shift, sine-basis, banded Taylor and dense
-propagators, mild solutions with sampled controls, outputs, and trace
-diagnostics.
+propagators, runs under sampled controls read block by block, outputs, and
+trace diagnostics.
 
 A run is x0 and a control, whose clock is the run's clock; a free run carries
 the zero control. _blocks, the one stepping loop, hands its states out in
 blocks of BLOCK_ROWS rows in the step basis, where the audit reads them;
-run_blocks maps them to the nodes and mild_solution stacks them.
+run_blocks maps them to the nodes, and final_state maps back only x(T). No
+reader stacks the states.
 
 Time stepping uses
     x_{k+1} = P x_k + (dt/2) (P B u_k + B u_{k+1}),    P = e^{dt A},
@@ -85,22 +86,6 @@ class ControlSignal:
         w = np.full(sq.size, self.dt)
         w[0] = w[-1] = self.dt / 2
         return float(np.sqrt(np.sum(w * sq)))
-
-
-@dataclass(eq=False)
-class Trajectory:
-    """One run: states x(t_k) as rows, and the control that drove them."""
-
-    states: np.ndarray
-    control: ControlSignal
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.control.times
-
-    @property
-    def dt(self) -> float:
-        return self.control.dt
 
 
 def _shift_indices(t: float, h: float) -> int:
@@ -263,9 +248,9 @@ def _start(system: DiscreteSystem, x0, u: ControlSignal):
     return x0v, basis, step, f, basis(x0v.copy()), b
 
 
-def _blocks(start, u: ControlSignal, out=None):
-    # the one stepping loop: the run's blocks in the step basis, fresh or the rows
-    # of out; a consumer may map one in place, as the loop steps on from a copy
+def _blocks(start, u: ControlSignal):
+    # the one stepping loop: the run's blocks in the step basis, each fresh; a
+    # consumer may map one in place, as the loop steps on from a copy
     _, _, step, _, x, b = start
     rows, work = u.values.shape[0], np.empty_like(x)
     # hb[1 + k] = (dt/2) B u at row k of the block, hb[0] at the row before it
@@ -275,7 +260,7 @@ def _blocks(start, u: ControlSignal, out=None):
         hb[0] = hb[-1]  # a block that has a successor is full
         bu = np.matmul(u.values[first:stop], b.T, out=hb[1:stop - first + 1])
         bu *= 0.5 * u.dt
-        block = np.empty((stop - first, x.size), x.dtype) if out is None else out[first:stop]
+        block = np.empty((stop - first, x.size), x.dtype)
         if first == 0:
             block[0] = x
         for k in range(1 if first == 0 else 0, stop - first):
@@ -285,9 +270,9 @@ def _blocks(start, u: ControlSignal, out=None):
         yield block
 
 
-def _nodal(start, u: ControlSignal, out=None):
+def _nodal(start, u: ControlSignal):
     # the loop's blocks mapped to the nodes in place, row 0 x0 itself, not its round trip
-    for i, block in enumerate(_blocks(start, u, out)):
+    for i, block in enumerate(_blocks(start, u)):
         start[1](block)
         if i == 0:
             block[0] = start[0]
@@ -304,21 +289,14 @@ def run_blocks(system: DiscreteSystem, x0, u: ControlSignal):
     return _nodal(_start(system, x0, u), u)
 
 
-def mild_solution(system: DiscreteSystem, x0, u: ControlSignal) -> Trajectory:
-    """The run of x0 under the control u with every state: run_blocks' blocks
-    stepped into one (K+1) x n array, allocated once the step is built. The
-    package's own consumers read the blocks instead."""
+def final_state(system: DiscreteSystem, x0, u: ControlSignal) -> np.ndarray:
+    """x(T), the last state of the run of x0 under the control u: the run is
+    stepped in its step basis, and only row K is mapped back to the nodes. A
+    bad state or control is refused at the call."""
     start = _start(system, x0, u)
-    states = np.empty((u.values.shape[0], system.n), dtype=start[0].dtype)
-    for _ in _nodal(start, u, states):
+    for block in _blocks(start, u):
         pass
-    return Trajectory(states=states, control=u)
-
-
-def output_signal(system: DiscreteSystem, states: np.ndarray) -> np.ndarray:
-    """Collocated output y = B^* x in the weighted inner product of every row
-    x of states, as an array with one row of m outputs per state."""
-    return _outputs(system.weights, system.b_matrix, states)
+    return start[1](block[-1].copy())
 
 
 def _outputs(weights: np.ndarray, b: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg as sla
 
 from phdiss import (assemble_custom, assemble_model, control_signal,
-                    make_uniform_grid, mild_solution)
+                    make_uniform_grid)
+from phdiss.semigroup import run_blocks
 
 MODELS = ("transport", "heat", "skew_damped")
 
@@ -31,9 +32,16 @@ def free_control(system, t_final: float, dt: float):
     return control_signal("zero", t_final, dt, m=system.m_inputs)
 
 
+def run_states(system, x0, u):
+    """Every state of the run of x0 under the control u, as the rows of one
+    (K+1) x n array: run_blocks' blocks stacked."""
+    return np.concatenate(list(run_blocks(system, x0, u)))
+
+
 def free_run(system, x0, t_final: float, dt: float):
-    """The uncontrolled run of x0: mild_solution under the zero control."""
-    return mild_solution(system, x0, free_control(system, t_final, dt))
+    """The states of the uncontrolled run of x0: run_states under the zero
+    control."""
+    return run_states(system, x0, free_control(system, t_final, dt))
 
 
 def custom_complex_system(n: int = 21, seed: int = 5):

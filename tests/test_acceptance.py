@@ -16,7 +16,7 @@ from phdiss import (assemble_model, closability_probe, control_signal,
                     dissipation_rate, energy_audit, form_r, make_uniform_grid,
                     q_identity_residual, rt_bound_check)
 from phdiss.probes import VERDICT_NON_CLOSABLE, VERDICT_PREMISE
-from phdiss.semigroup import ControlSignal, output_signal
+from phdiss.semigroup import ControlSignal, _outputs
 from phdiss.systems import graph_gram, graph_norm
 
 from conftest import apply_m_sqrt, free_control, free_run
@@ -201,8 +201,7 @@ def test_criterion_09_output_adjoint(systems101):
         for _ in range(50):
             x = rng.standard_normal(sys.n)
             u0 = rng.standard_normal(sys.m_inputs)
-            traj = free_run(sys, x, 0.02, 0.02)
-            y0 = output_signal(sys, traj.states)[0]
+            y0 = _outputs(sys.weights, sys.b_matrix, free_run(sys, x, 0.02, 0.02))[0]
             lhs = np.conj(x) @ (sys.weights * (sys.b_matrix @ u0))
             rhs = np.conj(y0) @ u0
             worst = max(worst, abs(lhs - rhs))

@@ -16,16 +16,18 @@ import phdiss.dissipation
 import phdiss.linalg
 import phdiss.probes
 import phdiss.runner
+import phdiss.semigroup
 import phdiss.systems
 import phdiss.verify
 from phdiss import (assemble_model, control_signal, energy_audit,
-                    initial_state, make_uniform_grid, mild_solution,
-                    rt_bound_check)
+                    initial_state, make_uniform_grid, rt_bound_check)
 from phdiss.cli import main
 from phdiss.config import ConfigError, parse_config_text
 from phdiss.linalg import NotPSDError, NotSelfAdjointError
 from phdiss.presets import PresetError
-from phdiss.semigroup import output_signal
+from phdiss.semigroup import _outputs
+
+from conftest import run_states
 
 FULL_CONFIG = """\
 # transport exit audit
@@ -189,7 +191,7 @@ def test_refused_allocation_is_a_usage_error(capsys, tmp_path, monkeypatch):
                           "(199901, 2000) and data type float64")
 
     # the stepping loop's one entry, reached through the audit or a bare simulate
-    monkeypatch.setattr(phdiss.runner, "_start", refused)
+    monkeypatch.setattr(phdiss.semigroup, "_start", refused)
     monkeypatch.setattr(phdiss.dissipation, "_start", refused)
     cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path / "out"))
     assert main(["run", cfg]) == 2
@@ -520,7 +522,7 @@ out_dir = {out}
                                   ("rt_bound", False)):
         out = tmp_path / tasks.replace(", ", "_")
         cfg = parse_config_text(text.format(tasks=tasks, out=out))
-        sims = _count_calls(monkeypatch, "_start", phdiss.runner, phdiss.dissipation)
+        sims = _count_calls(monkeypatch, "_start", phdiss.semigroup, phdiss.dissipation)
         audits = _count_calls(monkeypatch, "energy_audit", phdiss.runner,
                               phdiss.dissipation)
         res = phdiss.runner.run_config(cfg)
@@ -561,9 +563,8 @@ out_dir = {tmp_path}
     system = assemble_model(cfg.model, grid)
     x0 = initial_state(grid, cfg.x0_preset)
     u = control_signal(cfg.u_preset, cfg.t_final, grid.h, m=system.m_inputs)
-    traj = mild_solution(system, x0, u)
     led = energy_audit(system, x0, u)
-    y = output_signal(system, traj.states)
+    y = _outputs(system.weights, system.b_matrix, run_states(system, x0, u))
     np.testing.assert_array_equal(led.supply_rate,
                                   np.sum(np.real(u.values * np.conj(y)), axis=1))
     assert led.supplied_total == pytest.approx(0.06195634323214575, rel=1e-12)
@@ -653,7 +654,7 @@ out_dir = {{out}}
     warm = text.format(out=tmp_path / "warm").replace("t_final = 8", "t_final = 0.01")
     assert main(["run", _write_config(tmp_path, warm)]) == 0  # lazy imports, caches
     cfg = _write_config(tmp_path, text.format(out=tmp_path / "run"))
-    loops = _count_calls(monkeypatch, "_start", phdiss.runner, phdiss.dissipation)
+    loops = _count_calls(monkeypatch, "_start", phdiss.semigroup, phdiss.dissipation)
     audits = _count_calls(monkeypatch, "energy_audit", phdiss.runner)
     tracemalloc.start()
     try:

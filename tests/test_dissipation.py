@@ -18,7 +18,7 @@ from phdiss.systems import (AssemblyError, DiscreteSystem, _probe_solve, assembl
                             graph_gram, graph_norm)
 
 from conftest import (MODELS, custom_complex_system, dense_form, free_control,
-                      free_run, periodic_bands, random_state)
+                      periodic_bands, random_state, run_states)
 
 
 @settings(max_examples=25, deadline=None)
@@ -220,15 +220,15 @@ def test_audit_rate_matches_form_r(model, systems101):
     if model == "custom":
         sys = custom_complex_system()
         x0 = random_state(sys.n, 3, complex_values=True)
-        traj = free_run(sys, x0, 0.25, 1e-2)
+        u = free_control(sys, 0.25, 1e-2)
     else:
         sys = systems101[model]
         dt = 1e-3 if model == "heat" else sys.grid.h
         x0 = random_state(101, 3)
-        traj = free_run(sys, x0, 250 * dt, dt)
-    states = traj.states
+        u = free_control(sys, 250 * dt, dt)
+    states = run_states(sys, x0, u)
     assert states.shape[0] > sys.n and states.shape[0] % sys.n != 0
-    rate = energy_audit(sys, x0, traj.control).dissipation_rate
+    rate = energy_audit(sys, x0, u).dissipation_rate
     ref = np.array([form_r(sys, x) for x in states])
     np.testing.assert_allclose(rate, ref, rtol=1e-12, atol=1e-14 * ref.max())
     if model == "transport":

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from phdiss import (assemble_model, boundary_trace, closability_probe,
                     control_signal, dissipation_rate, form_r,
-                    make_uniform_grid, mild_solution, q_identity_residual)
+                    energy_audit, make_uniform_grid, q_identity_residual)
 from phdiss.grids import Grid, GridError, as_state, norm_sq
-from phdiss.semigroup import ControlSignal, SignalError
+from phdiss.semigroup import ControlSignal, SignalError, final_state, run_blocks
 from phdiss.systems import AssemblyError, assemble_custom, graph_norm
 
 
@@ -173,7 +173,9 @@ def _state_routes(system):
         "form_r_y": lambda x: form_r(system, ok, x),
         "dissipation_rate": lambda x: dissipation_rate(system, x),
         "q_identity_residual": lambda x: q_identity_residual(system, x),
-        "mild_solution": lambda x: mild_solution(system, x, u),
+        "run_blocks": lambda x: run_blocks(system, x, u),
+        "energy_audit": lambda x: energy_audit(system, x, u),
+        "final_state": lambda x: final_state(system, x, u),
         "boundary_trace": lambda x: boundary_trace(system, x, u),
         "graph_norm": lambda x: graph_norm(system, x),
         "closability_probe": lambda x: closability_probe(

@@ -62,3 +62,19 @@ def test_closability_refinement_script(capsys, model, sequence, verdict):
     verdicts = re.findall(r"^\s*n_grid = (\d+): (\S+)$", out, re.M)
     assert verdicts == [("41", verdict), ("81", verdict), ("161", verdict)]
     assert re.search(r"verdict under refinement: stable$", out, re.M)
+
+
+@pytest.mark.parametrize("name, argv, message", [
+    ("closability_refinement.py", ["--sizes", "41", "81"],
+     "a refinement study needs at least three grid sizes"),
+    ("transport_energy_audit.py", ["--n-grid", "2"], "need at least 3 nodes, got 2"),
+], ids=["two_sizes", "two_nodes"])
+def test_script_refuses_bad_input_as_a_usage_error(capsys, name, argv, message):
+    # the package's error becomes argparse's one-line message and exit status 2,
+    # as phdiss gives, before the script prints anything
+    with pytest.raises(SystemExit) as exc:
+        _main(name)(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(f": error: {message}")

@@ -12,7 +12,7 @@ import phdiss.linalg
 import phdiss.presets
 import phdiss.semigroup
 from phdiss import (assemble_model, control_signal, energy_audit,
-                    make_uniform_grid, mild_solution, rt_bound_check)
+                    make_uniform_grid, rt_bound_check)
 from phdiss.config import parse_config_text
 from phdiss.dissipation import _form_rates
 from phdiss.grids import norm_sq
@@ -21,10 +21,11 @@ from phdiss.systems import (assemble_custom, assemble_heat, assemble_skew_damped
                             assemble_transport)
 from phdiss.semigroup import (_THETA, AlignmentError, ControlSignal, SignalError,
                               _band_step, _blocks, _dense_propagator, _make_step, _outputs,
-                              _start, _taylor_poly, boundary_trace, output_signal, run_blocks,
+                              _start, _taylor_poly, boundary_trace, final_state, run_blocks,
                               sine_basis)
 
-from conftest import MODELS, custom_complex_system, free_run, random_state
+from conftest import (MODELS, custom_complex_system, free_control, free_run, random_state,
+                      run_states)
 
 
 def _shift_oracle(vals, k, n):
@@ -43,13 +44,13 @@ def _shift(system, x, k):
     """S(k h) x on the transport model: one free step of dt = k h; S(0) is
     the first row of the run."""
     dt = max(k, 1) * system.grid.h
-    traj = free_run(system, x, dt, dt)
-    return traj.states[-1] if k else traj.states[0]
+    states = free_run(system, x, dt, dt)
+    return states[-1] if k else states[0]
 
 
 def _free_step(system, x0, t):
     # e^{tA} x0 as one free step of dt = t
-    return free_run(system, x0, t, t).states[-1]
+    return free_run(system, x0, t, t)[-1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -69,8 +70,8 @@ def test_shift_semigroup_law(seed, j, k):
     direct = _shift(sys, x, j + k)
     np.testing.assert_array_equal(via_two, direct)
     # and j + k steps of dt = h land on the same state
-    traj = free_run(sys, x, 25 * sys.grid.h, sys.grid.h)
-    np.testing.assert_array_equal(traj.states[j + k], direct)
+    states = free_run(sys, x, 25 * sys.grid.h, sys.grid.h)
+    np.testing.assert_array_equal(states[j + k], direct)
 
 
 def test_shift_identity_and_extinction():
@@ -126,8 +127,8 @@ def test_custom_heat_steps_like_heat():
     assert (heat.model.step, custom.model.step) == ("sine", "expm")
     x0 = np.sin(np.pi * g.nodes) + 0.3 * np.sin(4 * np.pi * g.nodes)
     u = control_signal("ramp:0.5", 0.1, 1e-3)
-    got = mild_solution(custom, x0, u).states
-    ref = mild_solution(heat, x0, u).states
+    got = run_states(custom, x0, u)
+    ref = run_states(heat, x0, u)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
@@ -145,8 +146,8 @@ def test_heat_sine_steps_match_expm(n, case):
         x0 = x0 + 0.5j * random_state(n, 7) * np.sin(np.pi * g.nodes)
     dt = 1e-3
     u = control_signal("ramp:0.5", 0.05, dt)
-    got = mild_solution(heat, x0, u).states
-    ref = mild_solution(custom, x0, u).states
+    got = run_states(heat, x0, u)
+    ref = run_states(custom, x0, u)
     assert got.dtype == ref.dtype
     scale = dt * np.linalg.norm(heat.a_matrix, 1)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * max(1.0, scale))
@@ -158,13 +159,13 @@ def test_mild_solution_matches_naive_stepping():
     dt, t_final = 0.01, 0.1
     u = control_signal("ramp:2.0", t_final, dt)
     x0 = np.sin(np.pi * sys.grid.nodes)
-    traj = mild_solution(sys, x0, u)
+    states = run_states(sys, x0, u)
     p = sla.expm(dt * sys.a_matrix)
     b = sys.b_matrix
     x = x0.astype(float)
     for k in range(u.times.size - 1):
         x = p @ (x + 0.5 * dt * b @ u.values[k]) + 0.5 * dt * b @ u.values[k + 1]
-        np.testing.assert_allclose(traj.states[k + 1], x, atol=1e-11)
+        np.testing.assert_allclose(states[k + 1], x, atol=1e-11)
 
 
 # the trajectory of a run at n = 401, K = 3200: 10.3 MB of float64
@@ -192,7 +193,7 @@ def test_audited_run_holds_one_trajectory(model):
 
 
 def _dense_steps(system, x0, u):
-    """The recursion of mild_solution, stepped with the expm propagator."""
+    """The recursion of run_blocks, stepped with the expm propagator."""
     p = _dense_propagator(system, u.dt)
     bu = u.values @ system.b_matrix.T
     states = np.zeros((bu.shape[0], system.n), dtype=np.result_type(p, bu, x0))
@@ -260,7 +261,6 @@ def test_blocks_match_the_step_by_step_loop(rows, route, m):
         assert [len(b) for b in blocks] == [min(64, rows - s) for s in range(0, rows, 64)]
         got = np.concatenate(blocks)
         assert got.dtype == want.dtype
-        np.testing.assert_array_equal(mild_solution(sys, x0, u).states, got)
         if m <= 1:
             np.testing.assert_array_equal(got, want)
         else:
@@ -282,7 +282,7 @@ def test_audit_in_the_step_basis_matches_the_nodal_states(rows, route, m):
     for x0 in (random_state(sys.n, rows), random_state(sys.n, rows, complex_values=True)):
         blocks = list(run_blocks(sys, x0, u))
         states = np.concatenate(blocks)
-        y = np.concatenate([output_signal(sys, block) for block in blocks])
+        y = np.concatenate([_outputs(sys.weights, sys.b_matrix, block) for block in blocks])
         want = {"hamiltonian": 0.5 * norm_sq(sys.weights, states),
                 "dissipation_rate": _form_rates(sys.f_bands, states),
                 "supply_rate": np.sum(np.real(u.values * np.conj(y)), axis=1),
@@ -296,6 +296,8 @@ def test_audit_in_the_step_basis_matches_the_nodal_states(rows, route, m):
             else:
                 np.testing.assert_array_equal(got, value)
         assert ledger.hamiltonian[0] == want["hamiltonian"][0]
+        # a bare simulate's x(T) is the audit's, mapped back the same way
+        np.testing.assert_array_equal(final_state(sys, x0, u), ledger.final_state)
 
 
 @pytest.mark.parametrize("n", [3, 5, 41, 401])
@@ -455,7 +457,7 @@ def test_band_route_matches_dense_propagator(seed, n, kd, corners, complex_a,
     assert _band_step(sys.a_bands, dt, complex) is not None
     u = control_signal("ramp:0.5", 10 * dt, dt)
     x0 = draw(complex_x0, n)
-    got = mild_solution(sys, x0, u).states
+    got = run_states(sys, x0, u)
     want = _dense_steps(sys, x0, u)
     assert got.dtype == want.dtype
     atol = 1e-13 * max(1.0, dt * norm) * np.abs(want).max()
@@ -471,7 +473,7 @@ def test_skew_damped_band_route_matches_dense_at_n801(monkeypatch, steps):
     u = control_signal("const:0.5", 800 // steps * dt, dt)
     x0 = np.sin(np.pi * sys.grid.nodes)
     calls = _count_dense_propagators(monkeypatch)
-    got = mild_solution(sys, x0, u).states
+    got = run_states(sys, x0, u)
     assert calls == [] and got.shape == (800 // steps + 1, 801)
     want = _dense_steps(sys, x0, u)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -484,25 +486,29 @@ def test_stiff_custom_generator_takes_the_dense_route(monkeypatch):
     sys = assemble_custom(g, assemble_heat(g).a_matrix)
     assert _band_step(sys.a_bands, 1e-3, float) is None
     calls = _count_dense_propagators(monkeypatch)
-    mild_solution(sys, np.sin(np.pi * g.nodes), control_signal("const:0.5", 2e-3, 1e-3))
+    run_states(sys, np.sin(np.pi * g.nodes), control_signal("const:0.5", 2e-3, 1e-3))
     assert calls == [1e-3]
 
 
 def test_band_route_forms_no_square_array():
-    # skew_damped at n = 801, K = 800: the states are one 801 x 801 array,
-    # and the band route adds T_m's 2 m kd + 1 = 39 bands (m = 19, kd = 1 at
-    # dt = h) and the work arrays that sum them, a fifth of another n x n
+    # skew_damped at n = 801, K = 800, read block by block and no block kept:
+    # the loop holds a block of 64 states while it steps the next, and the
+    # band route adds T_m's 2 m kd + 1 = 39 bands (m = 19, kd = 1 at dt = h)
+    # and the work arrays that sum them; the 801 x 801 states never exist
     sys = assemble_model("skew_damped", make_uniform_grid(801))
     u = control_signal("ramp:0.5", 1.0, sys.grid.h)
     x0 = np.sin(np.pi * sys.grid.nodes)
+    rows = 0
     tracemalloc.start()
     try:
-        states = mild_solution(sys, x0, u).states
+        for block in run_blocks(sys, x0, u):
+            rows += block.shape[0]
+        del block
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert states.nbytes == 801 * 801 * 8
-    assert peak <= states.nbytes + 4 * 39 * 801 * 8
+    assert rows == 801
+    assert peak <= 2 * 64 * 801 * 8 + 4 * 39 * 801 * 8
 
 
 def test_dense_propagator_has_no_subnormals():
@@ -520,13 +526,13 @@ def test_dense_propagator_has_no_subnormals():
     assert np.count_nonzero((prop != 0) & (np.abs(prop) < tiny)) == 0
     u = control_signal("ramp:0.4", 20 * dt, dt)
     x0 = np.sin(np.pi * sys.grid.nodes)
-    traj = mild_solution(sys, x0, u)
+    got = run_states(sys, x0, u)
     bu = u.values @ sys.b_matrix.T
-    states = np.zeros_like(traj.states)
+    states = np.zeros_like(got)
     states[0] = x0
     for k in range(20):
         states[k + 1] = raw @ (states[k] + 0.5 * dt * bu[k]) + 0.5 * dt * bu[k + 1]
-    np.testing.assert_array_equal(traj.states, states)
+    np.testing.assert_array_equal(got, states)
 
 
 def test_mild_solution_second_order_in_dt():
@@ -537,12 +543,11 @@ def test_mild_solution_second_order_in_dt():
     x0 = np.sin(np.pi * sys.grid.nodes)
     t_final = 0.1
 
-    def final_state(dt):
-        u = control_signal("const:1.0", t_final, dt)
-        return mild_solution(sys, x0, u).states[-1]
+    def x_final(dt):
+        return final_state(sys, x0, control_signal("const:1.0", t_final, dt))
 
-    d1 = np.linalg.norm(final_state(4e-3) - final_state(2e-3))
-    d2 = np.linalg.norm(final_state(2e-3) - final_state(1e-3))
+    d1 = np.linalg.norm(x_final(4e-3) - x_final(2e-3))
+    d2 = np.linalg.norm(x_final(2e-3) - x_final(1e-3))
     assert 3.0 < d1 / d2 < 5.0
 
 
@@ -551,34 +556,35 @@ def test_mild_solution_second_order_in_dt():
 def test_free_dynamics_contract(systems101, seed, model):
     sys = systems101[model]
     x0 = random_state(sys.n, seed)
-    traj = free_run(sys, x0, 0.1, 0.02)
+    states = free_run(sys, x0, 0.1, 0.02)
     w = sys.weights
-    norms = np.sqrt(np.einsum("ki,i,ki->k", traj.states, w, traj.states))
+    norms = np.sqrt(np.einsum("ki,i,ki->k", states, w, states))
     assert np.all(np.diff(norms) <= 1e-12 * max(1.0, norms[0]))
 
 
-def test_mild_solution_needs_clock():
+def test_run_blocks_needs_clock():
     sys = assemble_model("heat", make_uniform_grid(21))
     with pytest.raises(TypeError):
-        mild_solution(sys, np.zeros(21))
+        run_blocks(sys, np.zeros(21))
     with pytest.raises(SignalError):
         free_run(sys, np.zeros(21), 1.0, 0.3)  # not a divisor
 
 
-def test_mild_solution_refuses_a_second_clock():
+def test_run_blocks_refuses_a_second_clock():
     # the control is the only clock: t_final and dt next to it are refused,
     # not silently ignored
     sys = assemble_model("heat", make_uniform_grid(21))
     u = control_signal("const:1.0", 0.1, 0.01)
     with pytest.raises(TypeError):
-        mild_solution(sys, np.zeros(21), u, t_final=5.0, dt=0.5)
+        run_blocks(sys, np.zeros(21), u, t_final=5.0, dt=0.5)
 
 
-def test_mild_solution_refuses_a_control_of_another_width():
+def test_run_blocks_refuses_a_control_of_another_width():
+    # refused at the call, before a block is asked for
     sys = assemble_model("heat", make_uniform_grid(21))
     u = control_signal("const:1.0", 0.1, 0.01, m=2)
     with pytest.raises(SignalError, match="2 channels, system expects 1"):
-        mild_solution(sys, np.zeros(21), u)
+        run_blocks(sys, np.zeros(21), u)
 
 
 def test_control_signal_validation():
@@ -619,7 +625,7 @@ def test_mild_solution_rejects_non_finite_control(where):
     else:
         t_final = np.inf
     with pytest.raises(SignalError, match="finite"):
-        mild_solution(sys, np.zeros(21), ControlSignal(t_final, vals))
+        run_states(sys, np.zeros(21), ControlSignal(t_final, vals))
 
 
 @pytest.mark.parametrize("t_final, dt", [(np.nan, 0.1), (np.inf, 0.1),
@@ -636,9 +642,9 @@ def test_raw_samples_run_on_zero_to_t_final():
     rng = np.random.default_rng(5)
     u = ControlSignal(0.5, rng.standard_normal(21))
     x0 = np.sin(np.pi * sys.grid.nodes)
-    traj = mild_solution(sys, x0, u)
-    np.testing.assert_array_equal(traj.times, np.linspace(0.0, 0.5, 21))
-    assert traj.dt == 0.5 / 20
+    assert run_states(sys, x0, u).shape == (21, 41)
+    np.testing.assert_array_equal(u.times, np.linspace(0.0, 0.5, 21))
+    assert u.dt == 0.5 / 20
     assert rt_bound_check(sys, energy_audit(sys, x0, u)).t_final == 0.5
 
 
@@ -649,12 +655,12 @@ def test_control_is_its_horizon_and_samples():
 
 def test_free_run_carries_the_zero_control(systems101):
     sys = systems101["heat"]
-    traj = free_run(sys, np.sin(np.pi * sys.grid.nodes), 0.2, 1e-3)
-    u = traj.control
-    assert u.values.shape == (201, sys.m_inputs)
+    states = free_run(sys, np.sin(np.pi * sys.grid.nodes), 0.2, 1e-3)
+    u = free_control(sys, 0.2, 1e-3)
+    assert u.values.shape == (201, sys.m_inputs) and states.shape == (201, sys.n)
     np.testing.assert_array_equal(u.values, 0.0)
-    np.testing.assert_array_equal(traj.times, np.linspace(0.0, 0.2, 201))
-    assert traj.dt == u.dt
+    np.testing.assert_array_equal(u.times, np.linspace(0.0, 0.2, 201))
+    np.testing.assert_array_equal(states, run_states(sys, states[0], u))
 
 
 @settings(max_examples=25, deadline=None)
@@ -665,8 +671,7 @@ def test_output_is_weighted_adjoint(systems101, seed, model):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(sys.n)
     u0 = rng.standard_normal(sys.m_inputs)
-    traj = free_run(sys, x, 0.02, 0.02)
-    y0 = output_signal(sys, traj.states)[0]
+    y0 = _outputs(sys.weights, sys.b_matrix, free_run(sys, x, 0.02, 0.02))[0]
     lhs = np.conj(x) @ (sys.weights * (sys.b_matrix @ u0))
     rhs = np.conj(y0) @ u0
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
@@ -684,9 +689,9 @@ def test_output_of_a_block_is_its_rows_of_the_stack(model):
     sys = assemble_model(model, make_uniform_grid(201))
     u = control_signal("ramp:0.7", 64 * sys.grid.h, sys.grid.h)
     x0 = np.sin(np.pi * sys.grid.nodes)
-    states = mild_solution(sys, x0, u).states
-    np.testing.assert_array_equal(output_signal(sys, states[64:]),
-                                  output_signal(sys, states[60:])[-1:])
+    states = run_states(sys, x0, u)
+    np.testing.assert_array_equal(_outputs(sys.weights, sys.b_matrix, states[64:]),
+                                  _outputs(sys.weights, sys.b_matrix, states[60:])[-1:])
 
     def supply(b, stack):
         y = np.concatenate([_outputs(sys.weights, b, stack[:64]),
@@ -710,8 +715,7 @@ def test_output_adjoint_complex_states(grid101):
     sys_c = assemble_custom(grid101, -np.eye(n),
                             b_matrix=rng.standard_normal((n, 2)))
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    traj = free_run(sys_c, x, 0.02, 0.02)
-    y0 = output_signal(sys_c, traj.states)[0]
+    y0 = _outputs(sys_c.weights, sys_c.b_matrix, free_run(sys_c, x, 0.02, 0.02))[0]
     u0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     lhs = np.conj(x) @ (sys_c.weights * (sys_c.b_matrix @ u0))
     rhs = np.conj(y0) @ u0

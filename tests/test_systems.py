@@ -645,7 +645,7 @@ def test_direct_system_takes_the_custom_step_route():
     direct = DiscreteSystem(grid, skew.a_bands, skew.b_matrix)
     assert direct.model_tag == "custom"
     x0 = initial_state(grid, "sine:1")
-    final = [free_run(system, x0, 1.0, grid.h).states[-1]
+    final = [free_run(system, x0, 1.0, grid.h)[-1]
              for system in (direct, assemble_custom(grid, skew.a_matrix), skew)]
     np.testing.assert_array_equal(final[0], final[1])
     assert np.linalg.norm(final[0] - final[2]) <= 1e-12 * np.linalg.norm(final[2])
