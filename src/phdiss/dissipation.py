@@ -176,10 +176,11 @@ def energy_audit(system: DiscreteSystem, x0, u: ControlSignal) -> EnergyLedger:
     Raises FloatingPointError when H or either energy overflows."""
     x0v, basis, _, f, _, b = start = _start(system, x0, u)
     w, ham, rate, supply = system.weights, *(np.empty(u.values.shape[0]) for _ in range(3))
+    stop = 0  # each block's rows follow the last one's, however many the loop hands out
     # an overflow is refused below by name, not warned about on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        for first, block in zip(range(0, ham.size, BLOCK_ROWS), _blocks(start, u)):
-            rows = slice(first, first + block.shape[0])
+        for block in _blocks(start, u):
+            rows = slice(stop, stop := stop + block.shape[0])
             ham[rows] = 0.5 * norm_sq(w, block)
             rate[rows] = _form_rates(f, block)
             supply[rows] = np.sum(np.real(u.values[rows] * np.conj(_outputs(w, b, block))), axis=1)

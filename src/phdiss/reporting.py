@@ -2,8 +2,8 @@
 
 Each CSV file has one row format, a %-template applied to every data row
 under a header line. Floats are rendered with FLOAT (%.17g), so two runs of
-the same build produce byte-identical artifacts; files use LF line endings
-unconditionally.
+the same build on one BLAS thread count produce byte-identical artifacts;
+files use LF line endings unconditionally.
 """
 
 from __future__ import annotations

@@ -163,11 +163,10 @@ def _lapack_band(bands: np.ndarray):
 
 
 def band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x along the last axis of x, a state or a stack of rows, A given by its bands."""
-    n, kd = bands.shape[1], bands.shape[0] // 2
-    # wrapped[..., kd + k + i] = x[..., (i + k) mod n]
-    wrapped = np.concatenate((x[..., n - kd:], x, x[..., :kd]), axis=-1)
-    return sum(bands[k + kd] * wrapped[..., kd + k:kd + k + n] for k in range(-kd, kd + 1))
+    """A x along the last axis of x, a state or a stack of rows, A given by its bands: band k
+    times np.roll(x, -k), x read around the wrap, and band 0 times x itself, uncopied."""
+    kd = bands.shape[0] // 2
+    return sum(bands[k + kd] * (np.roll(x, -k, axis=-1) if k else x) for k in range(-kd, kd + 1))
 
 
 def _probe_solve(a_bands: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -288,10 +287,8 @@ def assemble_skew_damped(grid: Grid, input_profile=None) -> DiscreteSystem:
     # J = (C - W^{-1} C^T W) / 2 entrywise, J_ij = (C_ij - (1/w_i)(C_ji w_j)) / 2,
     # from the periodic central difference C_{i,i+1} = s, C_{i+1,i} = -s
     a = np.empty((3, n))  # a[0, 0] and a[2, -1] wrap: the corners J[0, n-1], J[n-1, 0]
-    a[0, 1:], a[1] = 0.5 * (-s - (1.0 / w[1:]) * (s * w[:-1])), -DAMPING
-    a[2, :-1] = 0.5 * (s - (1.0 / w[:-1]) * (-s * w[1:]))
-    a[0, 0] = 0.5 * (-s - (1.0 / w[0]) * (s * w[-1]))
-    a[2, -1] = 0.5 * (s - (1.0 / w[-1]) * (-s * w[0]))
+    a[0], a[1] = 0.5 * (-s - (1.0 / w) * (s * np.roll(w, 1))), -DAMPING
+    a[2] = 0.5 * (s - (1.0 / w) * (-s * np.roll(w, -1)))
     return _named("skew_damped", DiscreteSystem(grid, a, _input_matrix(grid, input_profile)))
 
 

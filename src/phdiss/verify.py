@@ -1,6 +1,6 @@
 """Recompute the closed-form reference values of the transport example
 and compare each within its discretization error on the grid. Two runs
-on the same build produce byte-identical tables.
+on the same build and one BLAS thread count produce byte-identical tables.
 """
 
 from __future__ import annotations

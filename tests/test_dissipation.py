@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phdiss.semigroup
 import phdiss.systems
 from phdiss import (assemble_custom, assemble_model, control_signal,
-                    dissipation_rate, energy_audit, form_r, make_uniform_grid,
-                    q_identity_residual, rt_bound_check)
+                    dissipation_rate, energy_audit, form_r, initial_state,
+                    make_uniform_grid, q_identity_residual, rt_bound_check)
 from phdiss.dissipation import (_q_identity_rows, cumulative_parabolic,
                                 cumulative_trapezoid)
 from phdiss.grids import norm_sq
@@ -234,6 +235,25 @@ def test_audit_rate_matches_form_r(model, systems101):
     if model == "transport":
         np.testing.assert_array_equal(
             rate, (states[:, 0] ** 2 + states[:, -1] ** 2) / 2)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_audit_places_each_block_by_its_own_rows(model, monkeypatch):
+    # K + 1 = 201 rows: the stepping loop hands out blocks of 1, 4, 5 or 63 rows, and
+    # the audit places each after the last, so H, the rate and x(T) keep their bits.
+    # The supply's gemv sums in groups of 4 rows, so it may move at round-off when a
+    # block's row count is not a multiple of 4
+    sys = assemble_model(model, make_uniform_grid(201))
+    x0 = initial_state(sys.grid, "sine:1")
+    u = control_signal("const:0.5", 200 * sys.grid.h, sys.grid.h, m=sys.m_inputs)
+    want = energy_audit(sys, x0, u)
+    for rows in (1, 4, 5, 63):
+        monkeypatch.setattr(phdiss.semigroup, "BLOCK_ROWS", rows)
+        got = energy_audit(sys, x0, u)
+        for name in ("hamiltonian", "dissipation_rate", "final_state"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (rows, name)
+        np.testing.assert_allclose(got.supply_rate, want.supply_rate, rtol=0,
+                                   atol=1e-15 * np.abs(want.supply_rate).max())
 
 
 def _q_scaled_loop(sys, x):

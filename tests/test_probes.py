@@ -122,9 +122,9 @@ def _offset(n, w):
 def test_stacked_probe_matches_form_r(model, sequence):
     # n_max = 101 on 801 nodes has 5,050 differences (32.4 MB of float64); the
     # probe holds the sampled states once, at most n_max - 1 differences and
-    # the rate products' work arrays of 64 rows at a time (measured: 340 to
-    # 414 rows of n floats at n_max = 101); sampling holds one array and the
-    # temporaries of the row being sampled
+    # the rate products' work arrays of 64 rows at a time (measured: 276 rows
+    # of n floats for a one-band F, 404 for heat's, at n_max = 101); sampling
+    # holds one array and the temporaries of the row being sampled
     custom = _offset if sequence == "offset" else None
     for n, n_max in ((201, 12), (801, 101)):
         sys = assemble_model(model, make_uniform_grid(n))
