@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import as_state, norm_sq
-from .semigroup import BLOCK_ROWS, ControlSignal, _blocks, _outputs, _start
+from .semigroup import ControlSignal, _blocks, _outputs, _start, block_rows
 from .systems import DiscreteSystem, _probe_solve, band_product
 
 
@@ -154,14 +154,14 @@ class EnergyLedger:
 
 
 def _form_rates(f_bands: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Rates x_k^H F x_k for every row x_k of states, F given by its bands, one
-    band product per block of BLOCK_ROWS rows: the work arrays stay in cache
-    however many rows there are. ndarray.conj returns real blocks uncopied."""
-    rate = np.empty(states.shape[0])
-    for start in range(0, states.shape[0], BLOCK_ROWS):
-        xb = states[start:start + BLOCK_ROWS]
-        rate[start:start + BLOCK_ROWS] = np.einsum("ij,ij->i", xb.conj(),
-                                                   band_product(f_bands, xb)).real
+    """Rates x_k^H F x_k for every row x_k of states, F given by its bands, one band product
+    per block of the stepping loop's rows (semigroup.block_rows): the work arrays stay in
+    cache however many rows there are. ndarray.conj returns real blocks uncopied."""
+    rate, size = np.empty(states.shape[0]), block_rows(states.shape[1], states.itemsize)
+    for start in range(0, states.shape[0], size):
+        xb = states[start:start + size]
+        rate[start:start + size] = np.einsum("ij,ij->i", xb.conj(),
+                                             band_product(f_bands, xb)).real
     return rate
 
 

@@ -5,7 +5,7 @@ length with the weighted inner product ``<f, g> = sum_i w_i f_i conj(g_i)``
 where ``w`` are composite-trapezoid weights (h/2 at the endpoints, h
 inside). The weights double as the diagonal gram matrix W used by the
 operator modules. A Grid is fixed by its number of nodes, which it checks
-once against the n x n array budget; every operator stands on a Grid.
+once against the memory budget of a state; every operator stands on a Grid.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-# The most memory, in MB, of one n x n float64 array, as the M root or a dense
-# propagator forms; a grid past it (n > 2000) is refused at once. No package path holds
-# a (K+1) x n array of states.
+# The most memory, in MB, of one n x n float64 array, as a dense reader forms (the M and
+# Q roots, a dense propagator, the eigvalsh gate); check_operator_size refuses a larger
+# one (n > 2000), and Grid(n) a grid whose state alone exceeds it (n > 4,000,000).
+# No package path holds a (K+1) x n array of states.
 MAX_OPERATOR_MB = 32
 
 
@@ -28,7 +29,7 @@ class GridError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform closed grid on [0, 1]. Grid(n) refuses a non-integer n, n < 3
-    and an n past MAX_OPERATOR_MB before any array exists.
+    and an n whose state exceeds MAX_OPERATOR_MB before any array exists.
 
     Attributes
     ----------
@@ -53,17 +54,22 @@ class Grid:
         n = int(self.n)
         if n < 3:
             raise GridError(f"need at least 3 nodes, got {n}")
-        mb = 8 * n**2 / 1e6
-        if mb > MAX_OPERATOR_MB:
-            raise GridError(
-                f"a grid of {n} nodes needs {mb:.3g} MB per dense n x n "
-                f"operator, over the budget of {MAX_OPERATOR_MB} MB "
-                "(grids.MAX_OPERATOR_MB)")
+        check_operator_size(n, n)
         h = 1.0 / (n - 1)
         weights = np.full(n, h)
         weights[0] = weights[-1] = h / 2.0
         # frozen, so the derived fields are written past __setattr__, once
         vars(self).update(n=n, h=h, nodes=np.linspace(0.0, 1.0, n), weights=weights)
+
+
+def check_operator_size(n: int, floats: int | None = None) -> None:
+    """Raise GridError, naming MAX_OPERATOR_MB, where an n x n float64 array, or one of
+    the given number of floats, exceeds it: each dense reader calls it before it allocates."""
+    mb = 8 * (n * n if floats is None else floats) / 1e6
+    if mb > MAX_OPERATOR_MB:
+        raise GridError(f"a grid of {n} nodes needs {mb:.4g} MB per "
+                        f"{'dense n x n operator' if floats is None else 'state'}, over the "
+                        f"budget of {MAX_OPERATOR_MB} MB (grids.MAX_OPERATOR_MB)")
 
 
 def make_uniform_grid(n: int) -> Grid:

@@ -85,8 +85,9 @@ def sine_transform(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     whose transform is -2i times the unscaled sine sums; a complex x is
     transformed in its real and imaginary parts. The result goes to out,
     which may be x itself. All rows go through one rfft call, so its work
-    arrays grow with the rows: run_blocks maps 64 states at a time, and an
-    audit maps only x0, B and x(T).
+    arrays grow with the rows: run_blocks maps a block of at most
+    semigroup.BLOCK_BYTES of states at a time, whose work arrays fit a 2 MiB
+    L2, and an audit maps x0, B and x(T).
     """
     x = np.asarray(x)
     if out is None:

@@ -4,9 +4,9 @@ trace diagnostics.
 
 A run is x0 and a control, whose clock is the run's clock; a free run carries
 the zero control. _blocks, the one stepping loop, hands its states out in
-blocks of BLOCK_ROWS rows in the step basis, where the audit reads them;
+blocks of at most BLOCK_BYTES in the step basis, where the audit reads them;
 run_blocks maps them to the nodes, and final_state maps back only x(T). No
-reader stacks the states.
+reader stacks the states, so a run holds O(n) memory.
 
 Time stepping uses
     x_{k+1} = P x_k + (dt/2) (P B u_k + B u_{k+1}),    P = e^{dt A},
@@ -232,9 +232,15 @@ def _make_step(system: DiscreteSystem, dt: float, dtype):
     return lambda x: x, step, system.f_bands, system.b_matrix
 
 
-# Rows per block of a run: the block size of the rate products, and the most
-# rows heat's sine transform takes in one call
-BLOCK_ROWS = 64
+# The most bytes of a block of a run's states, so that one heat block's work arrays
+# (the block, its B u rows, and rfft's odd extension and complex output) fit a 2 MiB L2
+BLOCK_BYTES = 128 * 1024
+
+
+def block_rows(n: int, itemsize: int = 8) -> int:
+    # rows per block of n-entry states for the loop, the rate products and heat's transform:
+    # as many as fit BLOCK_BYTES, a multiple of 4 in [4, 64] as the supply's gemv sums fours
+    return min(64, max(4, 4 * (BLOCK_BYTES // (4 * n * itemsize))))
 
 
 def _start(system: DiscreteSystem, x0, u: ControlSignal):
@@ -252,11 +258,11 @@ def _blocks(start, u: ControlSignal):
     # the one stepping loop: the run's blocks in the step basis, each fresh; a
     # consumer may map one in place, as the loop steps on from a copy
     _, _, step, _, x, b = start
-    rows, work = u.values.shape[0], np.empty_like(x)
+    rows, size, work = u.values.shape[0], block_rows(x.size, x.itemsize), np.empty_like(x)
     # hb[1 + k] = (dt/2) B u at row k of the block, hb[0] at the row before it
-    hb = np.zeros((min(rows, BLOCK_ROWS) + 1, x.size), dtype=np.result_type(u.values, b))
-    for first in range(0, rows, BLOCK_ROWS):
-        stop = min(first + BLOCK_ROWS, rows)
+    hb = np.zeros((min(rows, size) + 1, x.size), dtype=np.result_type(u.values, b))
+    for first in range(0, rows, size):
+        stop = min(first + size, rows)
         hb[0] = hb[-1]  # a block that has a successor is full
         bu = np.matmul(u.values[first:stop], b.T, out=hb[1:stop - first + 1])
         bu *= 0.5 * u.dt
@@ -282,8 +288,8 @@ def _nodal(start, u: ControlSignal):
 def run_blocks(system: DiscreteSystem, x0, u: ControlSignal):
     """The states x(t_k), k = 0..K, of x0 under the control u, whose clock is
     the run's clock: an iterator over consecutive fresh blocks of at most
-    BLOCK_ROWS rows from row 0, each mapped from the step basis to the nodes
-    in place. A bad state or control is refused at the call. A consumer that
+    block_rows(n) rows from row 0, each mapped from the step basis to the
+    nodes in place. A bad state or control is refused at the call. A consumer that
     keeps a row or column past its block copies it, or the block stays alive.
     """
     return _nodal(_start(system, x0, u), u)

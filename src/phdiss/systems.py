@@ -5,9 +5,10 @@ generator A, the input map B and the dissipation form matrix F = -Herm(W A),
 where W is the trapezoid gram matrix, kept as the grid's weight vector.
 A and F are stored as their periodic bands, each out to its own half-bandwidth:
 three rows of n for a named model's A and heat's F, one for a diagonal F.
-Dense A and F are built on first read only, for the M root, the dense
-propagator and the gate of an F wider than MAX_BAND; LAPACK gets the bands
-with a periodic band folded into an ordinary one (_lapack_band). A
+Dense A and F are built on first read only, past grids.check_operator_size,
+for the M root, the dense propagator and the gate of an F wider than MAX_BAND;
+LAPACK gets the bands with a periodic band folded into an ordinary one
+(_lapack_band). A
 DiscreteSystem checks itself when built, F's dissipativity included; only an
 assembler names it, else it is "custom" and takes the "expm" step route.
 """
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Grid, as_state, check_finite, norm_sq
+from .grids import Grid, as_state, check_finite, check_operator_size, norm_sq
 from .linalg import gram_sqrt_factors, psd_sqrt
 
 
@@ -124,6 +125,7 @@ class DiscreteSystem:
     @cached_property
     def q_sqrt_hat(self) -> np.ndarray:
         # W^{1/2} Q W^{-1/2} = -Herm((W^{1/2} A W^{-1/2} - I)^{-1}), Hermitian by construction
+        check_operator_size(self.n)
         res = _probe_solve(self.a_bands, self.weights, np.identity(self.n))
         return psd_sqrt(-0.5 * (res + res.conj().T))
 
@@ -135,6 +137,7 @@ def _columns(n: int, kd: int) -> np.ndarray:
 
 def _dense(bands: np.ndarray) -> np.ndarray:
     n = bands.shape[1]
+    check_operator_size(n)
     a = np.zeros((n, n), dtype=bands.dtype)
     np.add.at(a, (np.arange(n), _columns(n, bands.shape[0] // 2)), bands)
     return a
@@ -296,6 +299,7 @@ def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None) -> Discrete
     """Wrap a user matrix as its periodic bands out to its periodic_bandwidth,
     which the system checks; a custom system takes the "expm" step route."""
     a, n = np.asarray(a_matrix), grid.n
+    check_operator_size(n)
     if a.shape != (n, n):
         raise AssemblyError(f"generator shape {a.shape} does not match grid size {n}")
     kd = periodic_bandwidth(a)

@@ -25,7 +25,7 @@ from phdiss.cli import main
 from phdiss.config import ConfigError, parse_config_text
 from phdiss.linalg import NotPSDError, NotSelfAdjointError
 from phdiss.presets import PresetError
-from phdiss.semigroup import _outputs
+from phdiss.semigroup import _outputs, block_rows
 
 from conftest import run_states
 
@@ -92,11 +92,24 @@ def test_oversized_control_is_usage_error(capsys, tmp_path, t_final, dt):
 
 
 def test_oversized_grid_is_usage_error(capsys, tmp_path):
-    # refused when the grid is built, before any n x n operator is allocated
-    cfg = _write_config(tmp_path, FULL_CONFIG.format(out=tmp_path).replace(
-        "n_grid = 201", "n_grid = 50000"))
-    assert main(["run", cfg]) == 2
+    # a run at 50,000 nodes holds O(n) memory and is allowed; verify-paper's M
+    # root is a dense reader, refused before its n x n operator is allocated
+    assert main(["verify-paper", "--n-grid", "50000", "--out", str(tmp_path)]) == 2
     assert "MAX_OPERATOR_MB" in capsys.readouterr().err
+
+
+def test_verify_paper_past_the_operator_budget_is_usage_error(capsys, tmp_path):
+    # 2001 nodes: the M root's first n x n array (32.03 MB) would exceed the
+    # budget, refused before it is allocated and before any file is written
+    tracemalloc.start()
+    try:
+        assert main(["verify-paper", "--n-grid", "2001", "--out", str(tmp_path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "MAX_OPERATOR_MB" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["run", "probe"])
@@ -578,11 +591,17 @@ out_dir = {tmp_path}
     }
 
 
+def _q_blocks(n):
+    # q_check draws its 100 states in blocks of the stepping loop's rows:
+    # 64 + 36 on 41 nodes
+    return -(-100 // block_rows(n))
+
+
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
 def test_run_builds_only_the_roots_its_tasks_read(tmp_path, monkeypatch, model):
     # the M core (gram_sqrt_factors on F and G) is read by no run task, so
     # no task forms G; nor is the Q core (psd_sqrt in systems): q_check
-    # takes one solve with A_hat - I instead
+    # takes one solve with A_hat - I per block of its draws instead
     text = f"""\
 model = {model}
 n_grid = 41
@@ -593,7 +612,7 @@ tasks = {{tasks}}
 out_dir = {{out}}
 """
     base = "simulate, audit, rt_bound, probe:power"
-    for tasks, q_solves in ((base, 0), (base + ", q_check", 1)):
+    for tasks, q_solves in ((base, 0), (base + ", q_check", _q_blocks(41))):
         cfg = parse_config_text(text.format(tasks=tasks, out=tmp_path / str(q_solves)))
         m_calls = _count_calls(monkeypatch, "gram_sqrt_factors", phdiss.systems)
         g_calls = _count_calls(monkeypatch, "graph_gram", phdiss.systems)
@@ -635,13 +654,62 @@ out_dir = {{out}}
     assert peak < 8 * 801**2
 
 
+# peak of a run past the dense cap in n floats: measured 44 / 46 / 112 (q_check's
+# blocks of 4 draws for transport and heat; skew_damped's build of T_m's 37 bands)
+LARGE_RUN_FLOATS = {"transport": 64, "heat": 64, "skew_damped": 150}
+
+
+@pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
+def test_run_past_the_dense_cap_holds_o_n_memory(tmp_path, model):
+    # n = 100,001 and K = 8, every task: no path of a run forms an n x n array,
+    # and each block of states, q_check's draws included, is 4 rows at this n
+    n = 100_001
+    text = f"""\
+model = {model}
+n_grid = {n}
+t_final = {8 / (n - 1)!r}
+x0_preset = sine:1
+u_preset = const:0.5
+tasks = simulate, audit, rt_bound, q_check, probe:power
+out_dir = {{out}}
+"""
+    warm = text.replace(f"n_grid = {n}", "n_grid = 21").replace(repr(8 / (n - 1)), "0.4")
+    warm = parse_config_text(warm.format(out=tmp_path / "warm"))
+    assert phdiss.runner.run_config(warm).status == 0  # lazy imports, caches
+    cfg = parse_config_text(text.format(out=tmp_path / "run"))
+    assert block_rows(n) == 4
+    tracemalloc.start()
+    try:
+        res = phdiss.runner.run_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == 0 and res.summary["simulate"]["steps"] == 8
+    assert peak <= LARGE_RUN_FLOATS[model] * 8 * n
+
+
+@pytest.mark.parametrize("n", [201, 801, 2001])
+@pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
+def test_streamed_q_check_matches_one_draw(tmp_path, model, n):
+    # q_check draws its 100 states in blocks of the stepping loop's rows from
+    # one stream: its worst residual has the bits of one (100, n) draw's
+    text = (f"model = {model}\nn_grid = {n}\nt_final = 1\nx0_preset = sine:1\n"
+            f"u_preset = zero\ntasks = q_check\nout_dir = {tmp_path}\n")
+    res = phdiss.runner.run_config(parse_config_text(text))
+    system = assemble_model(model, make_uniform_grid(n))
+    states = np.random.default_rng(20250819).standard_normal((100, n))
+    whole = float(np.max(phdiss.dissipation._q_identity_rows(system, states)))
+    assert block_rows(n) < 100  # two blocks of draws or more
+    assert res.summary["q_check"]["q_max_residual"] == whole
+
+
 @pytest.mark.parametrize("tasks", ["simulate, audit, rt_bound", "simulate"])
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
 def test_long_run_holds_no_trajectory(tmp_path, monkeypatch, capsys, model, tasks):
     # n = 401, K = 3200: the run's states would take 10.3 MB, but it steps
-    # once, in blocks of 64 states, through the audit when a task reads the
+    # once, in blocks of 40 states, through the audit when a task reads the
     # ledger and bare for simulate alone, and keeps per-sample scalars and
-    # the final state (0.7-1.6 MB measured)
+    # the final state (0.5-0.8 MB measured)
     text = f"""\
 model = {model}
 n_grid = 401
@@ -671,8 +739,8 @@ out_dir = {{out}}
 
 @pytest.mark.parametrize("model", ["transport", "skew_damped"])
 def test_q_check_and_probe_stack_their_rates(tmp_path, monkeypatch, model):
-    # one q_check evaluates its 100 states through one stacked rate call,
-    # its graph norms from the product with A; one probe rates its states
+    # one q_check evaluates its 100 states through one stacked rate call per
+    # block of draws, its graph norms from the product with A; one probe rates its states
     # through one, then the differences x_i - x_m, m > i, through one per i
     text = f"""\
 model = {model}
@@ -692,7 +760,7 @@ out_dir = {{out}}
         res = phdiss.runner.run_config(cfg)
         monkeypatch.undo()
         assert res.status == 0
-        assert len(rates) == (1 if task == "q_check" else 1 + (n_max - 1))
+        assert len(rates) == (_q_blocks(41) if task == "q_check" else 1 + (n_max - 1))
         assert len(forms) == 0
 
 

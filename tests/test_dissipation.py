@@ -239,21 +239,24 @@ def test_audit_rate_matches_form_r(model, systems101):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_audit_places_each_block_by_its_own_rows(model, monkeypatch):
-    # K + 1 = 201 rows: the stepping loop hands out blocks of 1, 4, 5 or 63 rows, and
-    # the audit places each after the last, so H, the rate and x(T) keep their bits.
-    # The supply's gemv sums in groups of 4 rows, so it may move at round-off when a
-    # block's row count is not a multiple of 4
+    # K + 1 = 201 rows: with the rows rule patched, the stepping loop hands out blocks
+    # of 1, 4, 5 or 63 rows, and the audit places each after the last, so H, the rate
+    # and x(T) keep their bits. The supply's gemv sums in groups of 4 rows, so it may
+    # move at round-off when a block's row count is not a multiple of 4, which the
+    # rule's never is
     sys = assemble_model(model, make_uniform_grid(201))
     x0 = initial_state(sys.grid, "sine:1")
     u = control_signal("const:0.5", 200 * sys.grid.h, sys.grid.h, m=sys.m_inputs)
     want = energy_audit(sys, x0, u)
     for rows in (1, 4, 5, 63):
-        monkeypatch.setattr(phdiss.semigroup, "BLOCK_ROWS", rows)
+        monkeypatch.setattr(phdiss.semigroup, "block_rows", lambda n, itemsize=8: rows)
         got = energy_audit(sys, x0, u)
         for name in ("hamiltonian", "dissipation_rate", "final_state"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (rows, name)
         np.testing.assert_allclose(got.supply_rate, want.supply_rate, rtol=0,
                                    atol=1e-15 * np.abs(want.supply_rate).max())
+        if rows % 4 == 0:
+            assert got.supply_rate.tobytes() == want.supply_rate.tobytes()
 
 
 def _q_scaled_loop(sys, x):

@@ -122,8 +122,9 @@ def _offset(n, w):
 def test_stacked_probe_matches_form_r(model, sequence):
     # n_max = 101 on 801 nodes has 5,050 differences (32.4 MB of float64); the
     # probe holds the sampled states once, at most n_max - 1 differences and
-    # the rate products' work arrays of 64 rows at a time (measured: 276 rows
-    # of n floats for a one-band F, 404 for heat's, at n_max = 101); sampling
+    # the rate products' work arrays of a block of the loop's rows at a time
+    # (measured: 242 rows of n floats for a one-band F, 272 for heat's, at
+    # n_max = 101, where the block is 20 rows); sampling
     # holds one array and the temporaries of the row being sampled
     custom = _offset if sequence == "offset" else None
     for n, n_max in ((201, 12), (801, 101)):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from phdiss import (cli, control_signal, energy_audit, grids, initial_state,
-                    make_uniform_grid, systems)
+                    make_uniform_grid, semigroup, systems)
 from phdiss.config import SUPPORTED_TASKS, ExperimentConfig, parse_config_text
 from phdiss.systems import MODELS
 
@@ -120,9 +120,9 @@ def test_readme_audit_residual_tells_classical_data_apart():
     assert f"{read['sine:1']:.1e}" == "5.7e-05" and read["sine:1"] < 1e-4
 
 
-@pytest.mark.parametrize("name", ["MAX_BAND", "MAX_OPERATOR_MB", "DAMPING"])
+@pytest.mark.parametrize("name", ["MAX_BAND", "MAX_OPERATOR_MB", "DAMPING", "BLOCK_BYTES"])
 def test_readme_states_the_assembly_limits(name):
-    module = grids if name == "MAX_OPERATOR_MB" else systems
+    module = {"MAX_OPERATOR_MB": grids, "BLOCK_BYTES": semigroup}.get(name, systems)
     assert f"`{module.__name__}.{name}` = {getattr(module, name)}" in README.read_text()
 
 

@@ -36,8 +36,8 @@ def test_transport_energy_audit_script(tmp_path, capsys):
 
 def test_transport_energy_audit_script_holds_no_trajectory(tmp_path, capsys):
     # n = 401, t_final = 8: each of the two audits steps its 3,201 states in
-    # blocks of 64 and keeps its ledger, not the 10.3 MB of stacked states
-    # (1.4 MB measured)
+    # blocks of 40 and keeps its ledger, not the 10.3 MB of stacked states
+    # (0.85 MB measured)
     main = _main("transport_energy_audit.py")
     assert main(["--n-grid", "21", "--out", str(tmp_path)]) == 0  # lazy imports
     tracemalloc.start()

@@ -21,8 +21,8 @@ from phdiss.systems import (assemble_custom, assemble_heat, assemble_skew_damped
                             assemble_transport)
 from phdiss.semigroup import (_THETA, AlignmentError, ControlSignal, SignalError,
                               _band_step, _blocks, _dense_propagator, _make_step, _outputs,
-                              _start, _taylor_poly, boundary_trace, final_state, run_blocks,
-                              sine_basis)
+                              _start, _taylor_poly, block_rows, boundary_trace, final_state,
+                              run_blocks, sine_basis)
 
 from conftest import (MODELS, custom_complex_system, free_control, free_run, random_state,
                       run_states)
@@ -174,9 +174,9 @@ TRAJECTORY_BYTES = 3201 * 401 * 8
 
 @pytest.mark.parametrize("model", MODELS)
 def test_audited_run_holds_one_trajectory(model):
-    # n = 401, K = 3200: the audit steps the run itself in blocks of 64
+    # n = 401, K = 3200: the audit steps the run itself in blocks of 40
     # states and keeps per-sample scalars, so it peaks at a fifth of the
-    # 10.3 MB the stacked states would take (1.1-1.6 MB measured): no
+    # 10.3 MB the stacked states would take (0.6-0.75 MB measured): no
     # (K+1) x n array, no n x n propagator
     sys = assemble_model(model, make_uniform_grid(401))
     u = control_signal("ramp:0.5", 8.0, sys.grid.h)
@@ -242,7 +242,8 @@ def _route_system(route, m):
 @pytest.mark.parametrize("route", ["shift", "sine", "band", "dense"])
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_blocks_match_the_step_by_step_loop(rows, route, m):
-    # block edges fall inside, at and just past a block of 64 rows; B u is
+    # on 21 and 41 nodes the rows rule gives blocks of 64 rows, real or
+    # complex: block edges fall inside, at and just past a block; B u is
     # one product per block, which at m = 1 is the same single product per
     # entry as np.dot, and at m = 2 may round its two terms in another order:
     # an ulp per step, which the steps carry along and which add up like a
@@ -257,14 +258,61 @@ def test_blocks_match_the_step_by_step_loop(rows, route, m):
     u = ControlSignal((rows - 1) * dt, rng.standard_normal((rows, m)))
     for x0 in (random_state(sys.n, rows), random_state(sys.n, rows, complex_values=True)):
         want = _step_by_step(sys, x0, u)
-        blocks = list(run_blocks(sys, x0, u))
-        assert [len(b) for b in blocks] == [min(64, rows - s) for s in range(0, rows, 64)]
-        got = np.concatenate(blocks)
-        assert got.dtype == want.dtype
-        if m <= 1:
-            np.testing.assert_array_equal(got, want)
-        else:
-            assert np.abs(got - want).max() <= 1e-15 * math.sqrt(rows) * np.abs(want).max()
+        _check_blocks(sys, x0, u, want, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 10**7), itemsize=st.sampled_from([4, 8, 16]),
+       budget=st.sampled_from([0, 1, 4096, 128 * 1024, 2**30]))
+@example(n=801, itemsize=8, budget=128 * 1024)
+def test_rows_rule_is_a_multiple_of_four_up_to_64(n, itemsize, budget):
+    # the supply's gemv sums rows in fours, so every block keeps its bits; the
+    # rule takes the most rows that fit the budget, or 4 when none do
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phdiss.semigroup, "BLOCK_BYTES", budget)
+        rows = block_rows(n, itemsize)
+    assert rows % 4 == 0 and 4 <= rows <= 64
+    assert rows == 4 or rows * n * itemsize <= budget
+    assert rows == 64 or (rows + 4) * n * itemsize > budget
+
+
+def test_rows_rule_at_the_benchmarked_sizes():
+    # 128 KiB: 20 rows of float64 at n = 801, 40 at 401, 64 up to 256, 4 at 100,001
+    assert phdiss.semigroup.BLOCK_BYTES == 128 * 1024
+    assert [block_rows(n) for n in (21, 256, 401, 801, 100_001)] == [64, 64, 40, 20, 4]
+    assert block_rows(801, 16) == 8
+
+
+def _check_blocks(sys, x0, u, want, m):
+    # run_blocks' blocks have the rows rule's length and stack to the states of
+    # the step-by-step loop: bitwise at m <= 1, else within 1e-15 sqrt(K + 1)
+    rows, size = u.values.shape[0], block_rows(sys.n, want.itemsize)
+    blocks = list(run_blocks(sys, x0, u))
+    assert [len(b) for b in blocks] == [min(size, rows - s) for s in range(0, rows, size)]
+    got = np.concatenate(blocks)
+    assert got.dtype == want.dtype
+    if m <= 1:
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-15 * math.sqrt(rows) * np.abs(want).max()
+
+
+@pytest.mark.parametrize("budget", [0, 4 * 41 * 8 * 5, 4 * 41 * 8 * 13])
+@pytest.mark.parametrize("route", ["shift", "sine", "band", "dense"])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_smaller_byte_budget_blocks_match_the_step_by_step_loop(budget, route, m, monkeypatch):
+    # a patched BLOCK_BYTES gives fewer than 64 rows on 41 nodes: 4, 20 or 52
+    # real rows and 4, 8 or 24 complex ones, and on the dense route's 21 nodes
+    # 4, 36 or 64 real and 4, 16 or 48 complex ones (every state of the dense
+    # route is complex); K + 1 = 130 rows end inside a block of each size
+    monkeypatch.setattr(phdiss.semigroup, "BLOCK_BYTES", budget)
+    assert [block_rows(41, size) for size in (8, 16)] == {
+        0: [4, 4], 4 * 41 * 8 * 5: [20, 8], 4 * 41 * 8 * 13: [52, 24]}[budget]
+    sys = _route_system(route, m)
+    rng = np.random.default_rng(budget + m)
+    u = ControlSignal(129 * sys.grid.h, rng.standard_normal((130, m)))
+    for x0 in (random_state(sys.n, 5), random_state(sys.n, 5, complex_values=True)):
+        _check_blocks(sys, x0, u, _step_by_step(sys, x0, u), m)
 
 
 @pytest.mark.parametrize("rows", [2, 63, 64, 65, 129, 3201])
@@ -492,7 +540,7 @@ def test_stiff_custom_generator_takes_the_dense_route(monkeypatch):
 
 def test_band_route_forms_no_square_array():
     # skew_damped at n = 801, K = 800, read block by block and no block kept:
-    # the loop holds a block of 64 states while it steps the next, and the
+    # the loop holds a block of 20 states while it steps the next, and the
     # band route adds T_m's 2 m kd + 1 = 39 bands (m = 19, kd = 1 at dt = h)
     # and the work arrays that sum them; the 801 x 801 states never exist
     sys = assemble_model("skew_damped", make_uniform_grid(801))

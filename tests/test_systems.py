@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 import scipy.linalg as sla
 
-from phdiss import assemble_model, form_r, grids, initial_state, make_uniform_grid, systems
+from phdiss import (assemble_model, control_signal, form_r, grids, initial_state,
+                    make_uniform_grid, systems)
 from phdiss.dissipation import _form_rates, _q_identity_rows
 from phdiss.grids import Grid, GridError, norm_sq
-from phdiss.semigroup import sine_basis, sine_spectrum
+from phdiss.semigroup import _band_step, final_state, sine_basis, sine_spectrum
 from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, DiscreteSystem, _dense,
                             _lapack_band, _probe_solve, assemble_custom, assemble_heat,
                             assemble_skew_damped, assemble_transport, band_product,
@@ -565,7 +566,7 @@ def test_band_product_matches_a_wrapped_copy_bitwise(seed, kd, extra, complex_ba
 
 
 def test_one_band_product_copies_no_state():
-    # a one-band F times an audit's block of 64 rows on 801 nodes holds the product
+    # a one-band F times a block of 64 rows on 801 nodes holds the product
     # and no copy of the block (measured 1.16 blocks; a wrapped copy makes it 2.16)
     rng = np.random.default_rng(0)
     f, block = rng.standard_normal((1, 801)), rng.standard_normal((64, 801))
@@ -618,18 +619,63 @@ def test_heat_probe_root_matches_dense_root(n):
     np.testing.assert_allclose(assemble_heat(grid).q_sqrt_hat, closed, rtol=0, atol=1e-13)
 
 
+_DENSE_READERS = ("a_matrix", "f_matrix", "m_sqrt_hat", "q_sqrt_hat")
+
+
 def test_oversized_grid_refused_before_allocating():
-    # a 50,000-node grid would need 20 GB per n x n operator: the Grid itself
-    # refuses it before its nodes exist, so no assembler is ever handed one
-    n = 50_000
+    # a 50,000-node grid needs 20 GB per n x n operator: its grid and bands
+    # are O(n) and build, and each dense reader refuses it before its first
+    # n x n array exists
+    system = assemble_model("transport", Grid(50_000))
     tracemalloc.start()
     try:
-        for build in (Grid, make_uniform_grid):
+        for reader in _DENSE_READERS:
             with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
-                build(n)
+                getattr(system, reader)
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
+
+
+def _refused_before_allocating(read, limit=2**20):
+    # read() raises GridError naming the budget, with under limit bytes allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
+            read()
+        assert tracemalloc.get_traced_memory()[1] < limit
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_dense_readers_refuse_the_first_grid_past_the_budget(model):
+    # n = 2001 is the first grid whose n x n float64 array (32.03 MB) exceeds
+    # MAX_OPERATOR_MB; a run's bands are O(n), so the system builds
+    system = assemble_model(model, make_uniform_grid(2001))
+    for reader in _DENSE_READERS:
+        _refused_before_allocating(lambda: getattr(system, reader))
+
+
+def test_dense_routes_of_custom_generators_refuse_past_the_budget():
+    grid = make_uniform_grid(2001)
+    # assemble_custom reads a dense A: refused before it looks at one, here a
+    # broadcast zero that holds no n x n memory
+    _refused_before_allocating(lambda: assemble_custom(grid, np.broadcast_to(0.0, (2001, 2001))))
+    # a direct system at dt = 100 needs more Taylor steps than a dense product
+    # costs, so its step route forms the dense propagator
+    skew = assemble_model("skew_damped", grid)
+    direct = DiscreteSystem(grid, skew.a_bands, skew.b_matrix)
+    u = control_signal("zero", 100.0, 100.0)
+    assert _band_step(direct.a_bands, u.dt, float) is None
+    _refused_before_allocating(lambda: final_state(direct, np.ones(2001), u))
+    # an F wider than MAX_BAND takes the eigvalsh gate when the system is built,
+    # after forming F's 35 bands and their folded LAPACK form (2.6 MB measured),
+    # below an eighth of the 32 MB n x n array
+    wide = np.zeros((2 * MAX_BAND + 3, 2001))
+    wide[MAX_BAND + 1], wide[0], wide[-1] = -1.0, 0.01, 0.01
+    _refused_before_allocating(lambda: DiscreteSystem(grid, wide, np.ones((2001, 1))),
+                               limit=2**22)
 
 
 _FAULTS = ("non_dissipative", "nan_a", "inf_b", "object_a", "a_long", "a_short",
@@ -726,9 +772,9 @@ def test_operator_budget_is_the_module_constant(monkeypatch):
     # exercised on a small budget, so no test allocates near the real one:
     # 21 nodes take 3.5 kB per operator, 41 nodes 13.4 kB
     monkeypatch.setattr(grids, "MAX_OPERATOR_MB", 0.01)
-    assert assemble_model("heat", make_uniform_grid(21)).n == 21
+    assert assemble_model("heat", make_uniform_grid(21)).a_matrix.shape == (21, 21)
     with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
-        assemble_model("heat", make_uniform_grid(41))
+        assemble_model("heat", make_uniform_grid(41)).a_matrix
 
 
 def test_operator_budget_admits_the_largest_grid():
