@@ -30,16 +30,11 @@ from .systems import DiscreteSystem, _probe_solve, band_product
 
 
 def form_r(system: DiscreteSystem, x, y=None) -> complex:
-    """The dissipation form r[x, y]; r[x, x] is real and nonnegative.
-
-    With y omitted, returns the real diagonal value r[x].
-    """
+    """The dissipation form r[x, y], or with y omitted the real, nonnegative rate r[x]."""
     xv = as_state(x, system.n)
-    fx = band_product(system.f_bands, xv)
-    if y is None:
-        return float(np.real(np.conj(xv) @ fx))
-    yv = as_state(y, system.n)
-    return complex(np.conj(yv) @ fx)
+    if y is None:  # the audit's, the probe's and q_check's kernel, on one row
+        return float(_form_rates(system.f_bands, xv[None])[0])
+    return complex(np.conj(as_state(y, system.n)) @ band_product(system.f_bands, xv))
 
 
 def dissipation_rate(system: DiscreteSystem, x) -> float:
@@ -77,7 +72,7 @@ def _q_identity_rows(system: DiscreteSystem, states: np.ndarray) -> np.ndarray:
     w = system.weights
     ax = band_product(system.a_bands, states)
     z = (ax - states) * np.sqrt(w)
-    q_sq = -np.einsum("ij,ji->i", z.conj(), _probe_solve(system.a_bands, w, z.T)).real
+    q_sq = -np.einsum("ij,ji->i", z.conj(), _probe_solve(system, z.T)).real
     x_sq = norm_sq(w, states)
     residual = np.abs(q_sq - (x_sq + _form_rates(system.f_bands, states)))
     return residual / (1.0 + x_sq + norm_sq(w, ax))

@@ -264,7 +264,10 @@ def _blocks(start, u: ControlSignal):
     for first in range(0, rows, size):
         stop = min(first + size, rows)
         hb[0] = hb[-1]  # a block that has a successor is full
-        bu = np.matmul(u.values[first:stop], b.T, out=hb[1:stop - first + 1])
+        uk = u.values[first:stop]  # B u one input at a time, so no row count moves a bit
+        bu = np.matmul(uk[:, :1], b[:, :1].T, out=hb[1:stop - first + 1])
+        for j in range(1, uk.shape[1]):
+            bu += uk[:, j:j + 1] * b[:, j]
         bu *= 0.5 * u.dt
         block = np.empty((stop - first, x.size), x.dtype)
         if first == 0:
@@ -306,13 +309,12 @@ def final_state(system: DiscreteSystem, x0, u: ControlSignal) -> np.ndarray:
 
 
 def _outputs(weights: np.ndarray, b: np.ndarray, states: np.ndarray) -> np.ndarray:
-    # y = (W B)^H x of every row x of states, B in their basis. One input goes through gemv
-    # for any number of rows: numpy's @ sums in another order, by a dot product, for one row
+    # y = (W B)^H x of every row x of states, B in their basis: one gemv per input, whose sums
+    # do not depend on how many rows a block has (numpy's @ takes a dot product for one row)
     wb = np.conj(weights[:, None] * b)
-    if wb.shape[1] != 1:
-        return states @ wb
     gemv = sla.get_blas_funcs("gemv", (states, wb))
-    return gemv(1.0, states.T, wb[:, 0], trans=1)[:, None]
+    y = [gemv(1.0, states.T, col, trans=1) for col in wb.T]
+    return np.reshape(y, (wb.shape[1], len(states))).T
 
 
 @dataclass(eq=False)
@@ -338,11 +340,8 @@ def boundary_trace(system: DiscreteSystem, x0, u: ControlSignal) -> BoundaryTrac
     x0v = as_state(x0, system.n)
     # a copy of each column, so that no block outlives its turn
     from_traj = np.concatenate([block[:, 0].copy() for block in run_blocks(system, x0v, u)])
-    n, h = system.n, system.grid.h
-    dt = u.dt
-    q = _shift_indices(dt, h)
-    uvals = u.values
-    kmax = uvals.shape[0] - 1
+    n, dt, uvals = system.n, u.dt, u.values
+    q, kmax = _shift_indices(dt, system.grid.h), uvals.shape[0] - 1
     k = np.arange(kmax + 1)
     # (B u(t_j))(t_k - t_j) = u_j . prof[k - j]: B sampled at s = d q, zero
     # from the outflow node on

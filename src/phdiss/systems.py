@@ -7,10 +7,10 @@ A and F are stored as their periodic bands, each out to its own half-bandwidth:
 three rows of n for a named model's A and heat's F, one for a diagonal F.
 Dense A and F are built on first read only, past grids.check_operator_size,
 for the M root, the dense propagator and the gate of an F wider than MAX_BAND;
-LAPACK gets the bands with a periodic band folded into an ordinary one
-(_lapack_band). A
-DiscreteSystem checks itself when built, F's dissipativity included; only an
-assembler names it, else it is "custom" and takes the "expm" step route.
+LAPACK gets the bands with a periodic band folded into an ordinary one (_lapack_band),
+the probe's shifted A once per system. A DiscreteSystem checks itself when built, F's
+dissipativity included; only an assembler names it, else it is "custom" and takes the
+"expm" step route.
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ class DiscreteSystem:
     on first read and kept; no run task reads them. For M = G^{-1} F, with
     G = L L^H the graph gram, g_chol is L and m_sqrt_hat = (L^{-1} F L^{-H})^{1/2}:
     ||M^{1/2} x||_G = ||m_sqrt_hat L^H x|| and M^{1/2} x = L^{-H} m_sqrt_hat L^H x.
-    For the bounded probe Q, q_sqrt_hat = (W^{1/2} Q W^{-1/2})^{1/2}, one eigh
-    after q_check's solve: ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||.
+    For the bounded probe Q, q_sqrt_hat = (W^{1/2} Q W^{-1/2})^{1/2}, one eigh after
+    the solve that q_check takes per block of draws, with W^{1/2} A W^{-1/2} - I folded
+    once (_probe_band): ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||.
     """
 
     grid: Grid
@@ -123,10 +124,17 @@ class DiscreteSystem:
     m_sqrt_hat = property(lambda self: self._m_factors[1])
 
     @cached_property
+    def _probe_band(self):  # _lapack_band of W^{1/2} A W^{-1/2} - I, for every probe solve
+        kd, sw = self.a_bands.shape[0] // 2, np.sqrt(self.weights)
+        shifted = sw * self.a_bands / sw[_columns(self.n, kd)]
+        shifted[kd] -= 1.0
+        return _lapack_band(shifted)
+
+    @cached_property
     def q_sqrt_hat(self) -> np.ndarray:
         # W^{1/2} Q W^{-1/2} = -Herm((W^{1/2} A W^{-1/2} - I)^{-1}), Hermitian by construction
         check_operator_size(self.n)
-        res = _probe_solve(self.a_bands, self.weights, np.identity(self.n))
+        res = _probe_solve(self, np.identity(self.n))
         return psd_sqrt(-0.5 * (res + res.conj().T))
 
 
@@ -172,12 +180,9 @@ def band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sum(bands[k + kd] * (np.roll(x, -k, axis=-1) if k else x) for k in range(-kd, kd + 1))
 
 
-def _probe_solve(a_bands: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # (W^{1/2} A W^{-1/2} - I)^{-1} rhs for a 2-D rhs, by one banded LU in _lapack_band's order
-    n, kd = a_bands.shape[1], a_bands.shape[0] // 2
-    shifted = np.sqrt(w) * a_bands / np.sqrt(w)[_columns(n, kd)]
-    shifted[kd] -= 1.0
-    ab, pos, u = _lapack_band(shifted)
+def _probe_solve(system: DiscreteSystem, rhs: np.ndarray) -> np.ndarray:
+    # (W^{1/2} A W^{-1/2} - I)^{-1} rhs for a 2-D rhs, by one banded LU of the system's folded band
+    ab, pos, u = system._probe_band
     return sla.solve_banded((u, u), ab, rhs[np.argsort(pos)])[pos]
 
 

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,6 +10,16 @@ from phdiss import (assemble_custom, assemble_model, control_signal,
 from phdiss.semigroup import run_blocks
 
 MODELS = ("transport", "heat", "skew_damped")
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that runs phdiss: this one's,
+    without PHDISS_OUT, with the checkout's src/ first on PYTHONPATH, as
+    pytest's own pythonpath setting reaches only this process."""
+    env = {k: v for k, v in os.environ.items() if k != "PHDISS_OUT"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

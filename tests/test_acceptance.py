@@ -5,7 +5,6 @@ outcome, and with -s as a detail line) and asserts the bound, so the
 battery doubles as a numbered checklist of what this package promises.
 """
 
-import os
 import subprocess
 import sys
 
@@ -19,7 +18,7 @@ from phdiss.probes import VERDICT_NON_CLOSABLE, VERDICT_PREMISE
 from phdiss.semigroup import ControlSignal, _outputs
 from phdiss.systems import graph_gram, graph_norm
 
-from conftest import apply_m_sqrt, free_control, free_run
+from conftest import apply_m_sqrt, child_env, free_control, free_run
 
 MODELS = ("transport", "heat", "skew_damped")
 SIZES = (101, 201, 401)
@@ -210,7 +209,7 @@ def test_criterion_09_output_adjoint(systems101):
 
 
 def test_criterion_10_verify_paper_deterministic(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "PHDISS_OUT"}
+    env = child_env()
     outputs = []
     for name in ("first", "second"):
         out = tmp_path / name

@@ -3,7 +3,6 @@ import dataclasses
 import inspect
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -27,7 +26,7 @@ from phdiss.linalg import NotPSDError, NotSelfAdjointError
 from phdiss.presets import PresetError
 from phdiss.semigroup import _outputs, block_rows
 
-from conftest import run_states
+from conftest import child_env, run_states
 
 FULL_CONFIG = """\
 # transport exit audit
@@ -144,7 +143,7 @@ def _modules_after_run(tmp_path, model, x0, modules):
         "assert run_config(cfg).status == 0\n"
         f"for name in {modules!r}: print(name in sys.modules)\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "PHDISS_OUT"}
+    env = child_env()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -326,9 +325,10 @@ def test_refused_run_writes_nothing(capsys, tmp_path, edits, message):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: the parabolic rule weights the rate of heat's boundary "
-    "nodes at t = 0 as if it were smooth, so the dissipated total reads 1.82 "
-    "where the run dissipates 0.56 and rt_bound fails on working code"))
+    "ROADMAP item 1, the exact-step ledger: the parabolic rule weights the "
+    "rate of heat's boundary nodes at t = 0 as if it were smooth, so the "
+    "dissipated total reads 1.82 where the run dissipates 0.56 and rt_bound "
+    "fails on working code"))
 def test_heat_rt_bound_holds_from_one(tmp_path):
     cfg = parse_config_text(FULL_CONFIG.format(out=tmp_path).replace(
         "model = transport", "model = heat").replace(
@@ -499,7 +499,7 @@ def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
 
 
 def test_console_entry_point_runs(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "PHDISS_OUT"}
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "phdiss.cli", "probe", "transport", "power",
          "--n-grid", "101", "--out", str(tmp_path)],

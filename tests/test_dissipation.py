@@ -99,7 +99,7 @@ def test_q_identity_heat_sine_absolute():
     assert q_identity_residual(sys, x) < 1e-9
 
 
-def test_scalar_toolkit():
+def test_scalar_generator_meets_every_identity():
     # A = -I, the scalar -1 at every node: Q = I / 2, and with ||x|| = 1
     # both identities hold exactly
     sys = assemble_custom(make_uniform_grid(3), -np.eye(3))
@@ -123,7 +123,7 @@ def test_assembly_forms_g_and_f_once(systems101, model, monkeypatch):
     assert assemble_model(model, sys.grid).f_bands.shape == (width, sys.n)
 
 
-def test_toolkit_builds_roots_on_first_read():
+def test_system_builds_roots_on_first_read():
     sys = assemble_model("heat", make_uniform_grid(101))
     assert set(vars(sys)) == {f.name for f in dataclasses.fields(sys)}
     core = sys.m_sqrt_hat
@@ -135,7 +135,7 @@ def test_toolkit_builds_roots_on_first_read():
     assert not hasattr(sys, "g_gram") and not hasattr(sys, "q_matrix")
 
 
-def test_toolkit_root_failures_surface_on_first_read():
+def test_system_root_failures_surface_on_first_read():
     # A = I is not dissipative, so the constructor refuses it; built past the
     # constructor, the system exists and each root read fails
     grid = make_uniform_grid(3)
@@ -259,6 +259,47 @@ def test_audit_places_each_block_by_its_own_rows(model, monkeypatch):
             assert got.supply_rate.tobytes() == want.supply_rate.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("model", MODELS)
+def test_ledger_keeps_its_bits_under_any_byte_budget(model, m, monkeypatch):
+    # n = 401, K = 404: 128 KiB gives blocks of 40 rows, the last of 5, and no budget
+    # gives 4 rows, the last of 1. Every ledger column keeps its bits for two inputs
+    # as for one: the loop's B u and the supply's gemv go one input at a time
+    grid = make_uniform_grid(401)
+    profile = None if m == 1 else (lambda w: np.column_stack((np.ones_like(w), np.cos(w))))
+    sys = getattr(phdiss.systems, f"assemble_{model}")(grid, profile)
+    x0 = initial_state(grid, "sinh_bc" if model == "transport" else "sine:1")
+    u = control_signal("ramp:0.7", 404 * grid.h, grid.h, m=m)
+    assert u.values.shape == (405, m) and phdiss.semigroup.block_rows(401) == 40
+    want = energy_audit(sys, x0, u)
+    monkeypatch.setattr(phdiss.semigroup, "BLOCK_BYTES", 0)
+    assert phdiss.semigroup.block_rows(401) == 4
+    got = energy_audit(sys, x0, u)
+    for name in ("hamiltonian", "supply_rate", "dissipation_rate", "supplied", "dissipated",
+                 "residuals", "final_state"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_probe_operator_is_folded_once_per_system(model, monkeypatch):
+    # q_check's draws in five blocks at n = 801, then the Q root: every solve
+    # reads W^{1/2} A W^{-1/2} - I folded once, on the first block
+    sys = assemble_model(model, make_uniform_grid(801))
+    folds = []
+
+    def counted(bands, _fold=phdiss.systems._lapack_band):
+        folds.append(bands.shape)
+        return _fold(bands)
+
+    monkeypatch.setattr(phdiss.systems, "_lapack_band", counted)
+    rows = phdiss.semigroup.block_rows(sys.n)
+    states = _runner_draw(sys, model)
+    assert -(-100 // rows) == 5
+    worst = max(_q_identity_rows(sys, states[i:i + rows]).max() for i in range(0, 100, rows))
+    assert worst <= 1e-10 and len(folds) == 1
+    assert sys.q_sqrt_hat.shape == (801, 801) and len(folds) == 1
+
+
 def _q_scaled_loop(sys, x):
     # the probe identity of one state, one mat-vec at a time
     w = sys.weights
@@ -316,7 +357,7 @@ def test_probe_root_and_solve_routes_agree(model, n):
     z = (states @ sys.a_matrix.T - states) * np.sqrt(w)
     root = z @ sys.q_sqrt_hat.T
     by_root = np.einsum("ij,ij->i", root.conj(), root).real
-    by_solve = -np.einsum("ij,ji->i", z.conj(), _probe_solve(sys.a_bands, w, z.T)).real
+    by_solve = -np.einsum("ij,ji->i", z.conj(), _probe_solve(sys, z.T)).real
     # the routes agree to 1e-12 of the value, or to the root's own round-off,
     # its backward error eps ||Q_hat|| <= eps times ||z||^2: on these rough
     # states ||z||^2 ~ ||Ax||^2 grows like n^2, and on transport and

@@ -243,8 +243,8 @@ def _route_system(route, m):
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_blocks_match_the_step_by_step_loop(rows, route, m):
     # on 21 and 41 nodes the rows rule gives blocks of 64 rows, real or
-    # complex: block edges fall inside, at and just past a block; B u is
-    # one product per block, which at m = 1 is the same single product per
+    # complex: block edges fall inside, at and just past a block; B u is one
+    # product per input and block, which at m = 1 is the same single product per
     # entry as np.dot, and at m = 2 may round its two terms in another order:
     # an ulp per step, which the steps carry along and which add up like a
     # random walk, so within 1e-15 sqrt(K + 1) of the largest state
@@ -725,17 +725,28 @@ def test_output_is_weighted_adjoint(systems101, seed, model):
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
 
-@pytest.mark.parametrize("model", MODELS)
+def _output_system(case, grid):
+    # a named model, or skew_damped's A as a custom system with 0 or 2 inputs,
+    # real or complex
+    if case in MODELS:
+        return assemble_model(case, grid)
+    m = int(case[-1])
+    b = np.cos(np.outer(grid.nodes, np.arange(1, m + 1))) + grid.nodes[:, None]
+    b = b * (1 - 0.5j) if case.startswith("complex") else b
+    return assemble_custom(grid, assemble_model("skew_damped", grid).a_matrix, b_matrix=b)
+
+
+@pytest.mark.parametrize("model", MODELS + ("custom_m0", "custom_m2", "complex_m2"))
 def test_output_of_a_block_is_its_rows_of_the_stack(model):
-    # K + 1 = 65 leaves a last block of one row; y = B^* x takes gemv on it
-    # as on a stack of rows, so the audit's supply has the bits of a product
-    # over more rows (numpy's @ on one row takes a dot product, which moves
-    # an ulp here). The audit reads the loop's blocks in the step basis with
-    # B in that basis: for heat those are the sine-basis states, whose supply
-    # meets the nodal one at round-off; for the nodal routes they are the
-    # states themselves
-    sys = assemble_model(model, make_uniform_grid(201))
-    u = control_signal("ramp:0.7", 64 * sys.grid.h, sys.grid.h)
+    # K + 1 = 65 leaves a last block of one row; y = B^* x takes one gemv per
+    # input on it as on a stack of rows, so the audit's supply has the bits of
+    # a product over more rows, for every input count (numpy's @ on one row
+    # takes a dot product, which moves an ulp here). The audit reads the loop's
+    # blocks in the step basis with B in that basis: for heat those are the
+    # sine-basis states, whose supply meets the nodal one at round-off; for the
+    # nodal routes they are the states themselves
+    sys = _output_system(model, make_uniform_grid(201))
+    u = control_signal("ramp:0.7", 64 * sys.grid.h, sys.grid.h, m=sys.m_inputs)
     x0 = np.sin(np.pi * sys.grid.nodes)
     states = run_states(sys, x0, u)
     np.testing.assert_array_equal(_outputs(sys.weights, sys.b_matrix, states[64:]),

@@ -457,7 +457,7 @@ def test_probe_solve_matches_dense_solve(seed, n, band, corners, complex_values)
                 return _fn(*args, **kwargs)
 
             mp.setattr(sla, name, counted)
-        got = _probe_solve(sys.a_bands, w, rhs)
+        got = _probe_solve(sys, rhs)
     assert calls == ["solve_banded"]
     # round-off: the backward-stable bound, relative to the solution
     tol = n * np.finfo(float).eps * np.linalg.cond(shifted)
@@ -482,7 +482,7 @@ def test_probe_solve_band_without_corners_may_be_singular():
     sys = assemble_custom(grid, (shifted + np.identity(n)) * sw / sw[:, None])
     rhs = np.random.default_rng(3).standard_normal((n, 3))
     want = np.linalg.solve(shifted, rhs)
-    got = _probe_solve(sys.a_bands, grid.weights, rhs)
+    got = _probe_solve(sys, rhs)
     tol = n * np.finfo(float).eps * np.linalg.cond(shifted)
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
@@ -515,6 +515,7 @@ def test_band_paths_match_their_dense_references(seed, n, kd, corners, complex_v
     rate_bound = np.einsum("ij,jk,ik->i", np.abs(x), np.abs(f), np.abs(x))
     assert np.all(np.abs(_form_rates(sys.f_bands, x) - rates) <= 1e-13 * rate_bound)
     assert abs(form_r(sys, x[0]) - rates[0]) <= 1e-13 * rate_bound[0]
+    assert form_r(sys, x[0]) == _form_rates(sys.f_bands, x[:1])[0]  # one kernel, one set of bits
     cross = np.conj(x[1]) @ f @ x[0]
     assert abs(form_r(sys, x[0], x[1]) - cross) <= 1e-13 * (np.abs(x[1]) @ np.abs(f) @ np.abs(x[0]))
     graph = np.sqrt(norm_sq(w, x[0]) + norm_sq(w, a @ x[0]))
@@ -528,7 +529,7 @@ def test_band_paths_match_their_dense_references(seed, n, kd, corners, complex_v
     shifted = sw[:, None] * a / sw - np.identity(n)
     rhs = x[:3].T
     want = np.linalg.solve(shifted, rhs)
-    got = _probe_solve(sys.a_bands, w, rhs)
+    got = _probe_solve(sys, rhs)
     tol = n * np.finfo(float).eps * np.linalg.cond(shifted)
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
