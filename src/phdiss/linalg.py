@@ -13,6 +13,15 @@ A square root is kept in those coordinates only, as its Hermitian core
 s_hat = psd_sqrt(L^{-1} (G M) L^{-H}); no root is mapped back to the
 original coordinates. gram_sqrt_factors takes a dense G (the graph gram,
 which its caller forms for this one call and keeps only as the factor L).
+Each n x n array is dropped after its last read: G once it is factored,
+the Hermitian part of G M after the first triangular solve, that solve
+after the second; a Hermitian part (x + x^H) / 2 is one new array scaled
+in place. Handed G M and G as temporaries, a real M root so peaks at 5
+n x n float64 arrays (tracemalloc: L, the core, its eigenvectors, their
+scaled copy and the root), besides numpy eigh's own copy of the core and
+LAPACK syevd's workspace, about 3 n^2 floats that tracemalloc does not see;
+the Q root (systems.DiscreteSystem.q_sqrt_hat), one solve and one eigh,
+peaks at 4.
 
 sine_transform is the orthonormal DST-I, the eigenbasis of the Dirichlet
 second difference: heat steps in that basis (semigroup.sine_basis).
@@ -32,15 +41,23 @@ class NotPSDError(ValueError):
     """An eigenvalue is negative beyond the clamping tolerance."""
 
 
+def hermitian_part(x: np.ndarray, scale: float = 0.5) -> np.ndarray:
+    """scale * (x + x^H), formed as one new array and scaled in place: the
+    bits of scale * (x + x^H) without a second n x n temporary."""
+    herm = x + x.conj().T
+    herm *= scale
+    return herm
+
+
 def _check_hermitian(product: np.ndarray) -> np.ndarray:
-    skew = product - product.conj().T
     scale = max(float(np.linalg.norm(product, "fro")), 1e-300)
-    if float(np.linalg.norm(skew, "fro")) > 1e-8 * scale:
+    skew = float(np.linalg.norm(product - product.conj().T, "fro"))
+    if skew > 1e-8 * scale:
         raise NotSelfAdjointError(
             "matrix is not self-adjoint in the given inner product "
-            f"(relative asymmetry {np.linalg.norm(skew, 'fro') / scale:.3e})"
+            f"(relative asymmetry {skew / scale:.3e})"
         )
-    return 0.5 * (product + product.conj().T)
+    return hermitian_part(product)
 
 
 def psd_sqrt(hat: np.ndarray) -> np.ndarray:
@@ -66,13 +83,20 @@ def gram_sqrt_factors(product: np.ndarray, gram: np.ndarray):
     Returns (l, s_hat) where gram = l l^H and s_hat = psd_sqrt of the
     congruence l^{-1} product l^{-H}, so ||M^{1/2} x||_G = ||s_hat l^H x||
     and M^{1/2} x = l^{-H} s_hat l^H x. Raises NotSelfAdjointError if
-    product is not Hermitian to a relative asymmetry of 1e-8.
+    product is not Hermitian to a relative asymmetry of 1e-8. Each argument
+    is dropped at its last read, which frees it when the caller passed it
+    as a temporary: from CPython 3.11 on, a Python callee holds the only
+    reference to one (on 3.10 the caller's stack keeps it to the return).
     """
     product = _check_hermitian(np.asarray(product))
     l = np.linalg.cholesky(gram)
+    del gram
     half = sla.solve_triangular(l, product, lower=True)
+    del product
     hat = sla.solve_triangular(l, half.conj().T, lower=True).conj().T
-    return l, psd_sqrt(0.5 * (hat + hat.conj().T))
+    del half
+    hat = hermitian_part(hat)  # rebound, so the solve is freed before the eigh
+    return l, psd_sqrt(hat)
 
 
 def sine_transform(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -310,11 +310,14 @@ def final_state(system: DiscreteSystem, x0, u: ControlSignal) -> np.ndarray:
 
 def _outputs(weights: np.ndarray, b: np.ndarray, states: np.ndarray) -> np.ndarray:
     # y = (W B)^H x of every row x of states, B in their basis: one gemv per input, whose sums
-    # do not depend on how many rows a block has (numpy's @ takes a dot product for one row)
+    # do not depend on how many rows a block has (numpy's @ takes a dot product for one row),
+    # each written into its row of y
     wb = np.conj(weights[:, None] * b)
     gemv = sla.get_blas_funcs("gemv", (states, wb))
-    y = [gemv(1.0, states.T, col, trans=1) for col in wb.T]
-    return np.reshape(y, (wb.shape[1], len(states))).T
+    y = np.zeros((wb.shape[1], len(states)), dtype=gemv.dtype)
+    for row, col in zip(y, wb.T):
+        gemv(1.0, states.T, col, y=row, overwrite_y=1, trans=1)
+    return y.T
 
 
 @dataclass(eq=False)

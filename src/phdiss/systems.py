@@ -5,8 +5,8 @@ generator A, the input map B and the dissipation form matrix F = -Herm(W A),
 where W is the trapezoid gram matrix, kept as the grid's weight vector.
 A and F are stored as their periodic bands, each out to its own half-bandwidth:
 three rows of n for a named model's A and heat's F, one for a diagonal F.
-Dense A and F are built on first read only, past grids.check_operator_size,
-for the M root, the dense propagator and the gate of an F wider than MAX_BAND;
+Dense A and F are built only past grids.check_operator_size: the M root and the gate of
+an F wider than MAX_BAND form theirs and drop them, the dense propagator reads a_matrix;
 LAPACK gets the bands with a periodic band folded into an ordinary one (_lapack_band),
 the probe's shifted A once per system. A DiscreteSystem checks itself when built, F's
 dissipativity included; only an assembler names it, else it is "custom" and takes the
@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grids import Grid, as_state, check_finite, check_operator_size, norm_sq
-from .linalg import gram_sqrt_factors, psd_sqrt
+from .linalg import gram_sqrt_factors, hermitian_part, psd_sqrt
 
 
 # The damping of skew_damped, whose rate is DAMPING * ||x||^2. Another
@@ -61,7 +61,8 @@ class DiscreteSystem:
 
     a_matrix and f_matrix, A and F as dense arrays, and the two dissipation
     roots, each as its Hermitian core in orthonormal coordinates, are built
-    on first read and kept; no run task reads them. For M = G^{-1} F, with
+    on first read and kept; no run task reads them, and the M root forms its dense A
+    and F apart from the two caches, freed once read. For M = G^{-1} F, with
     G = L L^H the graph gram, g_chol is L and m_sqrt_hat = (L^{-1} F L^{-H})^{1/2}:
     ||M^{1/2} x||_G = ||m_sqrt_hat L^H x|| and M^{1/2} x = L^{-H} m_sqrt_hat L^H x.
     For the bounded probe Q, q_sqrt_hat = (W^{1/2} Q W^{-1/2})^{1/2}, one eigh after
@@ -117,8 +118,11 @@ class DiscreteSystem:
 
     @cached_property
     def _m_factors(self):
-        # G M = F exactly, so the factors come straight from F; M is never formed
-        return gram_sqrt_factors(self.f_matrix, graph_gram(self.a_matrix, self.weights))
+        # G M = F exactly, so the factors come straight from F; M is never formed. Dense F
+        # and A are temporaries, not the a_matrix and f_matrix caches, so each callee frees
+        # its argument after the last read
+        return gram_sqrt_factors(_dense(self.f_bands),
+                                 graph_gram(_dense(self.a_bands), self.weights))
 
     g_chol = property(lambda self: self._m_factors[0])
     m_sqrt_hat = property(lambda self: self._m_factors[1])
@@ -134,8 +138,7 @@ class DiscreteSystem:
     def q_sqrt_hat(self) -> np.ndarray:
         # W^{1/2} Q W^{-1/2} = -Herm((W^{1/2} A W^{-1/2} - I)^{-1}), Hermitian by construction
         check_operator_size(self.n)
-        res = _probe_solve(self, np.identity(self.n))
-        return psd_sqrt(-0.5 * (res + res.conj().T))
+        return psd_sqrt(hermitian_part(_probe_solve(self, np.identity(self.n)), -0.5))
 
 
 def _columns(n: int, kd: int) -> np.ndarray:
@@ -155,21 +158,25 @@ def _lapack_band(bands: np.ndarray):
     # (ab, pos, u): LAPACK's (u, u) band storage ab[u + p - q, q] = B[p, q] of B = P A P^T,
     # where P moves node i to position pos[i]. The order is the natural one when no band
     # entry wraps from one end to the other, else 0, n - 1, 1, n - 2, ..., which folds a
-    # periodic band of half-width kd into an ordinary one of half-width u <= 2 kd
+    # periodic band of half-width kd into an ordinary one of half-width u <= 2 kd. Band k's
+    # entries go from rows pos to columns pos[(i + k) mod n], a slice of pos repeated, so
+    # placing a band takes O(n) indices and ab is the one array of the bands' size
     n, kd = bands.shape[1], bands.shape[0] // 2
-    if 2 * kd == n:  # bands -kd and kd share their entries: add them up where they do not wrap
-        both, low = bands[0] + bands[-1], np.arange(n) < kd
-        bands = np.vstack((np.where(low, 0, both), bands[1:-1], np.where(low, both, 0)))
-    i = np.broadcast_to(np.arange(n), bands.shape)
-    j = i + np.arange(-kd, kd + 1)[:, None]
+    rows = [(k, bands[k + kd]) for k in range(-kd, kd + 1)]
+    if 2 * kd == n:  # bands -kd and kd share their entries: they are placed as their sums
+        shared, rows = bands[0] + bands[-1], rows[1:-1]
     pos = np.arange(n)
-    if bands[(j < 0) | (j >= n)].any():
+    if any((row[n - k:] if k > 0 else row[:-k]).any() for k, row in rows):
         pos = np.minimum(2 * pos, 2 * (n - 1 - pos) + 1)
-    nz = bands != 0
-    p, q = pos[i[nz]], pos[j[nz] % n]
-    u = int(np.abs(p - q).max(initial=0))
+    if 2 * kd == n:  # no sum wraps: each lies within n / 2 of its row, one way or the other
+        rows.append((kd, shared))
+    wrapped = np.concatenate((pos, pos))
+    cols = [(wrapped[k % n:k % n + n], row) for k, row in rows]
+    u = max(int(np.abs(pos - q).max(where=row != 0, initial=0)) for q, row in cols)
     ab = np.zeros((2 * u + 1, n), dtype=bands.dtype)
-    ab[u + p - q, q] = bands[nz]
+    for q, row in cols:
+        nz = row != 0
+        ab[u + pos[nz] - q[nz], q[nz]] = row[nz]
     return ab, pos, u
 
 
@@ -231,8 +238,9 @@ def dissipativity_gap(f_bands: np.ndarray) -> tuple[float, float]:
 def graph_gram(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """G = W + A^H W A, symmetrized so that it is Hermitian to the last bit."""
     g = (a_matrix.conj().T * weights) @ a_matrix
+    del a_matrix  # freed here when the caller passed a temporary
     g.flat[::g.shape[0] + 1] += weights
-    return 0.5 * (g + g.conj().T)
+    return hermitian_part(g)
 
 
 def _input_matrix(grid: Grid, input_profile) -> np.ndarray:

@@ -87,7 +87,7 @@ def test_rate_identity_raw_states(systems101, seed, model):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS))
-def test_q_identity_scaled_residual(systems101, seed, model):
+def test_q_identity_rows_hold_on_random_states(systems101, seed, model):
     sys = systems101[model]
     x = random_state(101, seed)
     assert _q_identity_rows(sys, x[None, :])[0] <= 1e-10

@@ -96,7 +96,7 @@ def test_shift_requires_nodal_alignment():
         _free_step(sys, x, 1e-10 * g.h)
 
 
-def test_heat_eigen_propagator_matches_expm():
+def test_heat_sine_step_matches_expm():
     # the sine-basis step is heat's spectral propagator
     sys = assemble_model("heat", make_uniform_grid(41))
     x0 = random_state(41, 3)
@@ -153,7 +153,7 @@ def test_heat_sine_steps_match_expm(n, case):
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * max(1.0, scale))
 
 
-def test_mild_solution_matches_naive_stepping():
+def test_run_states_match_naive_stepping():
     # independent loop with expm and the trapezoid input rule
     sys = assemble_model("heat", make_uniform_grid(21))
     dt, t_final = 0.01, 0.1
@@ -583,7 +583,7 @@ def test_dense_propagator_has_no_subnormals():
     np.testing.assert_array_equal(got, states)
 
 
-def test_mild_solution_second_order_in_dt():
+def test_final_state_second_order_in_dt():
     # Richardson ratio ~4 for the trapezoid input rule.  The wave-like model
     # keeps dt * ||A|| resolved at these step sizes; the stiff heat spectrum
     # would sit in the pre-asymptotic regime and hide the order.
@@ -665,7 +665,7 @@ def test_named_control_step_cap_is_the_module_constant(monkeypatch):
 
 
 @pytest.mark.parametrize("where", ["values", "t_final"])
-def test_mild_solution_rejects_non_finite_control(where):
+def test_run_states_rejects_non_finite_control(where):
     sys = assemble_model("heat", make_uniform_grid(21))
     t_final, vals = 0.1, np.ones(11)
     if where == "values":

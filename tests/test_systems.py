@@ -12,11 +12,12 @@ from phdiss import (assemble_model, control_signal, form_r, grids, initial_state
                     make_uniform_grid, systems)
 from phdiss.dissipation import _form_rates, _q_identity_rows
 from phdiss.grids import Grid, GridError, norm_sq
+from phdiss.linalg import psd_sqrt
 from phdiss.semigroup import _band_step, final_state, sine_basis, sine_spectrum
 from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, DiscreteSystem, _dense,
                             _lapack_band, _probe_solve, assemble_custom, assemble_heat,
                             assemble_skew_damped, assemble_transport, band_product,
-                            dissipativity_gap, graph_norm)
+                            dissipativity_gap, graph_gram, graph_norm)
 
 from conftest import (MODELS, custom_complex_system, dense_form, free_run, periodic_bands,
                       random_state)
@@ -428,6 +429,77 @@ def test_band_storage_of_the_widest_bands(n, kd):
         _check_band_storage(_cut_wrapped(bands))
 
 
+def _index_array_fold(bands):
+    # the fold as first written, placing every band at once through (2 kd + 1) x n
+    # index and mask arrays: the reference _lapack_band keeps the output of
+    n, kd = bands.shape[1], bands.shape[0] // 2
+    if 2 * kd == n:
+        both, low = bands[0] + bands[-1], np.arange(n) < kd
+        bands = np.vstack((np.where(low, 0, both), bands[1:-1], np.where(low, both, 0)))
+    i = np.broadcast_to(np.arange(n), bands.shape)
+    j = i + np.arange(-kd, kd + 1)[:, None]
+    pos = np.arange(n)
+    if bands[(j < 0) | (j >= n)].any():
+        pos = np.minimum(2 * pos, 2 * (n - 1 - pos) + 1)
+    nz = bands != 0
+    p, q = pos[i[nz]], pos[j[nz] % n]
+    u = int(np.abs(p - q).max(initial=0))
+    ab = np.zeros((2 * u + 1, n), dtype=bands.dtype)
+    ab[u + p - q, q] = bands[nz]
+    return ab, pos, u
+
+
+def _assert_same_fold(bands):
+    (ab, pos, u), (want_ab, want_pos, want_u) = _lapack_band(bands), _index_array_fold(bands)
+    assert u == want_u and ab.dtype == want_ab.dtype and ab.shape == want_ab.shape
+    np.testing.assert_array_equal(pos, want_pos)
+    assert ab.tobytes() == want_ab.tobytes()  # bit for bit, sign bits included
+
+
+@pytest.mark.parametrize("n", [21, 801])
+@pytest.mark.parametrize("model", MODELS)
+def test_fold_of_the_named_models_matches_the_index_array_fold(model, n):
+    # F, and A - I as the probe solve shifts it, of every named model
+    system = assemble_model(model, make_uniform_grid(n))
+    shifted = system.a_bands.copy()
+    shifted[shifted.shape[0] // 2] -= 1.0
+    _assert_same_fold(system.f_bands)
+    _assert_same_fold(shifted)
+
+
+@pytest.mark.parametrize("n", [6, 7, 40, 41])
+def test_fold_of_every_width_matches_the_index_array_fold(n):
+    # every kd up to n // 2 (2 kd = n at even n), with zeros, -0.0 entries that are
+    # not placed, one diagonal alone, and complex entries
+    rng = np.random.default_rng(n)
+    for kd in range(n // 2 + 1):
+        bands = rng.standard_normal((2 * kd + 1, n))
+        bands[rng.random(bands.shape) < 0.3] = 0.0
+        signed = bands.copy()
+        signed[rng.random(bands.shape) < 0.2] = -0.0
+        diagonal = np.zeros_like(bands)
+        diagonal[kd] = 1.0
+        for case in (bands, signed, diagonal, bands + 1j * rng.standard_normal(bands.shape),
+                     _cut_wrapped(bands)):
+            _assert_same_fold(case)
+
+
+def test_fold_of_a_dense_band_holds_only_its_output():
+    # a dense periodic band at n = 801 (kd = 400, every entry nonzero, so it wraps)
+    # folds into u = 800: the fold holds its 10.3 MB output and O(n) indices per
+    # band, 1.03 times the output measured; the index-array fold held 3.57 times
+    n = 801
+    bands = np.random.default_rng(1).standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        ab, _, u = _lapack_band(bands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u == n - 1
+    assert peak <= 1.1 * ab.nbytes
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(MAX_BAND + 3, 60),
        band=st.sampled_from([(1, 1), (0, 2), (3, 1), (MAX_BAND + 1, MAX_BAND + 1)]),
@@ -618,6 +690,51 @@ def test_heat_probe_root_matches_dense_root(n):
     closed *= (1.0 - sine_spectrum(grid)) ** -0.5
     sine_basis(closed)
     np.testing.assert_allclose(assemble_heat(grid).q_sqrt_hat, closed, rtol=0, atol=1e-13)
+
+
+def _first_m_factors(system):
+    # the M core as first written: G = graph_gram of the cached dense A, symmetrized
+    # as 0.5 * (g + g^H), and each Hermitian part 0.5 * (x + x^H) of a sum
+    a, f, w = system.a_matrix, system.f_matrix, system.weights
+    g = (a.conj().T * w) @ a
+    g.flat[::g.shape[0] + 1] += w
+    g = 0.5 * (g + g.conj().T)
+    np.testing.assert_array_equal(graph_gram(a, w), g)
+    l = np.linalg.cholesky(g)
+    half = sla.solve_triangular(l, 0.5 * (f + f.conj().T), lower=True)
+    hat = sla.solve_triangular(l, half.conj().T, lower=True).conj().T
+    return l, psd_sqrt(0.5 * (hat + hat.conj().T))
+
+
+@pytest.mark.parametrize("n", [41, 201])
+@pytest.mark.parametrize("model", [*MODELS, "complex"])
+def test_dense_roots_keep_the_bits_of_their_first_formulas(model, n):
+    system = (custom_complex_system(n) if model == "complex"
+              else assemble_model(model, make_uniform_grid(n)))
+    got = system.g_chol, system.m_sqrt_hat, system.q_sqrt_hat
+    l, m_core = _first_m_factors(system)
+    res = _probe_solve(system, np.identity(n))
+    q_core = psd_sqrt(-0.5 * (res + res.conj().T))
+    for have, want in zip(got, (l, m_core, q_core)):
+        assert have.dtype == want.dtype
+        np.testing.assert_array_equal(have, want)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("root, arrays", [("m_sqrt_hat", 5.5), ("q_sqrt_hat", 4.5)])
+def test_dense_roots_hold_few_n_by_n_arrays(model, root, arrays):
+    # a fresh system at n = 401: each n x n array is freed after its last read, so
+    # the M core peaks at 5 float64 arrays and the Q core at 4 (tracemalloc, which
+    # misses numpy eigh's own copy and workspace); the first formulas held 11 and 5
+    n = 401
+    system = assemble_model(model, make_uniform_grid(n))
+    tracemalloc.start()
+    try:
+        getattr(system, root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * n * n
 
 
 _DENSE_READERS = ("a_matrix", "f_matrix", "m_sqrt_hat", "q_sqrt_hat")
