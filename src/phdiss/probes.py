@@ -85,9 +85,14 @@ def _norms_vanish(norms: np.ndarray, eps_norm: float) -> bool:
     if norms[-1] < eps_norm:
         return True
     # power-law decay shows as a negative log-log slope over the indices
-    idx = np.arange(1, norms.size + 1, dtype=float)
-    slope = np.polyfit(np.log(idx), np.log(np.maximum(norms, 1e-300)), 1)[0]
-    return bool(slope <= -0.25)
+    return bool(_loglog_slope(norms) <= -0.25)
+
+
+def _loglog_slope(norms: np.ndarray) -> float:
+    """Slope of the least-squares line through (log k, log norms[k-1]), in closed form."""
+    x, y = np.log(np.arange(1.0, norms.size + 1)), np.log(np.maximum(norms, 1e-300))
+    x -= x.mean()
+    return float(np.sum(x * (y - y.mean())) / np.sum(x * x))
 
 
 def _form_cauchy(stats: np.ndarray, eps_form: float) -> bool:

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from phdiss import (assemble_custom, assemble_model, control_signal,
 from phdiss.semigroup import run_blocks
 
 MODELS = ("transport", "heat", "skew_damped")
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def child_env() -> dict:
@@ -20,6 +22,14 @@ def child_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def script_main(name: str):
+    """The main function of scripts/name, loaded as a fresh module."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
 
 
 @pytest.fixture(scope="session")

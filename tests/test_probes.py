@@ -2,11 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phdiss import (GridError, assemble_model, closability_probe, form_r,
                     make_uniform_grid, refinement_study)
-from phdiss.probes import (VERDICT_CLOSABLE, VERDICT_NON_CLOSABLE,
-                           VERDICT_PREMISE, probe_states)
+from phdiss.grids import norm_sq
+from phdiss.probes import (SEQUENCE_TAGS, VERDICT_CLOSABLE, VERDICT_NON_CLOSABLE,
+                           VERDICT_PREMISE, _loglog_slope, _norms_vanish, probe_states)
 
 
 def test_probe_state_families(grid101):
@@ -152,3 +155,43 @@ def test_stacked_probe_matches_form_r(model, sequence):
         # form_r is the probe's rate kernel on one row, so every rate has its bits
         np.testing.assert_array_equal(rep.r_values, r_loop)
         np.testing.assert_array_equal(rep.max_pairwise, pair_loop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 64),
+       power=st.floats(0.0, 3.0), noise=st.floats(0.0, 1.0))
+def test_loglog_slope_matches_polyfit(seed, size, power, noise):
+    # a noisy power law k^-power: the closed-form least-squares slope is the
+    # line np.polyfit fits, at round-off (3e-15 at worst over 20,000 draws)
+    k = np.arange(1, size + 1, dtype=float)
+    norms = k ** -power * np.exp(noise * np.random.default_rng(seed).standard_normal(size))
+    fit = np.polyfit(np.log(k), np.log(norms), 1)[0]
+    assert _loglog_slope(norms) == pytest.approx(fit, rel=0.0, abs=1e-12)
+
+
+def _norms_vanish_by_polyfit(norms, eps_norm):
+    # the flag as it was computed before the closed-form slope, by np.polyfit
+    if np.all(norms < 1e-14):
+        return True
+    if not np.all(np.diff(norms) < 0):
+        return False
+    if norms[-1] < eps_norm:
+        return True
+    idx = np.arange(1, norms.size + 1, dtype=float)
+    return bool(np.polyfit(np.log(idx), np.log(np.maximum(norms, 1e-300)), 1)[0] <= -0.25)
+
+
+def test_norms_vanish_flag_is_the_polyfit_flag_across_the_sweep():
+    # both sequences x n_max 2..64 x nine grids: 1,134 flags, none moved; the
+    # nearest slope lies 4.8e-3 from the threshold -0.25
+    cases = 0
+    for n in (3, 5, 21, 41, 101, 201, 401, 801, 1601):
+        grid = make_uniform_grid(n)
+        for sequence in SEQUENCE_TAGS:
+            norms = np.sqrt(norm_sq(grid.weights, probe_states(sequence, grid, 64)))
+            for n_max in range(2, 65):
+                head = norms[:n_max]
+                assert _norms_vanish(head, 0.05) == _norms_vanish_by_polyfit(head, 0.05), \
+                    (n, sequence, n_max)
+                cases += 1
+    assert cases == 1134

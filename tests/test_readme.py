@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import io
 import re
+import tomllib
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from phdiss import (cli, control_signal, energy_audit, grids, initial_state,
 from phdiss.config import SUPPORTED_TASKS, ExperimentConfig, parse_config_text
 from phdiss.systems import MODELS
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _quickstart_source() -> str:
@@ -141,3 +143,13 @@ def test_cli_synopsis_lists_the_parser_options(source):
         defined = {opt for action in parser._actions for opt in action.option_strings
                    if opt.startswith("--")} - {"--help"}
         assert _synopsis_options(text, verb) == defined, verb
+
+
+def test_readme_states_the_python_floor_of_pyproject():
+    # the dense roots free their temporaries only from CPython 3.11 on
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        floor = tomllib.load(fh)["project"]["requires-python"]
+    assert re.fullmatch(r">=3\.\d+", floor)
+    assert int(floor.split(".")[1]) >= 11
+    install = " ".join(_section("Install").split())
+    assert f"phdiss needs Python {floor[2:]} or newer" in install

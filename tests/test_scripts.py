@@ -2,25 +2,16 @@
 benchmarks/checks.py parses."""
 
 import csv
-import importlib.util
 import re
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def _main(name):
-    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main
+from conftest import script_main
 
 
 def test_transport_energy_audit_script(tmp_path, capsys):
-    main = _main("transport_energy_audit.py")
+    main = script_main("transport_energy_audit.py")
     assert main(["--n-grid", "41", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert re.search(r"^\s*slack\s*=.*\(ok\)$", out, re.M)
@@ -38,7 +29,7 @@ def test_transport_energy_audit_script_holds_no_trajectory(tmp_path, capsys):
     # n = 401, t_final = 8: each of the two audits steps its 3,201 states in
     # blocks of 40 and keeps its ledger, not the 10.3 MB of stacked states
     # (0.85 MB measured)
-    main = _main("transport_energy_audit.py")
+    main = script_main("transport_energy_audit.py")
     assert main(["--n-grid", "21", "--out", str(tmp_path)]) == 0  # lazy imports
     tracemalloc.start()
     try:
@@ -55,7 +46,7 @@ def test_transport_energy_audit_script_holds_no_trajectory(tmp_path, capsys):
     ("heat", "scaled_sine", "premise-not-met"),
 ])
 def test_closability_refinement_script(capsys, model, sequence, verdict):
-    main = _main("closability_refinement.py")
+    main = script_main("closability_refinement.py")
     argv = ["--model", model, "--sequence", sequence, "--sizes", "41", "81", "161"]
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -73,7 +64,7 @@ def test_script_refuses_bad_input_as_a_usage_error(capsys, name, argv, message):
     # the package's error becomes argparse's one-line message and exit status 2,
     # as phdiss gives, before the script prints anything
     with pytest.raises(SystemExit) as exc:
-        _main(name)(argv)
+        script_main(name)(argv)
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
