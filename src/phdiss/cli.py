@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from numpy.linalg import LinAlgError
+from scipy.linalg import LinAlgError
 
 from .config import ConfigError, parse_config
 from .grids import GridError, make_uniform_grid

@@ -28,6 +28,8 @@ from .grids import as_state, norm_sq
 from .semigroup import ControlSignal, _blocks, _outputs, _start, block_rows
 from .systems import DiscreteSystem, _probe_solve, band_product
 
+import scipy.linalg as sla  # after the package's imports, whose .semigroup imports it first
+
 
 def form_r(system: DiscreteSystem, x, y=None) -> complex:
     """The dissipation form r[x, y], or with y omitted the real, nonnegative rate r[x]."""
@@ -232,6 +234,5 @@ def _input_norm(weights: np.ndarray, b: np.ndarray) -> float:
     """||W^{1/2} B||_2, formed as rt_bound_check's docstring says."""
     if b.shape[1] < 2:
         return float(np.sqrt(np.sum(weights[:, None] * np.abs(b) ** 2)))
-    import scipy.linalg as sla  # at the top, ahead of .semigroup's, it cost `import phdiss` 4-5 ms
     wb = np.sqrt(weights)[:, None] * b
     return float(np.sqrt(sla.eigvalsh(wb.conj().T @ wb)[-1]))

@@ -18,8 +18,8 @@ import numpy as np
 # The most memory, in MB, of one n x n float64 array, as a dense reader forms (the M and
 # Q roots, a dense propagator, the eigvalsh gate); check_operator_size refuses a larger
 # one (n > 2000), and Grid(n) a grid whose state alone exceeds it (n > 4,000,000). The M
-# root holds at most 5 such arrays (tracemalloc), and numpy eigh's copy and workspace about
-# 3 more, the Q root 4: verify-paper peaks at 255 MB RSS at n = 2000, 187 MB at n = 1601.
+# root holds at most 4 such arrays, syevd's workspace included (tracemalloc), the Q root 3:
+# verify-paper peaks at 197 MB RSS at n = 2000, 150 MB at n = 1601.
 # No package path holds a (K+1) x n array of states.
 MAX_OPERATOR_MB = 32
 

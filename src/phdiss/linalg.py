@@ -13,15 +13,18 @@ A square root is kept in those coordinates only, as its Hermitian core
 s_hat = psd_sqrt(L^{-1} (G M) L^{-H}); no root is mapped back to the
 original coordinates. gram_sqrt_factors takes a dense G (the graph gram,
 which its caller forms for this one call and keeps only as the factor L).
-Each n x n array is dropped after its last read: G once it is factored,
-the Hermitian part of G M after the first triangular solve, that solve
-after the second; a Hermitian part (x + x^H) / 2 is one new array scaled
-in place. Handed G M and G as temporaries, a real M root so peaks at 5
-n x n float64 arrays (tracemalloc: L, the core, its eigenvectors, their
-scaled copy and the root), besides numpy eigh's own copy of the core and
-LAPACK syevd's workspace, about 3 n^2 floats that tracemalloc does not see;
-the Q root (systems.DiscreteSystem.q_sqrt_hat), one solve and one eigh,
-peaks at 4.
+Every step up to the eigenvectors runs in the buffers of its two arguments,
+which it overwrites: the Hermitian part of G M is taken in place by blocks
+of rows; scipy.linalg's LAPACK factors G and solves with L in place, each
+n x n array handed over F-ordered (a real Hermitian x as x^T, a view); the
+half-solve is conjugate-transposed in place by blocks for the second solve;
+and eigh leaves its vectors in the core's buffer. Handed G M and G as
+temporaries, a real M root so holds 4 n x n float64 arrays at its peak: L
+and the core with syevd's workspace of 2 n^2 floats, then L, the vectors,
+their scaled copy and the root (tracemalloc, which sees the workspace:
+scipy allocates it as a numpy array). The Q root
+(systems.DiscreteSystem.q_sqrt_hat), one banded solve in place and one
+eigh, holds 3. No step calls numpy's own LAPACK.
 
 sine_transform is the orthonormal DST-I, the eigenbasis of the Dirichlet
 second difference: heat steps in that basis (semigroup.sine_basis).
@@ -41,17 +44,44 @@ class NotPSDError(ValueError):
     """An eigenvalue is negative beyond the clamping tolerance."""
 
 
+# The rows per block of the in-place loops, whose temporaries are BLOCK x n.
+BLOCK = 64
+
+
 def hermitian_part(x: np.ndarray, scale: float = 0.5) -> np.ndarray:
-    """scale * (x + x^H), formed as one new array and scaled in place: the
-    bits of scale * (x + x^H) without a second n x n temporary."""
-    herm = x + x.conj().T
-    herm *= scale
-    return herm
+    """x <- scale * (x + x^H) in place, by blocks of rows; returns x. Each block
+    is the sum for its rows out from the diagonal, mirrored below it, so no n x n
+    temporary is formed, and every entry has the bits of the out-of-place sum
+    (but for the sign of a zero imaginary part)."""
+    for i in range(0, x.shape[0], BLOCK):
+        rows = slice(i, i + BLOCK)
+        block = x[rows, i:] + x[i:, rows].conj().T
+        block *= scale
+        x[i:, rows] = block.conj().T
+        x[rows, i:] = block
+    return x
+
+
+def _conj_transpose(x: np.ndarray) -> np.ndarray:
+    # x <- x^H in place, by blocks of rows, keeping x's memory order
+    for i in range(0, x.shape[0], BLOCK):
+        rows = slice(i, i + BLOCK)
+        block = x[rows, i:].copy()
+        x[rows, i:] = x[i:, rows].conj().T
+        x[i:, rows] = block.conj().T
+    return x
+
+
+def _fortran(x: np.ndarray) -> np.ndarray:
+    # the Hermitian x as LAPACK overwrites it, F-ordered: x itself, or x^H = x, a view if real
+    return x if x.flags.f_contiguous else x.conj().T
 
 
 def _check_hermitian(product: np.ndarray) -> np.ndarray:
     scale = max(float(np.linalg.norm(product, "fro")), 1e-300)
-    skew = float(np.linalg.norm(product - product.conj().T, "fro"))
+    skew = float(np.sqrt(sum(
+        np.linalg.norm(product[i:i + BLOCK] - product[:, i:i + BLOCK].conj().T) ** 2
+        for i in range(0, product.shape[0], BLOCK))))
     if skew > 1e-8 * scale:
         raise NotSelfAdjointError(
             "matrix is not self-adjoint in the given inner product "
@@ -64,9 +94,11 @@ def psd_sqrt(hat: np.ndarray) -> np.ndarray:
     """Principal square root of the Hermitian positive semidefinite hat.
 
     Eigenvalues in [-tol, 0) are clamped to zero, below -tol raises
-    NotPSDError, where tol = 1e-10 * max(largest magnitude, 1).
+    NotPSDError, where tol = 1e-10 * max(largest magnitude, 1). hat may be
+    overwritten: scipy's eigh (syevd, the driver numpy calls) leaves the
+    eigenvectors in it when it is real or F-ordered.
     """
-    eigvals, vecs = np.linalg.eigh(hat)
+    eigvals, vecs = sla.eigh(_fortran(hat), driver="evd", overwrite_a=True)
     tol = 1e-10 * max(float(np.max(np.abs(eigvals), initial=0.0)), 1.0)
     lo = float(np.min(eigvals, initial=0.0))
     if lo < -tol:
@@ -83,20 +115,23 @@ def gram_sqrt_factors(product: np.ndarray, gram: np.ndarray):
     Returns (l, s_hat) where gram = l l^H and s_hat = psd_sqrt of the
     congruence l^{-1} product l^{-H}, so ||M^{1/2} x||_G = ||s_hat l^H x||
     and M^{1/2} x = l^{-H} s_hat l^H x. Raises NotSelfAdjointError if
-    product is not Hermitian to a relative asymmetry of 1e-8. Each argument
-    is dropped at its last read, which frees it when the caller passed it
-    as a temporary: from CPython 3.11 on, a Python callee holds the only
-    reference to one (on 3.10 the caller's stack keeps it to the return).
+    product is not Hermitian to a relative asymmetry of 1e-8; gram must be
+    Hermitian to the last bit, as graph_gram forms it. Both arguments may be
+    overwritten (a float product is), and each is dropped at its last read,
+    which frees it when the caller passed it as a temporary: from CPython
+    3.11 on, a Python callee holds the only reference to one (on 3.10 the
+    caller's stack keeps it to the return). l comes back C-ordered, as
+    numpy's Cholesky gave it, so every product with it keeps its BLAS path.
     """
-    product = _check_hermitian(np.asarray(product))
-    l = np.linalg.cholesky(gram)
+    product = _check_hermitian(np.asarray(product, dtype=np.result_type(product, float)))
+    l = sla.cholesky(_fortran(gram), lower=True, overwrite_a=True)
     del gram
-    half = sla.solve_triangular(l, product, lower=True)
+    half = sla.solve_triangular(l, _fortran(product), lower=True, overwrite_b=True)
     del product
-    hat = sla.solve_triangular(l, half.conj().T, lower=True).conj().T
-    del half
-    hat = hermitian_part(hat)  # rebound, so the solve is freed before the eigh
-    return l, psd_sqrt(hat)
+    hat = sla.solve_triangular(l, _conj_transpose(half), lower=True, overwrite_b=True)
+    del half  # hat = L^{-1} product L^{-H}, whose Hermitian part has the bits of hat^H's
+    root = psd_sqrt(hermitian_part(hat))
+    return np.ascontiguousarray(l), root  # copied once the eigh's buffers are freed
 
 
 def sine_transform(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grids import Grid, as_state, check_finite, check_operator_size, norm_sq
-from .linalg import gram_sqrt_factors, hermitian_part, psd_sqrt
+from .linalg import BLOCK, gram_sqrt_factors, hermitian_part, psd_sqrt
 
 
 # The damping of skew_damped, whose rate is DAMPING * ||x||^2. Another
@@ -120,9 +120,9 @@ class DiscreteSystem:
     def _m_factors(self):
         # G M = F exactly, so the factors come straight from F; M is never formed. Dense F
         # and A are temporaries, not the a_matrix and f_matrix caches, so each callee frees
-        # its argument after the last read
-        return gram_sqrt_factors(_dense(self.f_bands),
-                                 graph_gram(_dense(self.a_bands), self.weights))
+        # its argument after the last read; G is formed first, before F exists
+        return gram_sqrt_factors(gram=graph_gram(_dense(self.a_bands), self.weights),
+                                 product=_dense(self.f_bands))
 
     g_chol = property(lambda self: self._m_factors[0])
     m_sqrt_hat = property(lambda self: self._m_factors[1])
@@ -136,9 +136,18 @@ class DiscreteSystem:
 
     @cached_property
     def q_sqrt_hat(self) -> np.ndarray:
-        # W^{1/2} Q W^{-1/2} = -Herm((W^{1/2} A W^{-1/2} - I)^{-1}), Hermitian by construction
-        check_operator_size(self.n)
-        return psd_sqrt(hermitian_part(_probe_solve(self, np.identity(self.n)), -0.5))
+        # W^{1/2} Q W^{-1/2} = -Herm((W^{1/2} A W^{-1/2} - I)^{-1}), Hermitian by construction:
+        # _probe_solve of the identity in one F-ordered array, the permuted identity solved in
+        # place and its rows put back by blocks of columns
+        n = self.n
+        check_operator_size(n)
+        ab, pos, u = self._probe_band
+        res = np.zeros((n, n), dtype=np.result_type(ab, float), order="F")
+        res[pos, np.arange(n)] = 1.0
+        res = sla.solve_banded((u, u), ab, res, overwrite_b=True)
+        for j in range(0, n, BLOCK):
+            res[:, j:j + BLOCK] = res[pos, j:j + BLOCK]
+        return psd_sqrt(hermitian_part(res, -0.5))
 
 
 def _columns(n: int, kd: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import phdiss.dissipation
 import phdiss.linalg
@@ -161,6 +162,12 @@ def test_skew_damped_run_does_not_import_scipy_sparse(tmp_path):
     # by solve_banded; importing scipy.sparse costs every run its start-up
     assert _modules_after_run(tmp_path, "skew_damped", "sine:1",
                               ["scipy.sparse", "phdiss.semigroup"]) == ["False", "True"]
+
+
+def test_linalg_error_is_one_class_in_numpy_and_scipy():
+    # cli catches scipy's LinAlgError; numpy's is the same class, so exit code 3
+    # covers a LAPACK failure from either library
+    assert sla.LinAlgError is np.linalg.LinAlgError
 
 
 def test_numerical_failure_exits_three(capsys, tmp_path, monkeypatch):

@@ -28,7 +28,7 @@ def _random_weights(rng, n):
 def test_psd_sqrt_euclidean_roundtrip(seed, n):
     rng = np.random.default_rng(seed)
     m = _random_spd(rng, n, shift=0.0)
-    s = psd_sqrt(m)
+    s = psd_sqrt(m.copy())  # psd_sqrt overwrites its argument
     np.testing.assert_allclose(s @ s, m, atol=1e-10 * max(1.0, np.linalg.norm(m)))
     np.testing.assert_allclose(s, s.T, atol=1e-10)
 
@@ -60,7 +60,7 @@ def test_weighted_routes_match_dense_gram(seed, n):
     m = f / w[:, None]
     scale = max(1.0, np.linalg.norm(m))
     s = np.sqrt(w)
-    _, s_hat = gram_sqrt_factors(f, np.diag(w))
+    _, s_hat = gram_sqrt_factors(f.copy(), np.diag(w))  # it overwrites both arguments
     np.testing.assert_allclose(psd_sqrt(f / np.outer(s, s)), s_hat, atol=1e-10 * scale)
     # and the eigenvalues of M are those of the scaled congruence
     lam = np.linalg.eigvalsh(f / np.outer(s, s))

@@ -1,24 +1,27 @@
-"""No O(n) path calls numpy's own LAPACK.
+"""No package path calls numpy's own LAPACK.
 
 numpy.linalg reaches LAPACK through numpy.linalg._linalg._umath_linalg, whose
 OpenBLAS build is separate from the one scipy.linalg loads, so the first call
 maps a second library's routines into the run. The fixture swaps that module
 for one that raises on any attribute; every run path, the probes, the
-refinement study, the boundary trace and both scripts must then still pass.
-Only the dense readers (the M and Q roots) keep numpy's eigh and Cholesky.
+refinement study, the boundary trace, both scripts and the dense readers (the
+M and Q roots, what reads them, verify-paper, the dense propagator and the
+eigvalsh gate of a wide F) must then still pass.
 """
 
 import numpy as np
 import pytest
 from numpy.linalg import _linalg
 
-from phdiss import (control_signal, energy_audit, initial_state,
-                    make_uniform_grid, rt_bound_check, runner, systems)
+from phdiss import (assemble_model, control_signal, dissipation_rate, energy_audit,
+                    initial_state, make_uniform_grid, q_identity_residual, rt_bound_check,
+                    runner, systems)
 from phdiss.config import ExperimentConfig
 from phdiss.probes import refinement_study
-from phdiss.semigroup import boundary_trace
+from phdiss.semigroup import _band_step, boundary_trace
+from phdiss.verify import verify_paper_values
 
-from conftest import MODELS, script_main
+from conftest import MODELS, custom_complex_system, random_state, script_main
 
 
 class _NoLapack:
@@ -82,3 +85,28 @@ def test_two_input_audit_and_bound_keep_off_numpy_lapack(no_numpy_lapack, model)
     u = control_signal("const:0.5", 1.0, grid.h, m=2)
     rep = rt_bound_check(system, energy_audit(system, initial_state(grid, "sine:1"), u))
     assert rep.ok and rep.b_norm > 0.0
+
+
+def test_verify_paper_keeps_off_numpy_lapack(no_numpy_lapack):
+    assert verify_paper_values(41).ok
+
+
+@pytest.mark.parametrize("model", [*MODELS, "complex"])
+def test_dense_roots_and_their_readers_keep_off_numpy_lapack(no_numpy_lapack, model):
+    system = (custom_complex_system(41) if model == "complex"
+              else assemble_model(model, make_uniform_grid(41)))
+    assert system.m_sqrt_hat.shape == system.q_sqrt_hat.shape == (41, 41)
+    x = random_state(41, 3, model == "complex")
+    assert dissipation_rate(system, x) >= 0.0
+    assert q_identity_residual(system, x) <= 1e-10
+
+
+def test_wide_form_gate_and_dense_propagator_keep_off_numpy_lapack(no_numpy_lapack):
+    # the custom F spans the whole grid, wider than MAX_BAND: the gate takes
+    # eigvalsh when the system is built, and its A takes the dense expm route
+    system = custom_complex_system(41)
+    assert systems._lapack_band(system.f_bands)[2] > systems.MAX_BAND
+    u = control_signal("const:0.5", 1.0, system.grid.h)
+    assert _band_step(system.a_bands, u.dt, complex) is None
+    ledger = energy_audit(system, initial_state(system.grid, "sine:1"), u)
+    assert np.isfinite(ledger.residual) and ledger.dissipated_total > 0.0

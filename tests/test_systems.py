@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +16,14 @@ from phdiss import (assemble_model, control_signal, form_r, grids, initial_state
                     make_uniform_grid, systems)
 from phdiss.dissipation import _form_rates, _q_identity_rows
 from phdiss.grids import Grid, GridError, norm_sq
-from phdiss.linalg import psd_sqrt
 from phdiss.semigroup import _band_step, final_state, sine_basis, sine_spectrum
 from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, DiscreteSystem, _dense,
                             _lapack_band, _probe_solve, assemble_custom, assemble_heat,
                             assemble_skew_damped, assemble_transport, band_product,
                             dissipativity_gap, graph_gram, graph_norm)
 
-from conftest import (MODELS, custom_complex_system, dense_form, free_run, periodic_bands,
-                      random_state)
+from conftest import (MODELS, child_env, custom_complex_system, dense_form, free_run,
+                      periodic_bands, random_state)
 
 
 def test_transport_boundary_collapse():
@@ -692,9 +695,16 @@ def test_heat_probe_root_matches_dense_root(n):
     np.testing.assert_allclose(assemble_heat(grid).q_sqrt_hat, closed, rtol=0, atol=1e-13)
 
 
+def _numpy_psd_sqrt(hat):
+    # psd_sqrt as first written, on numpy's eigh
+    eigvals, vecs = np.linalg.eigh(hat)
+    return (vecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ vecs.conj().T
+
+
 def _first_m_factors(system):
-    # the M core as first written: G = graph_gram of the cached dense A, symmetrized
-    # as 0.5 * (g + g^H), and each Hermitian part 0.5 * (x + x^H) of a sum
+    # the M core as first written, on numpy's Cholesky and eigh: G = graph_gram of the
+    # cached dense A, symmetrized as 0.5 * (g + g^H), and each Hermitian part
+    # 0.5 * (x + x^H) of a sum
     a, f, w = system.a_matrix, system.f_matrix, system.weights
     g = (a.conj().T * w) @ a
     g.flat[::g.shape[0] + 1] += w
@@ -703,29 +713,63 @@ def _first_m_factors(system):
     l = np.linalg.cholesky(g)
     half = sla.solve_triangular(l, 0.5 * (f + f.conj().T), lower=True)
     hat = sla.solve_triangular(l, half.conj().T, lower=True).conj().T
-    return l, psd_sqrt(0.5 * (hat + hat.conj().T))
+    return l, _numpy_psd_sqrt(0.5 * (hat + hat.conj().T))
 
 
-@pytest.mark.parametrize("n", [41, 201])
-@pytest.mark.parametrize("model", [*MODELS, "complex"])
-def test_dense_roots_keep_the_bits_of_their_first_formulas(model, n):
-    system = (custom_complex_system(n) if model == "complex"
-              else assemble_model(model, make_uniform_grid(n)))
-    got = system.g_chol, system.m_sqrt_hat, system.q_sqrt_hat
-    l, m_core = _first_m_factors(system)
-    res = _probe_solve(system, np.identity(n))
-    q_core = psd_sqrt(-0.5 * (res + res.conj().T))
-    for have, want in zip(got, (l, m_core, q_core)):
-        assert have.dtype == want.dtype
-        np.testing.assert_array_equal(have, want)
+# the complex generator stops at n = 201: at 801 its two routes take 5 s
+_ROOT_CASES = [(m, n) for n in (41, 201, 801) for m in (*MODELS, "complex")
+               if (m, n) != ("complex", 801)]
+
+
+def _roots_off_their_first_formulas():
+    """The dense roots that differ in a bit from their first formulas, one
+    "model-n name" line each; run in a child on one BLAS thread."""
+    for model, n in _ROOT_CASES:
+        system = (custom_complex_system(n) if model == "complex"
+                  else assemble_model(model, make_uniform_grid(n)))
+        res = _probe_solve(system, np.identity(n))
+        want = (*_first_m_factors(system), _numpy_psd_sqrt(-0.5 * (res + res.conj().T)))
+        for name, have in zip(("g_chol", "m_sqrt_hat", "q_sqrt_hat"), want):
+            got = getattr(system, name)
+            if got.dtype != have.dtype or not np.array_equal(got, have):
+                print(f"{model}-{n} {name}")
+
+
+def _one_thread_child(code: str) -> str:
+    # the stdout of code run in a fresh interpreter on one BLAS thread, which can
+    # import this module
+    env = child_env()
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    env["PYTHONPATH"] = os.pathsep.join((env["PYTHONPATH"], str(Path(__file__).parent)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def roots_off_their_first_formulas():
+    code = "import test_systems; test_systems._roots_off_their_first_formulas()"
+    return _one_thread_child(code).split("\n")
+
+
+@pytest.mark.parametrize("model, n", _ROOT_CASES)
+def test_dense_roots_keep_the_bits_of_their_first_formulas(model, n,
+                                                           roots_off_their_first_formulas):
+    # scipy's Cholesky, triangular solves and eigh (syevd, numpy's driver), each in
+    # place, against numpy's LAPACK on copies: every bit of L and both cores, on one
+    # BLAS thread, where the two libraries' OpenBLAS builds agree
+    off = [line for line in roots_off_their_first_formulas if line.startswith(f"{model}-{n} ")]
+    assert off == []
 
 
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("root, arrays", [("m_sqrt_hat", 5.5), ("q_sqrt_hat", 4.5)])
 def test_dense_roots_hold_few_n_by_n_arrays(model, root, arrays):
-    # a fresh system at n = 401: each n x n array is freed after its last read, so
-    # the M core peaks at 5 float64 arrays and the Q core at 4 (tracemalloc, which
-    # misses numpy eigh's own copy and workspace); the first formulas held 11 and 5
+    # a fresh system at n = 401: each step runs in place and each n x n array is
+    # freed after its last read, so the M core peaks at 4 float64 arrays and the Q
+    # core at 3, syevd's workspace of 2 included (tracemalloc sees it: scipy
+    # allocates it as a numpy array); the first formulas held 11 and 5, and numpy's
+    # eigh added its copy and workspace unseen
     n = 401
     system = assemble_model(model, make_uniform_grid(n))
     tracemalloc.start()
@@ -735,6 +779,28 @@ def test_dense_roots_hold_few_n_by_n_arrays(model, root, arrays):
     finally:
         tracemalloc.stop()
     assert peak <= arrays * 8 * n * n
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
+@pytest.mark.parametrize("root, arrays", [("m_sqrt_hat", 5.2), ("q_sqrt_hat", 4.0)])
+def test_dense_roots_peak_rss(root, arrays):
+    # the peak resident memory that reading a root adds to a fresh interpreter's
+    # assembled transport system at n = 1601, in n x n float64 arrays: it counts what
+    # tracemalloc misses (the allocator's free chunks, the BLAS buffers). M reads
+    # 4.75 and Q 3.6; on numpy's eigh and Cholesky they read 6.6 and 5.2, and on
+    # scipy's without the in-place steps 5.6 and 4.2. The peak is VmHWM, not
+    # ru_maxrss, which keeps the high-water mark of the process that spawned the child
+    n = 1601
+    code = ("from phdiss import assemble_model, make_uniform_grid\n"
+            "def kib(key):\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(line.split()[1]) for line in f if line.startswith(key))\n"
+            f"system = assemble_model('transport', make_uniform_grid({n}))\n"
+            "base = kib('VmRSS:')\n"
+            f"system.{root}\n"
+            "print(kib('VmHWM:') - base)\n")
+    added = 1024 * int(_one_thread_child(code))
+    assert added <= arrays * 8 * n * n
 
 
 _DENSE_READERS = ("a_matrix", "f_matrix", "m_sqrt_hat", "q_sqrt_hat")
