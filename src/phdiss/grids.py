@@ -66,10 +66,11 @@ class Grid:
 
 def check_operator_size(n: int, floats: int | None = None) -> None:
     """Raise GridError, naming MAX_OPERATOR_MB, where an n x n float64 array, or one of
-    the given number of floats, exceeds it: each dense reader calls it before it allocates."""
+    the given number of floats, exceeds it: each dense reader calls it before it allocates.
+    The need is printed as the shortest decimal of its float, so it reads above the budget."""
     mb = 8 * (n * n if floats is None else floats) / 1e6
     if mb > MAX_OPERATOR_MB:
-        raise GridError(f"a grid of {n} nodes needs {mb:.4g} MB per "
+        raise GridError(f"a grid of {n} nodes needs {mb} MB per "
                         f"{'dense n x n operator' if floats is None else 'state'}, over the "
                         f"budget of {MAX_OPERATOR_MB} MB (grids.MAX_OPERATOR_MB)")
 

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, as_state, check_finite
 from .linalg import sine_transform
-from .systems import DiscreteSystem, _columns
+from .systems import DiscreteSystem, _columns, _dense
 
 
 class AlignmentError(ValueError):
@@ -181,13 +181,14 @@ def _band_step(a_bands: np.ndarray, dt: float, dtype):
 
 
 def _dense_propagator(system: DiscreteSystem, t: float) -> np.ndarray:
-    """e^{tA} as a dense matrix, by expm.
+    """e^{tA} as a dense matrix, by expm of a dense t A formed for this call,
+    not the system's a_matrix cache, so no n x n A outlives the propagator.
 
     Entries below the smallest normal float are set to zero: subnormal
     operands slow every later mat-vec several times over, while their
     products fall far below the rounding unit of the sums they join.
     """
-    prop = sla.expm(t * system.a_matrix)
+    prop = sla.expm(t * _dense(system.a_bands))
     prop[np.abs(prop) < np.finfo(float).tiny] = 0.0
     return prop
 
@@ -213,17 +214,18 @@ def sine_basis(x: np.ndarray) -> np.ndarray:
 
 
 def _make_step(system: DiscreteSystem, dt: float, dtype):
-    """(basis, step, f_bands, b) of the system's step route: basis maps states
-    to its coordinates in place along the last axis, and back; there step(v,
-    out) writes e^{dt A} v into out for states of the given dtype, F has the
-    bands f_bands and B is b. In heat's sine basis S, F = -W A = S (-W Lambda) S:
-    W is scalar where S acts."""
-    if system.model.step == "sine":
+    """(basis, step, f_bands, b) of the system's step route, the one place a
+    model tag picks it: "sine" for heat, "shift" for transport, "expm" for any
+    other system. basis maps states to its coordinates in place along the last
+    axis, and back; there step(v, out) writes e^{dt A} v into out for states of
+    the given dtype, F has the bands f_bands and B is b. In heat's sine basis S,
+    F = -W A = S (-W Lambda) S: W is scalar where S acts."""
+    if system.model_tag == "heat":
         lam = sine_spectrum(system.grid)
         p = np.exp(dt * lam)
         return (sine_basis, lambda v, out: np.multiply(p, v, out=out),
                 -(system.weights * lam)[None], sine_basis(system.b_matrix.T.copy()).T)
-    if system.model.step == "shift":
+    if system.model_tag == "transport":
         q, n = _shift_indices(dt, system.grid.h), system.n
         step = lambda v, out: _shift_values(v, q, n, out)
     elif (step := _band_step(system.a_bands, dt, dtype)) is None:

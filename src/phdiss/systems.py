@@ -5,12 +5,13 @@ generator A, the input map B and the dissipation form matrix F = -Herm(W A),
 where W is the trapezoid gram matrix, kept as the grid's weight vector.
 A and F are stored as their periodic bands, each out to its own half-bandwidth:
 three rows of n for a named model's A and heat's F, one for a diagonal F.
-Dense A and F are built only past grids.check_operator_size: the M root and the gate of
-an F wider than MAX_BAND form theirs and drop them, the dense propagator reads a_matrix;
+Dense A and F are built only past grids.check_operator_size: the M root, the dense
+propagator and the gate of an F wider than MAX_BAND form theirs and drop them;
 LAPACK gets the bands with a periodic band folded into an ordinary one (_lapack_band),
 the probe's shifted A once per system. A DiscreteSystem checks itself when built, F's
-dissipativity included; only an assembler names it, else it is "custom" and takes the
-"expm" step route.
+dissipativity included; only an assembler names it, else it is "custom". The name picks
+the step route in one place, semigroup._make_step: heat steps in its sine basis, transport
+by the exact shift, every other system by "expm".
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class DiscreteSystem:
     b_matrix : np.ndarray
         Input map, shape (n, m). m may be 0 for autonomous runs.
     model_tag : str
-        Read-only: "custom", or the MODELS key its assembler sets; model is its row.
+        Read-only: "custom", or the MODELS key its assembler sets; it picks the step route.
     f_bands : np.ndarray
         The bands of F = -Herm(W A) out to its own half-bandwidth, PSD: the rate is x^H F x.
         The constructor forms them, raising AssemblyError for bad bands or B or
@@ -61,8 +62,8 @@ class DiscreteSystem:
 
     a_matrix and f_matrix, A and F as dense arrays, and the two dissipation
     roots, each as its Hermitian core in orthonormal coordinates, are built
-    on first read and kept; no run task reads them, and the M root forms its dense A
-    and F apart from the two caches, freed once read. For M = G^{-1} F, with
+    on first read and kept; no package path reads the two caches: the M root and the
+    dense propagator form their dense A and F apart, freed once read. For M = G^{-1} F, with
     G = L L^H the graph gram, g_chol is L and m_sqrt_hat = (L^{-1} F L^{-H})^{1/2}:
     ||M^{1/2} x||_G = ||m_sqrt_hat L^H x|| and M^{1/2} x = L^{-H} m_sqrt_hat L^H x.
     For the bounded probe Q, q_sqrt_hat = (W^{1/2} Q W^{-1/2})^{1/2}, one eigh after
@@ -108,10 +109,6 @@ class DiscreteSystem:
         return self.grid.weights
 
     model_tag = property(lambda self: self._tag)  # read-only: only _named writes _tag
-    @property
-    def model(self) -> Model:
-        """The registry row of model_tag; CUSTOM for a custom system."""
-        return MODELS.get(self.model_tag, CUSTOM)
 
     a_matrix = cached_property(lambda self: _dense(self.a_bands))
     f_matrix = cached_property(lambda self: _dense(self.f_bands))
@@ -245,11 +242,16 @@ def dissipativity_gap(f_bands: np.ndarray) -> tuple[float, float]:
 
 
 def graph_gram(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """G = W + A^H W A, symmetrized so that it is Hermitian to the last bit."""
-    g = (a_matrix.conj().T * weights) @ a_matrix
-    del a_matrix  # freed here when the caller passed a temporary
-    g.flat[::g.shape[0] + 1] += weights
-    return hermitian_part(g)
+    """G = W + A^H W A, symmetrized so that it is Hermitian to the last bit. Raises
+    FloatingPointError, without a warning, when G overflows the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (a_matrix.conj().T * weights) @ a_matrix
+        del a_matrix  # freed here when the caller passed a temporary
+        g.flat[::g.shape[0] + 1] += weights
+        g = hermitian_part(g)
+    if not np.isfinite(g).all():
+        raise FloatingPointError("the graph gram G = W + A^H W A overflows the float range")
+    return g
 
 
 def _input_matrix(grid: Grid, input_profile) -> np.ndarray:
@@ -331,35 +333,20 @@ def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None) -> Discrete
     return DiscreteSystem(grid, bands, _input_matrix(grid, b_matrix))
 
 
-@dataclass(frozen=True)
-class Model:
-    """One row of the model registry: its assembler and its step route.
-
-    assemble(grid) builds the system. step, read by the step route only, is
-    how e^{dt A} is applied: "shift" (the exact nodal shift, transport only),
-    "sine" (the diagonal semigroup.sine_spectrum in semigroup.sine_basis,
-    heat only) or "expm" (skew_damped and custom systems; see semigroup).
-    """
-
-    assemble: Callable[[Grid], DiscreteSystem] | None
-    step: str = "expm"
-
-
-# The model registry, read by configs and the CLI. Each row looks its assembler
-# up at call time, so a call tracer that rebinds systems.assemble_* sees it.
-MODELS: dict[str, Model] = {
-    "transport": Model(lambda grid: assemble_transport(grid), "shift"),
-    "heat": Model(lambda grid: assemble_heat(grid), "sine"),
-    "skew_damped": Model(lambda grid: assemble_skew_damped(grid), "expm"),
+# The model registry, tag to assembler, read by configs and the CLI. Each entry looks
+# its assembler up at call time, so a call tracer that rebinds systems.assemble_* sees it.
+MODELS: dict[str, Callable[[Grid], DiscreteSystem]] = {
+    "transport": lambda grid: assemble_transport(grid),
+    "heat": lambda grid: assemble_heat(grid),
+    "skew_damped": lambda grid: assemble_skew_damped(grid),
 }
-CUSTOM = Model(assemble=None)
 
 
 def assemble_model(model_tag: str, grid: Grid) -> DiscreteSystem:
     """Assemble one of the named models (custom needs assemble_custom)."""
     if model_tag not in MODELS:
         raise AssemblyError(f"unsupported model: {model_tag!r}")
-    return MODELS[model_tag].assemble(grid)
+    return MODELS[model_tag](grid)
 
 
 def graph_norm(system: DiscreteSystem, f) -> float:

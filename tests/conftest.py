@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 from phdiss import (assemble_custom, assemble_model, control_signal,
                     make_uniform_grid)
-from phdiss.semigroup import run_blocks
+from phdiss.semigroup import _make_step, _shift_values, run_blocks, sine_basis
 
 MODELS = ("transport", "heat", "skew_damped")
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -65,6 +65,23 @@ def free_run(system, x0, t_final: float, dt: float):
     """The states of the uncontrolled run of x0: run_states under the zero
     control."""
     return run_states(system, x0, free_control(system, t_final, dt))
+
+
+def step_route(system, dt: float) -> str:
+    """The step route _make_step takes for the system at dt, read off what it
+    does to a real state: "sine" when its basis is sine_basis, "shift" when
+    its step is the exact shift by dt / h nodes, "expm" when the step agrees
+    with scipy's e^{dt A} to 1e-10, else "unknown"."""
+    basis, step, _, _ = _make_step(system, dt, float)
+    if basis is sine_basis:
+        return "sine"
+    v = random_state(system.n, 7)
+    got = step(v.copy(), np.empty_like(v))
+    k = round(dt / system.grid.h)
+    if k >= 1 and np.array_equal(got, _shift_values(v, k, system.n, np.empty_like(v))):
+        return "shift"
+    ref = sla.expm(dt * system.a_matrix) @ v
+    return "expm" if np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref) else "unknown"
 
 
 def custom_complex_system(n: int = 21, seed: int = 5):

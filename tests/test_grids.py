@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from phdiss import (assemble_model, boundary_trace, closability_probe,
                     control_signal, dissipation_rate, form_r,
-                    energy_audit, make_uniform_grid, q_identity_residual)
-from phdiss.grids import Grid, GridError, as_state, norm_sq
+                    energy_audit, grids, make_uniform_grid, q_identity_residual)
+from phdiss.grids import Grid, GridError, as_state, check_operator_size, norm_sq
 from phdiss.semigroup import ControlSignal, SignalError, final_state, run_blocks
 from phdiss.systems import AssemblyError, assemble_custom, graph_norm
 
@@ -47,11 +48,17 @@ def test_grid_is_fixed_by_its_size():
     for bad, message in ((10.0, "must be an integer"), (2, "at least 3 nodes")):
         with pytest.raises(GridError, match=message):
             Grid(bad)
-    # 10^7 nodes would take 160 MB of nodes and weights: refused before either exists
+    # 10^7 nodes would take 160 MB of nodes and weights: refused before either exists,
+    # as are 4,000,001 nodes, whose state is 8 bytes over the budget, and an n x n
+    # operator on 2001 nodes; each message gives a need above the budget
     tracemalloc.start()
     try:
-        with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
-            Grid(10**7)
+        for refuse in (lambda: Grid(10**7), lambda: Grid(4_000_001),
+                       lambda: check_operator_size(2001)):
+            with pytest.raises(GridError, match="MAX_OPERATOR_MB") as info:
+                refuse()
+            need = float(re.search(r"needs (\S+) MB", str(info.value)).group(1))
+            assert need > grids.MAX_OPERATOR_MB
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()

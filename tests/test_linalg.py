@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -8,7 +10,7 @@ from phdiss import assemble_model, make_uniform_grid
 from phdiss.grids import norm_sq
 from phdiss.linalg import (NotPSDError, NotSelfAdjointError, gram_sqrt_factors,
                            psd_sqrt, sine_transform)
-from phdiss.systems import graph_gram
+from phdiss.systems import assemble_custom, graph_gram
 
 from conftest import apply_m_sqrt, custom_complex_system
 
@@ -126,6 +128,20 @@ def test_m_sqrt_gram_self_adjoint_psd(model, systems101):
     s_hat = systems101[model].m_sqrt_hat
     assert np.linalg.norm(s_hat - s_hat.conj().T, 2) <= 1e-10 * np.linalg.norm(s_hat, 2)
     assert _m_eigenvalues(systems101[model]).min() >= -1e-12
+
+
+def test_graph_gram_overflow_is_a_numerical_failure():
+    # A = -1e160 I with one skew pair is dissipative and its F is finite, but its
+    # graph gram, about w 1e320, is not: the M root raises FloatingPointError
+    # naming G before LAPACK sees it, and nothing warns of the overflow
+    g = make_uniform_grid(5)
+    a = -1e160 * np.eye(5)
+    a[1, 2], a[2, 1] = 1.0, -1.0
+    system = assemble_custom(g, a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="graph gram"):
+            system.m_sqrt_hat
 
 
 def test_heat_m_eigenvalues_bounded_half():

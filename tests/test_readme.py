@@ -1,9 +1,11 @@
 """The README Quickstart runs as printed and prints what its comments say,
 the README's `run` config parses with the keys, presets and tasks it
-documents, and its CLI synopsis lists the options the parser defines."""
+documents, its CLI synopsis lists the options the parser defines, and each
+dotted phdiss name it cites resolves."""
 
 import argparse
 import contextlib
+import importlib
 import io
 import re
 import tomllib
@@ -126,6 +128,17 @@ def test_readme_audit_residual_tells_classical_data_apart():
 def test_readme_states_the_assembly_limits(name):
     module = {"MAX_OPERATOR_MB": grids, "BLOCK_BYTES": semigroup}.get(name, systems)
     assert f"`{module.__name__}.{name}` = {getattr(module, name)}" in README.read_text()
+
+
+def test_readme_dotted_names_resolve():
+    # every phdiss.<module>.<name> the README cites is still there to read
+    names = set(re.findall(r"phdiss\.(\w+)\.(\w+(?:\.\w+)*)", README.read_text()))
+    assert names
+    for module, attrs in sorted(names):
+        obj = importlib.import_module(f"phdiss.{module}")
+        for attr in attrs.split("."):
+            assert hasattr(obj, attr), f"phdiss.{module}.{attrs}"
+            obj = getattr(obj, attr)
 
 
 def _synopsis_options(text: str, verb: str) -> set[str]:

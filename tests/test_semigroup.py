@@ -17,15 +17,15 @@ from phdiss.config import parse_config_text
 from phdiss.dissipation import _form_rates
 from phdiss.grids import norm_sq
 from phdiss.runner import run_config
-from phdiss.systems import (assemble_custom, assemble_heat, assemble_skew_damped,
-                            assemble_transport)
+from phdiss.systems import (DiscreteSystem, assemble_custom, assemble_heat,
+                            assemble_skew_damped, assemble_transport)
 from phdiss.semigroup import (_THETA, AlignmentError, ControlSignal, SignalError,
                               _band_step, _blocks, _dense_propagator, _make_step, _outputs,
                               _start, _taylor_poly, block_rows, boundary_trace, final_state,
                               run_blocks, sine_basis)
 
 from conftest import (MODELS, custom_complex_system, free_control, free_run, random_state,
-                      run_states)
+                      run_states, step_route)
 
 
 def _shift_oracle(vals, k, n):
@@ -124,12 +124,29 @@ def test_custom_heat_steps_like_heat():
     g = make_uniform_grid(41)
     heat = assemble_model("heat", g)
     custom = assemble_custom(g, heat.a_matrix)
-    assert (heat.model.step, custom.model.step) == ("sine", "expm")
-    x0 = np.sin(np.pi * g.nodes) + 0.3 * np.sin(4 * np.pi * g.nodes)
     u = control_signal("ramp:0.5", 0.1, 1e-3)
+    assert (step_route(heat, u.dt), step_route(custom, u.dt)) == ("sine", "expm")
+    x0 = np.sin(np.pi * g.nodes) + 0.3 * np.sin(4 * np.pi * g.nodes)
     got = run_states(custom, x0, u)
     ref = run_states(heat, x0, u)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_dense_propagator_keeps_no_dense_generator(monkeypatch):
+    # heat's bands built directly are "custom" and too stiff at this dt for the
+    # band route: the run forms its dense A for the one expm and keeps no n x n A,
+    # and the propagator has the bits of expm of the a_matrix cache scaled by dt
+    calls = _count_dense_propagators(monkeypatch)
+    g = make_uniform_grid(41)
+    heat = assemble_model("heat", g)
+    custom = DiscreteSystem(g, heat.a_bands, heat.b_matrix)
+    u = control_signal("ramp:0.5", 0.1, 1e-3)
+    run_states(custom, np.sin(np.pi * g.nodes), u)
+    prop = _dense_propagator(custom, u.dt)
+    assert calls == [u.dt] and "a_matrix" not in vars(custom)
+    cached = sla.expm(u.dt * custom.a_matrix)
+    cached[np.abs(cached) < np.finfo(float).tiny] = 0.0
+    np.testing.assert_array_equal(prop, cached)
 
 
 @pytest.mark.parametrize("n", [21, 201, 801])

@@ -23,7 +23,7 @@ from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, DiscreteSystem, _d
                             dissipativity_gap, graph_gram, graph_norm)
 
 from conftest import (MODELS, child_env, custom_complex_system, dense_form, free_run,
-                      periodic_bands, random_state)
+                      periodic_bands, random_state, step_route)
 
 
 def test_transport_boundary_collapse():
@@ -941,15 +941,23 @@ def test_model_tag_is_read_only():
     for system in (direct, skew):
         with pytest.raises(AttributeError):
             system.model_tag = "heat"
-    assert direct.model_tag == "custom" and direct.model.step == "expm"
+    assert direct.model_tag == "custom" and step_route(direct, grid.h) == "expm"
     assert skew.model_tag == "skew_damped"
     assert "model_tag" not in {f.name for f in dataclasses.fields(DiscreteSystem)}
 
 
-def test_registry_row_is_assembler_and_step_route():
-    assert [f.name for f in dataclasses.fields(systems.Model)] == ["assemble", "step"]
-    assert {tag: row.step for tag, row in systems.MODELS.items()} == {
+def test_registry_maps_each_tag_to_its_assembler_and_step_route():
+    # MODELS holds one assembler per tag; the tag alone picks the step route,
+    # so the same bands built directly are "custom" and take expm
+    grid = make_uniform_grid(41)
+    named = {tag: assemble(grid) for tag, assemble in systems.MODELS.items()}
+    assert {tag: system.model_tag for tag, system in named.items()} == {
+        tag: tag for tag in MODELS}
+    assert {tag: step_route(system, grid.h) for tag, system in named.items()} == {
         "transport": "shift", "heat": "sine", "skew_damped": "expm"}
+    for tag in ("heat", "transport"):
+        direct = DiscreteSystem(grid, named[tag].a_bands, named[tag].b_matrix)
+        assert step_route(direct, grid.h) == "expm"
 
 
 def test_operator_budget_is_the_module_constant(monkeypatch):
