@@ -7,13 +7,13 @@ For a dissipative generator A in the inner product with gram matrix W:
   whose diagonal r[x] = -Re<Ax, x> >= 0 is the instantaneous rate;
 * the rate operator M = G^{-1} F on the graph space, F = -Herm(W A),
   G = W + A^H W A, with rate = ||M^{1/2} x||_G^2 = x^H F x exactly;
-* the bounded probe Q = -((A - I)^{-1} + ((A - I)^{-1})*) / 2 (adjoint
+* the bounded probe Q = ((I - A)^{-1} + ((I - A)^{-1})*) / 2 (adjoint
   taken in W), which satisfies ||Q^{1/2} (A - I) x||^2 = ||x||^2 + r[x].
 
 Every function takes the DiscreteSystem itself: it holds the bands of A
 and F, and builds each square root on first read, as the Hermitian core
 its docstring describes. Of the probe's checks only q_identity_residual reads Q's root;
-the run's stacked check solves with A - I instead. The energy audit steps the
+the run's stacked check solves with I - A instead. The energy audit steps the
 system's own run of x0 and u block by block, so no other run's states reach
 it; the dissipation bound reads the control and H(0) from that run's ledger.
 """
@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import as_state, norm_sq
-from .semigroup import ControlSignal, _blocks, _outputs, _start, block_rows
+from .grids import as_state, block_rows, norm_sq
+from .semigroup import ControlSignal, _blocks, _outputs, _start
 from .systems import DiscreteSystem, _probe_solve, band_product
 
 import scipy.linalg as sla  # after the package's imports, whose .semigroup imports it first
@@ -68,13 +68,13 @@ def _q_identity_rows(system: DiscreteSystem, states: np.ndarray) -> np.ndarray:
     """Probe-identity residuals of every row x of states, scaled by
     1 + ||x||^2 + ||Ax||^2, from one pass of stacked products.
 
-    ||Q^{1/2} y||_W^2 = Re z^H R z, z = sqrt(w) y, R = -(W^{1/2} A W^{-1/2} - I)^{-1}
+    ||Q^{1/2} y||_W^2 = Re z^H R z, z = sqrt(w) y, R = (I - W^{1/2} A W^{-1/2})^{-1}
     since Q_hat = Herm(R): one solve, no root. Rows must have passed grids.as_state.
     """
     w = system.weights
     ax = band_product(system.a_bands, states)
     z = (ax - states) * np.sqrt(w)
-    q_sq = -np.einsum("ij,ji->i", z.conj(), _probe_solve(system, z.T)).real
+    q_sq = np.einsum("ij,ji->i", z.conj(), _probe_solve(system, z.T)).real
     x_sq = norm_sq(w, states)
     residual = np.abs(q_sq - (x_sq + _form_rates(system.f_bands, states)))
     return residual / (1.0 + x_sq + norm_sq(w, ax))
@@ -152,7 +152,7 @@ class EnergyLedger:
 
 def _form_rates(f_bands: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Rates x_k^H F x_k for every row x_k of states, F given by its bands, one band product
-    per block of the stepping loop's rows (semigroup.block_rows): the work arrays stay in
+    per block of the stepping loop's rows (grids.block_rows): the work arrays stay in
     cache however many rows there are. ndarray.conj returns real blocks uncopied."""
     rate, size = np.empty(states.shape[0]), block_rows(states.shape[1], states.itemsize)
     for start in range(0, states.shape[0], size):

@@ -23,6 +23,10 @@ import numpy as np
 # No package path holds a (K+1) x n array of states.
 MAX_OPERATOR_MB = 32
 
+# The most bytes of a block of rows (block_rows), so that one heat block's work arrays
+# (the block, its B u rows, and rfft's odd extension and complex output) fit a 2 MiB L2
+BLOCK_BYTES = 128 * 1024
+
 
 class GridError(ValueError):
     """Raised for unusable grid parameters or states."""
@@ -73,6 +77,12 @@ def check_operator_size(n: int, floats: int | None = None) -> None:
         raise GridError(f"a grid of {n} nodes needs {mb} MB per "
                         f"{'dense n x n operator' if floats is None else 'state'}, over the "
                         f"budget of {MAX_OPERATOR_MB} MB (grids.MAX_OPERATOR_MB)")
+
+
+def block_rows(n: int, itemsize: int = 8) -> int:
+    """Rows per block of n-entry rows, the package's one block size: as many as fit
+    BLOCK_BYTES, a multiple of 4 in [4, 64] as the supply's gemv sums fours."""
+    return min(64, max(4, 4 * (BLOCK_BYTES // (4 * n * itemsize))))
 
 
 def make_uniform_grid(n: int) -> Grid:

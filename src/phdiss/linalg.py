@@ -35,6 +35,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
+from .grids import block_rows
+
 
 class NotSelfAdjointError(ValueError):
     """G M is not Hermitian within tolerance."""
@@ -44,19 +46,16 @@ class NotPSDError(ValueError):
     """An eigenvalue is negative beyond the clamping tolerance."""
 
 
-# The rows per block of the in-place loops, whose temporaries are BLOCK x n.
-BLOCK = 64
-
-
-def hermitian_part(x: np.ndarray, scale: float = 0.5) -> np.ndarray:
-    """x <- scale * (x + x^H) in place, by blocks of rows; returns x. Each block
-    is the sum for its rows out from the diagonal, mirrored below it, so no n x n
-    temporary is formed, and every entry has the bits of the out-of-place sum
-    (but for the sign of a zero imaginary part)."""
-    for i in range(0, x.shape[0], BLOCK):
-        rows = slice(i, i + BLOCK)
+def hermitian_part(x: np.ndarray) -> np.ndarray:
+    """x <- (x + x^H) / 2 in place, by blocks of grids.block_rows rows; returns x.
+    Each block is the sum for its rows out from the diagonal, mirrored below it, so
+    no n x n temporary is formed, and every entry has the bits of the out-of-place
+    0.5 * (x + x^H) (but for the sign of a zero imaginary part)."""
+    size = block_rows(len(x), x.itemsize)
+    for i in range(0, x.shape[0], size):
+        rows = slice(i, i + size)
         block = x[rows, i:] + x[i:, rows].conj().T
-        block *= scale
+        block *= 0.5
         x[i:, rows] = block.conj().T
         x[rows, i:] = block
     return x
@@ -64,8 +63,9 @@ def hermitian_part(x: np.ndarray, scale: float = 0.5) -> np.ndarray:
 
 def _conj_transpose(x: np.ndarray) -> np.ndarray:
     # x <- x^H in place, by blocks of rows, keeping x's memory order
-    for i in range(0, x.shape[0], BLOCK):
-        rows = slice(i, i + BLOCK)
+    size = block_rows(len(x), x.itemsize)
+    for i in range(0, x.shape[0], size):
+        rows = slice(i, i + size)
         block = x[rows, i:].copy()
         x[rows, i:] = x[i:, rows].conj().T
         x[i:, rows] = block.conj().T
@@ -79,9 +79,10 @@ def _fortran(x: np.ndarray) -> np.ndarray:
 
 def _check_hermitian(product: np.ndarray) -> np.ndarray:
     scale = max(float(np.linalg.norm(product, "fro")), 1e-300)
+    size = block_rows(len(product), product.itemsize)
     skew = float(np.sqrt(sum(
-        np.linalg.norm(product[i:i + BLOCK] - product[:, i:i + BLOCK].conj().T) ** 2
-        for i in range(0, product.shape[0], BLOCK))))
+        np.linalg.norm(product[i:i + size] - product[:, i:i + size].conj().T) ** 2
+        for i in range(0, product.shape[0], size))))
     if skew > 1e-8 * scale:
         raise NotSelfAdjointError(
             "matrix is not self-adjoint in the given inner product "
@@ -145,7 +146,7 @@ def sine_transform(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     transformed in its real and imaginary parts. The result goes to out,
     which may be x itself. All rows go through one rfft call, so its work
     arrays grow with the rows: run_blocks maps a block of at most
-    semigroup.BLOCK_BYTES of states at a time, whose work arrays fit a 2 MiB
+    grids.BLOCK_BYTES of states at a time, whose work arrays fit a 2 MiB
     L2, and an audit maps x0, B and x(T).
     """
     x = np.asarray(x)

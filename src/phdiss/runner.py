@@ -18,11 +18,11 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .dissipation import _q_identity_rows, energy_audit, rt_bound_check
-from .grids import make_uniform_grid, norm_sq
+from .grids import block_rows, make_uniform_grid, norm_sq
 from .presets import control_signal, initial_state
 from .probes import closability_probe
 from .reporting import write_json, write_ledger_csv, write_probe_csv
-from .semigroup import block_rows, final_state
+from .semigroup import final_state
 from .systems import assemble_model
 
 RATE_FLOOR = -1e-10      # rate non-negativity margin

@@ -4,7 +4,7 @@ trace diagnostics.
 
 A run is x0 and a control, whose clock is the run's clock; a free run carries
 the zero control. _blocks, the one stepping loop, hands its states out in
-blocks of at most BLOCK_BYTES in the step basis, where the audit reads them;
+blocks of at most grids.BLOCK_BYTES in the step basis, where the audit reads them;
 run_blocks maps them to the nodes, and final_state maps back only x(T). No
 reader stacks the states, so a run holds O(n) memory.
 
@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grids import Grid, as_state, check_finite
+from .grids import Grid, as_state, block_rows, check_finite
 from .linalg import sine_transform
 from .systems import DiscreteSystem, _columns, _dense
 
@@ -181,8 +181,8 @@ def _band_step(a_bands: np.ndarray, dt: float, dtype):
 
 
 def _dense_propagator(system: DiscreteSystem, t: float) -> np.ndarray:
-    """e^{tA} as a dense matrix, by expm of a dense t A formed for this call,
-    not the system's a_matrix cache, so no n x n A outlives the propagator.
+    """e^{tA} as a dense matrix, by expm of a dense t A formed for this call
+    and freed after it: the system keeps no n x n A.
 
     Entries below the smallest normal float are set to zero: subnormal
     operands slow every later mat-vec several times over, while their
@@ -232,17 +232,6 @@ def _make_step(system: DiscreteSystem, dt: float, dtype):
         prop = _dense_propagator(system, dt)
         step = lambda v, out: np.matmul(prop, v, out=out)
     return lambda x: x, step, system.f_bands, system.b_matrix
-
-
-# The most bytes of a block of a run's states, so that one heat block's work arrays
-# (the block, its B u rows, and rfft's odd extension and complex output) fit a 2 MiB L2
-BLOCK_BYTES = 128 * 1024
-
-
-def block_rows(n: int, itemsize: int = 8) -> int:
-    # rows per block of n-entry states for the loop, the rate products and heat's transform:
-    # as many as fit BLOCK_BYTES, a multiple of 4 in [4, 64] as the supply's gemv sums fours
-    return min(64, max(4, 4 * (BLOCK_BYTES // (4 * n * itemsize))))
 
 
 def _start(system: DiscreteSystem, x0, u: ControlSignal):

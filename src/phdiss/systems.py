@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Grid, as_state, check_finite, check_operator_size, norm_sq
-from .linalg import BLOCK, gram_sqrt_factors, hermitian_part, psd_sqrt
+from .grids import Grid, as_state, block_rows, check_finite, check_operator_size, norm_sq
+from .linalg import gram_sqrt_factors, hermitian_part, psd_sqrt
 
 
 # The damping of skew_damped, whose rate is DAMPING * ||x||^2. Another
@@ -50,24 +50,24 @@ class DiscreteSystem:
     grid : Grid
     a_bands : np.ndarray
         Generator A as its periodic bands, shape (2 kd + 1, n), 2 kd <= n:
-        a_bands[k + kd, i] = A[i, (i + k) mod n], entries of two bands adding up.
+        a_bands[k + kd, i] = A[i, (i + k) mod n]. Where 2 kd = n, bands -kd and kd
+        hold entries of the same places, which every reader adds up.
     b_matrix : np.ndarray
         Input map, shape (n, m). m may be 0 for autonomous runs.
     model_tag : str
         Read-only: "custom", or the MODELS key its assembler sets; it picks the step route.
     f_bands : np.ndarray
-        The bands of F = -Herm(W A) out to its own half-bandwidth, PSD: the rate is x^H F x.
+        The bands of F = -Herm(W A) out to its own half-bandwidth, PSD: the rate is x^H F x;
+        bands at distance n / 2 add up as A's do, and stay where they cancel.
         The constructor forms them, raising AssemblyError for bad bands or B or
         a non-dissipative F, and keeps integer and boolean A and B as float.
 
-    a_matrix and f_matrix, A and F as dense arrays, and the two dissipation
-    roots, each as its Hermitian core in orthonormal coordinates, are built
-    on first read and kept; no package path reads the two caches: the M root and the
-    dense propagator form their dense A and F apart, freed once read. For M = G^{-1} F, with
-    G = L L^H the graph gram, g_chol is L and m_sqrt_hat = (L^{-1} F L^{-H})^{1/2}:
+    The system keeps no dense A or F. The two dissipation roots, each as its Hermitian
+    core in orthonormal coordinates, are built on first read and kept. For M = G^{-1} F,
+    with G = L L^H the graph gram, g_chol is L and m_sqrt_hat = (L^{-1} F L^{-H})^{1/2}:
     ||M^{1/2} x||_G = ||m_sqrt_hat L^H x|| and M^{1/2} x = L^{-H} m_sqrt_hat L^H x.
     For the bounded probe Q, q_sqrt_hat = (W^{1/2} Q W^{-1/2})^{1/2}, one eigh after
-    the solve that q_check takes per block of draws, with W^{1/2} A W^{-1/2} - I folded
+    the solve that q_check takes per block of draws, with I - W^{1/2} A W^{-1/2} folded
     once (_probe_band): ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||.
     """
 
@@ -110,14 +110,11 @@ class DiscreteSystem:
 
     model_tag = property(lambda self: self._tag)  # read-only: only _named writes _tag
 
-    a_matrix = cached_property(lambda self: _dense(self.a_bands))
-    f_matrix = cached_property(lambda self: _dense(self.f_bands))
-
     @cached_property
     def _m_factors(self):
         # G M = F exactly, so the factors come straight from F; M is never formed. Dense F
-        # and A are temporaries, not the a_matrix and f_matrix caches, so each callee frees
-        # its argument after the last read; G is formed first, before F exists
+        # and A are temporaries, so each callee frees its argument after the last read;
+        # G is formed first, before F exists
         return gram_sqrt_factors(gram=graph_gram(_dense(self.a_bands), self.weights),
                                  product=_dense(self.f_bands))
 
@@ -125,15 +122,15 @@ class DiscreteSystem:
     m_sqrt_hat = property(lambda self: self._m_factors[1])
 
     @cached_property
-    def _probe_band(self):  # _lapack_band of W^{1/2} A W^{-1/2} - I, for every probe solve
+    def _probe_band(self):  # _lapack_band of I - W^{1/2} A W^{-1/2}, for every probe solve
         kd, sw = self.a_bands.shape[0] // 2, np.sqrt(self.weights)
-        shifted = sw * self.a_bands / sw[_columns(self.n, kd)]
-        shifted[kd] -= 1.0
+        shifted = -sw * self.a_bands / sw[_columns(self.n, kd)]
+        shifted[kd] += 1.0
         return _lapack_band(shifted)
 
     @cached_property
     def q_sqrt_hat(self) -> np.ndarray:
-        # W^{1/2} Q W^{-1/2} = -Herm((W^{1/2} A W^{-1/2} - I)^{-1}), Hermitian by construction:
+        # W^{1/2} Q W^{-1/2} = Herm((I - W^{1/2} A W^{-1/2})^{-1}), Hermitian by construction:
         # _probe_solve of the identity in one F-ordered array, the permuted identity solved in
         # place and its rows put back by blocks of columns
         n = self.n
@@ -142,9 +139,10 @@ class DiscreteSystem:
         res = np.zeros((n, n), dtype=np.result_type(ab, float), order="F")
         res[pos, np.arange(n)] = 1.0
         res = sla.solve_banded((u, u), ab, res, overwrite_b=True)
-        for j in range(0, n, BLOCK):
-            res[:, j:j + BLOCK] = res[pos, j:j + BLOCK]
-        return psd_sqrt(hermitian_part(res, -0.5))
+        size = block_rows(n, res.itemsize)
+        for j in range(0, n, size):
+            res[:, j:j + size] = res[pos, j:j + size]
+        return psd_sqrt(hermitian_part(res))
 
 
 def _columns(n: int, kd: int) -> np.ndarray:
@@ -162,27 +160,25 @@ def _dense(bands: np.ndarray) -> np.ndarray:
 
 def _lapack_band(bands: np.ndarray):
     # (ab, pos, u): LAPACK's (u, u) band storage ab[u + p - q, q] = B[p, q] of B = P A P^T,
-    # where P moves node i to position pos[i]. The order is the natural one when no band
-    # entry wraps from one end to the other, else 0, n - 1, 1, n - 2, ..., which folds a
-    # periodic band of half-width kd into an ordinary one of half-width u <= 2 kd. Band k's
-    # entries go from rows pos to columns pos[(i + k) mod n], a slice of pos repeated, so
-    # placing a band takes O(n) indices and ab is the one array of the bands' size
+    # where P moves node i to position pos[i]. The order is the natural one when every band
+    # entry lies within kd of its row there, else 0, n - 1, 1, n - 2, ..., which folds a
+    # periodic band of half-width kd into an ordinary one of half-width u <= 2 kd. An entry
+    # of band k that wraps lies n - |k| from its row, beyond kd but in the bands -n/2 and
+    # n/2, whose entries are added up where they meet. Band k's entries go from rows pos to
+    # columns pos[(i + k) mod n], a slice of pos repeated, so placing a band takes O(n)
+    # indices and ab is the one array of the bands' size
     n, kd = bands.shape[1], bands.shape[0] // 2
     rows = [(k, bands[k + kd]) for k in range(-kd, kd + 1)]
-    if 2 * kd == n:  # bands -kd and kd share their entries: they are placed as their sums
-        shared, rows = bands[0] + bands[-1], rows[1:-1]
     pos = np.arange(n)
-    if any((row[n - k:] if k > 0 else row[:-k]).any() for k, row in rows):
+    if any((row[n - k:] if k > 0 else row[:-k]).any() for k, row in rows if n - abs(k) > kd):
         pos = np.minimum(2 * pos, 2 * (n - 1 - pos) + 1)
-    if 2 * kd == n:  # no sum wraps: each lies within n / 2 of its row, one way or the other
-        rows.append((kd, shared))
     wrapped = np.concatenate((pos, pos))
     cols = [(wrapped[k % n:k % n + n], row) for k, row in rows]
     u = max(int(np.abs(pos - q).max(where=row != 0, initial=0)) for q, row in cols)
     ab = np.zeros((2 * u + 1, n), dtype=bands.dtype)
     for q, row in cols:
         nz = row != 0
-        ab[u + pos[nz] - q[nz], q[nz]] = row[nz]
+        ab[u + pos[nz] - q[nz], q[nz]] += row[nz]
     return ab, pos, u
 
 
@@ -194,7 +190,7 @@ def band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _probe_solve(system: DiscreteSystem, rhs: np.ndarray) -> np.ndarray:
-    # (W^{1/2} A W^{-1/2} - I)^{-1} rhs for a 2-D rhs, by one banded LU of the system's folded band
+    # (I - W^{1/2} A W^{-1/2})^{-1} rhs for a 2-D rhs, by one banded LU of the system's folded band
     ab, pos, u = system._probe_band
     return sla.solve_banded((u, u), ab, rhs[np.argsort(pos)])[pos]
 
@@ -210,15 +206,12 @@ def periodic_bandwidth(a: np.ndarray) -> int:
 def form_bands(a_bands: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The periodic bands of F = -Herm(W A) from those of A, out to F's own half-bandwidth:
     F[i, i + k] = -(w_i A[i, i + k] + conj(w_{i+k} A[i + k, i])) / 2, A[i + k, i] in band -k;
-    where 2 kd = n, band kd alone keeps the entries at distance n / 2, as in A's bands."""
+    where 2 kd = n, the entries of bands -kd and kd add up, in F's bands as in A's, and
+    two nonzero halves that cancel keep their bands."""
     n, kd = a_bands.shape[1], a_bands.shape[0] // 2
     wa = weights * a_bands
-    if 2 * kd == n:  # bands -kd and kd alias: each reads the two halves added up
-        wa[0] = wa[-1] = wa[0] + wa[-1]
     partner = np.take_along_axis(wa[::-1], _columns(n, kd), axis=1)
     f = -(0.5 * (wa + partner.conj()))  # negated last: -0.5 * z makes a 0j part +0.0, not -0.0
-    if 2 * kd == n:
-        f[0] = 0
     kf = int(np.abs(np.flatnonzero(f.any(axis=1)) - kd).max(initial=0))
     return f[kd - kf:kd + kf + 1].copy()  # a copy, so the trimmed rows are freed
 
@@ -241,12 +234,12 @@ def dissipativity_gap(f_bands: np.ndarray) -> tuple[float, float]:
     return -lo, max(-lo, hi)
 
 
-def graph_gram(a_matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def graph_gram(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """G = W + A^H W A, symmetrized so that it is Hermitian to the last bit. Raises
     FloatingPointError, without a warning, when G overflows the float range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        g = (a_matrix.conj().T * weights) @ a_matrix
-        del a_matrix  # freed here when the caller passed a temporary
+        g = (a.conj().T * weights) @ a
+        del a  # freed here when the caller passed a temporary
         g.flat[::g.shape[0] + 1] += weights
         g = hermitian_part(g)
     if not np.isfinite(g).all():
@@ -319,10 +312,10 @@ def assemble_skew_damped(grid: Grid, input_profile=None) -> DiscreteSystem:
     return _named("skew_damped", DiscreteSystem(grid, a, _input_matrix(grid, input_profile)))
 
 
-def assemble_custom(grid: Grid, a_matrix: np.ndarray, b_matrix=None) -> DiscreteSystem:
+def assemble_custom(grid: Grid, a: np.ndarray, b_matrix=None) -> DiscreteSystem:
     """Wrap a user matrix as its periodic bands out to its periodic_bandwidth,
     which the system checks; a custom system takes the "expm" step route."""
-    a, n = np.asarray(a_matrix), grid.n
+    a, n = np.asarray(a), grid.n
     check_operator_size(n)
     if a.shape != (n, n):
         raise AssemblyError(f"generator shape {a.shape} does not match grid size {n}")

@@ -9,6 +9,7 @@ import scipy.linalg as sla
 from phdiss import (assemble_custom, assemble_model, control_signal,
                     make_uniform_grid)
 from phdiss.semigroup import _make_step, _shift_values, run_blocks, sine_basis
+from phdiss.systems import _dense
 
 MODELS = ("transport", "heat", "skew_damped")
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -80,7 +81,7 @@ def step_route(system, dt: float) -> str:
     k = round(dt / system.grid.h)
     if k >= 1 and np.array_equal(got, _shift_values(v, k, system.n, np.empty_like(v))):
         return "shift"
-    ref = sla.expm(dt * system.a_matrix) @ v
+    ref = sla.expm(dt * _dense(system.a_bands)) @ v
     return "expm" if np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref) else "unknown"
 
 

@@ -16,7 +16,7 @@ from phdiss import (assemble_model, closability_probe, control_signal,
                     q_identity_residual, rt_bound_check)
 from phdiss.probes import VERDICT_NON_CLOSABLE, VERDICT_PREMISE
 from phdiss.semigroup import ControlSignal, _outputs
-from phdiss.systems import graph_gram, graph_norm
+from phdiss.systems import _dense, graph_gram, graph_norm
 
 from conftest import apply_m_sqrt, child_env, free_control, free_run
 
@@ -49,7 +49,7 @@ def test_criterion_01_q_identity_all_models(systems101):
     worst = 0.0
     for model in MODELS:
         sys = systems101[model]
-        g = graph_gram(sys.a_matrix, sys.weights)
+        g = graph_gram(_dense(sys.a_bands), sys.weights)
         for _ in range(100):
             x = rng.standard_normal(101)
             graph_sq = float(np.real(np.conj(x) @ (g @ x)))
@@ -91,7 +91,7 @@ def test_criterion_03_rank_one_sqrt():
             x = fn(g.nodes)
             got = apply_m_sqrt(sys, x)
             ref = coeff * x[0] * np.sinh(1.0 - g.nodes)
-            gram = graph_gram(sys.a_matrix, sys.weights)
+            gram = graph_gram(_dense(sys.a_bands), sys.weights)
             gn = lambda v: float(np.sqrt(np.real(np.conj(v) @ (gram @ v))))
             errs.append(gn(got - ref) / gn(got))
         worst_at_401 = max(worst_at_401, errs[-1])

@@ -23,9 +23,10 @@ from phdiss import (assemble_model, control_signal, energy_audit,
                     initial_state, make_uniform_grid, rt_bound_check)
 from phdiss.cli import main
 from phdiss.config import ConfigError, parse_config_text
+from phdiss.grids import block_rows
 from phdiss.linalg import NotPSDError, NotSelfAdjointError
 from phdiss.presets import PresetError
-from phdiss.semigroup import _outputs, block_rows
+from phdiss.semigroup import _outputs
 
 from conftest import child_env, run_states
 
@@ -608,7 +609,7 @@ def _q_blocks(n):
 def test_run_builds_only_the_roots_its_tasks_read(tmp_path, monkeypatch, model):
     # the M core (gram_sqrt_factors on F and G) is read by no run task, so
     # no task forms G; nor is the Q core (psd_sqrt in systems): q_check
-    # takes one solve with A_hat - I per block of its draws instead
+    # takes one solve with I - A_hat per block of its draws instead
     text = f"""\
 model = {model}
 n_grid = 41
@@ -661,38 +662,43 @@ out_dir = {{out}}
     assert peak < 8 * 801**2
 
 
-# peak of a run past the dense cap in n floats: measured 44 / 46 / 112 (q_check's
-# blocks of 4 draws for transport and heat; skew_damped's build of T_m's 37 bands)
+# peak of a run past the dense cap in n floats: measured 36 / 42 / 112 at n = 25,601 and
+# at n = 100,001 alike (q_check's blocks of 4 draws for transport and heat; skew_damped's
+# build of T_m's 37 bands)
 LARGE_RUN_FLOATS = {"transport": 64, "heat": 64, "skew_damped": 150}
 
 
 @pytest.mark.parametrize("model", ["transport", "heat", "skew_damped"])
 def test_run_past_the_dense_cap_holds_o_n_memory(tmp_path, model):
-    # n = 100,001 and K = 8, every task: no path of a run forms an n x n array,
-    # and each block of states, q_check's draws included, is 4 rows at this n
-    n = 100_001
-    text = f"""\
+    # n = 25,601 and 100,001, K = 8, every task: no path of a run forms an n x n
+    # array, and each block of states, q_check's draws included, is 4 rows at
+    # these n. The peak per node agrees within 5% across the two sizes: O(n)
+    text = """\
 model = {model}
 n_grid = {n}
-t_final = {8 / (n - 1)!r}
+t_final = {t!r}
 x0_preset = sine:1
 u_preset = const:0.5
 tasks = simulate, audit, rt_bound, q_check, probe:power
-out_dir = {{out}}
+out_dir = {out}
 """
-    warm = text.replace(f"n_grid = {n}", "n_grid = 21").replace(repr(8 / (n - 1)), "0.4")
-    warm = parse_config_text(warm.format(out=tmp_path / "warm"))
+    warm = parse_config_text(text.format(model=model, n=21, t=0.4, out=tmp_path / "warm"))
     assert phdiss.runner.run_config(warm).status == 0  # lazy imports, caches
-    cfg = parse_config_text(text.format(out=tmp_path / "run"))
-    assert block_rows(n) == 4
-    tracemalloc.start()
-    try:
-        res = phdiss.runner.run_config(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.status == 0 and res.summary["simulate"]["steps"] == 8
-    assert peak <= LARGE_RUN_FLOATS[model] * 8 * n
+    per_node = []
+    for n in (25_601, 100_001):
+        cfg = text.format(model=model, n=n, t=8 / (n - 1), out=tmp_path / str(n))
+        cfg = parse_config_text(cfg)
+        assert block_rows(n) == 4
+        tracemalloc.start()
+        try:
+            res = phdiss.runner.run_config(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == 0 and res.summary["simulate"]["steps"] == 8
+        assert peak <= LARGE_RUN_FLOATS[model] * 8 * n
+        per_node.append(peak / n)
+    assert abs(per_node[0] - per_node[1]) <= 0.05 * per_node[1]
 
 
 @pytest.mark.parametrize("n", [201, 801, 2001])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phdiss.grids
 import phdiss.semigroup
 import phdiss.systems
 from phdiss import (assemble_custom, assemble_model, control_signal,
@@ -14,9 +15,9 @@ from phdiss.dissipation import (_input_norm, _q_identity_rows, cumulative_parabo
                                 cumulative_trapezoid)
 from phdiss.grids import norm_sq
 from phdiss.linalg import NotPSDError
-from phdiss.systems import (AssemblyError, DiscreteSystem, _probe_solve, assemble_heat,
-                            assemble_skew_damped, assemble_transport, form_bands,
-                            graph_gram, graph_norm)
+from phdiss.systems import (AssemblyError, DiscreteSystem, _dense, _probe_solve,
+                            assemble_heat, assemble_skew_damped, assemble_transport,
+                            form_bands, graph_gram, graph_norm)
 
 from conftest import (MODELS, custom_complex_system, dense_form, free_control,
                       periodic_bands, random_state, run_states)
@@ -117,7 +118,7 @@ def test_assembly_forms_g_and_f_once(systems101, model, monkeypatch):
     # its own bands: heat's three, the one diagonal band of the others; G is
     # not formed at assembly at all
     sys = systems101[model]
-    assert np.array_equal(sys.f_matrix, dense_form(sys.a_matrix, sys.weights))
+    assert np.array_equal(_dense(sys.f_bands), dense_form(_dense(sys.a_bands), sys.weights))
     monkeypatch.setattr(phdiss.systems, "graph_gram", None)  # any call fails
     width = 3 if model == "heat" else 1
     assert assemble_model(model, sys.grid).f_bands.shape == (width, sys.n)
@@ -146,7 +147,7 @@ def test_system_root_failures_surface_on_first_read():
     a_bands = periodic_bands(a, 1)
     vars(sys).update(grid=grid, a_bands=a_bands, b_matrix=np.ones((3, 1)),
                      model_tag="custom", f_bands=form_bands(a_bands, w))
-    np.testing.assert_array_equal(sys.f_matrix, -np.diag(w))
+    np.testing.assert_array_equal(_dense(sys.f_bands), -np.diag(w))
     with pytest.raises(NotPSDError):
         sys.m_sqrt_hat
     with pytest.raises(np.linalg.LinAlgError):  # A - I is singular
@@ -270,10 +271,10 @@ def test_ledger_keeps_its_bits_under_any_byte_budget(model, m, monkeypatch):
     sys = getattr(phdiss.systems, f"assemble_{model}")(grid, profile)
     x0 = initial_state(grid, "sinh_bc" if model == "transport" else "sine:1")
     u = control_signal("ramp:0.7", 404 * grid.h, grid.h, m=m)
-    assert u.values.shape == (405, m) and phdiss.semigroup.block_rows(401) == 40
+    assert u.values.shape == (405, m) and phdiss.grids.block_rows(401) == 40
     want = energy_audit(sys, x0, u)
-    monkeypatch.setattr(phdiss.semigroup, "BLOCK_BYTES", 0)
-    assert phdiss.semigroup.block_rows(401) == 4
+    monkeypatch.setattr(phdiss.grids, "BLOCK_BYTES", 0)
+    assert phdiss.grids.block_rows(401) == 4
     got = energy_audit(sys, x0, u)
     for name in ("hamiltonian", "supply_rate", "dissipation_rate", "supplied", "dissipated",
                  "residuals", "final_state"):
@@ -283,7 +284,7 @@ def test_ledger_keeps_its_bits_under_any_byte_budget(model, m, monkeypatch):
 @pytest.mark.parametrize("model", MODELS)
 def test_probe_operator_is_folded_once_per_system(model, monkeypatch):
     # q_check's draws in five blocks at n = 801, then the Q root: every solve
-    # reads W^{1/2} A W^{-1/2} - I folded once, on the first block
+    # reads I - W^{1/2} A W^{-1/2} folded once, on the first block
     sys = assemble_model(model, make_uniform_grid(801))
     folds = []
 
@@ -292,7 +293,7 @@ def test_probe_operator_is_folded_once_per_system(model, monkeypatch):
         return _fold(bands)
 
     monkeypatch.setattr(phdiss.systems, "_lapack_band", counted)
-    rows = phdiss.semigroup.block_rows(sys.n)
+    rows = phdiss.grids.block_rows(sys.n)
     states = _runner_draw(sys, model)
     assert -(-100 // rows) == 5
     worst = max(_q_identity_rows(sys, states[i:i + rows]).max() for i in range(0, 100, rows))
@@ -304,9 +305,9 @@ def _q_scaled_loop(sys, x):
     # the probe identity of one state, one mat-vec at a time
     w = sys.weights
     # ||Q^{1/2} y||_W = ||q_sqrt_hat sqrt(w) y||
-    z = sys.q_sqrt_hat @ (np.sqrt(w) * (sys.a_matrix @ x - x))
+    z = sys.q_sqrt_hat @ (np.sqrt(w) * (_dense(sys.a_bands) @ x - x))
     rhs = norm_sq(w, x) + form_r(sys, x)
-    graph_sq = float(np.real(np.conj(x) @ (graph_gram(sys.a_matrix, w) @ x)))
+    graph_sq = float(np.real(np.conj(x) @ (graph_gram(_dense(sys.a_bands), w) @ x)))
     return abs(norm_sq(np.ones(sys.n), z) - rhs) / (1.0 + graph_sq)
 
 
@@ -335,8 +336,8 @@ def test_q_rows_match_per_state_identity(model):
     # a wrong F breaks the identity at order one, and there the stacked
     # (solve) and per-state (root) values must agree row by row: F + 2 G
     # adds twice the graph norm ||x||^2 + ||Ax||^2 > 1 to every rate
-    sys.f_bands = periodic_bands(sys.f_matrix + 2.0 * graph_gram(sys.a_matrix, sys.weights),
-                                 sys.n // 2)
+    sys.f_bands = periodic_bands(
+        _dense(sys.f_bands) + 2.0 * graph_gram(_dense(sys.a_bands), sys.weights), sys.n // 2)
     stacked = _q_identity_rows(sys, states)
     assert float(np.min(stacked)) > 1.0
     loop = np.array([_q_scaled_loop(sys, x) for x in states])
@@ -349,15 +350,15 @@ def test_q_rows_match_per_state_identity(model):
 @pytest.mark.parametrize("model", MODELS + ("custom",))
 def test_probe_root_and_solve_routes_agree(model, n):
     # ||Q^{1/2} y||_W^2 = z^H Q_hat z with z = sqrt(w) y, y = (A - I) x, two
-    # ways: ||q_sqrt_hat z||^2 through the root, and -Re z^H (A_hat - I)^{-1} z
+    # ways: ||q_sqrt_hat z||^2 through the root, and Re z^H (I - A_hat)^{-1} z
     # through the solve that q_check takes
     sys = (custom_complex_system(n) if model == "custom"
            else assemble_model(model, make_uniform_grid(n)))
     states, w = _runner_draw(sys, model), sys.weights
-    z = (states @ sys.a_matrix.T - states) * np.sqrt(w)
+    z = (states @ _dense(sys.a_bands).T - states) * np.sqrt(w)
     root = z @ sys.q_sqrt_hat.T
     by_root = np.einsum("ij,ij->i", root.conj(), root).real
-    by_solve = -np.einsum("ij,ji->i", z.conj(), _probe_solve(sys, z.T)).real
+    by_solve = np.einsum("ij,ji->i", z.conj(), _probe_solve(sys, z.T)).real
     # the routes agree to 1e-12 of the value, or to the root's own round-off,
     # its backward error eps ||Q_hat|| <= eps times ||z||^2: on these rough
     # states ||z||^2 ~ ||Ax||^2 grows like n^2, and on transport and

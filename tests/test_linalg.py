@@ -10,7 +10,7 @@ from phdiss import assemble_model, make_uniform_grid
 from phdiss.grids import norm_sq
 from phdiss.linalg import (NotPSDError, NotSelfAdjointError, gram_sqrt_factors,
                            psd_sqrt, sine_transform)
-from phdiss.systems import assemble_custom, graph_gram
+from phdiss.systems import _dense, assemble_custom, graph_gram
 
 from conftest import apply_m_sqrt, custom_complex_system
 
@@ -71,13 +71,18 @@ def test_weighted_routes_match_dense_gram(seed, n):
 
 
 def test_psd_sqrt_rejects_negative():
-    with pytest.raises(NotPSDError):
-        psd_sqrt(np.diag([1.0, -0.5]))
+    # the clamp tolerance is 1e-10 * max(largest magnitude, 1): 1e-10 for the first
+    # two, 1e-4 for the last, so each eigenvalue lies below it by a factor of 10 or more
+    for hat in ([1.0, -0.5], [1.0, -1e-8], [1e6, -1e-3]):
+        with pytest.raises(NotPSDError):
+            psd_sqrt(np.diag(hat))
 
 
 def test_psd_sqrt_clamps_roundoff_negatives():
-    s = psd_sqrt(np.diag([1.0, -1e-14]))
-    np.testing.assert_allclose(s, np.diag([1.0, 0.0]), atol=1e-12)
+    # within the tolerance, 1e-10 and 1e-4 here, a negative eigenvalue reads as zero
+    for hat in ([1.0, -1e-14], [1e6, -1e-5]):
+        s = psd_sqrt(np.diag(hat))
+        np.testing.assert_allclose(s, np.diag([np.sqrt(hat[0]), 0.0]), atol=1e-12)
 
 
 def test_not_self_adjoint_rejected():
@@ -114,9 +119,9 @@ def test_m_sqrt_roundtrip_in_gram_norm(model, systems101):
     # The heat gram matrix has condition number ~1e9, which is the point
     sys = systems101[model]
     l = sys.g_chol
-    np.testing.assert_allclose(l @ l.conj().T, graph_gram(sys.a_matrix, sys.weights),
+    np.testing.assert_allclose(l @ l.conj().T, graph_gram(_dense(sys.a_bands), sys.weights),
                                rtol=1e-12, atol=1e-12)
-    half = sla.solve_triangular(l, sys.f_matrix, lower=True)
+    half = sla.solve_triangular(l, _dense(sys.f_bands), lower=True)
     congruence = sla.solve_triangular(l, half.conj().T, lower=True).conj().T
     d = sys.m_sqrt_hat @ sys.m_sqrt_hat - congruence
     assert np.linalg.norm(d, 2) <= 1e-10
@@ -170,7 +175,7 @@ def _dense_root(product, gram):
 def _oracle_states(sys, seed=3, count=4):
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((count, sys.n))
-    if np.iscomplexobj(sys.a_matrix):
+    if np.iscomplexobj(sys.a_bands):
         xs = xs + 1j * rng.standard_normal((count, sys.n))
     return [*xs, np.sin(np.pi * sys.grid.nodes)]
 
@@ -178,9 +183,9 @@ def _oracle_states(sys, seed=3, count=4):
 @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
 def test_m_core_matches_dense_oracle(name):
     sys = ORACLE_SYSTEMS[name]()
-    gram = graph_gram(sys.a_matrix, sys.weights)
+    gram = graph_gram(_dense(sys.a_bands), sys.weights)
     graph_sq = lambda v: np.real(np.conj(v) @ (gram @ v))
-    root = _dense_root(sys.f_matrix, gram)
+    root = _dense_root(_dense(sys.f_bands), gram)
     # errors relative to ||x||_G >= sqrt(2) ||M^{1/2} x||_G (the sine state
     # has zero rate on transport). Transport's M has rank
     # 2: the roots of its zero eigenvalues are sqrt(round-off) in both
@@ -199,7 +204,7 @@ def test_m_core_matches_dense_oracle(name):
 def test_q_core_matches_dense_oracle(name):
     sys = ORACLE_SYSTEMS[name]()
     w = sys.weights
-    res = np.linalg.inv(sys.a_matrix - np.eye(sys.n))
+    res = np.linalg.inv(_dense(sys.a_bands) - np.eye(sys.n))
     q = -0.5 * (res + (res.conj().T * w) / w[:, None])  # adjoint taken in W
     root = _dense_root(w[:, None] * q, np.diag(w))
     for y in _oracle_states(sys):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from phdiss import (cli, control_signal, energy_audit, grids, initial_state,
-                    make_uniform_grid, semigroup, systems)
+                    make_uniform_grid, systems)
 from phdiss.config import SUPPORTED_TASKS, ExperimentConfig, parse_config_text
 from phdiss.systems import MODELS
 
@@ -126,19 +126,26 @@ def test_readme_audit_residual_tells_classical_data_apart():
 
 @pytest.mark.parametrize("name", ["MAX_BAND", "MAX_OPERATOR_MB", "DAMPING", "BLOCK_BYTES"])
 def test_readme_states_the_assembly_limits(name):
-    module = {"MAX_OPERATOR_MB": grids, "BLOCK_BYTES": semigroup}.get(name, systems)
+    module = {"MAX_OPERATOR_MB": grids, "BLOCK_BYTES": grids}.get(name, systems)
     assert f"`{module.__name__}.{name}` = {getattr(module, name)}" in README.read_text()
 
 
 def test_readme_dotted_names_resolve():
-    # every phdiss.<module>.<name> the README cites is still there to read
-    names = set(re.findall(r"phdiss\.(\w+)\.(\w+(?:\.\w+)*)", README.read_text()))
+    # every phdiss.<module>.<name> the README cites is still there to read, and
+    # every system.<attr> on an assembled system
+    text = README.read_text()
+    names = set(re.findall(r"phdiss\.(\w+)\.(\w+(?:\.\w+)*)", text))
     assert names
     for module, attrs in sorted(names):
         obj = importlib.import_module(f"phdiss.{module}")
         for attr in attrs.split("."):
             assert hasattr(obj, attr), f"phdiss.{module}.{attrs}"
             obj = getattr(obj, attr)
+    system = systems.assemble_model("transport", make_uniform_grid(5))
+    attrs = set(re.findall(r"\bsystem\.(\w+)", text))
+    assert attrs
+    for attr in sorted(attrs):
+        assert hasattr(system, attr), f"system.{attr}"
 
 
 def _synopsis_options(text: str, verb: str) -> set[str]:

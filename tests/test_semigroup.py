@@ -8,6 +8,7 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import phdiss.grids
 import phdiss.linalg
 import phdiss.presets
 import phdiss.semigroup
@@ -15,13 +16,13 @@ from phdiss import (assemble_model, control_signal, energy_audit,
                     make_uniform_grid, rt_bound_check)
 from phdiss.config import parse_config_text
 from phdiss.dissipation import _form_rates
-from phdiss.grids import norm_sq
+from phdiss.grids import block_rows, norm_sq
 from phdiss.runner import run_config
-from phdiss.systems import (DiscreteSystem, assemble_custom, assemble_heat,
+from phdiss.systems import (DiscreteSystem, _dense, assemble_custom, assemble_heat,
                             assemble_skew_damped, assemble_transport)
 from phdiss.semigroup import (_THETA, AlignmentError, ControlSignal, SignalError,
                               _band_step, _blocks, _dense_propagator, _make_step, _outputs,
-                              _start, _taylor_poly, block_rows, boundary_trace, final_state,
+                              _start, _taylor_poly, boundary_trace, final_state,
                               run_blocks, sine_basis)
 
 from conftest import (MODELS, custom_complex_system, free_control, free_run, random_state,
@@ -102,7 +103,7 @@ def test_heat_sine_step_matches_expm():
     x0 = random_state(41, 3)
     for t in (0.01, 0.1):
         got = _free_step(sys, x0, t)
-        ref = sla.expm(t * sys.a_matrix) @ x0
+        ref = sla.expm(t * _dense(sys.a_bands)) @ x0
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
 
@@ -123,7 +124,7 @@ def test_custom_heat_steps_like_heat():
     # dt and steps with expm; that must reproduce the sine route of heat
     g = make_uniform_grid(41)
     heat = assemble_model("heat", g)
-    custom = assemble_custom(g, heat.a_matrix)
+    custom = assemble_custom(g, _dense(heat.a_bands))
     u = control_signal("ramp:0.5", 0.1, 1e-3)
     assert (step_route(heat, u.dt), step_route(custom, u.dt)) == ("sine", "expm")
     x0 = np.sin(np.pi * g.nodes) + 0.3 * np.sin(4 * np.pi * g.nodes)
@@ -135,7 +136,7 @@ def test_custom_heat_steps_like_heat():
 def test_dense_propagator_keeps_no_dense_generator(monkeypatch):
     # heat's bands built directly are "custom" and too stiff at this dt for the
     # band route: the run forms its dense A for the one expm and keeps no n x n A,
-    # and the propagator has the bits of expm of the a_matrix cache scaled by dt
+    # and the propagator has the bits of expm of the dense A scaled by dt
     calls = _count_dense_propagators(monkeypatch)
     g = make_uniform_grid(41)
     heat = assemble_model("heat", g)
@@ -143,10 +144,11 @@ def test_dense_propagator_keeps_no_dense_generator(monkeypatch):
     u = control_signal("ramp:0.5", 0.1, 1e-3)
     run_states(custom, np.sin(np.pi * g.nodes), u)
     prop = _dense_propagator(custom, u.dt)
-    assert calls == [u.dt] and "a_matrix" not in vars(custom)
-    cached = sla.expm(u.dt * custom.a_matrix)
-    cached[np.abs(cached) < np.finfo(float).tiny] = 0.0
-    np.testing.assert_array_equal(prop, cached)
+    assert calls == [u.dt]
+    assert not any(np.shape(v) == (g.n, g.n) for v in vars(custom).values())
+    dense = sla.expm(u.dt * _dense(custom.a_bands))
+    dense[np.abs(dense) < np.finfo(float).tiny] = 0.0
+    np.testing.assert_array_equal(prop, dense)
 
 
 @pytest.mark.parametrize("n", [21, 201, 801])
@@ -157,7 +159,7 @@ def test_heat_sine_steps_match_expm(n, case):
     g = make_uniform_grid(n)
     profile = (lambda w: np.exp(1j * np.pi * w)) if case == "complex_input" else None
     heat = assemble_heat(g, input_profile=profile)
-    custom = assemble_custom(g, heat.a_matrix, b_matrix=heat.b_matrix)
+    custom = assemble_custom(g, _dense(heat.a_bands), b_matrix=heat.b_matrix)
     x0 = np.sin(np.pi * g.nodes) + 0.3 * np.sin(4 * np.pi * g.nodes)
     if case == "complex_x0":
         x0 = x0 + 0.5j * random_state(n, 7) * np.sin(np.pi * g.nodes)
@@ -166,7 +168,7 @@ def test_heat_sine_steps_match_expm(n, case):
     got = run_states(heat, x0, u)
     ref = run_states(custom, x0, u)
     assert got.dtype == ref.dtype
-    scale = dt * np.linalg.norm(heat.a_matrix, 1)
+    scale = dt * np.linalg.norm(_dense(heat.a_bands), 1)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * max(1.0, scale))
 
 
@@ -177,7 +179,7 @@ def test_run_states_match_naive_stepping():
     u = control_signal("ramp:2.0", t_final, dt)
     x0 = np.sin(np.pi * sys.grid.nodes)
     states = run_states(sys, x0, u)
-    p = sla.expm(dt * sys.a_matrix)
+    p = sla.expm(dt * _dense(sys.a_bands))
     b = sys.b_matrix
     x = x0.astype(float)
     for k in range(u.times.size - 1):
@@ -249,7 +251,7 @@ def _route_system(route, m):
     g = make_uniform_grid(21 if route == "dense" else 41)
     b = np.cos(np.outer(g.nodes, np.arange(1, m + 1))) + g.nodes[:, None]
     if route == "dense":
-        return assemble_custom(g, custom_complex_system(21).a_matrix, b_matrix=b)
+        return assemble_custom(g, _dense(custom_complex_system(21).a_bands), b_matrix=b)
     assemble = {"shift": assemble_transport, "sine": assemble_heat,
                 "band": assemble_skew_damped}[route]
     return assemble(g, input_profile=b)
@@ -286,7 +288,7 @@ def test_rows_rule_is_a_multiple_of_four_up_to_64(n, itemsize, budget):
     # the supply's gemv sums rows in fours, so every block keeps its bits; the
     # rule takes the most rows that fit the budget, or 4 when none do
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(phdiss.semigroup, "BLOCK_BYTES", budget)
+        patch.setattr(phdiss.grids, "BLOCK_BYTES", budget)
         rows = block_rows(n, itemsize)
     assert rows % 4 == 0 and 4 <= rows <= 64
     assert rows == 4 or rows * n * itemsize <= budget
@@ -295,7 +297,7 @@ def test_rows_rule_is_a_multiple_of_four_up_to_64(n, itemsize, budget):
 
 def test_rows_rule_at_the_benchmarked_sizes():
     # 128 KiB: 20 rows of float64 at n = 801, 40 at 401, 64 up to 256, 4 at 100,001
-    assert phdiss.semigroup.BLOCK_BYTES == 128 * 1024
+    assert phdiss.grids.BLOCK_BYTES == 128 * 1024
     assert [block_rows(n) for n in (21, 256, 401, 801, 100_001)] == [64, 64, 40, 20, 4]
     assert block_rows(801, 16) == 8
 
@@ -322,7 +324,7 @@ def test_smaller_byte_budget_blocks_match_the_step_by_step_loop(budget, route, m
     # real rows and 4, 8 or 24 complex ones, and on the dense route's 21 nodes
     # 4, 36 or 64 real and 4, 16 or 48 complex ones (every state of the dense
     # route is complex); K + 1 = 130 rows end inside a block of each size
-    monkeypatch.setattr(phdiss.semigroup, "BLOCK_BYTES", budget)
+    monkeypatch.setattr(phdiss.grids, "BLOCK_BYTES", budget)
     assert [block_rows(41, size) for size in (8, 16)] == {
         0: [4, 4], 4 * 41 * 8 * 5: [20, 8], 4 * 41 * 8 * 13: [52, 24]}[budget]
     sys = _route_system(route, m)
@@ -372,7 +374,7 @@ def test_heat_form_is_diagonal_in_the_sine_basis(n):
     s = sine_basis(np.identity(n))
     f_hat = _make_step(sys, sys.grid.h, float)[2]
     assert f_hat.shape == (1, n)
-    dense = s @ sys.f_matrix @ s
+    dense = s @ _dense(sys.f_bands) @ s
     np.testing.assert_allclose(dense, np.diag(f_hat[0]), rtol=0, atol=1e-14 * np.abs(dense).max())
 
 
@@ -517,7 +519,7 @@ def test_band_route_matches_dense_propagator(seed, n, kd, corners, complex_a,
     # np.linalg.norm sums each column in another order than _band_step does,
     # so at reach = 1 the step's own ||dt A||_1 can land an ulp above theta_m
     # and ask for a second substep; the factor 1 - 1e-12 keeps it below
-    norm = np.linalg.norm(sys.a_matrix, 1)
+    norm = np.linalg.norm(_dense(sys.a_bands), 1)
     dt = reach * (1 - 1e-12) * _THETA[max(d for d in _THETA if 2 * d * kd + 1 < n)] / norm
     assert _band_step(sys.a_bands, dt, complex) is not None
     u = control_signal("ramp:0.5", 10 * dt, dt)
@@ -548,7 +550,7 @@ def test_stiff_custom_generator_takes_the_dense_route(monkeypatch):
     # heat's A at n = 801 and dt = 1e-3 has ||dt A||_1 = 2560: s = 259
     # substeps of degree 55 would cost far more than one dense mat-vec
     g = make_uniform_grid(801)
-    sys = assemble_custom(g, assemble_heat(g).a_matrix)
+    sys = assemble_custom(g, _dense(assemble_heat(g).a_bands))
     assert _band_step(sys.a_bands, 1e-3, float) is None
     calls = _count_dense_propagators(monkeypatch)
     run_states(sys, np.sin(np.pi * g.nodes), control_signal("const:0.5", 2e-3, 1e-3))
@@ -581,10 +583,10 @@ def test_dense_propagator_has_no_subnormals():
     # far from the diagonal; as a custom system it takes the dense route, and
     # zeroing them leaves every stepped state unchanged
     g = make_uniform_grid(801)
-    sys = assemble_custom(g, assemble_heat(g).a_matrix)
+    sys = assemble_custom(g, _dense(assemble_heat(g).a_bands))
     dt = 1e-4
     assert _band_step(sys.a_bands, dt, float) is None
-    raw = sla.expm(dt * sys.a_matrix)
+    raw = sla.expm(dt * _dense(sys.a_bands))
     tiny = np.finfo(float).tiny
     assert np.count_nonzero((raw != 0) & (np.abs(raw) < tiny)) > 0
     prop = _dense_propagator(sys, dt)
@@ -750,7 +752,8 @@ def _output_system(case, grid):
     m = int(case[-1])
     b = np.cos(np.outer(grid.nodes, np.arange(1, m + 1))) + grid.nodes[:, None]
     b = b * (1 - 0.5j) if case.startswith("complex") else b
-    return assemble_custom(grid, assemble_model("skew_damped", grid).a_matrix, b_matrix=b)
+    return assemble_custom(grid, _dense(assemble_model("skew_damped", grid).a_bands),
+                           b_matrix=b)
 
 
 @pytest.mark.parametrize("model", MODELS + ("custom_m0", "custom_m2", "complex_m2"))

@@ -16,7 +16,7 @@ from phdiss import (assemble_model, control_signal, form_r, grids, initial_state
                     make_uniform_grid, systems)
 from phdiss.dissipation import _form_rates, _q_identity_rows
 from phdiss.grids import Grid, GridError, norm_sq
-from phdiss.semigroup import _band_step, final_state, sine_basis, sine_spectrum
+from phdiss.semigroup import ControlSignal, _band_step, final_state, sine_basis, sine_spectrum
 from phdiss.systems import (DAMPING, MAX_BAND, AssemblyError, DiscreteSystem, _dense,
                             _lapack_band, _probe_solve, assemble_custom, assemble_heat,
                             assemble_skew_damped, assemble_transport, band_product,
@@ -32,7 +32,7 @@ def test_transport_boundary_collapse():
     g = make_uniform_grid(41)
     sys = assemble_transport(g)
     w = np.diag(g.weights)
-    sym = w @ sys.a_matrix + sys.a_matrix.T @ w
+    sym = w @ _dense(sys.a_bands) + _dense(sys.a_bands).T @ w
     expected = np.zeros((41, 41))
     expected[0, 0] = -1.0
     expected[-1, -1] = -1.0
@@ -51,7 +51,7 @@ def test_transport_is_dissipative_exactly():
 def test_heat_matrix_symmetric_negative():
     g = make_uniform_grid(51)
     sys = assemble_heat(g)
-    a, w = sys.a_matrix, np.diag(g.weights)
+    a, w = _dense(sys.a_bands), np.diag(g.weights)
     wa = w @ a
     np.testing.assert_allclose(wa, wa.T, atol=1e-12)
     eigs = np.linalg.eigvalsh(0.5 * (wa + wa.T))
@@ -62,7 +62,7 @@ def test_heat_boundary_rows_decoupled():
     # homogeneous Dirichlet: end nodes decay on their own and the interior
     # stencil never reads them
     g = make_uniform_grid(21)
-    a = assemble_heat(g).a_matrix
+    a = _dense(assemble_heat(g).a_bands)
     h = g.h
     assert a[0, 0] == pytest.approx(-2.0 / h**2)
     assert a[-1, -1] == pytest.approx(-2.0 / h**2)
@@ -75,16 +75,31 @@ def test_heat_generator_invertible_steady_state():
     g = make_uniform_grid(51)
     sys = assemble_heat(g)
     b = sys.b_matrix[:, 0]
-    x_ss = np.linalg.solve(sys.a_matrix, -b)
-    assert np.linalg.norm(sys.a_matrix @ x_ss + b) <= 1e-10 * np.linalg.norm(b)
+    x_ss = np.linalg.solve(_dense(sys.a_bands), -b)
+    assert np.linalg.norm(_dense(sys.a_bands) @ x_ss + b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_skew_part_exactly_skew():
     g = make_uniform_grid(51)
     sys = assemble_skew_damped(g)
     w = np.diag(g.weights)
-    j = sys.a_matrix + DAMPING * np.eye(g.n)
+    j = _dense(sys.a_bands) + DAMPING * np.eye(g.n)
     np.testing.assert_allclose(w @ j + j.T @ w, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [0.0, 0.1, 2.5])
+def test_another_damping_from_bands_is_the_dense_recipe(d):
+    # the README's recipe for a damping d on skew_damped's bands, O(n), gives the
+    # bands of the dense assemble_custom(grid, A - (d - DAMPING) I) bit for bit
+    grid = make_uniform_grid(41)
+    skew = assemble_skew_damped(grid)
+    bands = skew.a_bands.copy()
+    bands[1] -= d - DAMPING
+    direct = DiscreteSystem(grid, bands, skew.b_matrix)
+    dense = assemble_custom(grid, _dense(skew.a_bands) - (d - DAMPING) * np.identity(grid.n))
+    assert direct.a_bands.tobytes() == dense.a_bands.tobytes()
+    assert direct.f_bands.tobytes() == dense.f_bands.tobytes()
+    np.testing.assert_allclose(direct.f_bands, d * grid.weights[None], rtol=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
@@ -142,10 +157,10 @@ def test_stencil_generator_matches_the_loop_oracle(model, n):
     f = dense_form(a, grid.weights)
     kf = 1 if model == "heat" and n > 3 else 0
     for new, old in ((system.a_bands, periodic_bands(a, 1)),
-                     (system.f_bands, periodic_bands(f, kf)), (system.a_matrix, a)):
+                     (system.f_bands, periodic_bands(f, kf)), (_dense(system.a_bands), a)):
         assert np.array_equal(new, old)
         assert np.array_equal(np.signbit(new), np.signbit(old))
-    assert np.array_equal(system.f_matrix, f)
+    assert np.array_equal(_dense(system.f_bands), f)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -214,7 +229,7 @@ def test_integer_parts_are_kept_as_float():
     g = make_uniform_grid(5)
     sys = assemble_custom(g, -np.eye(5, dtype=int), b_matrix=np.ones(5, dtype=bool))
     assert (sys.a_bands.dtype, sys.b_matrix.dtype) == (np.float64, np.float64)
-    np.testing.assert_array_equal(sys.a_matrix, -np.eye(5))
+    np.testing.assert_array_equal(_dense(sys.a_bands), -np.eye(5))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -251,7 +266,7 @@ def test_graph_norm_definition(systems101, seed, model):
     sys = systems101[model]
     x = random_state(sys.n, seed)
     w = sys.weights
-    direct = np.sqrt(np.sum(w * x**2) + np.sum(w * (sys.a_matrix @ x) ** 2))
+    direct = np.sqrt(np.sum(w * x**2) + np.sum(w * (_dense(sys.a_bands) @ x) ** 2))
     assert graph_norm(sys, x) == pytest.approx(direct, rel=1e-10)
 
 
@@ -261,7 +276,7 @@ def test_custom_rejects_shifted_heat(n, shift):
     # < 0) by a gap of about 5e-3; the tolerance scales with ||F||_2, not
     # with ||A||_2 ~ 1/h^2, so fine grids do not let it through
     g = make_uniform_grid(n)
-    a = assemble_heat(g).a_matrix + shift * np.identity(n)
+    a = _dense(assemble_heat(g).a_bands) + shift * np.identity(n)
     with pytest.raises(AssemblyError, match="not dissipative"):
         assemble_custom(g, a)
 
@@ -351,9 +366,10 @@ def test_band_gap_matches_dense_eigvalsh(seed, n, kd, corners, complex_values):
        kd=st.sampled_from([0, 1, 2, 5, "full"]), corners=st.booleans(),
        complex_values=st.booleans(), skew=st.booleans())
 def test_form_bands_reach_the_widest_band_of_f(seed, n, kd, corners, complex_values, skew):
-    # F's bands go out to the widest nonzero band of -Herm(W A) and no further,
-    # where 2 kd = n with band kd alone holding the entries at distance n / 2;
-    # a W-skew-plus-diagonal A of any width, 2 kd = n included, has one band
+    # F's bands go out to the widest nonzero band of -Herm(W A) and no further.
+    # Where they reach 2 kf = n, bands -kf and kf hold the entries at distance n / 2
+    # as two halves that add up, even where they cancel (a W-skew-plus-diagonal A
+    # then keeps them): there F is compared dense, elsewhere band by band
     kd = n // 2 if kd == "full" else min(kd, n // 2)
     grid = make_uniform_grid(n)
     a = _random_generator(np.random.default_rng(seed), grid.weights, kd, corners,
@@ -362,9 +378,10 @@ def test_form_bands_reach_the_widest_band_of_f(seed, n, kd, corners, complex_val
     dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     kf = int(np.minimum(dist, n - dist)[f != 0].max(initial=0))
     f_bands = assemble_custom(grid, a).f_bands
-    want = periodic_bands(f, kf)
-    assert f_bands.shape == want.shape and f_bands.dtype == want.dtype
-    assert f_bands.tobytes() == want.tobytes()  # bit for bit, sign bits included
+    if f_bands.shape[0] != n + 1:
+        want = periodic_bands(f, kf)
+        assert f_bands.shape == want.shape and f_bands.dtype == want.dtype
+        assert f_bands.tobytes() == want.tobytes()  # bit for bit, sign bits included
     assert kf == 0 or f_bands[[0, -1]].any()
     assert kf == 0 or not skew
     # _dense adds the bands onto +0.0, so a -0.0 of F reads +0.0 there: its
@@ -522,7 +539,7 @@ def test_probe_solve_matches_dense_solve(seed, n, band, corners, complex_values)
     c = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1] + rng.uniform(0.0, 2.0)
     sys = assemble_custom(grid, (m - c * np.identity(n)) / grid.weights[:, None])
     w, rhs = grid.weights, draw(n, 3)
-    shifted = np.sqrt(w)[:, None] * sys.a_matrix / np.sqrt(w) - np.identity(n)
+    shifted = np.identity(n) - np.sqrt(w)[:, None] * _dense(sys.a_bands) / np.sqrt(w)
     want = np.linalg.solve(shifted, rhs)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
@@ -540,11 +557,11 @@ def test_probe_solve_matches_dense_solve(seed, n, band, corners, complex_values)
 
 
 def test_probe_solve_band_without_corners_may_be_singular():
-    # W^{1/2} A W^{-1/2} - I = T - c I, T the periodic tridiagonal matrix with
+    # shifted = W^{1/2} A W^{-1/2} - I = T - c I, T the periodic tridiagonal matrix with
     # off-diagonals t and twisted corners -t. Cutting the corners leaves the
     # path matrix, whose top eigenvalue 2 t cos(pi / (n + 1)) is c: the cut band
     # is singular while the whole stays dissipative with margin 11, so the solve
-    # must keep the corners in its band, as the folded order does
+    # must keep the corners in its band, as the folded order does; it solves with -shifted
     n, t = 20, 5000.0
     grid = make_uniform_grid(n)
     path = np.diag(np.full(n - 1, t), 1) + np.diag(np.full(n - 1, t), -1)
@@ -556,7 +573,7 @@ def test_probe_solve_band_without_corners_may_be_singular():
     sw = np.sqrt(grid.weights)
     sys = assemble_custom(grid, (shifted + np.identity(n)) * sw / sw[:, None])
     rhs = np.random.default_rng(3).standard_normal((n, 3))
-    want = np.linalg.solve(shifted, rhs)
+    want = np.linalg.solve(-shifted, rhs)
     got = _probe_solve(sys, rhs)
     tol = n * np.finfo(float).eps * np.linalg.cond(shifted)
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
@@ -578,10 +595,11 @@ def test_band_paths_match_their_dense_references(seed, n, kd, corners, complex_v
     # dense -> bands -> dense is bit-exact; an aliased band (2 kd = n) is kept once
     kd = sys.a_bands.shape[0] // 2
     np.testing.assert_array_equal(sys.a_bands, periodic_bands(a, kd))
-    assert sys.a_matrix.dtype == a.dtype and sys.a_matrix.tobytes() == a.tobytes()
+    dense = _dense(sys.a_bands)
+    assert dense.dtype == a.dtype and dense.tobytes() == a.tobytes()
     # F = -Herm(W A), bit for bit
     f = dense_form(a, w)
-    assert np.array_equal(sys.f_matrix, f)
+    assert np.array_equal(_dense(sys.f_bands), f)
     x = rng.standard_normal((7, n)) + (1j * rng.standard_normal((7, n)) if complex_values else 0)
     ax_bound = np.abs(x) @ np.abs(a).T
     assert np.all(np.abs(band_product(sys.a_bands, x) - x @ a.T) <= 1e-13 * ax_bound)
@@ -601,12 +619,64 @@ def test_band_paths_match_their_dense_references(seed, n, kd, corners, complex_v
     assert gap == pytest.approx(-eigs[0], abs=1e-12 * scale)
     assert f_norm == pytest.approx(max(-eigs[0], eigs[-1]), abs=1e-12 * scale)
     sw = np.sqrt(w)
-    shifted = sw[:, None] * a / sw - np.identity(n)
+    shifted = np.identity(n) - sw[:, None] * a / sw
     rhs = x[:3].T
     want = np.linalg.solve(shifted, rhs)
     got = _probe_solve(sys, rhs)
     tol = n * np.finfo(float).eps * np.linalg.cond(shifted)
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), half=st.integers(2, 20), corners=st.booleans(),
+       complex_values=st.booleans(), skew=st.booleans())
+def test_aliased_bands_add_up_in_every_reader(seed, half, corners, complex_values, skew):
+    # where 2 kd = n, bands -kd and kd hold entries of the same places: a system whose
+    # entries at distance n / 2 are split at random between the two (all in one, all
+    # in the other, or a random share) is the A of their sums to every reader, at the
+    # tolerances of test_band_paths_match_their_dense_references
+    n, kd = 2 * half, half
+    rng = np.random.default_rng(seed)
+    grid, w = make_uniform_grid(n), make_uniform_grid(n).weights
+    bands = periodic_bands(_random_generator(rng, w, kd, corners, complex_values, skew), kd)
+    share = np.where(rng.integers(0, 3, n) == 2, rng.uniform(size=n), rng.integers(0, 2, n))
+    bands[0] = share * bands[-1]
+    bands[-1] -= bands[0]
+    sys = DiscreteSystem(grid, bands, np.ones((n, 1)))
+    a = np.zeros((n, n), dtype=bands.dtype)  # the oracle: each band entry added in its place
+    for k in range(-kd, kd + 1):
+        for i in range(n):
+            a[i, (i + k) % n] += bands[k + kd, i]
+    x = rng.standard_normal((7, n)) + (1j * rng.standard_normal((7, n)) if complex_values else 0)
+    ax_bound = np.abs(x) @ _dense(np.abs(bands)).T
+    assert np.all(np.abs(band_product(sys.a_bands, x) - x @ a.T) <= 1e-13 * ax_bound)
+    f = dense_form(a, w)
+    f_bound = dense_form(-_dense(np.abs(bands)), w)
+    assert np.all(np.abs(_dense(sys.f_bands) - f) <= 1e-13 * f_bound)
+    rates = np.einsum("ij,ij->i", x.conj(), x @ f.T).real
+    rate_bound = np.einsum("ij,jk,ik->i", np.abs(x), f_bound, np.abs(x))
+    assert abs(form_r(sys, x[0]) - rates[0]) <= 1e-13 * rate_bound[0]
+    cross = np.conj(x[1]) @ f @ x[0]
+    assert abs(form_r(sys, x[0], x[1]) - cross) <= 1e-13 * (np.abs(x[1]) @ f_bound @ np.abs(x[0]))
+    eigs = np.linalg.eigvalsh(f)
+    gap, f_norm = dissipativity_gap(sys.f_bands)
+    # the scale of F's parts, which does not vanish where they cancel (a skew A, D = 0)
+    scale = f_bound.sum(axis=1).max()
+    assert gap == pytest.approx(-eigs[0], abs=1e-12 * scale)
+    assert f_norm == pytest.approx(max(-eigs[0], eigs[-1]), abs=1e-12 * scale)
+    sw = np.sqrt(w)
+    shifted = np.identity(n) - sw[:, None] * a / sw
+    want = np.linalg.solve(shifted, x[:3].T)
+    got = _probe_solve(sys, x[:3].T)
+    tol = n * np.finfo(float).eps * np.linalg.cond(shifted)
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+    # the run steps on expm of the dense A, against a loop on expm of the oracle
+    u = ControlSignal(0.05, rng.standard_normal(6))
+    p, x_k = sla.expm(u.dt * a), x[0]
+    for k in range(5):
+        x_k = p @ (x_k + 0.5 * u.dt * u.values[k]) + 0.5 * u.dt * u.values[k + 1]
+    got = final_state(sys, x[0], u)
+    assert np.linalg.norm(got - x_k) <= 1e-12 * max(1.0, np.linalg.norm(x_k))
 
 
 def _wrapped_band_product(bands, x):
@@ -663,7 +733,7 @@ def test_wrapping_custom_generator_takes_the_band_routes(monkeypatch):
     n = 1601
     grid = make_uniform_grid(n)
     lap = -2.0 * np.identity(n) + np.roll(np.identity(n), 1, 1) + np.roll(np.identity(n), -1, 1)
-    a = assemble_skew_damped(grid).a_matrix + 1e-3 * lap / grid.h**2 / grid.weights[:, None]
+    a = _dense(assemble_skew_damped(grid).a_bands) + 1e-3 * lap / grid.h**2 / grid.weights[:, None]
     calls = []
     for name in ("eigvals_banded", "eigvalsh"):
         def counted(*args, _fn=getattr(sla, name), _name=name, **kwargs):
@@ -675,7 +745,7 @@ def test_wrapping_custom_generator_takes_the_band_routes(monkeypatch):
     gap, f_norm = dissipativity_gap(sys.f_bands)
     monkeypatch.undo()
     assert calls == ["eigvals_banded"] * 4
-    eigs = np.linalg.eigvalsh(sys.f_matrix)
+    eigs = np.linalg.eigvalsh(_dense(sys.f_bands))
     scale = np.abs(eigs).max()
     assert gap == pytest.approx(-eigs[0], abs=1e-13 * scale)
     assert f_norm == pytest.approx(max(-eigs[0], eigs[-1]), abs=1e-13 * scale)
@@ -703,9 +773,9 @@ def _numpy_psd_sqrt(hat):
 
 def _first_m_factors(system):
     # the M core as first written, on numpy's Cholesky and eigh: G = graph_gram of the
-    # cached dense A, symmetrized as 0.5 * (g + g^H), and each Hermitian part
+    # dense A, symmetrized as 0.5 * (g + g^H), and each Hermitian part
     # 0.5 * (x + x^H) of a sum
-    a, f, w = system.a_matrix, system.f_matrix, system.weights
+    a, f, w = _dense(system.a_bands), _dense(system.f_bands), system.weights
     g = (a.conj().T * w) @ a
     g.flat[::g.shape[0] + 1] += w
     g = 0.5 * (g + g.conj().T)
@@ -728,7 +798,7 @@ def _roots_off_their_first_formulas():
         system = (custom_complex_system(n) if model == "complex"
                   else assemble_model(model, make_uniform_grid(n)))
         res = _probe_solve(system, np.identity(n))
-        want = (*_first_m_factors(system), _numpy_psd_sqrt(-0.5 * (res + res.conj().T)))
+        want = (*_first_m_factors(system), _numpy_psd_sqrt(0.5 * (res + res.conj().T)))
         for name, have in zip(("g_chol", "m_sqrt_hat", "q_sqrt_hat"), want):
             got = getattr(system, name)
             if got.dtype != have.dtype or not np.array_equal(got, have):
@@ -803,7 +873,9 @@ def test_dense_roots_peak_rss(root, arrays):
     assert added <= arrays * 8 * n * n
 
 
-_DENSE_READERS = ("a_matrix", "f_matrix", "m_sqrt_hat", "q_sqrt_hat")
+# the dense A and F that a reader forms, and the two roots
+_DENSE_READERS = (lambda s: _dense(s.a_bands), lambda s: _dense(s.f_bands),
+                  lambda s: s.m_sqrt_hat, lambda s: s.q_sqrt_hat)
 
 
 def test_oversized_grid_refused_before_allocating():
@@ -815,7 +887,7 @@ def test_oversized_grid_refused_before_allocating():
     try:
         for reader in _DENSE_READERS:
             with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
-                getattr(system, reader)
+                reader(system)
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
@@ -838,7 +910,7 @@ def test_dense_readers_refuse_the_first_grid_past_the_budget(model):
     # MAX_OPERATOR_MB; a run's bands are O(n), so the system builds
     system = assemble_model(model, make_uniform_grid(2001))
     for reader in _DENSE_READERS:
-        _refused_before_allocating(lambda: getattr(system, reader))
+        _refused_before_allocating(lambda: reader(system))
 
 
 def test_dense_routes_of_custom_generators_refuse_past_the_budget():
@@ -923,7 +995,7 @@ def test_direct_system_takes_the_custom_step_route():
     assert direct.model_tag == "custom"
     x0 = initial_state(grid, "sine:1")
     final = [free_run(system, x0, 1.0, grid.h)[-1]
-             for system in (direct, assemble_custom(grid, skew.a_matrix), skew)]
+             for system in (direct, assemble_custom(grid, _dense(skew.a_bands)), skew)]
     np.testing.assert_array_equal(final[0], final[1])
     assert np.linalg.norm(final[0] - final[2]) <= 1e-12 * np.linalg.norm(final[2])
     with pytest.raises(TypeError):
@@ -964,9 +1036,9 @@ def test_operator_budget_is_the_module_constant(monkeypatch):
     # exercised on a small budget, so no test allocates near the real one:
     # 21 nodes take 3.5 kB per operator, 41 nodes 13.4 kB
     monkeypatch.setattr(grids, "MAX_OPERATOR_MB", 0.01)
-    assert assemble_model("heat", make_uniform_grid(21)).a_matrix.shape == (21, 21)
+    assert _dense(assemble_model("heat", make_uniform_grid(21)).a_bands).shape == (21, 21)
     with pytest.raises(GridError, match="MAX_OPERATOR_MB"):
-        assemble_model("heat", make_uniform_grid(41)).a_matrix
+        _dense(assemble_model("heat", make_uniform_grid(41)).a_bands)
 
 
 def test_operator_budget_admits_the_largest_grid():
