@@ -58,7 +58,7 @@ class DiscreteSystem:
         Read-only: "custom", or the MODELS key its assembler sets; it picks the step route.
     f_bands : np.ndarray
         The bands of F = -Herm(W A) out to its own half-bandwidth, PSD: the rate is x^H F x;
-        bands at distance n / 2 add up as A's do, and stay where they cancel.
+        where 2 kd = n, band kd alone holds F's entries at distance n / 2 (form_bands).
         The constructor forms them, raising AssemblyError for bad bands or B or
         a non-dissipative F, and keeps integer and boolean A and B as float.
 
@@ -206,12 +206,16 @@ def periodic_bandwidth(a: np.ndarray) -> int:
 def form_bands(a_bands: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The periodic bands of F = -Herm(W A) from those of A, out to F's own half-bandwidth:
     F[i, i + k] = -(w_i A[i, i + k] + conj(w_{i+k} A[i + k, i])) / 2, A[i + k, i] in band -k;
-    where 2 kd = n, the entries of bands -kd and kd add up, in F's bands as in A's, and
-    two nonzero halves that cancel keep their bands."""
+    where 2 kd = n, A's bands -kd and kd are added up first and F's band kd alone keeps
+    the entries at distance n / 2, so halves that cancel leave F no wider."""
     n, kd = a_bands.shape[1], a_bands.shape[0] // 2
     wa = weights * a_bands
+    if 2 * kd == n:  # bands -kd and kd alias: each reads the two halves added up
+        wa[0] = wa[-1] = wa[0] + wa[-1]
     partner = np.take_along_axis(wa[::-1], _columns(n, kd), axis=1)
     f = -(0.5 * (wa + partner.conj()))  # negated last: -0.5 * z makes a 0j part +0.0, not -0.0
+    if 2 * kd == n:
+        f[0] = 0
     kf = int(np.abs(np.flatnonzero(f.any(axis=1)) - kd).max(initial=0))
     return f[kd - kf:kd + kf + 1].copy()  # a copy, so the trimmed rows are freed
 

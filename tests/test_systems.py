@@ -366,10 +366,9 @@ def test_band_gap_matches_dense_eigvalsh(seed, n, kd, corners, complex_values):
        kd=st.sampled_from([0, 1, 2, 5, "full"]), corners=st.booleans(),
        complex_values=st.booleans(), skew=st.booleans())
 def test_form_bands_reach_the_widest_band_of_f(seed, n, kd, corners, complex_values, skew):
-    # F's bands go out to the widest nonzero band of -Herm(W A) and no further.
-    # Where they reach 2 kf = n, bands -kf and kf hold the entries at distance n / 2
-    # as two halves that add up, even where they cancel (a W-skew-plus-diagonal A
-    # then keeps them): there F is compared dense, elsewhere band by band
+    # F's bands go out to the widest nonzero band of -Herm(W A) and no further,
+    # where 2 kd = n with band kd alone holding the entries at distance n / 2;
+    # a W-skew-plus-diagonal A of any width, 2 kd = n included, has one band
     kd = n // 2 if kd == "full" else min(kd, n // 2)
     grid = make_uniform_grid(n)
     a = _random_generator(np.random.default_rng(seed), grid.weights, kd, corners,
@@ -378,10 +377,9 @@ def test_form_bands_reach_the_widest_band_of_f(seed, n, kd, corners, complex_val
     dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     kf = int(np.minimum(dist, n - dist)[f != 0].max(initial=0))
     f_bands = assemble_custom(grid, a).f_bands
-    if f_bands.shape[0] != n + 1:
-        want = periodic_bands(f, kf)
-        assert f_bands.shape == want.shape and f_bands.dtype == want.dtype
-        assert f_bands.tobytes() == want.tobytes()  # bit for bit, sign bits included
+    want = periodic_bands(f, kf)
+    assert f_bands.shape == want.shape and f_bands.dtype == want.dtype
+    assert f_bands.tobytes() == want.tobytes()  # bit for bit, sign bits included
     assert kf == 0 or f_bands[[0, -1]].any()
     assert kf == 0 or not skew
     # _dense adds the bands onto +0.0, so a -0.0 of F reads +0.0 there: its
